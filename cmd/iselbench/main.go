@@ -57,7 +57,6 @@ import (
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
 	"iselgen/internal/service"
-	"iselgen/internal/smt"
 	"iselgen/internal/solver"
 
 	"path/filepath"
@@ -252,9 +251,8 @@ type synthBaseline struct {
 	Resynthesized    int     `json:"resynthesized"`
 	IncrSMTQueries   int64   `json:"incr_smt_queries"`
 	CexScreens       int64   `json:"cex_screens"`
-	CexCacheHits     int64   `json:"cex_cache_hits"`
+	CexHits          int64   `json:"cex_cache_hits"`
 	CexHitRate       float64 `json:"cex_hit_rate"`
-	SMTSkipped       int64   `json:"smt_skipped"`
 	SMTQueries       int64   `json:"smt_queries"`
 	// The warm leg simulates a daemon restart: the in-memory verdict memo
 	// is wiped, the journal the parallel run wrote is replayed, and the
@@ -328,7 +326,6 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 		sSeq := load(name)
 		solver.Shared.DetachJournal()
 		solver.Shared.Reset()
-		smt.Cex.Reset()
 		tSeq := time.Now()
 		seqLib := sSeq.Synthesize(seqCfg, 0)
 		seqMS := float64(time.Since(tSeq).Nanoseconds()) / 1e6
@@ -346,7 +343,6 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 			fmt.Fprintln(os.Stderr, "iselbench:", err)
 			os.Exit(1)
 		}
-		smt.Cex.Reset()
 		t0 := time.Now()
 		lib := s.Synthesize(cfg, 0)
 		fullMS := float64(time.Since(t0).Nanoseconds()) / 1e6
@@ -389,7 +385,6 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 		// instructions must be answered entirely from the memo: zero
 		// bit-blasts, and the artifact byte-identical to the cold runs.
 		solver.Shared.Reset()
-		smt.Cex.Reset()
 		if err := solver.Shared.AttachJournal(jpath); err != nil {
 			fmt.Fprintln(os.Stderr, "iselbench:", err)
 			os.Exit(1)
@@ -438,9 +433,8 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 			Resynthesized:    rep.Resynthesized,
 			IncrSMTQueries:   rep.SMTQueries,
 			CexScreens:       st.CexScreens,
-			CexCacheHits:     st.CexHits,
+			CexHits:          st.CexHits,
 			CexHitRate:       hitRate,
-			SMTSkipped:       st.SMTSkipped,
 			SMTQueries:       st.SMTQueries,
 
 			WarmFullSynthMS:    warmMS,

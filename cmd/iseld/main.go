@@ -55,7 +55,7 @@
 // Usage: iseld [-addr :8791] [-cache-dir DIR] [-cache-entries N]
 //
 //	[-workers N] [-synth-workers N] [-queue N] [-patterns N] [-timeout D]
-//	[-trace-spans N] [-trace-sample F] [-no-obs] [-max-jobs N]
+//	[-inputs N] [-trace-spans N] [-trace-sample F] [-no-obs] [-max-jobs N]
 //	[-peers URL,URL,...] [-self URL] [-cluster-mode fill|forward]
 //	[-hedge D] [-breaker-failures N] [-breaker-cooldown D]
 //	[-drain-timeout D]
@@ -86,7 +86,6 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/obs"
 	"iselgen/internal/service"
-	"iselgen/internal/smt"
 	"iselgen/internal/solver"
 )
 
@@ -100,7 +99,6 @@ func main() {
 	patterns := flag.Int("patterns", 0, "limit corpus patterns per synthesis (0 = all)")
 	timeout := flag.Duration("timeout", 0, "default per-job synthesis deadline (0 = none)")
 	inputs := flag.Int("inputs", 0, "test inputs per sequence (0 = default)")
-	cexCache := flag.Int("cex-cache", 0, "counterexample cache capacity (0 = ISEL_CEX_CACHE or default)")
 	traceSpans := flag.Int("trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests starting a distributed trace (0 = all, <0 = none; valid incoming X-Iseld-Trace contexts are always honored)")
 	noObs := flag.Bool("no-obs", false, "disable tracing, histograms, and decision provenance")
@@ -131,9 +129,6 @@ func main() {
 	if *inputs > 0 {
 		cfg.TestInputs = *inputs
 	}
-	// The counterexample screen is a pure perf knob (verdict-preserving,
-	// excluded from cache fingerprints), resolved flag > env > default.
-	smt.Cex.SetCapacity(smt.ResolveCexCap(*cexCache))
 
 	// With a disk cache configured, the solver verdict memo persists
 	// alongside the artifacts: settled equivalence verdicts from past

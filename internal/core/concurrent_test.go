@@ -10,14 +10,14 @@ import (
 	"iselgen/internal/isel"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
-	"iselgen/internal/smt"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
 // fallbackPats are pattern shapes with no direct canonical-index match
 // on the mini target: the flag-chain and or-not shapes go through the
 // SMT fallback, so every goroutine issues Equiv queries that screen
-// against (and can feed) the shared counterexample cache.
+// against (and can feed) the shared memo's counterexamples.
 func fallbackPats() []*pattern.Pattern {
 	return []*pattern.Pattern{
 		pattern.New(pattern.Op(gmir.GZExt, gmir.S64, pattern.Cmp(gmir.PredEQ, r64(), r64()))),
@@ -28,16 +28,17 @@ func fallbackPats() []*pattern.Pattern {
 	}
 }
 
-// TestConcurrentSynthesesShareCexCache runs independent synthesizers
+// TestConcurrentSynthesesShareWitnesses runs independent synthesizers
 // from every CPU at once, all feeding and screening through the shared
-// process-wide counterexample cache, and demands they produce identical
-// libraries. Under -race this is the cache's integration race test; in
-// any mode it checks that cross-run cache pollution cannot change
-// verdicts (each run sees hits earned by the others).
-func TestConcurrentSynthesesShareCexCache(t *testing.T) {
-	smt.Cex.Reset()
+// process-wide verdict memo, and demands they produce identical
+// libraries. Under -race this is the memo's integration race test; in
+// any mode it checks that cross-run sharing cannot change verdicts
+// (each run sees verdicts and witnesses earned by the others).
+func TestConcurrentSynthesesShareWitnesses(t *testing.T) {
+	solver.Shared.Reset()
 	n := runtime.NumCPU() + 2
 	arts := make([]string, n)
+	screens := make([]int64, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for g := 0; g < n; g++ {
@@ -55,6 +56,7 @@ func TestConcurrentSynthesesShareCexCache(t *testing.T) {
 			lib := rules.NewLibrary("mini")
 			s.Synthesize(fallbackPats(), lib)
 			arts[g] = isel.SaveLibrary(lib)
+			screens[g] = s.Stats.CexScreens
 		}(g)
 	}
 	wg.Wait()
@@ -68,8 +70,11 @@ func TestConcurrentSynthesesShareCexCache(t *testing.T) {
 			t.Fatalf("goroutine %d produced a different library than goroutine 0", g)
 		}
 	}
-	screens, _, _ := smt.Cex.Counters()
-	if screens == 0 {
-		t.Fatal("no query was ever screened — the synthesizers are not wired to the shared cache")
+	var total int64
+	for _, c := range screens {
+		total += c
+	}
+	if total == 0 {
+		t.Fatal("no query was ever screened — the synthesizers are not wired to the shared memo")
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
 	"iselgen/internal/isel"
-	"iselgen/internal/smt"
+	"iselgen/internal/solver"
 )
 
 // ruleLines extracts the sorted rule-line fingerprint set from a saved
@@ -30,9 +30,10 @@ func ruleLines(artifact string) []string {
 // TestWorkerCountDeterminism is the schedule-independence stress test:
 // full synthesis of each builtin target at several worker-pool widths
 // must produce the same library — same rule fingerprint set and a
-// byte-identical saved artifact. The counterexample cache is reset
-// before every run, but within a run its fill order varies with
-// scheduling, so this also exercises the screen's verdict preservation.
+// byte-identical saved artifact. The verdict memo is reset before every
+// run, but within a run the fill order of its verdicts and screen
+// witnesses varies with scheduling, so this also exercises the screen's
+// verdict preservation.
 func TestWorkerCountDeterminism(t *testing.T) {
 	targets := []struct {
 		name string
@@ -62,7 +63,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 				}
 				cfg := core.DefaultConfig()
 				cfg.Workers = w
-				smt.Cex.Reset()
+				solver.Shared.Reset()
 				lib := s.Synthesize(cfg, maxPatterns)
 				art := isel.SaveLibraryFor(lib, s.ISA)
 				if i == 0 {

@@ -26,7 +26,6 @@ import (
 	"iselgen/internal/isa"
 	"iselgen/internal/obs"
 	"iselgen/internal/rules"
-	"iselgen/internal/smt"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
 	"iselgen/internal/trie"
@@ -74,13 +73,6 @@ type Config struct {
 	// same table as the target library's Model so stamped rule costs and
 	// synthesis-time ranking agree. Its Version is part of CacheKey.
 	CostModel *cost.Table
-	// CexCap, when positive, rebounds the process-wide counterexample
-	// cache (smt.Cex) when the synthesizer is constructed. Like Workers
-	// it is a pure performance knob — screening is verdict-preserving at
-	// any capacity — so it is excluded from CacheKey. CLIs thread their
-	// -cex-cache flag through smt.ResolveCexCap (flag > ISEL_CEX_CACHE
-	// env > default).
-	CexCap int
 	// Obs, when set, receives stage/pattern spans, latency histograms,
 	// and SMT decision-provenance events from the synthesis run. Purely
 	// observational — never part of CacheKey (it cannot change which
@@ -96,10 +88,9 @@ type Config struct {
 // the solver), MaxSeqLen/MaxPairBases change the pool, SMTMaxConflicts
 // changes which equivalences the solver proves before timing out, and
 // the ablation switches change whole code paths. CostModel changes rule
-// ranking (its content hash stands in for the table). Workers and
-// CexCap are deliberately excluded: the former parallelizes matching
-// and the latter resizes the (verdict-preserving) counterexample
-// screen, neither affecting the result.
+// ranking (its content hash stands in for the table). Workers is
+// deliberately excluded: it parallelizes matching without affecting the
+// result.
 func (c Config) CacheKey() string {
 	norm := c
 	if norm.TestInputs == 0 {
@@ -285,14 +276,11 @@ type Stats struct {
 	SMTRules     int
 	SMTQueries   int64
 	SMTTimeouts  int64
-	// Counterexample-screen effectiveness: how many solver-bound queries
-	// were screened against the cached counterexamples, how many a cached
-	// assignment refuted outright, and how many bit-blasting runs that
-	// avoided (hits == skips today; kept separate so a partial screen —
-	// e.g. screening only store goals — stays representable).
+	// Counterexample-screen effectiveness: how many memo misses were
+	// screened against the memo's stored counterexamples, and how many a
+	// stored witness refuted outright.
 	CexScreens int64
 	CexHits    int64
-	SMTSkipped int64
 	// Verdict-memo effectiveness: MemoHits counts queries answered by a
 	// stored (trust-checked) verdict, BitBlasts the queries that still
 	// reached circuit construction — the pair the warm-resynthesis gate
@@ -327,7 +315,6 @@ type StageStats struct {
 
 	CexScreens int64 `json:"cex_screens"`
 	CexHits    int64 `json:"cex_cache_hits"`
-	SMTSkipped int64 `json:"smt_skipped"`
 	MemoHits   int64 `json:"memo_hits"`
 	BitBlasts  int64 `json:"bit_blasts"`
 
@@ -358,7 +345,6 @@ func (st *Stats) Snapshot() StageStats {
 		SMTTimeouts:     st.SMTTimeouts,
 		CexScreens:      st.CexScreens,
 		CexHits:         st.CexHits,
-		SMTSkipped:      st.SMTSkipped,
 		MemoHits:        st.MemoHits,
 		BitBlasts:       st.BitBlasts,
 		SATDecisions:    st.SATDecisions,
@@ -388,7 +374,6 @@ func (ss *StageStats) Accumulate(o StageStats) {
 	ss.SMTTimeouts += o.SMTTimeouts
 	ss.CexScreens += o.CexScreens
 	ss.CexHits += o.CexHits
-	ss.SMTSkipped += o.SMTSkipped
 	ss.MemoHits += o.MemoHits
 	ss.BitBlasts += o.BitBlasts
 	ss.SATDecisions += o.SATDecisions
@@ -441,9 +426,6 @@ func New(b *term.Builder, target *isa.Target, cfg Config) *Synthesizer {
 	}
 	if cfg.SMTMaxConflicts == 0 {
 		cfg.SMTMaxConflicts = DefaultConfig().SMTMaxConflicts
-	}
-	if cfg.CexCap > 0 {
-		smt.Cex.SetCapacity(cfg.CexCap)
 	}
 	return &Synthesizer{
 		B:        b,

@@ -80,13 +80,11 @@ func (s *Synthesizer) newWorker() *worker {
 			MaxConflicts: s.Cfg.SMTMaxConflicts,
 			Obs:          s.Cfg.Obs,
 			Context:      "synthesis",
-			// All workers share the process-wide counterexample cache: a
-			// refutation discovered for one pattern screens candidates for
-			// every other, across goroutines and across runs.
-			Cex: smt.Cex,
-			// And the process-wide verdict memo: a query settled by any
-			// worker — this run, an earlier run, or a replayed journal —
-			// answers instantly, guarded by the spec fingerprint.
+			// All workers share the process-wide verdict memo: a query
+			// settled by any worker — this run, an earlier run, or a
+			// replayed journal — answers instantly, guarded by the spec
+			// fingerprint, and its stored counterexamples screen candidates
+			// for every other pattern.
 			Memo:   solver.Shared,
 			SpecFP: s.SpecFP,
 		},
@@ -187,7 +185,6 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 			s.Stats.SMTTimeouts += w.checker.Stats.TimedOut
 			s.Stats.CexScreens += w.checker.Stats.CexScreens
 			s.Stats.CexHits += w.checker.Stats.CexHits
-			s.Stats.SMTSkipped += w.checker.Stats.SMTSkipped
 			s.Stats.MemoHits += w.checker.Stats.MemoHits
 			s.Stats.BitBlasts += w.checker.Stats.BitBlasts
 			s.Stats.SATDecisions += w.checker.Stats.Decisions
@@ -578,15 +575,6 @@ func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*patter
 	if len(sorted) == 0 {
 		return nil
 	}
-
-	// One incremental SAT session per pattern: successive candidate
-	// queries for the same pattern share blasted circuits and learned
-	// clauses. Scoping the session to the pattern (not the worker's whole
-	// lifetime) keeps the query sequence each session sees deterministic —
-	// it depends only on this pattern's candidate order, never on how
-	// patterns were distributed across workers.
-	w.checker.BeginIncremental()
-	defer w.checker.EndIncremental()
 
 	// Compile the pattern term once; the probe then evaluates it on each
 	// test vector with no per-evaluation allocation.

@@ -54,4 +54,9 @@ func TestCacheKeyExcludesWorkers(t *testing.T) {
 	if a.CacheKey() == c.CacheKey() {
 		t.Error("CacheKey ignores TestInputs, which does change the library")
 	}
+	d := DefaultConfig()
+	d.SMTMaxConflicts = a.SMTMaxConflicts * 2
+	if a.CacheKey() == d.CacheKey() {
+		t.Error("CacheKey ignores SMTMaxConflicts, which does change the library")
+	}
 }

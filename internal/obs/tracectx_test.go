@@ -32,10 +32,40 @@ func TestTraceContextHeaderRoundTrip(t *testing.T) {
 // never accepted or propagated.
 func TestParseTraceHeaderHostile(t *testing.T) {
 	valid := TraceContext{TraceID: NewTraceID(), SpanID: 7, Sampled: true}.Header()
-	cases := []struct {
-		name string
-		in   string
-	}{
+	for _, c := range hostileTraceHeaders(valid) {
+		if _, err := ParseTraceHeader(c.in); err == nil {
+			t.Errorf("%s: ParseTraceHeader(%q) accepted hostile input", c.name, c.in)
+		}
+	}
+}
+
+// FuzzParseTraceHeader: no input panics the parser, and every header it
+// accepts is a valid context that renders back to the exact input — so
+// a propagated header is always one this node could have minted.
+func FuzzParseTraceHeader(f *testing.F) {
+	valid := TraceContext{TraceID: TraceID{0x01, 0x23, 15: 0xef}, SpanID: 7, Sampled: true}.Header()
+	f.Add(valid)
+	for _, c := range hostileTraceHeaders(valid) {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tc, err := ParseTraceHeader(in)
+		if err != nil {
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("ParseTraceHeader(%q) accepted an invalid context %+v", in, tc)
+		}
+		if h := tc.Header(); h != in {
+			t.Fatalf("ParseTraceHeader(%q) renders back as %q", in, h)
+		}
+	})
+}
+
+// hostileTraceHeaders derives malformed, oversized, and injection-style
+// headers from a valid one.
+func hostileTraceHeaders(valid string) []struct{ name, in string } {
+	return []struct{ name, in string }{
 		{"empty", ""},
 		{"short", "00-abc"},
 		{"oversized", valid + strings.Repeat("a", 4096)},
@@ -49,11 +79,6 @@ func TestParseTraceHeaderHostile(t *testing.T) {
 		{"injection newline", valid[:53] + "\n1"},
 		{"injection header", "00-" + strings.Repeat("a", 32) + "-" + strings.Repeat("a", 7) + "\r\nX-Evil:1"},
 		{"garbage right length", strings.Repeat("!", traceHeaderLen)},
-	}
-	for _, c := range cases {
-		if _, err := ParseTraceHeader(c.in); err == nil {
-			t.Errorf("%s: ParseTraceHeader(%q) accepted hostile input", c.name, c.in)
-		}
 	}
 }
 

@@ -138,12 +138,6 @@ func New() *Solver {
 // NumVars returns the number of variables allocated.
 func (s *Solver) NumVars() int { return len(s.vars) - 1 }
 
-// Unsatisfiable reports whether the clause database has been proven
-// unsatisfiable at level 0 — a sticky state: every later Solve returns
-// Unsat regardless of assumptions, so incremental users must discard
-// the solver once this reports true.
-func (s *Solver) Unsatisfiable() bool { return s.unsat }
-
 // NewVar allocates a fresh variable and returns its 1-based index.
 func (s *Solver) NewVar() int {
 	s.vars = append(s.vars, varData{reason: refNone, level: -1, heapIdx: -1})
@@ -597,15 +591,13 @@ func luby(i int64) int64 {
 	}
 }
 
-// Solve runs the CDCL loop under the given assumptions and returns the
-// verdict. Assumptions are enqueued as pseudo-decisions; if the formula
-// is Unsat under assumptions (but perhaps Sat without), Unsat is returned.
-func (s *Solver) Solve(assumptions ...Lit) Status {
+// Solve runs the CDCL loop and returns the verdict.
+func (s *Solver) Solve() Status {
 	if s.unsat {
 		return Unsat
 	}
 	defer s.backtrack(0)
-	return s.run(assumptions)
+	return s.run()
 }
 
 // valueOf reads the model value of variable v before backtracking.
@@ -613,11 +605,11 @@ func (s *Solver) valueOf(v int) bool { return s.assign[Lit(v)<<1] == lTrue }
 
 // SolveModel runs Solve and, on Sat, returns the satisfying assignment
 // (index 0 unused).
-func (s *Solver) SolveModel(assumptions ...Lit) (Status, []bool) {
+func (s *Solver) SolveModel() (Status, []bool) {
 	if s.unsat {
 		return Unsat, nil
 	}
-	st := s.run(assumptions)
+	st := s.run()
 	if st != Sat {
 		s.backtrack(0)
 		return st, nil
@@ -632,7 +624,7 @@ func (s *Solver) SolveModel(assumptions ...Lit) (Status, []bool) {
 
 // run is the CDCL main loop. It does not backtrack on return so that
 // SolveModel can read the model first.
-func (s *Solver) run(assumptions []Lit) Status {
+func (s *Solver) run() Status {
 	restartNum := int64(1)
 	conflictsUntilRestart := luby(restartNum) * 100
 	conflictsUntilReduce := int64(2000)
@@ -648,12 +640,6 @@ func (s *Solver) run(assumptions []Lit) Status {
 				return Unsat
 			}
 			learnt, btLevel := s.analyze(conflict)
-			if btLevel < len(assumptions) {
-				btLevel = min(btLevel, s.level()-1)
-				if btLevel < 0 {
-					return Unsat
-				}
-			}
 			s.backtrack(btLevel)
 			if len(learnt) == 1 {
 				if s.level() != 0 {
@@ -689,27 +675,14 @@ func (s *Solver) run(assumptions []Lit) Status {
 			restartNum++
 			s.Restarts++
 			conflictsUntilRestart = luby(restartNum) * 100
-			s.backtrack(len(assumptions))
+			s.backtrack(0)
 			continue
 		}
 		if conflictsUntilReduce <= 0 {
 			conflictsUntilReduce = 2000
-			if s.level() == len(assumptions) {
+			if s.level() == 0 {
 				s.reduceDB()
 			}
-		}
-		if s.level() < len(assumptions) {
-			a := assumptions[s.level()]
-			switch s.value(a) {
-			case lTrue:
-				s.trailLim = append(s.trailLim, len(s.trail))
-				continue
-			case lFalse:
-				return Unsat
-			}
-			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(a, refNone)
-			continue
 		}
 		v := s.pickBranchVar()
 		if v == 0 {

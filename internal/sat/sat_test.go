@@ -109,30 +109,6 @@ func TestPigeonholeSatWhenEnoughHoles(t *testing.T) {
 	}
 }
 
-func TestAssumptions(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	// (a -> b), (b -> c)
-	s.AddClause(LitOf(a, true), LitOf(b, false))
-	s.AddClause(LitOf(b, true), LitOf(c, false))
-	// Assuming a and ¬c is unsat.
-	if st := s.Solve(LitOf(a, false), LitOf(c, true)); st != Unsat {
-		t.Errorf("assume a, ¬c = %v, want unsat", st)
-	}
-	// Solver must remain usable: without assumptions it is sat.
-	if st := s.Solve(); st != Sat {
-		t.Errorf("no assumptions = %v, want sat", st)
-	}
-	// Assuming just a is sat, and the model must satisfy b and c.
-	st, model := s.SolveModel(LitOf(a, false))
-	if st != Sat {
-		t.Fatalf("assume a = %v", st)
-	}
-	if !model[a] || !model[b] || !model[c] {
-		t.Errorf("model %v does not propagate implications", model[1:])
-	}
-}
-
 func TestBudgetUnknown(t *testing.T) {
 	s := New()
 	pigeonhole(s, 9, 8) // hard enough to exceed a tiny budget

@@ -2,11 +2,8 @@ package smt
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 
-	"iselgen/internal/bv"
 	"iselgen/internal/term"
 )
 
@@ -61,31 +58,31 @@ func fuzzPairs(t *testing.T) (*term.Builder, [][2]*term.Term) {
 	return b, pairs
 }
 
-// TestCexWitnessSeparatesProducingPair checks the cache's core
-// invariant: every assignment stored on a NotEqual verdict concretely
-// separates the pair that produced it, so replaying it through Refutes
-// rejects that same pair without a solver.
+// TestCexWitnessSeparatesProducingPair checks the screen's core
+// invariant: every witness the memo publishes for a NotEqual verdict
+// concretely separates the pair that produced it, so screening that same
+// pair rejects it without a solver.
 func TestCexWitnessSeparatesProducingPair(t *testing.T) {
 	b, pairs := fuzzPairs(t)
 	notEqual := 0
 	for i, p := range pairs {
 		if len(p[0].Vars()) == 0 && len(p[1].Vars()) == 0 {
 			// Two constants: a refutation carries the empty assignment,
-			// which there is nothing to cache.
+			// which there is nothing to store.
 			continue
 		}
-		cache := NewCexCache(8) // fresh per pair: no screening on the first query
-		c := &Checker{Cex: cache}
+		memo := newMapMemo() // fresh per pair: no screening on the first query
+		c := &Checker{Memo: memo}
 		res := c.Equiv(b, p[0], p[1])
 		if res != NotEqual {
 			continue
 		}
 		notEqual++
-		if cache.Len() == 0 {
+		if len(memo.Witnesses()) == 0 {
 			t.Fatalf("pair %d: NotEqual verdict stored no counterexample", i)
 		}
-		if !cache.Refutes([][2]*term.Term{p}) {
-			t.Fatalf("pair %d: stored assignment does not separate its producing pair\nlhs=%s\nrhs=%s",
+		if _, ok := refuting(memo.Witnesses(), [][2]*term.Term{p}); !ok {
+			t.Fatalf("pair %d: stored witness does not separate its producing pair\nlhs=%s\nrhs=%s",
 				i, p[0], p[1])
 		}
 	}
@@ -95,14 +92,13 @@ func TestCexWitnessSeparatesProducingPair(t *testing.T) {
 }
 
 // TestCexScreenPreservesVerdicts checks verdict preservation: a checker
-// screening through a shared, increasingly hot cache must return exactly
-// the verdict a cache-free checker computes via the solver, for every
-// pair. This is the determinism argument for the synthesis pipeline —
-// the screen can only short-circuit NotEqual, never displace Equal.
+// screening against an increasingly hot memo must return exactly the
+// verdict a memo-free checker computes via the solver, for every pair.
+// This is the determinism argument for the synthesis pipeline — the
+// screen can only short-circuit NotEqual, never displace Equal.
 func TestCexScreenPreservesVerdicts(t *testing.T) {
 	b, pairs := fuzzPairs(t)
-	shared := NewCexCache(DefaultCexCap)
-	screened := &Checker{Cex: shared}
+	screened := &Checker{Memo: newMapMemo()}
 	fresh := &Checker{}
 	for i, p := range pairs {
 		got := screened.Equiv(b, p[0], p[1])
@@ -116,58 +112,9 @@ func TestCexScreenPreservesVerdicts(t *testing.T) {
 		t.Fatal("no queries were screened")
 	}
 	if screened.Stats.CexHits == 0 {
-		t.Fatal("no screen hits across the fuzz corpus — the cache never engaged")
+		t.Fatal("no screen hits across the fuzz corpus — the screen never engaged")
 	}
-	if screened.Stats.CexHits != screened.Stats.SMTSkipped {
-		t.Fatalf("hits (%d) and skipped solver rounds (%d) disagree",
-			screened.Stats.CexHits, screened.Stats.SMTSkipped)
-	}
-}
-
-// TestCexCacheConcurrent hammers one cache from every CPU with the full
-// API surface — Add, Refutes, Snapshot, Counters, and a periodic Reset —
-// primarily as a race-detector target for the copy-on-write snapshot
-// and the ring bookkeeping.
-func TestCexCacheConcurrent(t *testing.T) {
-	b := term.NewBuilder()
-	x, y := b.Reg("x", 32), b.Reg("y", 32)
-	goals := [][2]*term.Term{
-		{b.Add(x, y), b.Sub(x, y)},
-		{b.And(x, y), b.Or(x, y)},
-		{b.Add(x, y), b.Add(y, x)},
-	}
-	cache := NewCexCache(16)
-	workers := runtime.NumCPU() + 2
-	const iters = 300
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < iters; i++ {
-				switch i % 4 {
-				case 0:
-					cache.Add(map[string]bv.BV{
-						"x": bv.New(32, uint64(rng.Uint32())),
-						"y": bv.New(32, uint64(rng.Uint32())),
-					})
-				case 1:
-					cache.Refutes(goals)
-				case 2:
-					_ = cache.Snapshot()
-					_ = cache.Len()
-				default:
-					cache.Counters()
-					if g == 0 && i%100 == 0 {
-						cache.Reset()
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	if n := cache.Len(); n > 16 {
-		t.Fatalf("cache grew past its capacity: %d", n)
+	if fresh.Stats.CexScreens != 0 {
+		t.Fatalf("memo-free checker screened %d queries, want 0", fresh.Stats.CexScreens)
 	}
 }

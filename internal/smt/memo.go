@@ -1,8 +1,9 @@
 // SMT verdict memoization: the session-persistent layer in front of the
-// counterexample screen. Every settled equivalence query — proved,
-// refuted, or budget-exhausted — is content-addressed by a canonical
-// digest of its goal pairs and can be replayed on the next identical
-// query without building a single clause. The store itself lives in
+// counterexample screen, and the store the screen draws its witnesses
+// from. Every settled equivalence query — proved, refuted, or
+// budget-exhausted — is content-addressed by a canonical digest of its
+// goal pairs and can be replayed on the next identical query without
+// building a single clause. The store itself lives in
 // internal/solver (in-memory tiers plus a disk journal); this file owns
 // the key derivation and the trust policy, because only the checker
 // knows when a stored verdict may be believed:
@@ -17,7 +18,7 @@
 //     a mismatch it degrades to a counterexample screen: the stored
 //     separating assignment is replayed concretely against the current
 //     goals, and the verdict is used only if it still refutes them —
-//     sound for any spec, exactly like a CexCache hit.
+//     sound for any spec, exactly like a screen hit.
 //   - Unknown (budget exhaustion) is trusted only under a matching
 //     fingerprint and a stored budget at least as large as the current
 //     one: CDCL search is deterministic, so exhausting N conflicts
@@ -51,8 +52,9 @@ type MemoEntry struct {
 	// Budget is the conflict budget the verdict was settled under.
 	Budget int64 `json:"budget,omitempty"`
 	// Cex is the separating assignment for NotEqual verdicts (when one
-	// was extracted); it both reseeds the counterexample cache on a hit
-	// and lets a fingerprint-mismatched NotEqual degrade to a screen.
+	// was extracted); the store publishes it through Witnesses for the
+	// screen, and it lets a fingerprint-mismatched NotEqual degrade to a
+	// concrete replay.
 	Cex map[string]bv.BV `json:"cex,omitempty"`
 	// Context labels the query's purpose (e.g. "synthesis:<pattern>"),
 	// joining memo entries to rule provenance.
@@ -76,6 +78,9 @@ type Memo interface {
 	// Store records a settled verdict under the key, overwriting any
 	// previous entry.
 	Store(key string, e MemoEntry)
+	// Witnesses returns stored NotEqual counterexamples for the screen.
+	// Callers must not modify the slice or its maps.
+	Witnesses() []map[string]bv.BV
 }
 
 // memoDomain versions the key derivation: bump it when the digest
@@ -172,8 +177,10 @@ func (c *Checker) memoTrusted(e MemoEntry, budget int64, goals [][2]*term.Term) 
 	}
 	// Fingerprint mismatch: only a refutation with a stored witness can
 	// be salvaged, by degrading to a concrete counterexample screen.
-	if e.Verdict == NotEqual && len(e.Cex) > 0 && assignmentRefutes(e.Cex, goals) {
-		return NotEqual, true
+	if e.Verdict == NotEqual && len(e.Cex) > 0 {
+		if _, ok := refuting([]map[string]bv.BV{e.Cex}, goals); ok {
+			return NotEqual, true
+		}
 	}
 	return Unknown, false
 }

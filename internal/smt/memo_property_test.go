@@ -12,8 +12,9 @@ import (
 // tests use it instead of internal/solver to keep the dependency
 // direction clean (solver imports smt, not the other way around).
 type mapMemo struct {
-	mu sync.Mutex
-	m  map[string]MemoEntry
+	mu  sync.Mutex
+	m   map[string]MemoEntry
+	wit []map[string]bv.BV
 }
 
 func newMapMemo() *mapMemo { return &mapMemo{m: map[string]MemoEntry{}} }
@@ -29,6 +30,15 @@ func (m *mapMemo) Store(key string, e MemoEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.m[key] = e
+	if e.Verdict == NotEqual && len(e.Cex) > 0 {
+		m.wit = append(m.wit, e.Cex)
+	}
+}
+
+func (m *mapMemo) Witnesses() []map[string]bv.BV {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.wit[:len(m.wit):len(m.wit)]
 }
 
 // pairGen builds small random 8-bit term pairs. Width 8 keeps each
@@ -180,10 +190,11 @@ func TestMemoStaleNotEqualNeedsWitness(t *testing.T) {
 		t.Fatalf("witness replay bit-blasted %d times, want 0", c2.Stats.BitBlasts)
 	}
 
-	// Strip the witness: the stale entry must now be worthless and the
-	// checker must solve from scratch.
+	// Strip the witness (and the screen's copy of it): the stale entry
+	// must now be worthless and the checker must solve from scratch.
 	e.Cex = nil
 	memo.m[key] = e
+	memo.wit = nil
 	c3 := &Checker{Memo: memo, SpecFP: "spec-v3"}
 	if got := c3.Equiv(b, l, r); got != NotEqual {
 		t.Fatalf("witnessless verdict = %v, want NotEqual", got)

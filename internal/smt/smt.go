@@ -31,8 +31,8 @@ import (
 // Result is a three-valued equivalence verdict.
 type Result int
 
-// Equivalence verdicts. NotEqual carries no counterexample here; use
-// Counterexample for one.
+// Equivalence verdicts. NotEqual carries no counterexample here; a
+// memo, when attached, stores the separating assignment.
 const (
 	Unknown Result = iota
 	Equal
@@ -65,14 +65,11 @@ type Stats struct {
 	Restarts     int64
 	SolveTime    time.Duration
 
-	// Counterexample-screen counters: CexScreens is how many queries were
-	// evaluated against the cache, CexHits how many a cached assignment
-	// refuted, and SMTSkipped how many solver builds memo hits and screen
-	// hits avoided together (one per hit — kept separate so the bench
-	// schema can evolve them independently).
+	// Counterexample-screen counters: CexScreens is how many memo misses
+	// were evaluated against the memo's stored witnesses, CexHits how many
+	// a witness refuted.
 	CexScreens int64
 	CexHits    int64
-	SMTSkipped int64
 
 	// Memo counters: MemoHits is how many queries a stored verdict
 	// answered (after passing the trust policy); BitBlasts is how many
@@ -93,17 +90,13 @@ type Checker struct {
 	// Context labels the events with the caller's purpose.
 	Obs     *obs.Obs
 	Context string
-	// Cex, when set, screens every query against cached counterexamples
-	// before any bit-blasting, and stores the separating assignment of
-	// every NotEqual verdict back into the cache. Screening is
-	// verdict-preserving (see cex.go), so attaching a cache never changes
-	// which rules synthesis produces — only how much solver work it costs.
-	Cex *CexCache
-	// Memo, when set, is consulted before the counterexample screen with
-	// a content-addressed key of the query, and every settled verdict is
-	// stored back. Trust is guarded by SpecFP (see memo.go): Equal and
-	// budget Unknowns replay only under a matching fingerprint; NotEqual
-	// degrades to a concrete witness replay otherwise.
+	// Memo, when set, is consulted with a content-addressed key of the
+	// query, and every settled verdict is stored back. Trust is guarded by
+	// SpecFP (see memo.go): Equal and budget Unknowns replay only under a
+	// matching fingerprint; NotEqual degrades to a concrete witness replay
+	// otherwise. On a miss, the query is screened against the memo's
+	// stored witnesses before any bit-blasting (see cex.go); without a
+	// memo there is no screen.
 	Memo Memo
 	// SpecFP fingerprints the specification the checker's queries are
 	// proved against (core derives it from every target instruction's
@@ -116,66 +109,6 @@ type Checker struct {
 	// context plus a per-CTerm digest cache (memo.go).
 	memoCtx *canon.Ctx
 	memoDig map[*canon.CTerm][32]byte
-
-	// sess, when non-nil, is the persistent assumption-based incremental
-	// solver (BeginIncremental); nil means one fresh solver per query.
-	sess *session
-	incr bool
-}
-
-// session is the incremental solving state: one solver and one blaster
-// accumulate variable encodings, circuit clauses, and — the point —
-// learned clauses across a worker's successive queries. Each query's
-// inequality is guarded by a fresh activation literal passed as an
-// assumption, then retired with a unit clause, so retired queries cost
-// nothing beyond their (reusable) circuit.
-type session struct {
-	s  *sat.Solver
-	bb *bitblast.Blaster
-}
-
-// sessionMaxVars resets a session that grew past this many SAT
-// variables; a defensive bound — per-pattern sessions stay far below it.
-const sessionMaxVars = 1 << 19
-
-// BeginIncremental switches the checker to incremental solving: from now
-// until EndIncremental, queries share one solver, reusing bit-blasted
-// circuits (candidate pairs within a pattern share whole subterms, most
-// notably the pattern side itself) and learned clauses. The caller
-// should scope a session to one deterministic query sequence — the
-// synthesis pool scopes it to one pattern's fallback, which a single
-// worker always processes alone, so worker count and scheduling cannot
-// alter what any query sees.
-func (c *Checker) BeginIncremental() {
-	c.incr = true
-	c.sess = nil
-}
-
-// EndIncremental drops the persistent solver and returns the checker to
-// one-shot queries.
-func (c *Checker) EndIncremental() {
-	c.incr = false
-	c.sess = nil
-}
-
-// solverFor returns the solver/blaster pair for the next query: the
-// persistent session in incremental mode (recycled if poisoned or
-// oversized), or a fresh pair.
-func (c *Checker) solverFor(budget int64) (*sat.Solver, *bitblast.Blaster) {
-	if c.incr {
-		if c.sess != nil && (c.sess.s.Unsatisfiable() || c.sess.s.NumVars() > sessionMaxVars) {
-			c.sess = nil
-		}
-		if c.sess == nil {
-			s := sat.New()
-			c.sess = &session{s: s, bb: bitblast.New(s)}
-		}
-		c.sess.s.MaxConflicts = budget
-		return c.sess.s, c.sess.bb
-	}
-	s := sat.New()
-	s.MaxConflicts = budget
-	return s, bitblast.New(s)
 }
 
 // defaultMaxConflicts bounds one query at roughly the work a tuned SMT
@@ -258,75 +191,55 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 		if e, ok := c.Memo.Lookup(mkey); ok {
 			if res, trusted := c.memoTrusted(e, budget, goals); trusted {
 				c.Stats.MemoHits++
-				c.Stats.SMTSkipped++
 				switch res {
 				case Equal:
 					c.Stats.Proved++
 				case NotEqual:
 					c.Stats.Refuted++
-					// Reseed the screen: the stored witness very likely
-					// separates upcoming candidates for free.
-					if c.Cex != nil && len(e.Cex) > 0 {
-						c.Cex.Add(e.Cex)
-					}
 				default:
 					c.Stats.TimedOut++
 				}
 				if c.Obs != nil {
 					if m := c.Obs.Metrics; m != nil {
 						m.Counter("memo_hits", "equivalence queries answered by the memoized verdict store").Add(1)
-						m.Counter("smt_skipped", "bit-blasting rounds skipped thanks to the counterexample screen").Add(1)
 					}
 				}
 				return res
 			}
 		}
-	}
 
-	// Counterexample screen (CEGIS instantiation reuse): a cached
-	// assignment that concretely separates some goal pair is exactly a
-	// satisfying assignment of the inequality below — return NotEqual
-	// without building a single clause. Goals are load-free here (loads
-	// were substituted above), so concrete evaluation is total.
-	if c.Cex != nil {
+		// Counterexample screen (CEGIS instantiation reuse): a stored
+		// witness that concretely separates some goal pair is exactly a
+		// satisfying assignment of the inequality below — return NotEqual
+		// without building a single clause. Goals are load-free here (loads
+		// were substituted above), so concrete evaluation is total.
 		c.Stats.CexScreens++
-		cexVals, hit := c.Cex.Refuting(goals)
+		cexVals, hit := refuting(c.Memo.Witnesses(), goals)
 		if c.Obs != nil {
 			if m := c.Obs.Metrics; m != nil {
 				m.Counter("cex_screens", "candidate pairs screened against cached counterexamples").Add(1)
 				if hit {
 					m.Counter("cex_cache_hits", "equivalence queries refuted by a cached counterexample").Add(1)
-					m.Counter("smt_skipped", "bit-blasting rounds skipped thanks to the counterexample screen").Add(1)
 				}
 			}
 		}
 		if hit {
 			c.Stats.CexHits++
-			c.Stats.SMTSkipped++
 			c.Stats.Refuted++
 			// Persist the refutation: the screen's witness is a full
 			// NotEqual verdict, and storing it is what lets a warm run
-			// skip the screen (and survive ring eviction) entirely.
+			// skip the screen entirely.
 			c.memoStore(mkey, MemoEntry{Verdict: NotEqual, Budget: budget, Cex: cexVals})
 			return NotEqual
 		}
 	}
 
 	// UNSAT of "some goal differs" proves equivalence of all goals.
-	// Baselines before blasting: AddClause propagates units eagerly, so
-	// work counters move during clause construction, not just in Solve.
-	// A fresh solver starts from zero (lifetime totals); a reused
-	// incremental session reports per-query deltas.
-	var prevS *sat.Solver
-	var confB, decB, propB, restB int64
-	if c.incr && c.sess != nil {
-		prevS = c.sess.s
-		confB, decB, propB, restB = prevS.Conflicts, prevS.Decisions, prevS.Propagations, prevS.Restarts
-	}
-	s, bb := c.solverFor(budget)
-	if s != prevS {
-		confB, decB, propB, restB = 0, 0, 0, 0
-	}
+	// AddClause propagates units eagerly, so the work counters read below
+	// include clause construction, not just Solve.
+	s := sat.New()
+	s.MaxConflicts = budget
+	bb := bitblast.New(s)
 	c.Stats.BitBlasts++
 	var diffs []sat.Lit
 	for _, g := range goals {
@@ -348,30 +261,11 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 		c.memoStore(mkey, MemoEntry{Verdict: Equal, Budget: budget})
 		return Equal
 	}
-	var assumptions []sat.Lit
-	if c.incr {
-		// Guard this query's inequality behind a fresh activation
-		// literal: assumed now, retired below, so the clause is inert for
-		// every later query while its circuit and learned clauses remain.
-		act := sat.LitOf(s.NewVar(), false)
-		s.AddClause(append(diffs, act.Flip())...)
-		assumptions = []sat.Lit{act}
-	} else {
-		s.AddClause(diffs...)
-	}
+	s.AddClause(diffs...)
 	t0 := time.Now()
-	var st sat.Status
-	var model []bool
-	if c.Cex != nil || c.Memo != nil {
-		st, model = s.SolveModel(assumptions...)
-	} else {
-		st = s.Solve(assumptions...)
-	}
+	st, model := s.SolveModel()
 	dur := time.Since(t0)
-	if c.incr && len(assumptions) > 0 {
-		s.AddClause(assumptions[0].Flip())
-	}
-	conf, dec, prop, rest := s.Conflicts-confB, s.Decisions-decB, s.Propagations-propB, s.Restarts-restB
+	conf, dec, prop, rest := s.Conflicts, s.Decisions, s.Propagations, s.Restarts
 	c.Stats.Conflicts += conf
 	c.Stats.Decisions += dec
 	c.Stats.Propagations += prop
@@ -387,9 +281,6 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 	case sat.Sat:
 		c.Stats.Refuted++
 		vals := modelAssignment(bb, model, goals)
-		if c.Cex != nil {
-			c.Cex.Add(vals)
-		}
 		res = NotEqual
 		c.memoStore(mkey, MemoEntry{Verdict: NotEqual, Budget: budget, Cex: vals, Conflicts: conf, SolveTimeNS: dur.Nanoseconds()})
 	default:
@@ -478,50 +369,4 @@ func collectLoads(goals [][2]*term.Term, side int) []*term.Term {
 		}
 	}
 	return out
-}
-
-// Counterexample searches for an assignment on which lhs and rhs differ.
-// It returns (env, true) with a binding for every variable of both terms
-// when one is found. Terms containing loads are not supported here.
-func (c *Checker) Counterexample(b *term.Builder, lhs, rhs *term.Term) (*term.Env, bool) {
-	if lhs.W() != rhs.W() {
-		return nil, false
-	}
-	s := sat.New()
-	s.MaxConflicts = c.MaxConflicts
-	if s.MaxConflicts == 0 {
-		s.MaxConflicts = defaultMaxConflicts
-	}
-	bb := bitblast.New(s)
-	lb, err := bb.Blast(lhs)
-	if err != nil {
-		return nil, false
-	}
-	rb, err := bb.Blast(rhs)
-	if err != nil {
-		return nil, false
-	}
-	bb.AssertDistinct(lb, rb)
-	st, model := s.SolveModel()
-	if st != sat.Sat {
-		return nil, false
-	}
-	env := term.NewEnv()
-	bindVars := func(t *term.Term) {
-		for _, v := range t.Vars() {
-			if _, ok := env.Vals[v.Name]; ok {
-				continue
-			}
-			bits := bb.VarBits(v.Name, v.W())
-			lo := bitblast.ModelValue(model, bits)
-			var hi uint64
-			if v.W() > 64 {
-				hi = bitblast.ModelValue(model, bits[64:])
-			}
-			env.Bind(v.Name, bvNew(v.W(), hi, lo))
-		}
-	}
-	bindVars(lhs)
-	bindVars(rhs)
-	return env, true
 }

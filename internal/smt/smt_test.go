@@ -135,23 +135,41 @@ func TestEquivStores(t *testing.T) {
 	}
 }
 
+// TestCounterexample: a NotEqual verdict stores a witness binding every
+// variable of both terms on which they concretely differ; a true
+// identity stores none.
 func TestCounterexample(t *testing.T) {
 	b := term.NewBuilder()
 	x := b.Reg("x", 16)
 	y := b.Reg("y", 16)
 	lhs := b.Add(x, y)
 	rhs := b.Or(x, y)
-	c := &Checker{}
-	env, ok := c.Counterexample(b, lhs, rhs)
-	if !ok {
-		t.Fatal("no counterexample for add vs or")
+	memo := newMapMemo()
+	c := &Checker{Memo: memo}
+	if got := c.Equiv(b, lhs, rhs); got != NotEqual {
+		t.Fatalf("add vs or = %v, want NotEqual", got)
+	}
+	w := memo.Witnesses()
+	if len(w) != 1 {
+		t.Fatalf("memo holds %d witnesses, want 1", len(w))
+	}
+	env := term.NewEnv()
+	for _, name := range []string{"x", "y"} {
+		v, ok := w[0][name]
+		if !ok {
+			t.Fatalf("witness %v does not bind %s", w[0], name)
+		}
+		env.Bind(name, v)
 	}
 	if lhs.Eval(env) == rhs.Eval(env) {
 		t.Errorf("bogus counterexample: %v", env.Vals)
 	}
 	// No counterexample for a true identity.
-	if _, ok := c.Counterexample(b, b.Add(x, y), b.Add(y, x)); ok {
-		t.Error("counterexample for commutativity")
+	if got := c.Equiv(b, b.Add(x, y), b.Xor(b.Xor(x, x), b.Add(y, x))); got != Equal {
+		t.Fatalf("commutativity = %v, want Equal", got)
+	}
+	if n := len(memo.Witnesses()); n != 1 {
+		t.Errorf("an Equal verdict added a witness: %d stored", n)
 	}
 }
 

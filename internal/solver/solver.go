@@ -12,6 +12,11 @@
 // optional journal, which is load-once — attached at startup, replayed
 // into the hot tier, then appended to on every store.
 //
+// The store also publishes the counterexample screen's sample set: the
+// newest MaxWitnesses distinct separating assignments of NotEqual
+// verdicts, fed by Store and by journal replay, so a restarted daemon's
+// screen starts warm.
+//
 // The journal is JSON Lines, one {"k": key, "e": entry} record per
 // line, written under the store mutex so records are never interleaved.
 // Loading is crash-tolerant by construction: a truncated or corrupt
@@ -28,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"iselgen/internal/bv"
 	"iselgen/internal/smt"
 )
 
@@ -37,9 +43,15 @@ import (
 // long-lived daemons fed by many spec variants.
 const DefaultCap = 1 << 16
 
-// Shared is the process-wide store every checker consults by default —
-// the memo analog of smt.Cex. It starts journal-less (pure in-memory);
-// daemons and benchmarks attach a journal explicitly.
+// MaxWitnesses bounds the screen's sample set. Screening cost is linear
+// in it; at 256 witnesses a screen is still microseconds.
+const MaxWitnesses = 256
+
+// Shared is the process-wide store every checker consults by default: a
+// verdict or witness found while matching one pattern serves every other
+// pattern, across goroutines and across synthesis runs in the same
+// process. It starts journal-less (pure in-memory); daemons and
+// benchmarks attach a journal explicitly.
 var Shared = New(DefaultCap)
 
 // record is one journal line.
@@ -55,6 +67,11 @@ type Store struct {
 	hot     map[string]smt.MemoEntry
 	cold    map[string]smt.MemoEntry
 	capEach int
+
+	// witnesses is the copy-on-write screen sample set, oldest first;
+	// witnessSeen holds the content fingerprints of its members (mu).
+	witnesses   atomic.Pointer[[]map[string]bv.BV]
+	witnessSeen map[uint64]struct{}
 
 	journal     *os.File
 	journalPath string
@@ -77,12 +94,14 @@ func New(capEach int) *Store {
 	if capEach < 1 {
 		capEach = DefaultCap
 	}
-	return &Store{
+	s := &Store{
 		hot:     make(map[string]smt.MemoEntry),
 		cold:    make(map[string]smt.MemoEntry),
 		capEach: capEach,
 		logf:    log.Printf,
 	}
+	s.clearWitnessesLocked()
+	return s
 }
 
 // SetLogger redirects quarantine warnings (nil silences them).
@@ -127,6 +146,7 @@ func (s *Store) Store(key string, e smt.MemoEntry) {
 		return
 	}
 	s.storeLocked(key, e)
+	s.addWitnessLocked(e)
 	s.stores.Add(1)
 	if s.journal != nil {
 		line, err := json.Marshal(record{K: key, E: e})
@@ -142,6 +162,58 @@ func (s *Store) Store(key string, e smt.MemoEntry) {
 		}
 		s.appended++
 	}
+}
+
+// Witnesses returns the newest MaxWitnesses distinct counterexamples of
+// stored NotEqual verdicts, oldest first. It takes no lock; the returned
+// slice is an immutable snapshot.
+func (s *Store) Witnesses() []map[string]bv.BV {
+	return *s.witnesses.Load()
+}
+
+// addWitnessLocked publishes e's counterexample to the screen, unless e
+// carries none or an identical one is already published; beyond
+// MaxWitnesses the oldest is dropped.
+func (s *Store) addWitnessLocked(e smt.MemoEntry) {
+	if e.Verdict != smt.NotEqual || len(e.Cex) == 0 {
+		return
+	}
+	fp := witnessFingerprint(e.Cex)
+	if _, dup := s.witnessSeen[fp]; dup {
+		return
+	}
+	s.witnessSeen[fp] = struct{}{}
+	old := *s.witnesses.Load()
+	if len(old) == MaxWitnesses {
+		delete(s.witnessSeen, witnessFingerprint(old[0]))
+		old = old[1:]
+	}
+	next := make([]map[string]bv.BV, len(old), len(old)+1)
+	copy(next, old)
+	next = append(next, e.Cex)
+	s.witnesses.Store(&next)
+}
+
+func (s *Store) clearWitnessesLocked() {
+	s.witnessSeen = make(map[uint64]struct{})
+	s.witnesses.Store(&[]map[string]bv.BV{})
+}
+
+// witnessFingerprint hashes an assignment for dedupe, independent of map
+// order.
+func witnessFingerprint(vals map[string]bv.BV) uint64 {
+	var sum uint64
+	for name, v := range vals {
+		h := uint64(1469598103934665603)
+		for i := 0; i < len(name); i++ {
+			h = (h ^ uint64(name[i])) * 1099511628211
+		}
+		h ^= v.Lo * 0x9e3779b97f4a7c15
+		h ^= v.Hi * 0xc2b2ae3d27d4eb4f
+		h ^= uint64(v.Width) << 48
+		sum += h * 0xff51afd7ed558ccd // commutative: map iteration order free
+	}
+	return sum
 }
 
 func (s *Store) lookupLocked(key string) (smt.MemoEntry, bool) {
@@ -212,6 +284,7 @@ func (s *Store) AttachJournal(path string) error {
 		}
 		good = append(good, line)
 		s.storeLocked(rec.K, rec.E)
+		s.addWitnessLocked(rec.E)
 		loaded++
 	}
 	if quarantine != nil {
@@ -271,8 +344,9 @@ func (s *Store) DetachJournal() {
 	}
 }
 
-// Reset empties the in-memory tiers and zeroes the hit/miss/store
-// counters, used by benchmarks that need a provably cold run. An
+// Reset empties the in-memory tiers and the witness set and zeroes the
+// hit/miss/store counters, used by benchmarks that need a provably cold
+// run. An
 // attached journal stays attached (and keeps its line accounting):
 // resetting forgets verdicts, it does not unwrite them.
 func (s *Store) Reset() {
@@ -280,6 +354,7 @@ func (s *Store) Reset() {
 	defer s.mu.Unlock()
 	s.hot = make(map[string]smt.MemoEntry)
 	s.cold = make(map[string]smt.MemoEntry)
+	s.clearWitnessesLocked()
 	s.hits.Store(0)
 	s.misses.Store(0)
 	s.stores.Store(0)

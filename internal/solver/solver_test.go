@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"iselgen/internal/bv"
 	"iselgen/internal/smt"
 )
 
@@ -195,5 +198,111 @@ func TestByContext(t *testing.T) {
 	}
 	if got := s.ByContext("synthesis:nope"); len(got) != 0 {
 		t.Fatalf("unknown context returned %d entries", len(got))
+	}
+}
+
+func witness(x uint64) map[string]bv.BV {
+	return map[string]bv.BV{"x": bv.New(32, x), "y": bv.New(32, x+1)}
+}
+
+func refuted(x uint64) smt.MemoEntry {
+	return smt.MemoEntry{Verdict: smt.NotEqual, SpecFP: "fp", Budget: 1, Cex: witness(x)}
+}
+
+// TestWitnesses pins the screen's sample set: only NotEqual entries with
+// a counterexample feed it, identical witnesses are kept once, the cap
+// keeps the newest MaxWitnesses, journal replay restores the set, and
+// Reset clears it.
+func TestWitnesses(t *testing.T) {
+	jp := filepath.Join(t.TempDir(), "solver.journal")
+	s := New(0)
+	if err := s.AttachJournal(jp); err != nil {
+		t.Fatal(err)
+	}
+	s.Store("eq", smt.MemoEntry{Verdict: smt.Equal, SpecFP: "fp", Cex: witness(1)})
+	s.Store("unk", smt.MemoEntry{Verdict: smt.Unknown, SpecFP: "fp", Cex: witness(1)})
+	s.Store("bare", entry(smt.NotEqual, "fp", 1))
+	if n := len(s.Witnesses()); n != 0 {
+		t.Fatalf("%d witnesses from entries without a NotEqual counterexample, want 0", n)
+	}
+	s.Store("a", refuted(1))
+	s.Store("b", refuted(1)) // same assignment under another key
+	if n := len(s.Witnesses()); n != 1 {
+		t.Fatalf("%d witnesses after storing one assignment twice, want 1", n)
+	}
+	for i := uint64(2); i <= MaxWitnesses+10; i++ {
+		s.Store(fmt.Sprintf("k%d", i), refuted(i))
+	}
+	check := func(what string, w []map[string]bv.BV) {
+		t.Helper()
+		if len(w) != MaxWitnesses {
+			t.Fatalf("%s: %d witnesses, want the cap %d", what, len(w), MaxWitnesses)
+		}
+		// Oldest first: the newest MaxWitnesses of 1..MaxWitnesses+10.
+		if first, last := w[0]["x"].Lo, w[len(w)-1]["x"].Lo; first != 11 || last != MaxWitnesses+10 {
+			t.Fatalf("%s: witnesses span x=%d..%d, want 11..%d", what, first, last, MaxWitnesses+10)
+		}
+	}
+	check("after overflow", s.Witnesses())
+	// An evicted assignment is new again.
+	s.Store("again", refuted(1))
+	if w := s.Witnesses(); w[len(w)-1]["x"].Lo != 1 {
+		t.Fatal("an evicted witness was not re-admitted as the newest")
+	}
+	s.DetachJournal()
+
+	s2 := New(0)
+	if err := s2.AttachJournal(jp); err != nil {
+		t.Fatal(err)
+	}
+	defer s2.DetachJournal()
+	if w := s2.Witnesses(); len(w) != MaxWitnesses || w[len(w)-1]["x"].Lo != 1 {
+		t.Fatalf("journal replay restored %d witnesses (newest x=%d), want %d ending in x=1",
+			len(w), w[len(w)-1]["x"].Lo, MaxWitnesses)
+	}
+	s2.Reset()
+	if n := len(s2.Witnesses()); n != 0 {
+		t.Fatalf("Reset left %d witnesses", n)
+	}
+	s2.Store("a", refuted(1))
+	if n := len(s2.Witnesses()); n != 1 {
+		t.Fatalf("Reset left a stale dedupe entry: %d witnesses after one store, want 1", n)
+	}
+}
+
+// TestWitnessesConcurrent hammers one store from every CPU with Store,
+// Lookup, Witnesses and a periodic Reset — a race-detector target for
+// the copy-on-write witness snapshot and its dedupe bookkeeping.
+func TestWitnessesConcurrent(t *testing.T) {
+	s := New(64)
+	workers := runtime.NumCPU() + 2
+	const iters = 600
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				x := uint64(g*iters + i)
+				switch i % 4 {
+				case 0:
+					s.Store(fmt.Sprintf("k%d", x), refuted(x))
+				case 1:
+					s.Lookup(fmt.Sprintf("k%d", x-1))
+				case 2:
+					for _, w := range s.Witnesses() {
+						_ = w["x"]
+					}
+				default:
+					if g == 0 && i%100 == 3 {
+						s.Reset()
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if n := len(s.Witnesses()); n > MaxWitnesses {
+		t.Fatalf("witness set grew past its cap: %d", n)
 	}
 }
