@@ -45,7 +45,7 @@ var (
 
 func a64(b *testing.B) *harness.Setup {
 	a64Once.Do(func() {
-		s, err := harness.NewAArch64()
+		s, err := harness.New("aarch64")
 		if err != nil {
 			panic(err)
 		}
@@ -60,7 +60,7 @@ func a64(b *testing.B) *harness.Setup {
 
 func rv(b *testing.B) *harness.Setup {
 	rvOnce.Do(func() {
-		s, err := harness.NewRISCV()
+		s, err := harness.New("riscv")
 		if err != nil {
 			panic(err)
 		}
@@ -116,7 +116,7 @@ func BenchmarkFig8_TestInputSweep(b *testing.B) {
 	out := "Fig. 8 analog — synthesis time vs number of test inputs (aarch64)\n\n"
 	out += fmt.Sprintf("%8s %14s %14s %14s\n", "inputs", "pool-build", "matching", "total")
 	for _, n := range []int{8, 32, 128, 512} {
-		s, err := harness.NewAArch64()
+		s, err := harness.New("aarch64")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFig8_TestInputSweep(b *testing.B) {
 
 func BenchmarkTableII_SynthesisBreakdown(b *testing.B) {
 	// Fresh synthesis so the stage timers are clean.
-	s, err := harness.NewAArch64()
+	s, err := harness.New("aarch64")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func BenchmarkAblation_IndexAndProbe(b *testing.B) {
 	// are the result.
 	const budget = 12
 	run := func(name string, mod func(*core.Config)) string {
-		s, err := harness.NewRISCV()
+		s, err := harness.New("riscv")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,20 +19,18 @@ package main
 
 import (
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
 	"iselgen/internal/bv"
 	"iselgen/internal/enc"
 	"iselgen/internal/isa"
-	"iselgen/internal/isa/aarch64"
-	"iselgen/internal/isa/riscv"
-	"iselgen/internal/isa/x86"
-	"iselgen/internal/spec"
+	"iselgen/internal/targets"
 	"iselgen/internal/term"
 )
 
@@ -118,23 +116,14 @@ func main() {
 // loadTarget resolves a builtin target name or reads a spec file.
 func loadTarget(name string) (*isa.Target, error) {
 	b := term.NewBuilder()
-	switch name {
-	case "riscv":
-		return riscv.Load(b)
-	case "aarch64":
-		return aarch64.Load(b)
-	case "x86":
-		return x86.Load(b)
+	if bt, err := targets.Lookup(name); err == nil {
+		return bt.Load(b)
 	}
-	src, err := os.ReadFile(name)
-	if err != nil {
-		return nil, fmt.Errorf("iselasm: %q is not a builtin target and not a readable spec file: %w", name, err)
+	tgt, err := targets.LoadFile(b, name)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%q is not a builtin target and not a readable spec file: %w", name, err)
 	}
-	if _, err := spec.Check(string(src)); err != nil {
-		return nil, err
-	}
-	tname := strings.TrimSuffix(filepath.Base(name), filepath.Ext(name))
-	return isa.LoadTarget(b, tname, string(src), nil, 4)
+	return tgt, err
 }
 
 func parseHex(s string) ([]byte, error) {

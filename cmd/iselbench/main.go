@@ -58,6 +58,7 @@ import (
 	"iselgen/internal/obs"
 	"iselgen/internal/service"
 	"iselgen/internal/solver"
+	"iselgen/internal/targets"
 
 	"path/filepath"
 )
@@ -93,20 +94,7 @@ func main() {
 		return
 	}
 
-	var s *harness.Setup
-	var err error
-	switch *target {
-	case "aarch64":
-		s, err = harness.NewAArch64()
-	case "riscv":
-		s, err = harness.NewRISCV()
-	default:
-		err = fmt.Errorf("unknown target %q", *target)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "iselbench:", err)
-		os.Exit(1)
-	}
+	s := mustSetup(*target)
 
 	cfg := core.DefaultConfig()
 	if *workers > 0 {
@@ -279,6 +267,17 @@ func ruleFingerprints(artifact string) []string {
 	return out
 }
 
+// mustSetup loads a builtin selection target and its baselines, or
+// exits.
+func mustSetup(name string) *harness.Setup {
+	s, err := harness.New(name)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "iselbench:", err)
+		os.Exit(1)
+	}
+	return s
+}
+
 // emitSynthJSON measures, for both selection targets: a sequential
 // (Workers=1) full synthesis, a parallel full synthesis with the default
 // worker pool — each from a cold counterexample cache and a cold verdict
@@ -294,20 +293,6 @@ func ruleFingerprints(artifact string) []string {
 // journalStatsPath, when set, additionally receives the per-target
 // solver-journal accounting (the CI artifact).
 func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath string) {
-	load := func(name string) *harness.Setup {
-		var s *harness.Setup
-		var err error
-		if name == "aarch64" {
-			s, err = harness.NewAArch64()
-		} else {
-			s, err = harness.NewRISCV()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iselbench:", err)
-			os.Exit(1)
-		}
-		return s
-	}
 	jdir, err := os.MkdirTemp("", "iselbench-solver-*")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "iselbench:", err)
@@ -316,14 +301,14 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 	defer os.RemoveAll(jdir)
 	var out []synthBaseline
 	journals := map[string]solver.JournalStats{}
-	for _, name := range []string{"aarch64", "riscv"} {
+	for _, name := range targets.Names(true) {
 		jpath := filepath.Join(jdir, name+".journal")
 
 		// Sequential reference run: cold counterexample cache, cold
 		// verdict memo, no journal — the schedule-independence baseline.
 		seqCfg := core.DefaultConfig()
 		seqCfg.Workers = 1
-		sSeq := load(name)
+		sSeq := mustSetup(name)
 		solver.Shared.DetachJournal()
 		solver.Shared.Reset()
 		tSeq := time.Now()
@@ -337,7 +322,7 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 		// replay them the way a restarted daemon would.
 		cfg := core.DefaultConfig()
 		cfg.Workers = core.ResolveWorkers(workers)
-		s := load(name)
+		s := mustSetup(name)
 		solver.Shared.Reset()
 		if err := solver.Shared.AttachJournal(jpath); err != nil {
 			fmt.Fprintln(os.Stderr, "iselbench:", err)
@@ -363,7 +348,7 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 			fmt.Fprintln(os.Stderr, "iselbench:", err)
 			os.Exit(1)
 		}
-		s2 := load(name)
+		s2 := mustSetup(name)
 		icfg := cfg
 		icfg.ExtraSequences = harness.ExtraSequences(name)
 		t1 := time.Now()
@@ -389,7 +374,7 @@ func emitSynthJSON(workers int, gateFullMS, gateWarmMS float64, journalStatsPath
 			fmt.Fprintln(os.Stderr, "iselbench:", err)
 			os.Exit(1)
 		}
-		s3 := load(name)
+		s3 := mustSetup(name)
 		t2 := time.Now()
 		warmLib := s3.Synthesize(cfg, 0)
 		warmMS := float64(time.Since(t2).Nanoseconds()) / 1e6
@@ -549,28 +534,14 @@ func nilOpNS() float64 {
 // observed event volume, and fails the run when that estimate breaks
 // the guard. The output is the BENCH_obs.json baseline.
 func emitObsJSON(workers int) {
-	load := func(name string) *harness.Setup {
-		var s *harness.Setup
-		var err error
-		if name == "aarch64" {
-			s, err = harness.NewAArch64()
-		} else {
-			s, err = harness.NewRISCV()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iselbench:", err)
-			os.Exit(1)
-		}
-		return s
-	}
 	nilNS := nilOpNS()
 	var out []obsReport
-	for _, name := range []string{"aarch64", "riscv"} {
+	for _, name := range targets.Names(true) {
 		cfg := core.DefaultConfig()
 		if workers > 0 {
 			cfg.Workers = workers
 		}
-		s1 := load(name)
+		s1 := mustSetup(name)
 		t0 := time.Now()
 		lib := s1.Synthesize(cfg, 0)
 		baseNS := time.Since(t0).Nanoseconds()
@@ -578,7 +549,7 @@ func emitObsJSON(workers int) {
 		o := obs.New()
 		tcfg := cfg
 		tcfg.Obs = o
-		s2 := load(name)
+		s2 := mustSetup(name)
 		t1 := time.Now()
 		lib2 := s2.Synthesize(tcfg, 0)
 		tracedNS := time.Since(t1).Nanoseconds()
@@ -753,23 +724,9 @@ type encReport struct {
 // and then measures raw encode and decode throughput over the
 // assembled images. The output is the BENCH_enc.json baseline.
 func emitEncJSON() {
-	load := func(name string) *harness.Setup {
-		var s *harness.Setup
-		var err error
-		if name == "aarch64" {
-			s, err = harness.NewAArch64()
-		} else {
-			s, err = harness.NewRISCV()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "iselbench:", err)
-			os.Exit(1)
-		}
-		return s
-	}
 	var out []encReport
-	for _, name := range []string{"aarch64", "riscv"} {
-		s := load(name)
+	for _, name := range targets.Names(true) {
+		s := mustSetup(name)
 		c, err := enc.NewCodec(s.ISA)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "iselbench:", err)

@@ -56,16 +56,7 @@ func main() {
 	patterns := flag.Int("patterns", 0, "limit corpus patterns for -provenance (0 = all)")
 	flag.Parse()
 
-	var s *harness.Setup
-	var err error
-	switch *target {
-	case "aarch64":
-		s, err = harness.NewAArch64()
-	case "riscv":
-		s, err = harness.NewRISCV()
-	default:
-		err = fmt.Errorf("unknown target %q", *target)
-	}
+	s, err := harness.New(*target)
 	if err != nil {
 		fatal(err)
 	}

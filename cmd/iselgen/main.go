@@ -20,20 +20,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 	"time"
 
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
 	"iselgen/internal/incr"
 	"iselgen/internal/isa"
-	"iselgen/internal/isa/x86"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
-	"iselgen/internal/spec"
+	"iselgen/internal/targets"
 	"iselgen/internal/term"
 )
 
@@ -71,100 +68,52 @@ func main() {
 		return
 	}
 
-	var lib *rules.Library
-	var tgt *isa.Target
-	var tableII string
 	t0 := time.Now()
-	if *specFile != "" {
-		name := strings.TrimSuffix(filepath.Base(*specFile), filepath.Ext(*specFile))
-		var err error
-		lib, tgt, tableII, err = synthInline(name, *specFile, cfg, *maxPatterns)
+	if _, err := targets.LookupSelecting(*target); err == nil && *specFile == "" {
+		s, err := harness.New(*target)
 		if err != nil {
 			fatal(err)
 		}
-		printResults(lib, tgt, name, t0, tableII, *summary, *rulesOut, *tdOut)
+		lib := s.Synthesize(cfg, *maxPatterns)
+		printResults(lib, s.ISA, t0, s.TableII(lib), *summary, *rulesOut, *tdOut)
 		return
 	}
-	switch *target {
-	case "aarch64", "riscv":
-		var s *harness.Setup
-		var err error
-		if *target == "aarch64" {
-			s, err = harness.NewAArch64()
-		} else {
-			s, err = harness.NewRISCV()
-		}
-		if err != nil {
-			fatal(err)
-		}
-		lib = s.Synthesize(cfg, *maxPatterns)
-		tgt = s.ISA
-		tableII = s.TableII(lib)
-	case "x86":
-		b := term.NewBuilder()
-		xtgt, err := x86.Load(b)
-		if err != nil {
-			fatal(err)
-		}
-		synth := core.New(b, xtgt, cfg)
-		synth.BuildPool()
-		lib = rules.NewLibrary("x86")
-		pats := x86Patterns(*maxPatterns)
-		synth.Synthesize(pats, lib)
-		tgt = xtgt
-		tableII = fmt.Sprintf("x86: %d sequences, %d rules (index %d, smt %d)\n",
-			synth.Stats.Sequences, lib.Len(), synth.Stats.IndexRules, synth.Stats.SMTRules)
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+	lib, tgt, tableII, err := synthPlain(*target, *specFile, cfg, *maxPatterns)
+	if err != nil {
+		fatal(err)
 	}
-
-	printResults(lib, tgt, *target, t0, tableII, *summary, *rulesOut, *tdOut)
+	printResults(lib, tgt, t0, tableII, *summary, *rulesOut, *tdOut)
 }
 
-// loadFor materializes the builder, target, and pattern corpus for any
-// of the three target kinds (builtin harness target, x86, inline spec)
-// without running synthesis — the incremental path decides what to
-// synthesize itself.
-func loadFor(target, specFile string, maxPatterns int) (*term.Builder, *isa.Target, string, []*pattern.Pattern, error) {
+// loadFor materializes the builder, target, and pattern corpus for a
+// builtin target or an inline spec file without running synthesis — the
+// incremental path decides what to synthesize itself. A builtin without
+// a selection backend gets the 32-bit seed corpus of the §IX experiment.
+func loadFor(target, specFile string, maxPatterns int) (*term.Builder, *isa.Target, []*pattern.Pattern, error) {
+	b := term.NewBuilder()
 	if specFile != "" {
-		name := strings.TrimSuffix(filepath.Base(specFile), filepath.Ext(specFile))
-		src, err := os.ReadFile(specFile)
+		tgt, err := targets.LoadFile(b, specFile)
 		if err != nil {
-			return nil, nil, "", nil, err
+			return nil, nil, nil, err
 		}
-		if _, err := spec.Check(string(src)); err != nil {
-			return nil, nil, "", nil, err
-		}
-		b := term.NewBuilder()
-		tgt, err := isa.LoadTarget(b, name, string(src), nil, 4)
-		if err != nil {
-			return nil, nil, "", nil, err
-		}
-		return b, tgt, name, harness.CorpusPatterns(name, maxPatterns), nil
+		return b, tgt, harness.CorpusPatterns(tgt.Name, maxPatterns), nil
 	}
-	switch target {
-	case "aarch64", "riscv":
-		var s *harness.Setup
-		var err error
-		if target == "aarch64" {
-			s, err = harness.NewAArch64()
-		} else {
-			s, err = harness.NewRISCV()
-		}
-		if err != nil {
-			return nil, nil, "", nil, err
-		}
-		return s.B, s.ISA, target, harness.CorpusPatterns(target, maxPatterns), nil
-	case "x86":
-		b := term.NewBuilder()
-		tgt, err := x86.Load(b)
-		if err != nil {
-			return nil, nil, "", nil, err
-		}
-		return b, tgt, target, x86Patterns(maxPatterns), nil
-	default:
-		return nil, nil, "", nil, fmt.Errorf("unknown target %q", target)
+	bt, err := targets.Lookup(target)
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	if bt.Selects() {
+		s, err := harness.New(target)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		return s.B, s.ISA, harness.CorpusPatterns(target, maxPatterns), nil
+	}
+	tgt, err := bt.Load(b)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return b, tgt, x86Patterns(maxPatterns), nil
 }
 
 // runIncremental is the -incremental flow: parse the prior artifact's
@@ -172,7 +121,7 @@ func loadFor(target, specFile string, maxPatterns int) (*term.Builder, *isa.Targ
 // synthesize the rest, and report the reuse accounting.
 func runIncremental(target, specFile, fromPath string, cfg core.Config, maxPatterns int, summary bool, rulesOut, tdOut string) {
 	t0 := time.Now()
-	b, tgt, name, pats, err := loadFor(target, specFile, maxPatterns)
+	b, tgt, pats, err := loadFor(target, specFile, maxPatterns)
 	if err != nil {
 		fatal(err)
 	}
@@ -197,40 +146,30 @@ func runIncremental(target, specFile, fromPath string, cfg core.Config, maxPatte
 		rep.ArtifactRules, rep.Reused, 100*rep.ReusedFraction(),
 		rep.Stale, rep.ReverifyFailed, rep.Resynthesized, rep.Improved,
 		rep.SMTQueries, rep.FullPool)
-	printResults(lib, tgt, name, t0, report, summary, rulesOut, tdOut)
+	printResults(lib, tgt, t0, report, summary, rulesOut, tdOut)
 }
 
-// synthInline runs the pipeline for a DSL spec file — the retargeting
-// flow of examples/newisa, from the CLI. The spec is validated up front
-// (spec.Check is the same entry point the iseld daemon's inline path
-// uses), then synthesized against the shared benchmark pattern corpus.
-func synthInline(name, path string, cfg core.Config, maxPatterns int) (*rules.Library, *isa.Target, string, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	insts, err := spec.Check(string(src))
-	if err != nil {
-		return nil, nil, "", err
-	}
-	b := term.NewBuilder()
-	tgt, err := isa.LoadTarget(b, name, string(src), nil, 4)
+// synthPlain runs the pipeline without the harness's baselines: for a
+// DSL spec file — the retargeting flow of examples/newisa, from the CLI,
+// validated up front by the same spec.Check the iseld daemon's inline
+// path uses — or for a builtin target without a selection backend.
+func synthPlain(target, specFile string, cfg core.Config, maxPatterns int) (*rules.Library, *isa.Target, string, error) {
+	b, tgt, pats, err := loadFor(target, specFile, maxPatterns)
 	if err != nil {
 		return nil, nil, "", err
 	}
 	synth := core.New(b, tgt, cfg)
 	synth.BuildPool()
-	lib := rules.NewLibrary(name)
-	pats := harness.CorpusPatterns(name, maxPatterns)
+	lib := rules.NewLibrary(tgt.Name)
 	synth.Synthesize(pats, lib)
 	tableII := fmt.Sprintf("%s: %d instructions, %d sequences, %d rules (index %d, smt %d)\n",
-		name, len(insts), synth.Stats.Sequences, lib.Len(),
+		tgt.Name, len(tgt.Insts), synth.Stats.Sequences, lib.Len(),
 		synth.Stats.IndexRules, synth.Stats.SMTRules)
 	return lib, tgt, tableII, nil
 }
 
-func printResults(lib *rules.Library, tgt *isa.Target, target string, t0 time.Time, tableII string, summary bool, rulesOut, tdOut string) {
-	fmt.Printf("synthesized %d rules for %s in %v\n\n", lib.Len(), target,
+func printResults(lib *rules.Library, tgt *isa.Target, t0 time.Time, tableII string, summary bool, rulesOut, tdOut string) {
+	fmt.Printf("synthesized %d rules for %s in %v\n\n", lib.Len(), tgt.Name,
 		time.Since(t0).Round(time.Millisecond))
 	fmt.Println(tableII)
 
@@ -257,8 +196,8 @@ func printResults(lib *rules.Library, tgt *isa.Target, target string, t0 time.Ti
 }
 
 // x86Patterns builds the 32-bit pattern set for the §IX discussion
-// experiment (the comparator's simplified spec has no multiplication and
-// no 64-bit arithmetic).
+// experiment (the x86 comparator's simplified spec has no multiplication
+// and no 64-bit arithmetic).
 func x86Patterns(max int) []*pattern.Pattern {
 	var out []*pattern.Pattern
 	for _, p := range harness.SeedPatterns() {

@@ -41,7 +41,7 @@ func main() {
 	}
 
 	// --- Load AArch64 and synthesize the shift-and-add rule. ---
-	s, err := harness.NewAArch64()
+	s, err := harness.New("aarch64")
 	if err != nil {
 		log.Fatal(err)
 	}

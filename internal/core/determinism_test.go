@@ -35,13 +35,7 @@ func ruleLines(artifact string) []string {
 // witnesses varies with scheduling, so this also exercises the screen's
 // verdict preservation.
 func TestWorkerCountDeterminism(t *testing.T) {
-	targets := []struct {
-		name string
-		load func() (*harness.Setup, error)
-	}{
-		{"riscv", harness.NewRISCV},
-		{"aarch64", harness.NewAArch64},
-	}
+	targets := []string{"riscv", "aarch64"}
 	workerSet := []int{1, 2, 8, runtime.NumCPU()}
 	maxPatterns := 0
 	if testing.Short() || raceEnabled {
@@ -51,13 +45,13 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		workerSet = []int{1, runtime.NumCPU()}
 		maxPatterns = 24
 	}
-	for _, tc := range targets {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, name := range targets {
+		t.Run(name, func(t *testing.T) {
 			var refWorkers int
 			var refArt string
 			var refFPs []string
 			for i, w := range workerSet {
-				s, err := tc.load()
+				s, err := harness.New(name)
 				if err != nil {
 					t.Fatal(err)
 				}

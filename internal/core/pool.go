@@ -25,7 +25,6 @@ import (
 	"iselgen/internal/cost"
 	"iselgen/internal/isa"
 	"iselgen/internal/obs"
-	"iselgen/internal/rules"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
 	"iselgen/internal/trie"
@@ -440,7 +439,7 @@ func New(b *term.Builder, target *isa.Target, cfg Config) *Synthesizer {
 
 // SpecFingerprint derives the content identity of a loaded target spec:
 // the name-sorted instruction effect fingerprints, hashed together. Two
-// loads of semantically identical specs agree (InstFingerprint hashes
+// loads of semantically identical specs agree (isa.Instruction.FP hashes
 // symbolically executed effects, not text), and any semantic edit to
 // any instruction changes it — which is exactly the granularity the
 // memo's Equal-trust guard needs, since a sequence's effects can depend
@@ -449,10 +448,10 @@ func SpecFingerprint(target *isa.Target) string {
 	parts := make([]string, 0, len(target.Insts)+1)
 	parts = append(parts, "spec-v1")
 	for _, inst := range target.Insts {
-		parts = append(parts, inst.Name+"="+rules.InstFingerprint(inst))
+		parts = append(parts, inst.Name+"="+inst.FP)
 	}
 	sort.Strings(parts[1:])
-	return rules.Fingerprint(parts...)
+	return isa.Fingerprint(parts...)
 }
 
 // BuildPool runs stage 1: sequence enumeration, canonicalization, test

@@ -78,18 +78,9 @@ func (o *Options) logf(format string, args ...any) {
 // handwritten library as fallback; otherwise the handwritten backend is
 // primary with no fallback.
 func NewPipeline(target string, synth bool) (*Pipeline, error) {
-	var set *harness.Setup
-	var err error
-	switch target {
-	case "aarch64":
-		set, err = harness.NewAArch64()
-	case "riscv":
-		set, err = harness.NewRISCV()
-	default:
-		return nil, fmt.Errorf("fuzz: unknown target %q", target)
-	}
+	set, err := harness.New(target)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fuzz: %w", err)
 	}
 	if synth {
 		set.Synthesize(core.DefaultConfig(), 0)
@@ -101,12 +92,7 @@ func NewPipeline(target string, synth bool) (*Pipeline, error) {
 // pipeline (with the synthesized backend as primary when synth is set —
 // the caller must have run Synthesize).
 func SetupPipeline(set *harness.Setup, synth bool) *Pipeline {
-	pl := &Pipeline{Name: set.Name, Primary: set.Handwritten, ISA: set.ISA}
-	if set.Name == "riscv" {
-		// RV64 backends are 64-bit only (32-bit ops are the W forms the
-		// synthesizer discovers, not a legal scalar type of their own).
-		pl.MinWidth = 64
-	}
+	pl := &Pipeline{Name: set.Name, Primary: set.Handwritten, ISA: set.ISA, MinWidth: set.MinWidth()}
 	if synth {
 		pl.Primary = set.Synth
 		pl.Fallback = set.Handwritten

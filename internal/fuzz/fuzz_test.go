@@ -76,7 +76,7 @@ func TestCorpusReplay(t *testing.T) {
 // notices within a few hundred programs and shrinks the failure to a
 // minimal reproducer that survives a corpus round-trip.
 func TestInjectedSelectorBug(t *testing.T) {
-	set, err := harness.NewAArch64()
+	set, err := harness.New("aarch64")
 	if err != nil {
 		t.Fatal(err)
 	}

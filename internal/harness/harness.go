@@ -11,7 +11,6 @@ import (
 	"math"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 
 	"iselgen/internal/bench"
@@ -20,13 +19,12 @@ import (
 	"iselgen/internal/cost"
 	"iselgen/internal/gmir"
 	"iselgen/internal/isa"
-	"iselgen/internal/isa/aarch64"
-	"iselgen/internal/isa/riscv"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
 	"iselgen/internal/sim"
+	"iselgen/internal/targets"
 	"iselgen/internal/term"
 )
 
@@ -46,6 +44,8 @@ type Setup struct {
 	// Model is the cost table Synthesize ran with (nil means legacy
 	// metadata costs); RunSuite simulates and prices code under it.
 	Model *cost.Table
+
+	builtin *targets.Builtin
 }
 
 // AttachObs stamps the observability sink onto every backend the setup
@@ -65,107 +65,42 @@ func (s *Setup) AttachObs(o *obs.Obs) {
 	}
 }
 
-var (
-	costModelMu  sync.Mutex
-	costModelTab = map[string]*cost.Table{}
-)
+// New loads a builtin selection target and its baselines.
+func New(name string) (*Setup, error) {
+	bt, err := targets.LookupSelecting(name)
+	if err != nil {
+		return nil, err
+	}
+	b := term.NewBuilder()
+	tgt, err := bt.Load(b)
+	if err != nil {
+		return nil, err
+	}
+	s := &Setup{Name: bt.Name, B: b, ISA: tgt, builtin: bt}
+	s.Baselines, s.Handwritten = bt.Baselines(b, tgt)
+	return s, nil
+}
 
-// CostModel returns the target-derived cost table for a known target
-// name ("aarch64"/"riscv"), cached process-wide: deriving it needs the
-// full ISA spec load, and every layer (synthesis config, sim, service
-// requests) wants the same table so cache keys agree.
+// MinWidth is the target's legalization floor (see targets.Builtin).
+func (s *Setup) MinWidth() int { return s.builtin.MinWidth }
+
+// CostModel derives the cost table of a builtin target. It loads the
+// spec on every call: callers that price many requests resolve it once.
 func CostModel(name string) (*cost.Table, error) {
-	costModelMu.Lock()
-	defer costModelMu.Unlock()
-	if t, ok := costModelTab[name]; ok {
-		return t, nil
-	}
-	b := term.NewBuilder()
-	var (
-		tgt *isa.Target
-		err error
-	)
-	switch name {
-	case "aarch64":
-		tgt, err = aarch64.Load(b)
-	case "riscv":
-		tgt, err = riscv.Load(b)
-	default:
-		return nil, fmt.Errorf("cost model: unknown target %q", name)
-	}
+	bt, err := targets.Lookup(name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("cost model: %w", err)
 	}
-	t := cost.FromTarget(tgt)
-	costModelTab[name] = t
-	return t, nil
+	return bt.CostModel()
 }
 
-// NewAArch64 loads the AArch64 target and baselines.
-func NewAArch64() (*Setup, error) {
-	b := term.NewBuilder()
-	tgt, err := aarch64.Load(b)
-	if err != nil {
-		return nil, err
-	}
-	set := isel.NewA64Backends(b, tgt)
-	return &Setup{
-		Name: "aarch64", B: b, ISA: tgt,
-		Baselines:   []*isel.Backend{set.DAG, set.Handwritten, set.Naive},
-		Handwritten: set.Handwritten,
-	}, nil
-}
-
-// NewRISCV loads the RISC-V target and baselines (no FastISel analog, as
-// in the paper).
-func NewRISCV() (*Setup, error) {
-	b := term.NewBuilder()
-	tgt, err := riscv.Load(b)
-	if err != nil {
-		return nil, err
-	}
-	set := isel.NewRVBackends(b, tgt)
-	return &Setup{
-		Name: "riscv", B: b, ISA: tgt,
-		Baselines:   []*isel.Backend{set.DAG, set.Handwritten},
-		Handwritten: set.Handwritten,
-	}, nil
-}
-
-// ExtraSequences returns the target's §VII-A special sequences: the
-// RISC-V zero-extension chains appended to W-form arithmetic.
+// ExtraSequences returns a builtin target's §VII-A special sequences
+// (nil for unknown targets and targets without any).
 func ExtraSequences(name string) func(b *term.Builder, t *isa.Target) []*isa.Sequence {
-	if name != "riscv" {
-		return nil
+	if bt, err := targets.Lookup(name); err == nil {
+		return bt.Extra
 	}
-	return func(b *term.Builder, t *isa.Target) []*isa.Sequence {
-		var out []*isa.Sequence
-		for _, base := range []string{"ADDW", "SUBW", "MULW", "SLLW", "SRLW", "SRAW", "ADDIW"} {
-			inst := t.ByName(base)
-			if inst == nil {
-				continue
-			}
-			seq := isa.Single(b, inst)
-			s2, err := isa.Append(b, seq, t.ByName("SLLI"), []string{"rs1"}, false)
-			if err != nil {
-				continue
-			}
-			s2, err = isa.BindImm(b, s2, 1, "sh", bv.New(6, 32))
-			if err != nil {
-				continue
-			}
-			s3, err := isa.Append(b, s2, t.ByName("SRLI"), []string{"rs1"}, false)
-			if err != nil {
-				continue
-			}
-			s3, err = isa.BindImm(b, s3, 2, "sh", bv.New(6, 32))
-			if err != nil {
-				continue
-			}
-			out = append(out, s3)
-		}
-		return out
-	}
+	return nil
 }
 
 // CorpusPatterns extracts the ranked pattern pool from the benchmark
@@ -293,7 +228,7 @@ func (s *Setup) Synthesize(cfg core.Config, maxPatterns int) *rules.Library {
 	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if cfg.ExtraSequences == nil {
-		cfg.ExtraSequences = ExtraSequences(s.Name)
+		cfg.ExtraSequences = s.builtin.Extra
 	}
 	if s.Synther == nil {
 		s.Synther = core.New(s.B, s.ISA, cfg)
@@ -304,12 +239,7 @@ func (s *Setup) Synthesize(cfg core.Config, maxPatterns int) *rules.Library {
 	pats := CorpusPatterns(s.Name, maxPatterns)
 	s.Synther.Synthesize(pats, lib)
 	s.SynthLib = lib
-	switch s.Name {
-	case "aarch64":
-		s.Synth = isel.NewA64Synth(s.ISA, lib)
-	case "riscv":
-		s.Synth = isel.NewRVSynth(s.ISA, lib)
-	}
+	s.Synth = s.builtin.Synth(s.ISA, lib)
 	s.Model = cfg.CostModel
 	return lib
 }

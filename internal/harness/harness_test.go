@@ -9,9 +9,9 @@ import (
 
 // The harness tests run a scaled-down synthesis (capped pattern budget
 // and pair bases) so the whole evaluation path stays fast in CI.
-func quickSetup(t *testing.T, mk func() (*Setup, error)) *Setup {
+func quickSetup(t *testing.T, name string) *Setup {
 	t.Helper()
-	s, err := mk()
+	s, err := New(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSeedPatternsWellFormed(t *testing.T) {
 }
 
 func TestEndToEndRISCV(t *testing.T) {
-	s := quickSetup(t, NewRISCV)
+	s := quickSetup(t, "riscv")
 	if s.SynthLib.Len() < 40 {
 		t.Errorf("synthesized only %d rules", s.SynthLib.Len())
 	}
@@ -83,7 +83,7 @@ func TestEndToEndRISCV(t *testing.T) {
 }
 
 func TestExtraSequencesRISCV(t *testing.T) {
-	s, err := NewRISCV()
+	s, err := New("riscv")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestGeoMean(t *testing.T) {
 // With a cost model configured, Synthesize stamps every rule of the
 // library with its model cost, and CostModel rejects unknown targets.
 func TestSynthesizeStampsRuleCosts(t *testing.T) {
-	s, err := NewRISCV()
+	s, err := New("riscv")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,7 @@
 // the service pay only for what changed:
 //
 //   - every instruction gets a content fingerprint: a SHA-256 over its
-//     symbolically executed effect terms (rules.InstFingerprint), so
+//     symbolically executed effect terms (isa.Instruction.FP), so
 //     whitespace, comments, and reordering edits are free;
 //   - every rule carries provenance — the fingerprints of its supporting
 //     instructions plus its proof origin (index vs smt) — persisted in
@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"iselgen/internal/isa"
-	"iselgen/internal/rules"
 )
 
 // InstFingerprints computes the per-instruction content fingerprints of a
@@ -37,7 +36,7 @@ import (
 func InstFingerprints(tgt *isa.Target) map[string]string {
 	out := make(map[string]string, len(tgt.Insts))
 	for _, inst := range tgt.Insts {
-		out[inst.Name] = rules.InstFingerprint(inst)
+		out[inst.Name] = inst.FP
 	}
 	return out
 }

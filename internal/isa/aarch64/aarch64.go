@@ -436,9 +436,6 @@ func latencies() map[string]int {
 	}
 	lat["SMULL"], lat["UMULL"], lat["SMULH"], lat["UMULH"] = 3, 3, 6, 6
 	// Loads.
-	for name := range map[string]bool{} {
-		_ = name
-	}
 	for _, n := range []string{
 		"LDRBBui", "LDRHHui", "LDRWui", "LDRXui", "LDRSBWui", "LDRSHWui",
 		"LDRSBXui", "LDRSHXui", "LDRSWui", "LDRXroX", "LDRXroX_s3",

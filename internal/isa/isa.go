@@ -37,6 +37,10 @@ type Instruction struct {
 	// SignedImms marks immediate operands consumed under sext in the
 	// semantics; disassembly renders them as signed. Nil when Enc is nil.
 	SignedImms map[string]bool
+	// FP is the instruction's content fingerprint, computed at load: the
+	// hash of its name, operands and symbolically executed effects, so two
+	// loads of semantically identical specs agree (see instFingerprint).
+	FP string
 }
 
 // NumInputs returns the operand count — the unit of the paper's cost
@@ -684,6 +688,7 @@ func LoadTarget(b *term.Builder, name, src string, latency map[string]int, size 
 		} else if size == 0 {
 			in.Size = 4
 		}
+		in.FP = instFingerprint(in)
 		t.Insts = append(t.Insts, in)
 	}
 	if err := spec.CheckEncodings(f, sems); err != nil {

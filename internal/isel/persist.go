@@ -26,7 +26,7 @@ import (
 // using the same compact sequence/operand grammar as the manual-rule DSL
 // (MustSeq / MustRule), so saved rules are human-auditable. The "#%inst"
 // header records, for every instruction any rule depends on, the content
-// fingerprint its semantics had at synthesis time (rules.InstFingerprint)
+// fingerprint its semantics had at synthesis time (isa.Instruction.FP)
 // — the provenance an incremental resynthesis diffs against a new spec.
 // The trailing source field preserves each rule's proof origin (index vs
 // smt) across save/load cycles. The optional "cost:" field carries the
@@ -60,7 +60,7 @@ func SaveLibrary(lib *rules.Library) string {
 func SaveLibraryFor(lib *rules.Library, tgt *isa.Target) string {
 	fps := make(map[string]string, len(tgt.Insts))
 	for _, inst := range tgt.Insts {
-		fps[inst.Name] = rules.InstFingerprint(inst)
+		fps[inst.Name] = inst.FP
 	}
 	return saveLibrary(lib, fps)
 }

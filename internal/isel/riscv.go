@@ -1,8 +1,6 @@
 package isel
 
 import (
-	"fmt"
-
 	"iselgen/internal/bv"
 	"iselgen/internal/gmir"
 	"iselgen/internal/isa"
@@ -519,5 +517,3 @@ func NewRVSynth(tgt *isa.Target, lib *rules.Library) *Backend {
 		LowerInst:   rvLowerInst,
 	}}
 }
-
-var _ = fmt.Sprintf

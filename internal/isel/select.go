@@ -414,26 +414,22 @@ func (c *Ctx) nextLayoutBlock(blk *gmir.Block) int {
 	return -1
 }
 
-// emitUncondBr emits the target's unconditional branch.
+// emitUncondBr emits the target's unconditional branch: the first
+// instruction whose only operand is an immediate and whose only effect
+// writes the PC (B, J and JMP on the builtin targets).
 func (c *Ctx) emitUncondBr(target int) {
-	name := map[string]string{
-		"aarch64": "B", "riscv": "J", "x86": "JMP", "mini": "",
-	}[c.B.ISA.Name]
-	if name == "" {
-		// Generic fallback: any instruction with a lone PC effect.
-		for _, inst := range c.B.ISA.Insts {
-			if inst.HasPCEffect() && len(inst.Effects) == 1 && len(inst.Operands) == 1 &&
-				inst.Operands[0].Kind == spec.OpImm {
-				name = inst.Name
-				break
-			}
-		}
-		if name == "" {
-			c.failf("no unconditional branch instruction")
-			return
+	var inst *isa.Instruction
+	for _, in := range c.B.ISA.Insts {
+		if in.HasPCEffect() && len(in.Effects) == 1 && len(in.Operands) == 1 &&
+			in.Operands[0].Kind == spec.OpImm {
+			inst = in
+			break
 		}
 	}
-	inst := c.Inst(name)
+	if inst == nil {
+		c.failf("no unconditional branch instruction")
+		return
+	}
 	c.Emit(&mir.Inst{Meta: inst,
 		Args:  []mir.Operand{mir.I(bv.Zero(inst.Operands[0].Width))},
 		Succs: []int{target}})

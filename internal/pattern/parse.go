@@ -3,7 +3,6 @@ package pattern
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"iselgen/internal/gmir"
 )
@@ -120,5 +119,3 @@ func (p *keyParser) int() (int, error) {
 	}
 	return strconv.Atoi(p.s[start:p.pos])
 }
-
-var _ = strings.TrimSpace

@@ -1,95 +1,10 @@
 package rules
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
-	"fmt"
 	"sort"
-	"strings"
-	"sync"
 
 	"iselgen/internal/isa"
-	"iselgen/internal/term"
 )
-
-// Fingerprint computes the content-addressed identity of a rule library:
-// the SHA-256 over its inputs — target spec text and synthesis
-// configuration knobs (§VI-A makes libraries persistable artifacts; the
-// fingerprint is the cache key that makes re-synthesis avoidable). Each
-// part is length-prefixed before hashing so that concatenation ambiguity
-// cannot alias two different input sets ("ab","c" vs "a","bc").
-func Fingerprint(parts ...string) string {
-	h := sha256.New()
-	var n [8]byte
-	for _, p := range parts {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write([]byte(p))
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// instFPCache memoizes InstFingerprint per *isa.Instruction. Instructions
-// are immutable once loaded and pointer-unique per target load, so the
-// pointer is a sound cache key; the cache makes provenance stamping in
-// Library.Add (one SupportOf per rule) effectively free.
-var instFPCache sync.Map // *isa.Instruction -> string
-
-// InstFingerprint computes the content identity of one instruction: the
-// SHA-256 over its name, operand signature, and *symbolically executed*
-// effect terms. Hashing the effect terms rather than the spec text makes
-// whitespace, comment, and instruction-reordering edits free — only a
-// semantic change to the instruction produces a new fingerprint. The
-// rendering of each effect term is the deterministic s-expression form of
-// term.Term.String, which is independent of builder identity.
-func InstFingerprint(inst *isa.Instruction) string {
-	if fp, ok := instFPCache.Load(inst); ok {
-		return fp.(string)
-	}
-	parts := []string{"inst", inst.Name}
-	for _, op := range inst.Operands {
-		parts = append(parts, fmt.Sprintf("op|%s|%d|%d", op.Name, op.Kind, op.Width))
-	}
-	for _, e := range inst.Effects {
-		parts = append(parts, fmt.Sprintf("eff|%d|%s|%s", e.Kind, e.Dest, canonRender(e.T)))
-	}
-	fp := Fingerprint(parts...)
-	instFPCache.Store(inst, fp)
-	return fp
-}
-
-// canonRender renders a term like term.Term.String but sorts the operands
-// of commutative operations lexicographically by their rendering. The
-// builder orders commutative operands by hash-cons ID, which depends on
-// construction history — two builders loading the same spec after
-// different preceding work would disagree. Fingerprints must identify
-// *content*, so the rendering has to be builder-independent.
-func canonRender(t *term.Term) string {
-	switch t.Op {
-	case term.Const:
-		return t.CVal.String()
-	case term.Var:
-		return t.Name
-	case term.Extract:
-		return fmt.Sprintf("((_ extract %d %d) %s)", t.Aux0, t.Aux1, canonRender(t.Args[0]))
-	case term.ZExt, term.SExt:
-		return fmt.Sprintf("((_ %s %d) %s)", t.Op, t.W()-t.Args[0].W(), canonRender(t.Args[0]))
-	case term.Load:
-		return fmt.Sprintf("(load%d %s)", t.Aux0, canonRender(t.Args[0]))
-	case term.Store:
-		return fmt.Sprintf("(store%d %s %s)", t.Aux0, canonRender(t.Args[0]), canonRender(t.Args[1]))
-	default:
-		args := make([]string, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = canonRender(a)
-		}
-		if t.Op.IsCommutative() && len(args) == 2 && args[1] < args[0] {
-			args[0], args[1] = args[1], args[0]
-		}
-		return "(" + t.Op.String() + " " + strings.Join(args, " ") + ")"
-	}
-}
 
 // InstFP names one supporting instruction and its content fingerprint.
 type InstFP struct {
@@ -98,10 +13,10 @@ type InstFP struct {
 }
 
 // SupportOf computes a sequence's provenance: the deduplicated,
-// name-sorted fingerprints of every instruction the sequence uses. A rule
-// proved against these instructions remains valid in any spec where all
-// of them are semantically unchanged — the reuse criterion of the
-// incremental planner.
+// name-sorted fingerprints (isa.Instruction.FP) of every instruction the
+// sequence uses. A rule proved against these instructions remains valid
+// in any spec where all of them are semantically unchanged — the reuse
+// criterion of the incremental planner.
 func SupportOf(seq *isa.Sequence) []InstFP {
 	seen := map[string]bool{}
 	out := make([]InstFP, 0, len(seq.Insts))
@@ -110,7 +25,7 @@ func SupportOf(seq *isa.Sequence) []InstFP {
 			continue
 		}
 		seen[inst.Name] = true
-		out = append(out, InstFP{Name: inst.Name, FP: InstFingerprint(inst)})
+		out = append(out, InstFP{Name: inst.Name, FP: inst.FP})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

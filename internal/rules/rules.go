@@ -305,7 +305,7 @@ func RuleFP(r *Rule) string {
 			parts = append(parts, fmt.Sprintf("c%s", op.Const))
 		}
 	}
-	return Fingerprint(parts...)
+	return isa.Fingerprint(parts...)
 }
 
 // Lookup returns the cheapest rule for a pattern key, or nil.

@@ -1,10 +1,8 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 )
 
 // maxBatchBodyBytes bounds batch request bodies — batches carry up to
@@ -52,10 +50,7 @@ type BatchSelectResponse struct {
 
 func (sv *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchSelectRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		sv.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !sv.decode(w, r, maxBatchBodyBytes, &req) {
 		return
 	}
 	if len(req.Programs) == 0 {
@@ -71,33 +66,23 @@ func (sv *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, fmt.Errorf("batch: emit=bytes is not supported (use /v1/select)"))
 		return
 	}
-	def, err := sv.resolveTarget(req.Target, "")
+	def, err := sv.resolveSelecting(req.Target)
 	if err != nil {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if def.backend == nil {
-		sv.fail(w, http.StatusBadRequest,
-			fmt.Errorf("target %q has no selection backend (selection targets: aarch64, riscv)", def.name))
-		return
-	}
-	cfg, fp := sv.effectiveConfig(def)
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, true)
+	e, cache, status, err := sv.entryFor(r.Context(), def, sv.timeout(req.TimeoutMS), true)
 	if err != nil {
 		sv.fail(w, status, err)
 		return
 	}
-	env := sv.newProgEnv(def, e, cfg.CostModel, req.VectorSeed, req.Vectors, req.Emit)
+	env := sv.newProgEnv(def, e, req.VectorSeed, req.Vectors, req.Emit)
 	resp := BatchSelectResponse{
 		Target:      def.name,
 		Fingerprint: e.Fingerprint,
 		Cache:       cache,
 		Partial:     e.Partial,
-		CostVersion: cfg.CostModel.Version(),
+		CostVersion: def.costVersion,
 		Programs:    len(req.Programs),
 		Results:     make([]ProgramResult, 0, len(req.Programs)),
 	}

@@ -98,8 +98,7 @@ func (sv *Server) FingerprintRequest(target, spec, selector string) (string, err
 	if err != nil {
 		return "", err
 	}
-	_, fp := sv.effectiveConfig(def)
-	return fp, nil
+	return def.fp, nil
 }
 
 // fillFromPeer attempts to satisfy a cache miss from a peer replica:
@@ -110,7 +109,8 @@ func (sv *Server) FingerprintRequest(target, spec, selector string) (string, err
 // flight's trace context: the fill span parents under it and its own
 // context rides the peer call's X-Iseld-Trace header, so the owner's
 // spans land in the same fleet trace.
-func (sv *Server) fillFromPeer(def targetDef, fp, rid string, timeout time.Duration, tc obs.TraceContext) (*Entry, bool) {
+func (sv *Server) fillFromPeer(def *targetDef, rid string, timeout time.Duration, tc obs.TraceContext) (*Entry, bool) {
+	fp := def.fp
 	if sv.filler == nil {
 		return nil, false
 	}
@@ -207,7 +207,7 @@ type ArtifactResponse struct {
 // replica sends its fill for a fingerprint to the same ring owner.
 func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	var req FillRequest
-	if !sv.decode(w, r, &req) {
+	if !sv.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if req.CacheOnly {
@@ -235,19 +235,14 @@ func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, fp := sv.effectiveConfig(def)
-	if req.Fingerprint != "" && req.Fingerprint != fp {
+	if req.Fingerprint != "" && req.Fingerprint != def.fp {
 		// Config skew between replicas: refusing keeps a mismatched
 		// artifact out of the requester's cache; it will fill locally.
 		sv.fail(w, http.StatusConflict,
-			fmt.Errorf("fingerprint mismatch: requester %s, here %s (replica config skew?)", req.Fingerprint, fp))
+			fmt.Errorf("fingerprint mismatch: requester %s, here %s (replica config skew?)", req.Fingerprint, def.fp))
 		return
 	}
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, false)
+	e, cache, status, err := sv.entryFor(r.Context(), def, sv.timeout(req.TimeoutMS), false)
 	if err != nil {
 		sv.fail(w, status, err)
 		return

@@ -210,7 +210,7 @@ func (sv *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SynthesizeRequest
-	if !sv.decode(w, r, &req) {
+	if !sv.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	def, err := sv.resolveTarget(req.Target, req.Spec)
@@ -237,14 +237,9 @@ func (sv *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			jsp = sv.obsv.TracerOrNil().StartRemote("job synthesize", tc).
 				SetStr("job_id", rec.id).SetStr("target", def.name)
 		}
-		cfg, fp := sv.effectiveConfig(def)
-		timeout := sv.cfg.DefaultTimeout
-		if req.TimeoutMS > 0 {
-			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		}
 		ctx := WithRequestID(context.Background(), rid)
 		ctx = WithTraceContext(ctx, jsp.Context())
-		e, cache, _, err := sv.entryFor(ctx, def, cfg, fp, timeout, true)
+		e, cache, _, err := sv.entryFor(ctx, def, sv.timeout(req.TimeoutMS), true)
 		if err != nil {
 			jsp.SetStr("cache", "error").End()
 			sv.jobs.finish(rec, nil, err)

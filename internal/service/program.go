@@ -54,15 +54,10 @@ type ProgramResult struct {
 }
 
 // newProgEnv builds the shared environment around an acquired cache
-// entry. minWidth mirrors the fuzz pipeline's legalization floor: RV64
-// backends are 64-bit only.
-func (sv *Server) newProgEnv(def targetDef, e *Entry, model *cost.Table, seed uint64, vectors int, emit EmitMode) *progEnv {
+// entry, legalizing to the target's floor as the fuzz pipeline does.
+func (sv *Server) newProgEnv(def *targetDef, e *Entry, seed uint64, vectors int, emit EmitMode) *progEnv {
 	bk := def.backend(e.Target, e.Lib)
 	bk.Obs = sv.obsv
-	minW := 32
-	if def.name == "riscv" {
-		minW = 64
-	}
 	if seed == 0 {
 		seed = 1
 	}
@@ -76,8 +71,8 @@ func (sv *Server) newProgEnv(def targetDef, e *Entry, model *cost.Table, seed ui
 		target:   def.name,
 		entry:    e,
 		backend:  bk,
-		model:    model,
-		minWidth: minW,
+		model:    def.cfg.CostModel,
+		minWidth: def.minWidth,
 		seed:     seed,
 		vectors:  vectors,
 		emit:     emit,

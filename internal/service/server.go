@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,15 +21,13 @@ import (
 	"iselgen/internal/harness"
 	"iselgen/internal/incr"
 	"iselgen/internal/isa"
-	"iselgen/internal/isa/aarch64"
-	"iselgen/internal/isa/riscv"
-	"iselgen/internal/isa/x86"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
 	"iselgen/internal/rules"
 	"iselgen/internal/sim"
 	"iselgen/internal/solver"
 	"iselgen/internal/spec"
+	"iselgen/internal/targets"
 	"iselgen/internal/term"
 )
 
@@ -91,6 +91,7 @@ type Server struct {
 	prober    MemoProber
 	collector TraceCollector
 	sample    float64
+	builtins  map[string]*builtinSlot
 
 	obsv    *obs.Obs
 	logger  *slog.Logger
@@ -152,6 +153,10 @@ func New(cfg Config) (*Server, error) {
 		logger: cfg.Logger,
 		start:  time.Now(),
 		build:  readBuildInfo(),
+	}
+	sv.builtins = map[string]*builtinSlot{}
+	for _, bt := range targets.All() {
+		sv.builtins[bt.Name] = &builtinSlot{bt: bt}
 	}
 	sv.mux.HandleFunc("POST /v1/synthesize", sv.handleSynthesize)
 	sv.mux.HandleFunc("POST /v1/select", sv.handleSelect)
@@ -218,86 +223,138 @@ func (sv *Server) Shutdown(ctx context.Context) error {
 	return sv.store.Flush(ctx)
 }
 
-// targetDef is everything the service needs to know about one target:
-// how to fingerprint it (spec source), how to materialize it, and —
-// for the builtin selection targets — how to build a backend around a
-// synthesized library.
+// targetDef is everything the service needs to know about one resolved
+// target: its spec source, how to materialize it, the synthesis config
+// it runs under with the keys that config yields, and — for the builtin
+// selection targets — how to build a backend around a synthesized
+// library. A builtin's definition is resolved once per server and then
+// shared read-only by every request; an inline one once per request.
 type targetDef struct {
-	name    string
-	spec    string
-	inline  bool // spec arrived in the request, not resolved from a builtin
-	load    func(b *term.Builder) (*isa.Target, error)
-	backend func(tgt *isa.Target, lib *rules.Library) *isel.Backend
+	name     string
+	spec     string
+	inline   bool // spec arrived in the request, not resolved from a builtin
+	load     func(b *term.Builder) (*isa.Target, error)
+	backend  func(tgt *isa.Target, lib *rules.Library) *isel.Backend
+	minWidth int // legalization floor of program-mode selection
+	// cfg is the server-wide synthesis config specialized to the target;
+	// fp the full-cache fingerprint it yields, lineage its incremental
+	// lineage key, and costVersion the version of cfg's cost table.
+	cfg         core.Config
+	fp          string
+	lineage     string
+	costVersion string
+}
+
+// builtinSlot holds one builtin target's definition, resolved on first
+// use and kept for the server's lifetime.
+type builtinSlot struct {
+	bt   *targets.Builtin
+	once sync.Once
+	def  *targetDef
+	err  error
 }
 
 // resolveTarget maps a request to a target definition: a builtin name,
 // or an inline DSL spec (checked up front so malformed specs fail fast
 // with a 400 instead of inside a scheduled job).
-func (sv *Server) resolveTarget(name, inline string) (targetDef, error) {
+func (sv *Server) resolveTarget(name, inline string) (*targetDef, error) {
 	if inline != "" {
 		if name == "" {
 			name = "inline"
 		}
-		switch name {
-		case "aarch64", "riscv", "x86":
-			return targetDef{}, fmt.Errorf("inline spec may not shadow builtin target %q", name)
+		if _, ok := sv.builtins[name]; ok {
+			return nil, fmt.Errorf("inline spec may not shadow builtin target %q", name)
 		}
 		if _, err := spec.Check(inline); err != nil {
-			return targetDef{}, err
+			return nil, err
 		}
-		return targetDef{
-			name:   name,
-			spec:   inline,
-			inline: true,
+		return sv.define(&targetDef{
+			name:     name,
+			spec:     inline,
+			inline:   true,
+			minWidth: 32,
 			load: func(b *term.Builder) (*isa.Target, error) {
 				return isa.LoadTarget(b, name, inline, nil, 4)
 			},
-		}, nil
+		}, nil, nil), nil
 	}
-	switch name {
-	case "aarch64":
-		return targetDef{name: name, spec: aarch64.Spec(), load: aarch64.Load, backend: isel.NewA64Synth}, nil
-	case "riscv":
-		return targetDef{name: name, spec: riscv.Spec(), load: riscv.Load, backend: isel.NewRVSynth}, nil
-	case "x86":
-		return targetDef{name: name, spec: x86.Spec(), load: x86.Load}, nil
-	case "":
-		return targetDef{}, errors.New("request must set \"target\" or \"spec\"")
-	default:
-		return targetDef{}, fmt.Errorf("unknown target %q (builtins: aarch64, riscv, x86)", name)
+	if name == "" {
+		return nil, errors.New("request must set \"target\" or \"spec\"")
 	}
+	slot, ok := sv.builtins[name]
+	if !ok {
+		_, err := targets.Lookup(name)
+		return nil, err
+	}
+	slot.once.Do(func() { slot.def, slot.err = sv.resolveBuiltin(slot.bt) })
+	return slot.def, slot.err
 }
 
-// effectiveConfig resolves the server-wide synthesis config for one
-// target (wiring in the target's special sequences, §VII-A, and — for
-// the builtin selection targets — the target-derived cost model) and
-// the resulting content fingerprint. The cost-table version flows into
-// the fingerprint via the config's CacheKey, so editing a cost table
-// invalidates everything stamped under the old one. The deadline is deliberately not part of the key: partial results are
-// never cached, and a full result is identical whatever budget it ran
-// under.
-func (sv *Server) effectiveConfig(def targetDef) (core.Config, string) {
-	cfg := sv.cfg.Synth
-	if cfg.ExtraSequences == nil {
-		cfg.ExtraSequences = harness.ExtraSequences(def.name)
+// resolveSelecting resolves a builtin target that has a selection
+// backend — the targets /v1/select and /v1/select/batch serve.
+func (sv *Server) resolveSelecting(name string) (*targetDef, error) {
+	def, err := sv.resolveTarget(name, "")
+	if err == nil && def.backend == nil {
+		_, err = targets.LookupSelecting(name)
 	}
-	if cfg.CostModel == nil && def.backend != nil {
-		if m, err := harness.CostModel(def.name); err == nil {
-			cfg.CostModel = m
+	return def, err
+}
+
+// resolveBuiltin derives a builtin target's definition: its spec text
+// and, for selection targets, the target-derived cost model. Both take a
+// full spec generation or load, which is why each server does this once
+// per target rather than once per request.
+func (sv *Server) resolveBuiltin(bt *targets.Builtin) (*targetDef, error) {
+	var model *cost.Table
+	if bt.Selects() && sv.cfg.Synth.CostModel == nil {
+		var err error
+		if model, err = bt.CostModel(); err != nil {
+			return nil, err
 		}
 	}
-	fp := rules.Fingerprint(fingerprintScheme, def.name, def.spec,
-		cfg.CacheKey(), fmt.Sprintf("maxpat=%d", sv.cfg.MaxPatterns))
-	return cfg, fp
+	return sv.define(&targetDef{
+		name:     bt.Name,
+		spec:     bt.Spec(),
+		load:     bt.Load,
+		backend:  bt.Synth,
+		minWidth: bt.MinWidth,
+	}, bt.Extra, model), nil
 }
 
-// lineageKey identifies the incremental line of descent a request
-// belongs to: the full-cache fingerprint *minus the spec text*. Two
-// revisions of a spec share a lineage, which is exactly what lets the
-// shard store answer the second revision from the first one's shards.
-func (sv *Server) lineageKey(def targetDef, cfg core.Config) string {
-	return rules.Fingerprint(fingerprintScheme, "lineage", def.name,
-		cfg.CacheKey(), fmt.Sprintf("maxpat=%d", sv.cfg.MaxPatterns))
+// define specializes the server-wide synthesis config to a target —
+// wiring in its special sequences (§VII-A) and cost model unless the
+// server config sets its own — and derives the keys the result yields.
+// The cost-table version flows into the fingerprint via the config's
+// CacheKey, so editing a cost table invalidates everything stamped under
+// the old one. The deadline is deliberately not part of the key: partial
+// results are never cached, and a full result is identical whatever
+// budget it ran under. The lineage key is the fingerprint *minus the
+// spec text*: two revisions of a spec share a lineage, which is exactly
+// what lets the shard store answer the second revision from the first
+// one's shards.
+func (sv *Server) define(def *targetDef, extra func(*term.Builder, *isa.Target) []*isa.Sequence, model *cost.Table) *targetDef {
+	cfg := sv.cfg.Synth
+	if cfg.ExtraSequences == nil {
+		cfg.ExtraSequences = extra
+	}
+	if cfg.CostModel == nil {
+		cfg.CostModel = model
+	}
+	key, maxpat := cfg.CacheKey(), fmt.Sprintf("maxpat=%d", sv.cfg.MaxPatterns)
+	def.cfg = cfg
+	def.fp = isa.Fingerprint(fingerprintScheme, def.name, def.spec, key, maxpat)
+	def.lineage = isa.Fingerprint(fingerprintScheme, "lineage", def.name, key, maxpat)
+	def.costVersion = cfg.CostModel.Version()
+	return def
+}
+
+// timeout is the synthesis deadline for a request asking for ms
+// milliseconds (0 = the server default).
+func (sv *Server) timeout(ms int64) time.Duration {
+	if ms > 0 {
+		return time.Duration(ms) * time.Millisecond
+	}
+	return sv.cfg.DefaultTimeout
 }
 
 // entryFor implements the cache protocol shared by /v1/synthesize,
@@ -309,14 +366,15 @@ func (sv *Server) lineageKey(def targetDef, cfg core.Config) string {
 // returned status is the HTTP code to answer with. allowPeer is false
 // exactly when the request *is* a peer fill, so replicas can never fill
 // from each other in a cycle.
-func (sv *Server) entryFor(ctx context.Context, def targetDef, cfg core.Config, fp string, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
+func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
+	fp := def.fp
 	e, fl, owner := sv.store.Acquire(fp)
 	if e != nil {
 		sv.metrics.CacheHits.Add(1)
 		return e, "hit", http.StatusOK, nil
 	}
 	if owner {
-		lk := sv.lineageKey(def, cfg)
+		lk := def.lineage
 		rid := RequestIDFrom(ctx)
 		// The flight outlives the HTTP request (joiners may be served
 		// after the opener disconnects), so the sampled trace context is
@@ -351,7 +409,7 @@ func (sv *Server) entryFor(ctx context.Context, def targetDef, cfg core.Config, 
 			// one synthesis (the owner's local singleflight collapses the
 			// concurrent fills).
 			if allowPeer && sv.filler != nil {
-				if ent, ok := sv.fillFromPeer(def, fp, rid, timeout, fsp.Context()); ok {
+				if ent, ok := sv.fillFromPeer(def, rid, timeout, fsp.Context()); ok {
 					sv.metrics.PeerFills.Add(1)
 					sv.store.Complete(fp, ent, nil)
 					if !ent.Partial {
@@ -364,11 +422,11 @@ func (sv *Server) entryFor(ctx context.Context, def targetDef, cfg core.Config, 
 			// Local fill: if this lineage has completed before (same target
 			// name and config, different spec text), resynthesize from its
 			// shards instead of from scratch.
-			ent, ok := sv.runIncremental(def, cfg, fp, lk, timeout)
+			ent, ok := sv.runIncremental(def, timeout)
 			var err error
 			origin := "incremental"
 			if !ok {
-				ent, err = sv.runSynthesis(def, cfg, fp, timeout)
+				ent, err = sv.runSynthesis(def, timeout)
 				origin = "synthesized"
 			}
 			sv.store.Complete(fp, ent, err)
@@ -421,8 +479,8 @@ func (sv *Server) entryFor(ctx context.Context, def targetDef, cfg core.Config, 
 // queries), and synthesize only the remainder. Returns ok=false when
 // the lineage has no prior result or the resynthesis fails — the
 // caller then falls back to a from-scratch run.
-func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, timeout time.Duration) (*Entry, bool) {
-	art := sv.shards.Artifact(lk)
+func (sv *Server) runIncremental(def *targetDef, timeout time.Duration) (*Entry, bool) {
+	art := sv.shards.Artifact(def.lineage)
 	if art == nil {
 		return nil, false
 	}
@@ -442,7 +500,7 @@ func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, 
 	// is the consistency the incremental planner requires.
 	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
 	lib, rep, err := incr.Resynthesize(b, tgt, art, incr.Options{
-		Config: cfg, Patterns: pats, Context: ctx,
+		Config: def.cfg, Patterns: pats, Context: ctx,
 	})
 	if err != nil {
 		return nil, false
@@ -456,7 +514,7 @@ func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, 
 	}
 	sv.metrics.AddStages(rep.Stats)
 	return &Entry{
-		Fingerprint: fp,
+		Fingerprint: def.fp,
 		TargetName:  def.name,
 		B:           b,
 		Target:      tgt,
@@ -474,7 +532,7 @@ func (sv *Server) runIncremental(def targetDef, cfg core.Config, fp, lk string, 
 // sequence pool, synthesize the corpus patterns — under the job's own
 // deadline (detached from any HTTP request context, so a disconnecting
 // client cannot degrade a shared flight to a partial result).
-func (sv *Server) runSynthesis(def targetDef, cfg core.Config, fp string, timeout time.Duration) (*Entry, error) {
+func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration) (*Entry, error) {
 	t0 := time.Now()
 	// The deadline clock starts before pool construction: the budget is
 	// for the whole job, and an exhausted budget degrades the wave loop
@@ -490,10 +548,10 @@ func (sv *Server) runSynthesis(def targetDef, cfg core.Config, fp string, timeou
 	if err != nil {
 		return nil, err
 	}
-	syn := core.New(b, tgt, cfg)
+	syn := core.New(b, tgt, def.cfg)
 	syn.BuildPool()
 	lib := rules.NewLibrary(def.name)
-	lib.Model = cfg.CostModel
+	lib.Model = def.cfg.CostModel
 	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
 	partial := syn.SynthesizeCtx(ctx, pats, lib)
 	lib.Freeze()
@@ -503,7 +561,7 @@ func (sv *Server) runSynthesis(def targetDef, cfg core.Config, fp string, timeou
 	}
 	sv.metrics.AddStages(syn.Stats.Snapshot())
 	return &Entry{
-		Fingerprint: fp,
+		Fingerprint: def.fp,
 		TargetName:  def.name,
 		B:           b,
 		Target:      tgt,
@@ -549,7 +607,7 @@ type SynthesizeResponse struct {
 
 func (sv *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req SynthesizeRequest
-	if !sv.decode(w, r, &req) {
+	if !sv.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	def, err := sv.resolveTarget(req.Target, req.Spec)
@@ -557,12 +615,7 @@ func (sv *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, fp := sv.effectiveConfig(def)
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, true)
+	e, cache, status, err := sv.entryFor(r.Context(), def, sv.timeout(req.TimeoutMS), true)
 	if err != nil {
 		sv.fail(w, status, err)
 		return
@@ -666,17 +719,12 @@ type SelectResponse struct {
 
 func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	var req SelectRequest
-	if !sv.decode(w, r, &req) {
+	if !sv.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
-	def, err := sv.resolveTarget(req.Target, "")
+	def, err := sv.resolveSelecting(req.Target)
 	if err != nil {
 		sv.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if def.backend == nil {
-		sv.fail(w, http.StatusBadRequest,
-			fmt.Errorf("target %q has no selection backend (selection targets: aarch64, riscv)", def.name))
 		return
 	}
 	scale := req.Scale
@@ -708,18 +756,13 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	cfg, fp := sv.effectiveConfig(def)
-	timeout := sv.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	e, cache, status, err := sv.entryFor(r.Context(), def, cfg, fp, timeout, true)
+	e, cache, status, err := sv.entryFor(r.Context(), def, sv.timeout(req.TimeoutMS), true)
 	if err != nil {
 		sv.fail(w, status, err)
 		return
 	}
 	if req.Program != "" {
-		env := sv.newProgEnv(def, e, cfg.CostModel, req.VectorSeed, 1, req.Emit)
+		env := sv.newProgEnv(def, e, req.VectorSeed, 1, req.Emit)
 		res := env.selectProgram(0, req.Program)
 		if res.Error != "" {
 			sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("program: %s", res.Error))
@@ -736,7 +779,7 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			FallbackReason: res.FallbackReason,
 			RuleInsts:      res.RuleInsts,
 			HookInsts:      res.HookInsts,
-			CostVersion:    cfg.CostModel.Version(),
+			CostVersion:    def.costVersion,
 			StaticCost:     res.StaticCost,
 			Cycles:         res.Cycles,
 			Insts:          res.Insts,
@@ -766,20 +809,20 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		RuleInsts:      rep.RuleInsts,
 		HookInsts:      rep.HookInsts,
 		RulesUsed:      rep.RulesUsed,
-		CostVersion:    cfg.CostModel.Version(),
+		CostVersion:    def.costVersion,
 	}
 	if !rep.Fallback {
 		mem := gmir.NewMemory()
 		if work.InitMem != nil {
 			work.InitMem(mem)
 		}
-		m := &sim.Machine{Mem: mem, Model: cfg.CostModel}
+		m := &sim.Machine{Mem: mem, Model: def.cfg.CostModel}
 		res, err := m.Run(mf, work.Args)
 		if err != nil {
 			sv.fail(w, http.StatusInternalServerError, fmt.Errorf("sim: %w", err))
 			return
 		}
-		resp.StaticCost = cost.StaticOf(mf, cfg.CostModel).String()
+		resp.StaticCost = cost.StaticOf(mf, def.cfg.CostModel).String()
 		resp.Cycles = res.Cycles
 		resp.Insts = res.Insts
 		resp.BinarySize = mf.BinarySize()
@@ -858,14 +901,28 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (sv *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+// decode reads a request body of at most limit bytes into into, or
+// answers 400.
+func (sv *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, into any) bool {
+	if err := decodeJSON(http.MaxBytesReader(w, r.Body, limit), into); err != nil {
 		sv.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}
 	return true
+}
+
+// decodeJSON decodes exactly one JSON value, strictly: unknown fields
+// and anything but whitespace after the value are errors.
+func decodeJSON(body io.Reader, into any) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 func (sv *Server) fail(w http.ResponseWriter, status int, err error) {

@@ -60,7 +60,7 @@ func (sv *Server) handleSolverQueryGet(w http.ResponseWriter, r *http.Request) {
 
 func (sv *Server) handleSolverQueryPost(w http.ResponseWriter, r *http.Request) {
 	var req SolverQueryRequest
-	if !sv.decode(w, r, &req) {
+	if !sv.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	sv.answerSolverQuery(w, r, req.Key)

@@ -1,7 +1,6 @@
 package trie
 
 import (
-	"fmt"
 	"testing"
 
 	"iselgen/internal/bv"
@@ -193,5 +192,3 @@ func TestPropertyNoFalsePayloads(t *testing.T) {
 		}
 	}
 }
-
-var _ = fmt.Sprintf
