@@ -56,9 +56,8 @@
 //
 //	[-workers N] [-synth-workers N] [-queue N] [-patterns N] [-timeout D]
 //	[-inputs N] [-trace-spans N] [-trace-sample F] [-no-obs] [-max-jobs N]
-//	[-peers URL,URL,...] [-self URL] [-cluster-mode fill|forward]
-//	[-hedge D] [-breaker-failures N] [-breaker-cooldown D]
-//	[-drain-timeout D]
+//	[-peers URL,URL,...] [-self URL] [-hedge D] [-breaker-failures N]
+//	[-breaker-cooldown D] [-drain-timeout D]
 //
 // With -peers set, replicas form a consistent-hash ring over cache
 // fingerprints: a miss is filled from its ring owner over HTTP (so a
@@ -105,7 +104,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "cap on async jobs queued+running via POST /v1/jobs (0 = default)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (empty = standalone)")
 	self := flag.String("self", "", "this replica's base URL as it appears in -peers")
-	clusterMode := flag.String("cluster-mode", cluster.ModeFill, "cluster mode: fill (peer cache fills) or forward (proxy to owner)")
 	hedge := flag.Duration("hedge", 150*time.Millisecond, "delay before hedging a cache-only probe to the next replica (<0 = off)")
 	breakerFailures := flag.Int("breaker-failures", 3, "consecutive peer failures that open its circuit")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
@@ -170,8 +168,8 @@ func main() {
 	}
 
 	// With peers configured, wrap the service in the cluster layer: the
-	// ring routes cache-fill ownership, and the handler gains forwarding
-	// (in forward mode) plus GET /v1/cluster.
+	// ring routes cache-fill ownership, and the handler gains
+	// GET /v1/cluster.
 	handler := http.Handler(nil)
 	if *peers != "" {
 		var peerList []string
@@ -187,7 +185,6 @@ func main() {
 		node, err := cluster.New(sv, cluster.Config{
 			Self:             strings.TrimRight(*self, "/"),
 			Peers:            peerList,
-			Mode:             *clusterMode,
 			HedgeDelay:       *hedge,
 			BreakerThreshold: *breakerFailures,
 			BreakerCooldown:  *breakerCooldown,
@@ -198,12 +195,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "iseld:", err)
 			os.Exit(1)
 		}
-		sv.SetFiller(node)
-		sv.SetMemoProber(node)
-		sv.SetTraceCollector(node)
 		handler = node.Handler()
 		logger.Info("iseld clustered",
-			"self", *self, "peers", len(peerList), "mode", *clusterMode)
+			"self", *self, "peers", len(peerList))
 	} else {
 		handler = sv.Handler()
 	}

@@ -27,7 +27,7 @@
 // Usage: iselload [-replicas 3] [-n 1000] [-batch 32] [-concurrency 8]
 //
 //	[-target riscv] [-seed 1] [-vectors 2]
-//	[-mode fill] [-patterns 8] [-workers 2] [-inputs 16]
+//	[-patterns 8] [-workers 2] [-inputs 16]
 //	[-urls http://a,http://b] [-json BENCH_serve.json]
 //	[-trace-sample 0.25] [-trace-out fleet-trace.json]
 //	[-gate-p99 0] [-gate-hitrate 0] [-gate-trace]
@@ -63,7 +63,6 @@ func main() {
 	target := flag.String("target", "riscv", "selection target (riscv or aarch64)")
 	seed := flag.Uint64("seed", 1, "program-generation and simulation-vector seed")
 	vectors := flag.Int("vectors", 2, "simulation input vectors per program")
-	mode := flag.String("mode", cluster.ModeFill, "cluster mode: fill or forward")
 	patterns := flag.Int("patterns", 8, "corpus patterns per synthesis (0 = all; in-process only)")
 	workers := flag.Int("workers", 2, "synthesis workers per replica (in-process only)")
 	queue := flag.Int("queue", 16, "scheduler queue depth per replica (in-process only)")
@@ -101,7 +100,7 @@ func main() {
 			fatal(fmt.Errorf("-urls parsed to an empty list"))
 		}
 	} else {
-		lc, err := bootCluster(*replicas, *mode, *workers, *queue, *patterns, *inputs)
+		lc, err := bootCluster(*replicas, *workers, *queue, *patterns, *inputs)
 		if err != nil {
 			fatal(err)
 		}
@@ -262,7 +261,7 @@ func main() {
 	}
 
 	rep := buildReport(reportInput{
-		endpoints: len(endpoints), mode: *mode, target: *target,
+		endpoints: len(endpoints), target: *target,
 		seed: *seed, patterns: *patterns, batch: *batch, concurrency: *concurrency,
 		programs: *n, warmDur: warmDur, runDur: runDur,
 		latencies: latencies, sums: sums,
@@ -304,7 +303,7 @@ func fatal(err error) {
 }
 
 // bootCluster starts the in-process fleet: full replicas, loopback HTTP.
-func bootCluster(n int, mode string, workers, queue, patterns, inputs int) (*cluster.Local, error) {
+func bootCluster(n int, workers, queue, patterns, inputs int) (*cluster.Local, error) {
 	mk := func(i int) (*service.Server, *obs.Obs, error) {
 		o := obs.New()
 		synth := core.DefaultConfig()
@@ -320,7 +319,7 @@ func bootCluster(n int, mode string, workers, queue, patterns, inputs int) (*clu
 		})
 		return sv, o, err
 	}
-	return cluster.StartLocal(n, mk, cluster.Config{Mode: mode, HedgeDelay: 50 * time.Millisecond})
+	return cluster.StartLocal(n, mk, cluster.Config{HedgeDelay: 50 * time.Millisecond})
 }
 
 // warm synthesizes the target's library on one replica through the
@@ -537,7 +536,6 @@ type Report struct {
 
 type ReportConfig struct {
 	Replicas    int    `json:"replicas"`
-	Mode        string `json:"mode"`
 	Target      string `json:"target"`
 	Seed        uint64 `json:"seed"`
 	Patterns    int    `json:"patterns"`
@@ -574,7 +572,6 @@ type ReportCluster struct {
 	IncrRuns        float64 `json:"incr_runs"`
 	ArtifactsServed float64 `json:"artifacts_served"`
 	BatchPrograms   float64 `json:"batch_programs"`
-	Forwarded       float64 `json:"forwarded"`
 	Hedges          float64 `json:"hedges"`
 	PeerErrors      float64 `json:"peer_errors"`
 	HitRateCombined float64 `json:"hit_rate_combined"`
@@ -604,7 +601,7 @@ type ReportGates struct {
 
 type reportInput struct {
 	endpoints                     int
-	mode, target                  string
+	target                        string
 	seed                          uint64
 	patterns, batch, concurrency  int
 	programs                      int
@@ -644,7 +641,6 @@ func buildReport(in reportInput) Report {
 		IncrRuns:        in.sums["iseld_incr_runs"],
 		ArtifactsServed: in.sums["iseld_artifacts_served"],
 		BatchPrograms:   in.sums["iseld_batch_programs"],
-		Forwarded:       in.sums["cluster_forwarded"],
 		Hedges:          in.sums["cluster_hedges"],
 		PeerErrors:      in.sums["cluster_peer_errors"],
 	}
@@ -659,7 +655,7 @@ func buildReport(in reportInput) Report {
 	rep := Report{
 		Bench: "serve",
 		Config: ReportConfig{
-			Replicas: in.endpoints, Mode: in.mode, Target: in.target,
+			Replicas: in.endpoints, Target: in.target,
 			Seed: in.seed, Patterns: in.patterns, Batch: in.batch, Concurrency: in.concurrency,
 		},
 		WarmSec:    in.warmDur.Seconds(),

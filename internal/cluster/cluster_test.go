@@ -335,63 +335,6 @@ func TestClusterKillDegradesToLocal(t *testing.T) {
 	}
 }
 
-// TestClusterForwardMode: in forward mode a non-owning replica proxies
-// the select request to the owner and relays its bytes.
-func TestClusterForwardMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("riscv synthesis in -short mode")
-	}
-	lc := bootTest(t, 3, Config{Mode: ModeForward})
-	fp, err := lc.Replica(0).SV.FingerprintRequest("riscv", "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := lc.Replica(0).Node.OwnerOf(fp)
-	ownerIdx, senderIdx := -1, -1
-	for i := 0; i < lc.Len(); i++ {
-		if lc.Replica(i).URL == owner {
-			ownerIdx = i
-		} else if senderIdx == -1 {
-			senderIdx = i
-		}
-	}
-	if ownerIdx == -1 || senderIdx == -1 {
-		t.Fatalf("could not split owner/sender (owner=%s)", owner)
-	}
-
-	// Warm the owner, then send the select through a non-owner.
-	if status, body := post(t, owner+"/v1/synthesize",
-		service.SynthesizeRequest{Target: "riscv"}); status != http.StatusOK {
-		t.Fatalf("warm owner: %d %s", status, body)
-	}
-	req := service.SelectRequest{Target: "riscv", Program: clProg}
-	buf, _ := json.Marshal(req)
-	resp, err := http.Post(lc.Replica(senderIdx).URL+"/v1/select", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwdBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded select: %d %s", resp.StatusCode, fwdBody)
-	}
-	if got := resp.Header.Get("X-Iseld-Forwarded-To"); got != owner {
-		t.Fatalf("X-Iseld-Forwarded-To=%q, want %q", got, owner)
-	}
-	_, direct := post(t, owner+"/v1/select", req)
-	if !bytes.Equal(fwdBody, direct) {
-		t.Fatalf("forwarded body differs from owner's direct answer:\n%s\n---\n%s", fwdBody, direct)
-	}
-	// The selection ran on the owner only: the sender's library cache
-	// never materialized the riscv entry.
-	if m := metricsOf(t, lc.Replica(senderIdx).URL); m.Selections != 0 {
-		t.Fatalf("sender performed %d selections locally in forward mode", m.Selections)
-	}
-	if m := metricsOf(t, lc.Replica(ownerIdx).URL); m.Selections != 2 {
-		t.Fatalf("owner performed %d selections, want 2", m.Selections)
-	}
-}
-
 // fakePeer is an httptest replica answering /v1/artifact for the hedge
 // and breaker unit tests (no real synthesis behind it).
 func fakePeer(t *testing.T, delay time.Duration, status int, answer func(req service.FillRequest) service.ArtifactResponse) *httptest.Server {

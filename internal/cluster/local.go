@@ -30,7 +30,7 @@ type Replica struct {
 
 // Local is an in-process cluster: n full iseld replicas on loopback
 // ports, cross-wired through real HTTP. The tests and the load harness
-// both use it — it exercises the exact serialization, forwarding, and
+// both use it — it exercises the exact serialization, peer-fill, and
 // degradation paths a deployed fleet does, minus only the real network.
 type Local struct {
 	replicas []*Replica
@@ -38,7 +38,7 @@ type Local struct {
 
 // StartLocal boots n replicas. Listeners are bound first so every
 // replica's ring can be built over the full set of final URLs; tmpl
-// supplies the cluster knobs (Mode, HedgeDelay, breaker settings) while
+// supplies the cluster knobs (HedgeDelay, breaker settings) while
 // Self, Peers, and Obs are filled in per replica.
 func StartLocal(n int, mk ReplicaFactory, tmpl Config) (*Local, error) {
 	if n < 1 {
@@ -81,9 +81,6 @@ func StartLocal(n int, mk ReplicaFactory, tmpl Config) (*Local, error) {
 			sv.Close()
 			return fail(fmt.Errorf("cluster: replica %d: %w", i, err))
 		}
-		sv.SetFiller(node)
-		sv.SetMemoProber(node)
-		sv.SetTraceCollector(node)
 		rep := &Replica{
 			URL:  urls[i],
 			SV:   sv,

@@ -18,29 +18,15 @@ import (
 	"iselgen/internal/smt"
 )
 
-// Modes select what a non-owning replica does with a request it can
-// serve but does not own.
-const (
-	// ModeFill (the default): serve every request locally; on a library
-	// cache miss, fetch the artifact from the fingerprint's ring owner
-	// and verify it into the local cache. Selection stays local — only
-	// the expensive synthesis is deduplicated fleet-wide.
-	ModeFill = "fill"
-	// ModeForward: proxy select requests to the fingerprint's owner and
-	// relay its response, falling back to local service when the owner
-	// is unreachable. Concentrates each library's working set on its
-	// owner at the price of a network hop per request.
-	ModeForward = "forward"
-)
-
-// Config configures a cluster node.
+// Config configures a cluster node. Every replica serves every request
+// locally; on a library cache miss it fetches the artifact from the
+// fingerprint's ring owner and verifies it into its own cache, so only
+// the expensive synthesis is deduplicated fleet-wide.
 type Config struct {
 	// Self is this replica's base URL as it appears in Peers.
 	Self string
 	// Peers are the base URLs of every replica, self included.
 	Peers []string
-	// Mode is ModeFill (default) or ModeForward.
-	Mode string
 	// VNodes is the virtual-node count per member (0 = default 64).
 	VNodes int
 	// HedgeDelay is how long the primary artifact fetch runs alone
@@ -82,19 +68,12 @@ type peerState struct {
 	breaker *breaker
 }
 
-// New builds the cluster layer around a local service. Wire it in with
-// sv.SetFiller(node) before serving, and serve node.Handler() instead
-// of sv.Handler().
+// New builds the cluster layer around a local service and attaches it
+// as the service's remote filler, memo prober, and trace collector.
+// Serve node.Handler() instead of sv.Handler().
 func New(sv *service.Server, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: config needs Self")
-	}
-	switch cfg.Mode {
-	case "":
-		cfg.Mode = ModeFill
-	case ModeFill, ModeForward:
-	default:
-		return nil, fmt.Errorf("cluster: unknown mode %q (have: fill, forward)", cfg.Mode)
 	}
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = 150 * time.Millisecond
@@ -134,6 +113,9 @@ func New(sv *service.Server, cfg Config) (*Node, error) {
 				func() int64 { return int64(b.State()) }, "peer", m)
 		}
 	}
+	sv.SetFiller(n)
+	sv.SetMemoProber(n)
+	sv.SetTraceCollector(n)
 	return n, nil
 }
 
@@ -554,7 +536,6 @@ func (n *Node) logf(msg string, args ...any) {
 // ClusterStatus is the JSON shape of GET /v1/cluster.
 type ClusterStatus struct {
 	Self   string       `json:"self"`
-	Mode   string       `json:"mode"`
 	VNodes int          `json:"vnodes"`
 	Peers  []PeerStatus `json:"peers"`
 }
@@ -568,27 +549,16 @@ type PeerStatus struct {
 }
 
 // Handler returns the node's HTTP handler: the local service tree plus
-// GET /v1/cluster, with select requests intercepted for forwarding in
-// ModeForward. The whole tree — forwarding included — sits inside the
-// service's request middleware, so a forwarded request gets the same
-// request span, trace context, access-log line, and latency exemplar on
-// the sending replica as a locally served one (and its hop to the owner
-// parents under that span).
+// GET /v1/cluster, all inside the service's request middleware.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/cluster", n.handleStatus)
-	local := n.sv.Routes()
-	if n.cfg.Mode == ModeForward {
-		fwd := n.forwarder(local)
-		mux.Handle("POST /v1/select", fwd)
-		mux.Handle("POST /v1/select/batch", fwd)
-	}
-	mux.Handle("/", local)
+	mux.Handle("/", n.sv.Routes())
 	return n.sv.Middleware(mux)
 }
 
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := ClusterStatus{Self: n.cfg.Self, Mode: n.cfg.Mode, VNodes: n.ring.vnodes}
+	st := ClusterStatus{Self: n.cfg.Self, VNodes: n.ring.vnodes}
 	for _, m := range n.ring.Members() {
 		ps := PeerStatus{URL: m, Self: m == n.cfg.Self}
 		if p := n.peer[m]; p != nil {
@@ -603,105 +573,4 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(st)
-}
-
-// forwardHeader marks an already-forwarded request; a request carrying
-// it is always served locally, so two skewed ring views cannot bounce a
-// request between replicas forever.
-const forwardHeader = "X-Iseld-Forwarded"
-
-// maxForwardBytes bounds the request body a forwarder buffers.
-const maxForwardBytes = 8 << 20
-
-// forwarder proxies select requests to the owning replica, falling back
-// to the local handler when the owner is this node, unreachable, or
-// circuit-broken.
-func (n *Node) forwarder(local http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(forwardHeader) != "" {
-			local.ServeHTTP(w, r)
-			return
-		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxForwardBytes))
-		if err != nil {
-			http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		serveLocal := func() {
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			local.ServeHTTP(w, r)
-		}
-		var key struct {
-			Target string `json:"target"`
-		}
-		if err := json.Unmarshal(body, &key); err != nil {
-			serveLocal() // malformed body: let the service produce its 400
-			return
-		}
-		fp, err := n.sv.FingerprintRequest(key.Target, "", "")
-		if err != nil {
-			serveLocal()
-			return
-		}
-		owner := n.ring.Owner(fp)
-		if owner == "" || owner == n.cfg.Self {
-			serveLocal()
-			return
-		}
-		ps := n.peer[owner]
-		if ps == nil || !ps.breaker.Allow() {
-			n.count("cluster_forward_local", "forwards degraded to local service")
-			serveLocal()
-			return
-		}
-		hr, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner+r.URL.Path, bytes.NewReader(body))
-		if err != nil {
-			serveLocal()
-			return
-		}
-		hr.Header.Set("Content-Type", "application/json")
-		hr.Header.Set(forwardHeader, n.cfg.Self)
-		if rid := service.RequestIDFrom(r.Context()); rid != "" {
-			hr.Header.Set("X-Request-Id", rid)
-		}
-		// The hop joins the sender-side trace: a "cluster forward" span
-		// parents under the request span, and its context rides the proxied
-		// request so the owner's spans land in the same fleet trace.
-		var fsp *obs.Span
-		if tr := n.cfg.Obs.TracerOrNil(); tr != nil {
-			if tc, ok := service.TraceContextFrom(r.Context()); ok {
-				fsp = tr.StartRemote("cluster forward", tc)
-			} else {
-				fsp = tr.Start("cluster forward")
-			}
-		}
-		fsp.SetStr("peer", owner)
-		if fc := fsp.Context(); fc.Valid() {
-			hr.Header.Set(obs.TraceHeader, fc.Header())
-		}
-		resp, err := n.cfg.Client.Do(hr)
-		if err != nil {
-			ps.breaker.Failure()
-			n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
-			n.count("cluster_forward_local", "forwards degraded to local service")
-			n.logf("forward failed, serving locally", "peer", owner, "err", err.Error())
-			fsp.SetStr("outcome", "local").End()
-			serveLocal()
-			return
-		}
-		defer resp.Body.Close()
-		ps.breaker.Success()
-		n.count("cluster_forwarded", "select requests proxied to their ring owner")
-		fsp.SetInt("status", int64(resp.StatusCode)).End()
-		if rid := resp.Header.Get("X-Request-Id"); rid != "" {
-			w.Header().Set("X-Request-Id", rid)
-		}
-		w.Header().Set("X-Iseld-Forwarded-To", owner)
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	})
 }

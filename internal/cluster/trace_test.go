@@ -164,73 +164,3 @@ func TestClusterFleetTrace(t *testing.T) {
 		}
 	}
 }
-
-// TestClusterForwardTrace: in forward mode, the sender's request span
-// (rooted under the client context), its cluster-forward hop, and the
-// owner's serving spans form one linked fleet trace.
-func TestClusterForwardTrace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("riscv synthesis in -short mode")
-	}
-	lc := bootTest(t, 3, Config{Mode: ModeForward})
-	fp, err := lc.Replica(0).SV.FingerprintRequest("riscv", "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := lc.Replica(0).Node.OwnerOf(fp)
-	sender := ""
-	for i := 0; i < lc.Len(); i++ {
-		if lc.Replica(i).URL != owner {
-			sender = lc.Replica(i).URL
-			break
-		}
-	}
-	if status, body := post(t, owner+"/v1/synthesize",
-		service.SynthesizeRequest{Target: "riscv"}); status != http.StatusOK {
-		t.Fatalf("warm owner: %d %s", status, body)
-	}
-
-	client := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: 0xf02d, Sampled: true}
-	body, _ := json.Marshal(service.SelectRequest{Target: "riscv", Program: clProg})
-	req, _ := http.NewRequest(http.MethodPost, sender+"/v1/select", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(obs.TraceHeader, client.Header())
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded select: %d", resp.StatusCode)
-	}
-
-	sr := awaitTrace(t, sender, client.TraceID.String(), 2)
-	byName := map[string][]obs.TraceSpan{}
-	for _, s := range sr.Spans {
-		byName[s.Name] = append(byName[s.Name], s)
-	}
-	sel := byName["http POST /v1/select"]
-	var senderSpan, ownerSpan *obs.TraceSpan
-	for i := range sel {
-		switch sel[i].Node {
-		case sender:
-			senderSpan = &sel[i]
-		case owner:
-			ownerSpan = &sel[i]
-		}
-	}
-	if senderSpan == nil || ownerSpan == nil {
-		t.Fatalf("want select spans on both sender and owner, got %+v", sel)
-	}
-	if senderSpan.Parent != client.SpanID {
-		t.Errorf("sender span parents under %x, want client %x", senderSpan.Parent, client.SpanID)
-	}
-	fwd := byName["cluster forward"]
-	if len(fwd) != 1 || fwd[0].Node != sender || fwd[0].Parent != senderSpan.SpanID {
-		t.Fatalf("cluster forward span wrong: %+v (want on %s under %x)", fwd, sender, senderSpan.SpanID)
-	}
-	if ownerSpan.Parent != fwd[0].SpanID {
-		t.Errorf("owner span parents under %x, want the forward span %x", ownerSpan.Parent, fwd[0].SpanID)
-	}
-}

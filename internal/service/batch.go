@@ -76,7 +76,7 @@ func (sv *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, status, err)
 		return
 	}
-	env := sv.newProgEnv(def, e, req.VectorSeed, req.Vectors, req.Emit)
+	env := sv.newSelEnv(def, e, req.VectorSeed, req.Vectors, req.Emit)
 	resp := BatchSelectResponse{
 		Target:      def.name,
 		Fingerprint: e.Fingerprint,

@@ -86,10 +86,10 @@ type RemoteFiller interface {
 func (sv *Server) SetFiller(f RemoteFiller) { sv.filler = f }
 
 // FingerprintRequest computes the full-cache fingerprint a request for
-// (target|inline spec) resolves to — exported for the cluster layer,
-// which routes ownership by it. There is one selection engine, so
-// selector must be empty: the parameter stays only for callers that
-// pass "", and any other value is an error.
+// (target|inline spec) resolves to — exported for callers that need a
+// request's cache key or ring placement without serving it. There is
+// one selection engine, so selector must be empty: the parameter stays
+// only for callers that pass "", and any other value is an error.
 func (sv *Server) FingerprintRequest(target, spec, selector string) (string, error) {
 	if selector != "" {
 		return "", fmt.Errorf("fingerprint: selector %q is not supported (pass \"\")", selector)
@@ -216,18 +216,7 @@ func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 			sv.fail(w, http.StatusNotFound, fmt.Errorf("artifact %s not cached here", req.Fingerprint))
 			return
 		}
-		sv.metrics.ArtifactServed.Add(1)
-		writeJSON(w, http.StatusOK, ArtifactResponse{
-			Fingerprint:   e.Fingerprint,
-			Target:        e.TargetName,
-			Cache:         "hit",
-			Partial:       e.Partial,
-			Rules:         e.Lib.Len(),
-			Stats:         e.Stats,
-			Reused:        e.Reused,
-			Resynthesized: e.Resynth,
-			Library:       isel.SaveLibraryFor(e.Lib, e.Target),
-		})
+		sv.serveArtifact(w, e, "hit")
 		return
 	}
 	def, err := sv.resolveTarget(req.Target, req.Spec)
@@ -247,6 +236,12 @@ func (sv *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, status, err)
 		return
 	}
+	sv.serveArtifact(w, e, cache)
+}
+
+// serveArtifact answers POST /v1/artifact with an entry's serialized
+// library, acquired along the given cache path.
+func (sv *Server) serveArtifact(w http.ResponseWriter, e *Entry, cache string) {
 	sv.metrics.ArtifactServed.Add(1)
 	writeJSON(w, http.StatusOK, ArtifactResponse{
 		Fingerprint:   e.Fingerprint,

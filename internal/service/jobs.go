@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -245,20 +244,7 @@ func (sv *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			sv.jobs.finish(rec, nil, err)
 			return
 		}
-		resp := &SynthesizeResponse{
-			Target:      e.TargetName,
-			Fingerprint: e.Fingerprint,
-			Rules:       e.Lib.Len(),
-			Partial:     e.Partial,
-			Cache:       cache,
-			ElapsedMS:   float64(e.Elapsed.Nanoseconds()) / 1e6,
-			BySource:    e.Lib.Summarize().BySource,
-			Stats:       e.Stats,
-		}
-		resp.Reused, resp.Resynthesized = e.Reused, e.Resynth
-		if req.Emit {
-			resp.Library = e.Lib.Emit()
-		}
+		resp := synthesizeResponse(e, cache, req.Emit)
 		jsp.SetStr("cache", cache).End()
 		sv.jobs.finish(rec, resp, nil)
 	}()
@@ -283,7 +269,6 @@ func (sv *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	sv.jobs.mu.Lock()
 	ids := append([]string(nil), sv.jobs.order...)
 	sv.jobs.mu.Unlock()
-	sort.Strings(ids)
 	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
 		if rec := sv.jobs.get(id); rec != nil {

@@ -34,7 +34,7 @@ func RequestIDFrom(ctx context.Context) string {
 }
 
 // tcKey is the context key carrying the sampled trace context into
-// detached jobs, peer fills, forwards, and memo probes.
+// detached jobs, peer fills, and memo probes.
 type tcKey struct{}
 
 // WithTraceContext returns ctx carrying a trace context. Invalid
@@ -132,8 +132,8 @@ func (sv *Server) sampleRequest() bool {
 }
 
 // withObs is the request middleware: it adopts the caller's
-// X-Request-Id (so one user request keeps its identity across forwarded
-// and peer-filled hops) or assigns one, echoes it back, threads it into
+// X-Request-Id (so one user request keeps its identity across
+// peer-filled hops) or assigns one, echoes it back, threads it into
 // the request context for detached jobs, opens a per-request span,
 // feeds the request-latency histogram and request counter, and emits
 // one structured access-log line. For distributed tracing it extracts a

@@ -113,9 +113,19 @@ func TestBatchSelect(t *testing.T) {
 		t.Fatalf("batch not deterministic:\n%s\n---\n%s", a, b)
 	}
 
-	// The single-program endpoint agrees with the batch element.
+	// The single-program endpoint agrees with a one-vector batch element
+	// on every field the two answers share.
+	status, one := postJSON(t, ts.URL+"/v1/select/batch",
+		BatchSelectRequest{Target: "riscv", Programs: []string{apiProg}, VectorSeed: 7, Emit: "mir"})
+	if status != http.StatusOK {
+		t.Fatalf("one-vector batch: %d %s", status, one)
+	}
+	var b1 BatchSelectResponse
+	if err := json.Unmarshal(one, &b1); err != nil {
+		t.Fatal(err)
+	}
 	status, single := postJSON(t, ts.URL+"/v1/select",
-		SelectRequest{Target: "riscv", Program: apiProg, VectorSeed: 7})
+		SelectRequest{Target: "riscv", Program: apiProg, VectorSeed: 7, Emit: "mir"})
 	if status != http.StatusOK {
 		t.Fatalf("single select: %d %s", status, single)
 	}
@@ -123,14 +133,31 @@ func TestBatchSelect(t *testing.T) {
 	if err := json.Unmarshal(single, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Checksum != br.Results[0].Checksums[0] || sr.StaticCost != br.Results[0].StaticCost {
-		t.Fatalf("single (%s, %s) and batch (%v, %s) disagree",
-			sr.Checksum, sr.StaticCost, br.Results[0].Checksums, br.Results[0].StaticCost)
+	pr := b1.Results[0]
+	if len(pr.Checksums) != 1 {
+		t.Fatalf("one-vector batch answered %d checksums", len(pr.Checksums))
+	}
+	type shared struct {
+		Fallback                   bool
+		FallbackReason, StaticCost string
+		RuleInsts, HookInsts, Size int
+		Cycles, Insts              int64
+		Checksum, MIR              string
+	}
+	fromSingle := shared{sr.Fallback, sr.FallbackReason, sr.StaticCost, sr.RuleInsts, sr.HookInsts,
+		sr.BinarySize, sr.Cycles, sr.Insts, sr.Checksum, sr.MIR}
+	fromBatch := shared{pr.Fallback, pr.FallbackReason, pr.StaticCost, pr.RuleInsts, pr.HookInsts,
+		pr.BinarySize, pr.Cycles, pr.Insts, pr.Checksums[0], pr.MIR}
+	if fromSingle != fromBatch {
+		t.Fatalf("single and batch disagree:\nsingle %+v\nbatch  %+v", fromSingle, fromBatch)
+	}
+	if fromSingle.RuleInsts == 0 || fromSingle.Cycles == 0 || fromSingle.MIR == "" {
+		t.Fatalf("shared fields left empty: %+v", fromSingle)
 	}
 
 	m := getMetrics(t, ts.URL)
-	if m.BatchPrograms != 6 {
-		t.Fatalf("batch_programs=%d, want 6", m.BatchPrograms)
+	if m.BatchPrograms != 7 {
+		t.Fatalf("batch_programs=%d, want 7", m.BatchPrograms)
 	}
 }
 
@@ -247,6 +274,49 @@ func TestJobsSaturation(t *testing.T) {
 	status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("saturated submit answered %d (%s), want 429", status, body)
+	}
+}
+
+// TestJobListSubmissionOrder: GET /v1/jobs lists jobs in submission
+// order, also across the job-999999 → job-1000000 boundary where the
+// IDs' string order breaks.
+func TestJobListSubmissionOrder(t *testing.T) {
+	sv, ts := newTestServer(t, testConfig())
+	sv.jobs.mu.Lock()
+	sv.jobs.seq = 999998
+	sv.jobs.mu.Unlock()
+	var want []string
+	for i := 0; i < 3; i++ {
+		status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
+		if status != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, status, body)
+		}
+		var sub JobSubmitResponse
+		if err := json.Unmarshal(body, &sub); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, sub.ID)
+	}
+	if want[0] != "job-999999" || want[1] != "job-1000000" {
+		t.Fatalf("submitted IDs %v do not cross the boundary", want)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, js := range list.Jobs {
+		got = append(got, js.ID)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("job list order %v, want submission order %v", got, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,15 +15,12 @@ import (
 	"iselgen/internal/bench"
 	"iselgen/internal/core"
 	"iselgen/internal/cost"
-	"iselgen/internal/enc"
-	"iselgen/internal/gmir"
 	"iselgen/internal/harness"
 	"iselgen/internal/incr"
 	"iselgen/internal/isa"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
 	"iselgen/internal/rules"
-	"iselgen/internal/sim"
 	"iselgen/internal/solver"
 	"iselgen/internal/spec"
 	"iselgen/internal/targets"
@@ -181,10 +177,9 @@ func New(cfg Config) (*Server, error) {
 func (sv *Server) Handler() http.Handler { return sv.withObs(sv.mux) }
 
 // Routes returns the unwrapped route tree. The cluster layer mounts it
-// inside its own mux (so forwarding can intercept /v1/select) and wraps
-// the whole thing in Middleware exactly once — giving forwarded
-// requests the same request span, trace context, access-log line, and
-// latency exemplar as locally served ones.
+// beside its own routes and wraps the whole thing in Middleware exactly
+// once — giving cluster routes the same request span, trace context,
+// access-log line, and latency exemplar as the service's own.
 func (sv *Server) Routes() http.Handler { return sv.mux }
 
 // Middleware wraps h in the request middleware (request IDs, trace
@@ -620,21 +615,29 @@ func (sv *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, status, err)
 		return
 	}
-	resp := SynthesizeResponse{
-		Target:      e.TargetName,
-		Fingerprint: e.Fingerprint,
-		Rules:       e.Lib.Len(),
-		Partial:     e.Partial,
-		Cache:       cache,
-		ElapsedMS:   float64(e.Elapsed.Nanoseconds()) / 1e6,
-		BySource:    e.Lib.Summarize().BySource,
-		Stats:       e.Stats,
+	writeJSON(w, http.StatusOK, synthesizeResponse(e, cache, req.Emit))
+}
+
+// synthesizeResponse builds the answer to a synthesis request — POST
+// /v1/synthesize and the result of an async job alike — from the entry
+// it acquired along the given cache path.
+func synthesizeResponse(e *Entry, cache string, emit bool) *SynthesizeResponse {
+	resp := &SynthesizeResponse{
+		Target:        e.TargetName,
+		Fingerprint:   e.Fingerprint,
+		Rules:         e.Lib.Len(),
+		Partial:       e.Partial,
+		Cache:         cache,
+		ElapsedMS:     float64(e.Elapsed.Nanoseconds()) / 1e6,
+		Reused:        e.Reused,
+		Resynthesized: e.Resynth,
+		BySource:      e.Lib.Summarize().BySource,
+		Stats:         e.Stats,
 	}
-	resp.Reused, resp.Resynthesized = e.Reused, e.Resynth
-	if req.Emit {
+	if emit {
 		resp.Library = e.Lib.Emit()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 // SelectRequest is the body of POST /v1/select: lower one gMIR program
@@ -727,10 +730,6 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	scale := req.Scale
-	if scale < 1 {
-		scale = 1
-	}
 	var work *bench.Workload
 	switch {
 	case req.Program != "" && req.Workload != "":
@@ -740,7 +739,11 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, http.StatusBadRequest, fmt.Errorf(`emit=bytes is not supported with "program" (use "workload")`))
 		return
 	case req.Program == "":
-		suite := bench.Suite(scale)
+		if req.Scale > maxWorkloadScale {
+			sv.fail(w, http.StatusBadRequest, fmt.Errorf("scale %d exceeds the cap of %d", req.Scale, maxWorkloadScale))
+			return
+		}
+		suite := bench.Suite(req.Scale)
 		for i := range suite {
 			if suite[i].Name == req.Workload {
 				work = &suite[i]
@@ -761,92 +764,52 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		sv.fail(w, status, err)
 		return
 	}
+	env := sv.newSelEnv(def, e, req.VectorSeed, 1, req.Emit)
+	resp := SelectResponse{
+		Target:      def.name,
+		Fingerprint: e.Fingerprint,
+		Cache:       cache,
+		Partial:     e.Partial,
+		CostVersion: def.costVersion,
+	}
 	if req.Program != "" {
-		env := sv.newProgEnv(def, e, req.VectorSeed, 1, req.Emit)
 		res := env.selectProgram(0, req.Program)
 		if res.Error != "" {
 			sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("program: %s", res.Error))
 			return
 		}
 		sv.metrics.Selections.Add(1)
-		resp := SelectResponse{
-			Target:         def.name,
-			Workload:       "program",
-			Fingerprint:    e.Fingerprint,
-			Cache:          cache,
-			Partial:        e.Partial,
-			Fallback:       res.Fallback,
-			FallbackReason: res.FallbackReason,
-			RuleInsts:      res.RuleInsts,
-			HookInsts:      res.HookInsts,
-			CostVersion:    def.costVersion,
-			StaticCost:     res.StaticCost,
-			Cycles:         res.Cycles,
-			Insts:          res.Insts,
-			BinarySize:     res.BinarySize,
-			MIR:            res.MIR,
-		}
+		resp.Workload = "program"
+		resp.Fallback, resp.FallbackReason = res.Fallback, res.FallbackReason
+		resp.RuleInsts, resp.HookInsts = res.RuleInsts, res.HookInsts
+		resp.StaticCost, resp.BinarySize = res.StaticCost, res.BinarySize
+		resp.Cycles, resp.Insts = res.Cycles, res.Insts
 		if len(res.Checksums) > 0 {
 			resp.Checksum = res.Checksums[0]
 		}
+		resp.MIR = res.MIR
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	bk := def.backend(e.Target, e.Lib)
-	bk.Obs = sv.obsv
-	f := work.Build()
-	isel.Prepare(f, def.name)
-	mf, rep := bk.Select(f)
+	lw, err := env.lower(work.Build(), []simRun{{args: work.Args, initMem: work.InitMem}})
 	sv.metrics.Selections.Add(1)
-	resp := SelectResponse{
-		Target:         def.name,
-		Workload:       work.Name,
-		Fingerprint:    e.Fingerprint,
-		Cache:          cache,
-		Partial:        e.Partial,
-		Fallback:       rep.Fallback,
-		FallbackReason: rep.FallbackReason,
-		RuleInsts:      rep.RuleInsts,
-		HookInsts:      rep.HookInsts,
-		RulesUsed:      rep.RulesUsed,
-		CostVersion:    def.costVersion,
+	if err != nil {
+		status := http.StatusInternalServerError
+		if errors.Is(err, errEmitBytes) {
+			status = http.StatusUnprocessableEntity
+		}
+		sv.fail(w, status, err)
+		return
 	}
-	if !rep.Fallback {
-		mem := gmir.NewMemory()
-		if work.InitMem != nil {
-			work.InitMem(mem)
-		}
-		m := &sim.Machine{Mem: mem, Model: def.cfg.CostModel}
-		res, err := m.Run(mf, work.Args)
-		if err != nil {
-			sv.fail(w, http.StatusInternalServerError, fmt.Errorf("sim: %w", err))
-			return
-		}
-		resp.StaticCost = cost.StaticOf(mf, def.cfg.CostModel).String()
-		resp.Cycles = res.Cycles
-		resp.Insts = res.Insts
-		resp.BinarySize = mf.BinarySize()
-		resp.Checksum = res.Ret.String()
-		switch req.Emit {
-		case "mir":
-			resp.MIR = mf.String()
-		case "bytes":
-			c, cerr := enc.NewCodec(e.Target)
-			if cerr != nil {
-				sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("emit=bytes: %w", cerr))
-				return
-			}
-			img, aerr := enc.NewAssembler(c).Assemble(mf)
-			if aerr != nil {
-				sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("emit=bytes: %w", aerr))
-				return
-			}
-			resp.Bytes = hex.EncodeToString(img.Code)
-			for _, ln := range c.Disassemble(img.Code, img.Base) {
-				resp.Listing = append(resp.Listing, fmt.Sprintf("%#x: %s", ln.Addr, ln.Text))
-			}
-		}
+	resp.Workload = work.Name
+	resp.Fallback, resp.FallbackReason = lw.rep.Fallback, lw.rep.FallbackReason
+	resp.RuleInsts, resp.HookInsts, resp.RulesUsed = lw.rep.RuleInsts, lw.rep.HookInsts, lw.rep.RulesUsed
+	resp.StaticCost, resp.BinarySize = lw.staticCost, lw.binarySize
+	resp.Cycles, resp.Insts = lw.cycles, lw.insts
+	if len(lw.checksums) > 0 {
+		resp.Checksum = lw.checksums[0]
 	}
+	resp.MIR, resp.Bytes, resp.Listing = lw.mir, lw.bytes, lw.listing
 	writeJSON(w, http.StatusOK, resp)
 }
 

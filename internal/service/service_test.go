@@ -436,7 +436,8 @@ func TestSelectEndpoint(t *testing.T) {
 }
 
 // TestBadRequests exercises the error paths: unknown target, malformed
-// inline spec, unknown workload, select on a backend-less target.
+// inline spec, unknown workload, select on a backend-less target, and a
+// workload scale past the cap.
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	cases := []struct {
@@ -449,6 +450,7 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/synthesize", SynthesizeRequest{Spec: "inst Broken(rn: reg64) { rd = rn +; }"}},
 		{"/v1/select", SelectRequest{Target: "x86", Workload: "x264_sad"}},
 		{"/v1/select", SelectRequest{Target: "riscv", Workload: "nope"}},
+		{"/v1/select", SelectRequest{Target: "riscv", Workload: "x264_sad", Scale: maxWorkloadScale + 1}},
 	}
 	for _, c := range cases {
 		status, body := postJSON(t, ts.URL+c.path, c.body)
