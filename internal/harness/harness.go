@@ -9,7 +9,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sort"
 	"time"
 
@@ -213,20 +212,6 @@ func SeedPatterns() []*pattern.Pattern {
 // With cfg.CostModel set, rules are cost-stamped and synthesis ranks by
 // the model.
 func (s *Setup) Synthesize(cfg core.Config, maxPatterns int) *rules.Library {
-	// Full synthesis is a short-lived batch phase that allocates heavily
-	// (term DAGs, candidate sequences, SAT clauses) with a modest live
-	// set; at the default GOGC the collector runs dozens of cycles and
-	// accounts for over a third of wall time — and because the live set
-	// collapses to under a megabyte between stages, even a very large
-	// GOGC still thrashes against the runtime's minimum heap. So for the
-	// duration of the batch, proportional GC is disabled outright and a
-	// fixed soft memory limit becomes the only trigger: the whole run
-	// allocates ~600 MB total with a peak live set under 100 MB, so a
-	// 1 GiB ceiling means the collector runs at most once or twice.
-	// Both knobs are restored on return — the harness drives CLIs and
-	// tests, not long-lived servers, but callers keep their settings.
-	defer debug.SetMemoryLimit(debug.SetMemoryLimit(1 << 30))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if cfg.ExtraSequences == nil {
 		cfg.ExtraSequences = s.builtin.Extra
 	}

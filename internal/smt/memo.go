@@ -91,7 +91,7 @@ const memoDomain = "iselgen-smt-memo-v1"
 // canonical (Merkle) digests of every goal pair, in order. The digest is
 // builder- and run-independent — canonicalization orders commutative
 // operands and linear addends by content, goal construction derives all
-// fresh names ("!loadN", "eKwW") deterministically — so the same query
+// fresh names ("!loadN_W", "eKwW") deterministically — so the same query
 // hashes identically across workers, processes, and cluster peers.
 func (c *Checker) memoKey(goals [][2]*term.Term) string {
 	if c.memoCtx == nil {

@@ -164,7 +164,10 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 		if lloads[i].W() != rloads[i].W() {
 			return Unknown
 		}
-		v := b.VarT(fmt.Sprintf("!load%d", i), term.KindReg, lloads[i].W())
+		// The width is part of the name: the caller's builder outlives
+		// this query, and a later query's i-th load may be narrower or
+		// wider.
+		v := b.VarT(fmt.Sprintf("!load%d_%d", i, lloads[i].W()), term.KindReg, lloads[i].W())
 		subst[lloads[i]] = v
 		subst[rloads[i]] = v
 		// Addresses must be provably equal too.

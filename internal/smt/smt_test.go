@@ -106,6 +106,23 @@ func TestEquivLoadValueFlows(t *testing.T) {
 	}
 }
 
+// TestEquivMixedWidthLoads: one builder and one checker answer an 8-bit
+// paired-load query and then a 16-bit one, as a synthesis worker does
+// across patterns. The variable each query substitutes for its i-th load
+// pair must not collide with an earlier query's of another width.
+func TestEquivMixedWidthLoads(t *testing.T) {
+	b := term.NewBuilder()
+	a := b.Reg("a", 64)
+	c := &Checker{}
+	for _, w := range []int{8, 16, 8} {
+		lhs := b.Add(b.ZExt(32, b.Load(w, a)), b.Const(32, 1))
+		rhs := b.Sub(b.ZExt(32, b.Load(w, a)), b.ConstInt(32, -1))
+		if got := c.Equiv(b, lhs, rhs); got != Equal {
+			t.Errorf("%d-bit load: %v, want equal", w, got)
+		}
+	}
+}
+
 func TestEquivStores(t *testing.T) {
 	b := term.NewBuilder()
 	addr := b.Reg("p", 64)
