@@ -60,8 +60,6 @@ func main() {
 		return
 	}
 
-	s := mustSetup(*target)
-
 	cfg := core.DefaultConfig()
 	if *workers > 0 {
 		cfg.Workers = *workers
@@ -77,10 +75,12 @@ func main() {
 	var o *obs.Obs
 	if *traceOut != "" {
 		o = obs.New()
-		obs.SetDefault(o) // spec parse/symexec spans
 		cfg.Obs = o
 		defer writeTrace(o, *traceOut)
 	}
+	sp := o.TracerOrNil().Start("spec/load").SetStr("target", *target)
+	s := mustSetup(*target)
+	sp.End()
 
 	if !*jsonOut {
 		fmt.Printf("synthesizing %s rule library...\n", s.Name)

@@ -117,9 +117,6 @@ func main() {
 		if *traceSpans > 0 {
 			o.Trace = obs.NewTracer(*traceSpans)
 		}
-		// Deep layers (spec parse/symexec) pick the default up since
-		// their APIs carry no configuration.
-		obs.SetDefault(o)
 	}
 
 	cfg := core.DefaultConfig()
@@ -167,10 +164,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	// With peers configured, wrap the service in the cluster layer: the
-	// ring routes cache-fill ownership, and the handler gains
-	// GET /v1/cluster.
-	handler := http.Handler(nil)
+	// With peers configured, attach the cluster layer: the ring routes
+	// cache-fill ownership, and the service gains GET /v1/cluster.
 	if *peers != "" {
 		var peerList []string
 		for _, p := range strings.Split(*peers, ",") {
@@ -182,7 +177,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "iseld: -peers requires -self (this replica's URL in the peer list)")
 			os.Exit(1)
 		}
-		node, err := cluster.New(sv, cluster.Config{
+		if _, err := cluster.New(sv, cluster.Config{
 			Self:             strings.TrimRight(*self, "/"),
 			Peers:            peerList,
 			HedgeDelay:       *hedge,
@@ -190,19 +185,15 @@ func main() {
 			BreakerCooldown:  *breakerCooldown,
 			Obs:              o,
 			Logger:           logger,
-		})
-		if err != nil {
+		}); err != nil {
 			fmt.Fprintln(os.Stderr, "iseld:", err)
 			os.Exit(1)
 		}
-		handler = node.Handler()
 		logger.Info("iseld clustered",
 			"self", *self, "peers", len(peerList))
-	} else {
-		handler = sv.Handler()
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := &http.Server{Addr: *addr, Handler: sv.Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	logger.Info("iseld listening",

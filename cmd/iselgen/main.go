@@ -55,7 +55,6 @@ func main() {
 	cfg.Workers = core.ResolveWorkers(*workers)
 	if *traceOut != "" {
 		o := obs.New()
-		obs.SetDefault(o) // spec parse/symexec spans
 		cfg.Obs = o
 		defer writeTrace(o, *traceOut)
 	}
@@ -70,7 +69,9 @@ func main() {
 
 	t0 := time.Now()
 	if _, err := targets.LookupSelecting(*target); err == nil && *specFile == "" {
+		sp := cfg.Obs.TracerOrNil().Start("spec/load").SetStr("target", *target)
 		s, err := harness.New(*target)
+		sp.End()
 		if err != nil {
 			fatal(err)
 		}
@@ -89,7 +90,10 @@ func main() {
 // builtin target or an inline spec file without running synthesis — the
 // incremental path decides what to synthesize itself. A builtin without
 // a selection backend gets the 32-bit seed corpus of the §IX experiment.
-func loadFor(target, specFile string, maxPatterns int) (*term.Builder, *isa.Target, []*pattern.Pattern, error) {
+// The load is traced as a "spec/load" span on tr (nil without -trace).
+func loadFor(tr *obs.Tracer, target, specFile string, maxPatterns int) (*term.Builder, *isa.Target, []*pattern.Pattern, error) {
+	sp := tr.Start("spec/load").SetStr("target", target)
+	defer sp.End()
 	b := term.NewBuilder()
 	if specFile != "" {
 		tgt, err := targets.LoadFile(b, specFile)
@@ -121,7 +125,7 @@ func loadFor(target, specFile string, maxPatterns int) (*term.Builder, *isa.Targ
 // synthesize the rest, and report the reuse accounting.
 func runIncremental(target, specFile, fromPath string, cfg core.Config, maxPatterns int, summary bool, rulesOut, tdOut string) {
 	t0 := time.Now()
-	b, tgt, pats, err := loadFor(target, specFile, maxPatterns)
+	b, tgt, pats, err := loadFor(cfg.Obs.TracerOrNil(), target, specFile, maxPatterns)
 	if err != nil {
 		fatal(err)
 	}
@@ -154,7 +158,7 @@ func runIncremental(target, specFile, fromPath string, cfg core.Config, maxPatte
 // validated up front by the same spec.Check the iseld daemon's inline
 // path uses — or for a builtin target without a selection backend.
 func synthPlain(target, specFile string, cfg core.Config, maxPatterns int) (*rules.Library, *isa.Target, string, error) {
-	b, tgt, pats, err := loadFor(target, specFile, maxPatterns)
+	b, tgt, pats, err := loadFor(cfg.Obs.TracerOrNil(), target, specFile, maxPatterns)
 	if err != nil {
 		return nil, nil, "", err
 	}

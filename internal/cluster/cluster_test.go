@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,6 +57,11 @@ func bootTest(t *testing.T, n int, tmpl Config) *Local {
 		t.Fatal(err)
 	}
 	t.Cleanup(lc.Close)
+	// Cleanups run last-in first-out, so this runs before Close. The
+	// shared transport may hold a connection it dialed but never used;
+	// the server counts such a connection as active for its first five
+	// seconds, and a graceful shutdown would wait it out.
+	t.Cleanup(http.DefaultClient.CloseIdleConnections)
 	return lc
 }
 
@@ -460,5 +466,36 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 	_, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
 	if err == nil || !strings.Contains(err.Error(), "answered fingerprint") {
 		t.Fatalf("mismatched artifact accepted (err=%v)", err)
+	}
+	// The wrong artifact is a peer failure, not a healthy exchange.
+	if n := node.peer[bad.URL].breaker.Failures(); n != 1 {
+		t.Fatalf("breaker counted %d failures after a mismatched artifact, want 1", n)
+	}
+}
+
+// TestMalformedArtifactOpensCircuit: a peer answering 200 with a body
+// that is not an artifact fails like a 5xx, so BreakerThreshold such
+// answers open its circuit and the next fetch is refused without a call.
+func TestMalformedArtifactOpensCircuit(t *testing.T) {
+	var calls atomic.Int64
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, "{not json")
+	}))
+	t.Cleanup(bad.Close)
+	other := fakePeer(t, 0, http.StatusNotFound, nil)
+	node, key := hedgeNode(t, Config{BreakerThreshold: 2, HedgeDelay: -1}, bad.URL, other.URL)
+	for i := 0; i < 2; i++ {
+		if _, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key}); err == nil {
+			t.Fatalf("fetch %d accepted a malformed artifact", i+1)
+		}
+	}
+	_, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
+	if err == nil || !strings.Contains(err.Error(), "circuit open") {
+		t.Fatalf("third fetch returned %v, want the open circuit's rejection", err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("malformed peer was called %d times, want 2", n)
 	}
 }

@@ -29,9 +29,9 @@ type Replica struct {
 }
 
 // Local is an in-process cluster: n full iseld replicas on loopback
-// ports, cross-wired through real HTTP. The tests and the load harness
-// both use it — it exercises the exact serialization, peer-fill, and
-// degradation paths a deployed fleet does, minus only the real network.
+// ports, cross-wired through real HTTP. The cluster tests use it — it
+// exercises the exact serialization, peer-fill, and degradation paths a
+// deployed fleet does, minus only the real network.
 type Local struct {
 	replicas []*Replica
 }
@@ -85,23 +85,12 @@ func StartLocal(n int, mk ReplicaFactory, tmpl Config) (*Local, error) {
 			URL:  urls[i],
 			SV:   sv,
 			Node: node,
-			hs:   &http.Server{Handler: node.Handler()},
+			hs:   &http.Server{Handler: sv.Handler()},
 		}
 		lc.replicas = append(lc.replicas, rep)
 		go rep.hs.Serve(lns[i])
 	}
 	return lc, nil
-}
-
-// URLs returns every replica's base URL, killed ones included (their
-// slot in the ring does not change — that is what the degradation path
-// is for).
-func (lc *Local) URLs() []string {
-	out := make([]string, len(lc.replicas))
-	for i, r := range lc.replicas {
-		out[i] = r.URL
-	}
-	return out
 }
 
 // Replica returns replica i.

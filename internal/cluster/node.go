@@ -52,12 +52,11 @@ type Config struct {
 	Client *http.Client
 }
 
-// Node is one replica's cluster layer: the ring, the peer set with
-// breakers, and the handler wrapping the local service. It implements
-// service.RemoteFiller.
+// Node is one replica's cluster layer: the ring and the peer set with
+// breakers. It implements service.RemoteFiller, and serves
+// GET /v1/cluster from the local service's mux.
 type Node struct {
 	cfg  Config
-	sv   *service.Server
 	ring *Ring
 	peer map[string]*peerState
 }
@@ -68,9 +67,9 @@ type peerState struct {
 	breaker *breaker
 }
 
-// New builds the cluster layer around a local service and attaches it
-// as the service's remote filler, memo prober, and trace collector.
-// Serve node.Handler() instead of sv.Handler().
+// New builds the cluster layer around a local service, attaches it as
+// the service's remote filler, memo prober, and trace collector, and
+// mounts GET /v1/cluster on the service's routes. Serve sv.Handler().
 func New(sv *service.Server, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: config needs Self")
@@ -96,7 +95,6 @@ func New(sv *service.Server, cfg Config) (*Node, error) {
 	}
 	n := &Node{
 		cfg:  cfg,
-		sv:   sv,
 		ring: NewRing(members, cfg.VNodes),
 		peer: map[string]*peerState{},
 	}
@@ -116,6 +114,7 @@ func New(sv *service.Server, cfg Config) (*Node, error) {
 	sv.SetFiller(n)
 	sv.SetMemoProber(n)
 	sv.SetTraceCollector(n)
+	sv.HandleFunc("GET /v1/cluster", n.handleStatus)
 	return n, nil
 }
 
@@ -124,6 +123,13 @@ func (n *Node) count(name, help string, labels ...string) {
 	if reg := n.cfg.Obs.MetricsOrNil(); reg != nil {
 		reg.Counter(name, help, labels...).Add(1)
 	}
+}
+
+// peerFailed records a failed exchange with a peer: a transport error,
+// a 5xx, or a 200 whose body does not decode to what was asked for.
+func (n *Node) peerFailed(ps *peerState) {
+	ps.breaker.Failure()
+	n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
 }
 
 // OwnerOf returns the replica URL owning a fingerprint.
@@ -243,28 +249,30 @@ func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillReq
 	}
 	resp, err := n.cfg.Client.Do(hr)
 	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		n.logf("peer fetch failed", "peer", ps.url, "err", err.Error())
 		return nil, fmt.Errorf("cluster: fetch from %s: %w", ps.url, err)
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, maxArtifactBytes))
 	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return nil, fmt.Errorf("cluster: fetch from %s: %w", ps.url, err)
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		ps.breaker.Success()
+		// A 200 counts as healthy only once its body is the artifact that
+		// was asked for; garbage or a wrong fingerprint is a peer failure.
 		var art service.ArtifactResponse
 		if err := json.Unmarshal(out, &art); err != nil {
+			n.peerFailed(ps)
 			return nil, fmt.Errorf("cluster: bad artifact from %s: %w", ps.url, err)
 		}
 		if art.Fingerprint != req.Fingerprint {
+			n.peerFailed(ps)
 			return nil, fmt.Errorf("cluster: %s answered fingerprint %s for %s", ps.url, art.Fingerprint, req.Fingerprint)
 		}
+		ps.breaker.Success()
 		n.count("cluster_peer_hits", "cache misses answered by a peer artifact")
 		return &service.RemoteFill{
 			Text:          art.Library,
@@ -275,8 +283,7 @@ func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillReq
 			Peer:          ps.url,
 		}, nil
 	case resp.StatusCode >= 500:
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return nil, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
 	default:
 		// 4xx: the peer is healthy but cannot help (cache-only miss,
@@ -405,28 +412,26 @@ func (n *Node) probeMemoFrom(ctx context.Context, ps *peerState, key, traceHdr s
 	}
 	resp, err := n.cfg.Client.Do(hr)
 	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return smt.MemoEntry{}, false, err
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, maxMemoBytes))
 	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return smt.MemoEntry{}, false, err
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		ps.breaker.Success()
 		var qr service.SolverQueryResponse
 		if err := json.Unmarshal(out, &qr); err != nil || !qr.Found || qr.Entry == nil {
+			n.peerFailed(ps)
 			return smt.MemoEntry{}, false, fmt.Errorf("cluster: bad solver answer from %s", ps.url)
 		}
+		ps.breaker.Success()
 		return *qr.Entry, true, nil
 	case resp.StatusCode >= 500:
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return smt.MemoEntry{}, false, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
 	default:
 		// 4xx: the peer is healthy but holds no verdict for the key.
@@ -497,28 +502,26 @@ func (n *Node) collectFrom(ctx context.Context, ps *peerState, traceID string) (
 	hr.Header.Set(service.ForwardedHeader, n.cfg.Self)
 	resp, err := n.cfg.Client.Do(hr)
 	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return nil, err
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceBytes))
 	if err != nil {
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return nil, err
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		ps.breaker.Success()
 		var tr service.TraceSpansResponse
 		if err := json.Unmarshal(out, &tr); err != nil {
+			n.peerFailed(ps)
 			return nil, fmt.Errorf("cluster: bad trace spans from %s: %w", ps.url, err)
 		}
+		ps.breaker.Success()
 		return tr.Spans, nil
 	case resp.StatusCode >= 500:
-		ps.breaker.Failure()
-		n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
+		n.peerFailed(ps)
 		return nil, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
 	default:
 		// 4xx: the peer is healthy but has no tracer (or no such trace).
@@ -546,15 +549,6 @@ type PeerStatus struct {
 	Self         bool   `json:"self,omitempty"`
 	BreakerState int    `json:"breaker_state"`
 	Failures     int    `json:"failures,omitempty"`
-}
-
-// Handler returns the node's HTTP handler: the local service tree plus
-// GET /v1/cluster, all inside the service's request middleware.
-func (n *Node) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/cluster", n.handleStatus)
-	mux.Handle("/", n.sv.Routes())
-	return n.sv.Middleware(mux)
 }
 
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {

@@ -15,7 +15,6 @@ import (
 	"strconv"
 
 	"iselgen/internal/bv"
-	"iselgen/internal/obs"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
 )
@@ -654,9 +653,6 @@ func LoadTarget(b *term.Builder, name, src string, latency map[string]int, size 
 	if err != nil {
 		return nil, fmt.Errorf("isa %s: %w", name, err)
 	}
-	sp := obs.DefaultTracer().Start("spec/symexec").
-		SetStr("target", name).SetInt("instructions", int64(len(f.Insts)))
-	defer sp.End()
 	t := &Target{Name: name, Reserved: f.Reserved}
 	var sems []*spec.Sem
 	for _, def := range f.Insts {

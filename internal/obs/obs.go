@@ -16,8 +16,6 @@
 // drift apart.
 package obs
 
-import "sync/atomic"
-
 // Obs bundles the three observability facilities. Any field may be nil
 // to disable that facility; a nil *Obs disables all three.
 type Obs struct {
@@ -58,25 +56,4 @@ func (o *Obs) ProvOrNil() *ProvLog {
 		return nil
 	}
 	return o.Prov
-}
-
-// defaultObs is the process-wide default, used by layers too deep to
-// carry configuration (the spec front-end's parse/symexec spans). It is
-// nil until SetDefault — observability is strictly opt-in.
-var defaultObs atomic.Pointer[Obs]
-
-// SetDefault installs the process-wide default Obs. Passing nil
-// disables the default instrumentation again.
-func SetDefault(o *Obs) {
-	defaultObs.Store(o)
-}
-
-// Default returns the process-wide default Obs (nil when unset).
-func Default() *Obs {
-	return defaultObs.Load()
-}
-
-// DefaultTracer returns the default Obs's tracer (nil when unset).
-func DefaultTracer() *Tracer {
-	return Default().TracerOrNil()
 }

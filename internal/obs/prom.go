@@ -272,7 +272,7 @@ func parsePromSample(line string) (PromSample, error) {
 	sp := strings.IndexByte(rest, ' ')
 	if brace >= 0 && (sp < 0 || brace < sp) {
 		s.Name = rest[:brace]
-		end := strings.IndexByte(rest, '}')
+		end := labelSetEnd(rest, brace)
 		if end < 0 {
 			return s, fmt.Errorf("unterminated label set in %q", line)
 		}
@@ -329,7 +329,7 @@ func parsePromExemplar(body string) (*PromExemplar, error) {
 	if len(body) == 0 || body[0] != '{' {
 		return nil, fmt.Errorf("exemplar must start with a label set, got %q", body)
 	}
-	end := strings.IndexByte(body, '}')
+	end := labelSetEnd(body, 0)
 	if end < 0 {
 		return nil, fmt.Errorf("unterminated exemplar label set in %q", body)
 	}
@@ -426,6 +426,26 @@ func parsePromValue(s string) (float64, error) {
 		return math.NaN(), nil
 	}
 	return strconv.ParseFloat(s, 64)
+}
+
+// labelSetEnd returns the index of the '}' closing the label set that
+// opens at s[open], skipping braces inside quoted label values (a route
+// label such as "/v1/jobs/{id}" carries them), or -1.
+func labelSetEnd(s string, open int) int {
+	quoted := false
+	for i := open + 1; i < len(s); i++ {
+		switch s[i] {
+		case '\\':
+			i++ // an escaped byte never opens, closes or ends anything
+		case '"':
+			quoted = !quoted
+		case '}':
+			if !quoted {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // splitLabels splits a label body on commas outside quotes.

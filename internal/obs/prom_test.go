@@ -99,7 +99,7 @@ func TestWritePromRoundTrip(t *testing.T) {
 // round trip through the parser.
 func TestWritePromEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("weird_total", `help with \ backslash`, "spec", "a\"b\\c\nd").Add(1)
+	r.Counter("weird_total", `help with \ backslash`, "spec", "a\"b\\c\nd", "route", "/v1/jobs/{id}").Add(1)
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatalf("WriteProm: %v", err)
@@ -114,6 +114,9 @@ func TestWritePromEscaping(t *testing.T) {
 	}
 	if got := f.Samples[0].Labels["spec"]; got != "a\"b\\c\nd" {
 		t.Errorf("label value round-trip: got %q", got)
+	}
+	if got := f.Samples[0].Labels["route"]; got != "/v1/jobs/{id}" {
+		t.Errorf("braces inside a label value: got %q", got)
 	}
 }
 

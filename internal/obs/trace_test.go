@@ -221,23 +221,3 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("ring should be full at cap 64, got %d", len(tr.Snapshot()))
 	}
 }
-
-// TestDefaultObs checks the process-wide default used by the deep layers.
-func TestDefaultObs(t *testing.T) {
-	if Default() != nil {
-		t.Skip("another test left a default installed")
-	}
-	if DefaultTracer() != nil {
-		t.Fatalf("unset default must yield a nil tracer")
-	}
-	o := New()
-	SetDefault(o)
-	defer SetDefault(nil)
-	if Default() != o || DefaultTracer() != o.Trace {
-		t.Fatalf("SetDefault must install the given Obs")
-	}
-	DefaultTracer().Start("via-default").End()
-	if len(o.Trace.Snapshot()) != 1 {
-		t.Fatalf("span via DefaultTracer must land in the installed tracer")
-	}
-}

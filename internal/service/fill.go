@@ -10,7 +10,6 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
-	"iselgen/internal/term"
 )
 
 // ErrLocalFill is returned by a RemoteFiller when the local node is the
@@ -150,8 +149,7 @@ func (sv *Server) fillFromPeer(def *targetDef, rid string, timeout time.Duration
 		sp.SetStr("outcome", "local").End()
 		return nil, false
 	}
-	b := term.NewBuilder()
-	tgt, err := def.load(b)
+	b, tgt, err := sv.loadTarget(def, sp)
 	if err != nil {
 		sp.SetStr("outcome", "load-error").End()
 		return nil, false

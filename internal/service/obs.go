@@ -9,6 +9,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"iselgen/internal/obs"
@@ -131,12 +132,13 @@ func (sv *Server) sampleRequest() bool {
 	return rand.Float64() < sv.sample
 }
 
-// withObs is the request middleware: it adopts the caller's
-// X-Request-Id (so one user request keeps its identity across
-// peer-filled hops) or assigns one, echoes it back, threads it into
-// the request context for detached jobs, opens a per-request span,
-// feeds the request-latency histogram and request counter, and emits
-// one structured access-log line. For distributed tracing it extracts a
+// withObs serves r through the route mux inside the request
+// middleware: it adopts the caller's X-Request-Id (so one user request
+// keeps its identity across peer-filled hops) or assigns one, echoes it
+// back, threads it into the request context for detached jobs, opens a
+// per-request span, feeds the request-latency histogram and request
+// counter (labelled by route), and emits one structured access-log line
+// (with the raw path). For distributed tracing it extracts a
 // strictly validated X-Iseld-Trace context (hostile or malformed values
 // are discarded and a fresh context minted — the cleanRequestID
 // contract), parents the request span under the caller's span, echoes
@@ -144,75 +146,91 @@ func (sv *Server) sampleRequest() bool {
 // stamps the latency bucket's exemplar with the trace ID. Every piece
 // degrades to a no-op when its sink is absent; unsampled requests
 // behave exactly as if tracing did not exist.
-func (sv *Server) withObs(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rid := cleanRequestID(r.Header.Get("X-Request-Id"))
-		if rid == "" {
-			rid = fmt.Sprintf("req-%06d", sv.reqID.Add(1))
-		}
-		w.Header().Set("X-Request-Id", rid)
-		ctx := WithRequestID(r.Context(), rid)
+func (sv *Server) withObs(w http.ResponseWriter, r *http.Request) {
+	rid := cleanRequestID(r.Header.Get("X-Request-Id"))
+	if rid == "" {
+		rid = fmt.Sprintf("req-%06d", sv.reqID.Add(1))
+	}
+	w.Header().Set("X-Request-Id", rid)
+	ctx := WithRequestID(r.Context(), rid)
 
-		tr := sv.obsv.TracerOrNil()
-		var sp *obs.Span
-		var tc obs.TraceContext
-		sampled := false
-		if tr != nil {
-			name := "http " + r.Method + " " + r.URL.Path
-			if in, err := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader)); err == nil {
-				if in.Sampled {
-					sp = tr.StartRemote(name, in)
-					sampled = true
-				} else {
-					// The caller made a sampling decision; respect it.
-					sp = tr.Start(name)
-				}
-			} else if sv.sampleRequest() {
-				sp = tr.StartTrace(name, obs.NewTraceID())
+	tr := sv.obsv.TracerOrNil()
+	var sp *obs.Span
+	var tc obs.TraceContext
+	sampled := false
+	if tr != nil {
+		name := "http " + r.Method + " " + r.URL.Path
+		if in, err := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader)); err == nil {
+			if in.Sampled {
+				sp = tr.StartRemote(name, in)
 				sampled = true
 			} else {
+				// The caller made a sampling decision; respect it.
 				sp = tr.Start(name)
 			}
-			sp.SetStr("request_id", rid)
+		} else if sv.sampleRequest() {
+			sp = tr.StartTrace(name, obs.NewTraceID())
+			sampled = true
+		} else {
+			sp = tr.Start(name)
+		}
+		sp.SetStr("request_id", rid)
+	}
+	if sampled {
+		tc = sp.Context()
+		w.Header().Set(obs.TraceHeader, tc.Header())
+		ctx = WithTraceContext(ctx, tc)
+	}
+	r = r.WithContext(ctx)
+
+	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	t0 := time.Now()
+	sv.mux.ServeHTTP(sw, r)
+	d := time.Since(t0)
+	sp.SetInt("status", int64(sw.status)).EndWith(d)
+	if m := sv.obsv.MetricsOrNil(); m != nil {
+		route := sv.routeLabel(r)
+		h := m.Histogram("http_request_duration_ns",
+			"HTTP request latency", "path", route)
+		if sampled {
+			h.ObserveExemplar(d.Nanoseconds(), tc.TraceID.String())
+		} else {
+			h.Observe(d.Nanoseconds())
+		}
+		m.Counter("http_requests_total",
+			"HTTP requests served", "path", route, "status", itoaStatus(sw.status)).Add(1)
+	}
+	if sv.logger != nil {
+		args := []any{
+			"id", rid,
+			"method", r.Method,
+			"path", r.URL.Path,
+			"status", sw.status,
+			"dur_ms", float64(d.Nanoseconds()) / 1e6,
+			"remote", r.RemoteAddr,
 		}
 		if sampled {
-			tc = sp.Context()
-			w.Header().Set(obs.TraceHeader, tc.Header())
-			ctx = WithTraceContext(ctx, tc)
+			args = append(args, "trace", tc.TraceID.String())
 		}
-		r = r.WithContext(ctx)
+		sv.logger.Info("request", args...)
+	}
+}
 
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		t0 := time.Now()
-		next.ServeHTTP(sw, r)
-		d := time.Since(t0)
-		sp.SetInt("status", int64(sw.status)).EndWith(d)
-		if m := sv.obsv.MetricsOrNil(); m != nil {
-			h := m.Histogram("http_request_duration_ns",
-				"HTTP request latency", "path", r.URL.Path)
-			if sampled {
-				h.ObserveExemplar(d.Nanoseconds(), tc.TraceID.String())
-			} else {
-				h.Observe(d.Nanoseconds())
-			}
-			m.Counter("http_requests_total",
-				"HTTP requests served", "path", r.URL.Path, "status", itoaStatus(sw.status)).Add(1)
-		}
-		if sv.logger != nil {
-			args := []any{
-				"id", rid,
-				"method", r.Method,
-				"path", r.URL.Path,
-				"status", sw.status,
-				"dur_ms", float64(d.Nanoseconds()) / 1e6,
-				"remote", r.RemoteAddr,
-			}
-			if sampled {
-				args = append(args, "trace", tc.TraceID.String())
-			}
-			sv.logger.Info("request", args...)
-		}
-	})
+// routeLabel is the path label of r's request metrics: the path of the
+// route the mux matches (GET /v1/jobs/{id} → /v1/jobs/{id}), or
+// "unmatched". The raw path would mint a counter and a histogram series
+// per job poll, trace ID and made-up 404 path, never to be freed. The
+// route comes from ServeMux.Handler rather than Request.Pattern, which
+// Go 1.22 does not set.
+func (sv *Server) routeLabel(r *http.Request) string {
+	_, route := sv.mux.Handler(r)
+	if route == "" {
+		return "unmatched"
+	}
+	if i := strings.IndexByte(route, ' '); i >= 0 {
+		route = route[i+1:] // drop the method
+	}
+	return route
 }
 
 // itoaStatus formats the small set of HTTP statuses without fmt.

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -226,5 +227,79 @@ func TestPprofMounted(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if !bytes.Contains(body, []byte("goroutine")) {
 		t.Errorf("pprof index does not look like pprof output")
+	}
+}
+
+// requestSeries scrapes /metrics and returns one sample per request
+// series: each http_requests_total counter and each
+// http_request_duration_ns histogram (by its _count line, since bucket
+// lines come and go with the slowest observation). The scrapes' own
+// path="/metrics" series are left out.
+func requestSeries(t *testing.T, base string) []obs.PromSample {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	fams, err := obs.ParseProm(string(body))
+	if err != nil {
+		t.Fatalf("/metrics failed strict parse: %v", err)
+	}
+	var out []obs.PromSample
+	for _, name := range []string{"http_requests_total", "http_request_duration_ns"} {
+		if fams[name] == nil {
+			continue
+		}
+		for _, s := range fams[name].Samples {
+			if s.Labels["path"] != "/metrics" && (s.Name == name || s.Name == name+"_count") {
+				out = append(out, s)
+			}
+		}
+	}
+	return out
+}
+
+// TestRequestMetricsBoundedByRoute: request metrics are labelled by the
+// matched route, not the raw path, so job polls, unknown job IDs and
+// made-up 404 paths add no series once each route and status has been
+// seen.
+func TestRequestMetricsBoundedByRoute(t *testing.T) {
+	_, ts := newTestServer(t, obsTestConfig())
+	status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", status, body)
+	}
+	var sub JobSubmitResponse
+	if err := json.Unmarshal(body, &sub); err != nil {
+		t.Fatal(err)
+	}
+	round := func(i int) {
+		for _, path := range []string{
+			sub.Poll,
+			fmt.Sprintf("/v1/jobs/job-%06d", 900000+i),
+			fmt.Sprintf("/no/such/path/%d", i),
+		} {
+			doReq(t, http.MethodGet, ts.URL+path, nil, nil)
+		}
+	}
+	round(0)
+	before := len(requestSeries(t, ts.URL))
+	for i := 1; i <= 50; i++ {
+		round(i)
+	}
+	after := requestSeries(t, ts.URL)
+	if len(after) != before {
+		t.Errorf("request metrics grew from %d to %d series over 150 distinct-path requests", before, len(after))
+	}
+	paths := map[string]bool{}
+	for _, s := range after {
+		paths[s.Labels["path"]] = true
+	}
+	for _, want := range []string{"/v1/jobs", "/v1/jobs/{id}", "unmatched"} {
+		if !paths[want] {
+			t.Errorf("no request series labelled path=%q; have %v", want, paths)
+		}
 	}
 }

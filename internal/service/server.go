@@ -174,18 +174,13 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the HTTP handler tree, wrapped in the request
 // middleware (request IDs, per-request spans, access log).
-func (sv *Server) Handler() http.Handler { return sv.withObs(sv.mux) }
+func (sv *Server) Handler() http.Handler { return http.HandlerFunc(sv.withObs) }
 
-// Routes returns the unwrapped route tree. The cluster layer mounts it
-// beside its own routes and wraps the whole thing in Middleware exactly
-// once — giving cluster routes the same request span, trace context,
-// access-log line, and latency exemplar as the service's own.
-func (sv *Server) Routes() http.Handler { return sv.mux }
-
-// Middleware wraps h in the request middleware (request IDs, trace
-// propagation, per-request spans, metrics, access log). Pair with
-// Routes when composing a larger handler tree around the service.
-func (sv *Server) Middleware(h http.Handler) http.Handler { return sv.withObs(h) }
+// HandleFunc mounts an extra route beside the service's own, inside the
+// same request middleware: the cluster layer adds GET /v1/cluster this
+// way. Call it after New and before the handler serves traffic, like
+// SetFiller.
+func (sv *Server) HandleFunc(pattern string, h http.HandlerFunc) { sv.mux.HandleFunc(pattern, h) }
 
 // Close drains the scheduler: queued and in-flight synthesis jobs finish
 // (completing their flights) before Close returns, then the store's
@@ -388,14 +383,14 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 					SetStr("fingerprint", fp)
 			}
 			if ent, ok := sv.store.LoadDisk(fp, func() (*term.Builder, *isa.Target, error) {
-				b := term.NewBuilder()
-				tgt, err := def.load(b)
-				return b, tgt, err
+				return sv.loadTarget(def, fsp)
 			}); ok {
+				// The flight span ends before Complete wakes the waiters,
+				// so a sampled request's trace is whole once it answers.
 				sv.metrics.DiskHits.Add(1)
+				fsp.SetStr("origin", "disk").End()
 				sv.store.Complete(fp, ent, nil)
 				sv.shards.Update(lk, ent.Target, ent.Lib)
-				fsp.SetStr("origin", "disk").End()
 				return
 			}
 			// Disk miss: ask the fingerprint's ring owner before doing any
@@ -406,32 +401,32 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 			if allowPeer && sv.filler != nil {
 				if ent, ok := sv.fillFromPeer(def, rid, timeout, fsp.Context()); ok {
 					sv.metrics.PeerFills.Add(1)
+					fsp.SetStr("origin", "peer").End()
 					sv.store.Complete(fp, ent, nil)
 					if !ent.Partial {
 						sv.shards.Update(lk, ent.Target, ent.Lib)
 					}
-					fsp.SetStr("origin", "peer").End()
 					return
 				}
 			}
 			// Local fill: if this lineage has completed before (same target
 			// name and config, different spec text), resynthesize from its
 			// shards instead of from scratch.
-			ent, ok := sv.runIncremental(def, timeout)
+			ent, ok := sv.runIncremental(def, timeout, fsp)
 			var err error
 			origin := "incremental"
 			if !ok {
-				ent, err = sv.runSynthesis(def, timeout)
+				ent, err = sv.runSynthesis(def, timeout, fsp)
 				origin = "synthesized"
-			}
-			sv.store.Complete(fp, ent, err)
-			if err == nil && ent != nil && !ent.Partial {
-				sv.shards.Update(lk, ent.Target, ent.Lib)
 			}
 			if err != nil {
 				origin = "error"
 			}
 			fsp.SetStr("origin", origin).End()
+			sv.store.Complete(fp, ent, err)
+			if err == nil && ent != nil && !ent.Partial {
+				sv.shards.Update(lk, ent.Target, ent.Lib)
+			}
 		}
 		if err := sv.sched.Submit(job); err != nil {
 			// The flight must still resolve or joiners would hang.
@@ -467,14 +462,30 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 	return ent, cache, http.StatusOK, nil
 }
 
+// loadTarget materializes def's target into a fresh builder under a
+// "spec/load" span: a child of parent (the flight or fill span) when
+// there is one, a root span otherwise.
+func (sv *Server) loadTarget(def *targetDef, parent *obs.Span) (*term.Builder, *isa.Target, error) {
+	sp := parent.Child("spec/load")
+	if sp == nil {
+		sp = sv.obsv.TracerOrNil().Start("spec/load")
+	}
+	sp.SetStr("target", def.name)
+	defer sp.End()
+	b := term.NewBuilder()
+	tgt, err := def.load(b)
+	return b, tgt, err
+}
+
 // runIncremental attempts to answer a full-cache miss from the
 // lineage's shards: load the new spec, diff its instruction
 // fingerprints against the shards' provenance, re-verify the rules
 // whose support is unchanged (randomized evaluation, zero solver
 // queries), and synthesize only the remainder. Returns ok=false when
 // the lineage has no prior result or the resynthesis fails — the
-// caller then falls back to a from-scratch run.
-func (sv *Server) runIncremental(def *targetDef, timeout time.Duration) (*Entry, bool) {
+// caller then falls back to a from-scratch run. parent is the flight
+// span (nil when unsampled).
+func (sv *Server) runIncremental(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, bool) {
 	art := sv.shards.Artifact(def.lineage)
 	if art == nil {
 		return nil, false
@@ -486,8 +497,7 @@ func (sv *Server) runIncremental(def *targetDef, timeout time.Duration) (*Entry,
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 	}
 	defer cancel()
-	b := term.NewBuilder()
-	tgt, err := def.load(b)
+	b, tgt, err := sv.loadTarget(def, parent)
 	if err != nil {
 		return nil, false
 	}
@@ -526,8 +536,9 @@ func (sv *Server) runIncremental(def *targetDef, timeout time.Duration) (*Entry,
 // runSynthesis executes one full pipeline run — load target, build the
 // sequence pool, synthesize the corpus patterns — under the job's own
 // deadline (detached from any HTTP request context, so a disconnecting
-// client cannot degrade a shared flight to a partial result).
-func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration) (*Entry, error) {
+// client cannot degrade a shared flight to a partial result). parent is
+// the flight span (nil when unsampled).
+func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, error) {
 	t0 := time.Now()
 	// The deadline clock starts before pool construction: the budget is
 	// for the whole job, and an exhausted budget degrades the wave loop
@@ -538,8 +549,7 @@ func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration) (*Entry, e
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 	}
 	defer cancel()
-	b := term.NewBuilder()
-	tgt, err := def.load(b)
+	b, tgt, err := sv.loadTarget(def, parent)
 	if err != nil {
 		return nil, err
 	}

@@ -184,9 +184,14 @@ func TestTraceByID(t *testing.T) {
 			t.Errorf("request span parent %016x, want client span %016x", s.Parent, client.SpanID)
 		}
 	}
-	for _, want := range []string{"http POST /v1/synthesize", "synth flight"} {
+	for _, want := range []string{"http POST /v1/synthesize", "synth flight", "spec/load"} {
 		if names[want] == 0 {
 			t.Errorf("trace missing span %q; have %v", want, names)
+		}
+	}
+	for _, s := range sr.Spans {
+		if s.Name == "spec/load" && s.Parent != names["synth flight"] {
+			t.Errorf("spec/load parents under %016x, want the synth flight %016x", s.Parent, names["synth flight"])
 		}
 	}
 

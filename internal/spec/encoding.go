@@ -289,7 +289,7 @@ func conflict(maskA, valA, maskB, valB [2]uint64, bits int) bool {
 // (so no byte sequence decodes two ways, across lengths too), all
 // register-number fields must agree on width (one register file), and
 // no instruction may stray into reserved opcode space. sems parallels
-// f.Insts (as returned by SymbolizeFile).
+// f.Insts.
 func CheckEncodings(f *File, sems []*Sem) error {
 	type encoded struct {
 		inst      *InstDef

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"iselgen/internal/obs"
 	"iselgen/internal/term"
 )
 
@@ -112,27 +111,6 @@ func Symbolize(inst *InstDef, b *term.Builder, prefix string) (*Sem, error) {
 		return nil, fmt.Errorf("spec: instruction %s has no effects", inst.Name)
 	}
 	return sem, nil
-}
-
-// SymbolizeFile symbolizes every instruction in a file. Like Parse it
-// is traced through the process-wide default tracer.
-func SymbolizeFile(f *File, b *term.Builder, prefixOf func(name string) string) ([]*Sem, error) {
-	sp := obs.DefaultTracer().Start("spec/symexec").SetInt("instructions", int64(len(f.Insts)))
-	defer sp.End()
-	var out []*Sem
-	for _, inst := range f.Insts {
-		prefix := ""
-		if prefixOf != nil {
-			prefix = prefixOf(inst.Name)
-		}
-		sem, err := Symbolize(inst, b, prefix)
-		if err != nil {
-			sp.SetStr("error", inst.Name)
-			return nil, fmt.Errorf("%s: %w", inst.Name, err)
-		}
-		out = append(out, sem)
-	}
-	return out, nil
 }
 
 type state struct {

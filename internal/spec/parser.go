@@ -4,19 +4,12 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-
-	"iselgen/internal/obs"
 )
 
-// Parse parses a specification source file. Parsing is traced through
-// the process-wide default tracer (obs.SetDefault) because Parse's API
-// carries no configuration.
+// Parse parses a specification source file.
 func Parse(src string) (*File, error) {
-	sp := obs.DefaultTracer().Start("spec/parse").SetInt("bytes", int64(len(src)))
-	defer sp.End()
 	toks, err := lex(src)
 	if err != nil {
-		sp.SetStr("error", "lex")
 		return nil, err
 	}
 	p := &parser{toks: toks}
@@ -25,7 +18,6 @@ func Parse(src string) (*File, error) {
 		if p.atIdent("reserved") {
 			enc, err := p.parseEncoding("reserved")
 			if err != nil {
-				sp.SetStr("error", "parse")
 				return nil, err
 			}
 			f.Reserved = append(f.Reserved, enc)
@@ -33,12 +25,10 @@ func Parse(src string) (*File, error) {
 		}
 		inst, err := p.parseInst()
 		if err != nil {
-			sp.SetStr("error", "parse")
 			return nil, err
 		}
 		f.Insts = append(f.Insts, inst)
 	}
-	sp.SetInt("instructions", int64(len(f.Insts)))
 	return f, nil
 }
 

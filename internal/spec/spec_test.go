@@ -307,20 +307,6 @@ func TestSymbolizeErrors(t *testing.T) {
 	}
 }
 
-func TestSymbolizeFileHelper(t *testing.T) {
-	f := mustParse(t, `
-inst A(a: reg64) { rd = a; }
-inst B(a: reg64) { rd = -a; }
-`)
-	sems, err := SymbolizeFile(f, term.NewBuilder(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sems) != 2 || sems[0].Name != "A" || sems[1].Name != "B" {
-		t.Errorf("sems = %+v", sems)
-	}
-}
-
 func TestNumberFormats(t *testing.T) {
 	_, sem := symbolize1(t, `
 inst X(a: reg64) {
