@@ -426,3 +426,47 @@ inst ADD(rn: reg64, rm: reg64) { rd = rn + rm; }
 		t.Errorf("scalar add selected %s", r.Seq)
 	}
 }
+
+// TestFilterKeyBuckets checks that the two sides of the SMT fallback's
+// candidate filter encode a signature alike: a pattern finds the pool
+// entry with its signature in the bucket it looks up, for a register
+// op, a load (load signature) and a store (store class).
+func TestFilterKeyBuckets(t *testing.T) {
+	s, _ := miniSynth(t, Config{TestInputs: 32, Workers: 1})
+	w := s.newWorker()
+	for _, c := range []struct {
+		p   *pattern.Pattern
+		seq string
+	}{
+		{pattern.New(pattern.Op(gmir.GAdd, gmir.S64, r64(), r64())), "ADDrr"},
+		{pattern.New(pattern.LoadOp(gmir.GLoad, gmir.S64, 64,
+			pattern.Op(gmir.GPtrAdd, gmir.P0, r64(), i64()))), "LDRui"},
+		{pattern.New(pattern.StoreOp(64, r64(),
+			pattern.Op(gmir.GPtrAdd, gmir.P0, r64(), i64()))), "STRui"},
+	} {
+		tp, err := c.p.Compile(w.wb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _, _ := patternFilterKey(c.p, tp, c.p.Leaves())
+		var entry *PoolEntry
+		for _, e := range s.Pool {
+			if e.Seq.String() == c.seq {
+				entry = e
+			}
+		}
+		if entry == nil {
+			t.Fatalf("%s is not in the pool", c.seq)
+		}
+		if entry.filterKey() != key {
+			t.Errorf("%s: pattern key %q, entry key %q", c.seq, key, entry.filterKey())
+		}
+		found := false
+		for _, e := range s.byFilter[key] {
+			found = found || e == entry
+		}
+		if !found {
+			t.Errorf("%s: not in the bucket %q the pattern looks up", c.seq, key)
+		}
+	}
+}

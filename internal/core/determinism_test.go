@@ -38,7 +38,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	targets := []string{"riscv", "aarch64"}
 	workerSet := []int{1, 2, 8, runtime.NumCPU()}
 	maxPatterns := 0
-	if testing.Short() || raceEnabled {
+	if testing.Short() || core.RaceEnabled {
 		// The race detector multiplies synthesis cost; keep the
 		// cross-worker comparison but trim the matrix and the corpus.
 		targets = targets[:1]

@@ -59,12 +59,14 @@ type Config struct {
 	// "without sample evaluation" ablation (which did not terminate at
 	// their scale).
 	DisableProbe bool
-	// PoolFilter, when set, restricts stage 1 to the sequences it accepts:
-	// enumeration still runs (it is cheap), but rejected sequences skip
-	// canonicalization, test evaluation, and index insertion. The
+	// PoolFilter, when set, restricts stage 1 to the sequences whose
+	// instruction list it accepts. Enumeration asks it before building a
+	// pair (the slice is only valid during the call), so rejected pairs
+	// are counted but never constructed; rejected singles and extras
+	// skip canonicalization, test evaluation, and index insertion. The
 	// incremental planner uses it to build a reduced pool containing only
 	// sequences that touch changed instructions.
-	PoolFilter func(*isa.Sequence) bool
+	PoolFilter func(insts []*isa.Instruction) bool
 	// CostModel, when set, ranks candidate sequences (index matches, SMT
 	// fallback order) and the beneficial-rule filter by model cost
 	// (latency cycles, then encoding bytes) instead of the paper's
@@ -454,22 +456,69 @@ func SpecFingerprint(target *isa.Target) string {
 	return isa.Fingerprint(parts...)
 }
 
+// poolChunk is how many sequences the enumerator hands to the entry
+// builder at a time.
+const poolChunk = 512
+
 // BuildPool runs stage 1: sequence enumeration, canonicalization, test
 // evaluation, and index insertion. Stage durations are read once each
 // (obs.Timed): the same measurement feeds both Stats and the trace, so
 // the Table II numbers and the exported spans can never drift.
+//
+// Enumeration, the only writer of s.B, runs on its own goroutine and
+// hands finished sequences over in order; canonicalization and
+// insertion, which never touch a term.Builder, run here meanwhile. Pool
+// order, canon IDs and insertion order are those of a serial run, but
+// the two stage spans overlap.
 func (s *Synthesizer) BuildPool() {
 	tr := s.Cfg.Obs.TracerOrNil()
 	sp := tr.Start("synth/pool")
-	tm := obs.Timed(tr, "pool/enumerate")
-	seqs := s.enumerate()
-	s.Stats.InstrGenTime = tm.Done()
-	s.Stats.Sequences = len(seqs)
+	// Room for 64k sequences, more than any builtin target builds, so the
+	// enumerator never waits for the slower entry side. The prune leaves
+	// few built sequences that the pool drops, so the buffer holds
+	// little that would not stay live in the pool anyway.
+	chunks := make(chan []*isa.Sequence, 128)
+	var gen struct {
+		n        int
+		d        time.Duration
+		panicked any
+	}
+	go func() {
+		defer func() {
+			gen.panicked = recover()
+			close(chunks)
+		}()
+		tm := obs.Timed(tr, "pool/enumerate")
+		var buf []*isa.Sequence
+		gen.n = s.enumerate(func(seq *isa.Sequence) {
+			buf = append(buf, seq)
+			if len(buf) == poolChunk {
+				chunks <- buf
+				buf = nil
+			}
+		})
+		if len(buf) > 0 {
+			chunks <- buf
+		}
+		gen.d = tm.Done()
+	}()
+	// Should addEntry panic, keep draining so the enumerator can finish.
+	defer func() {
+		for range chunks {
+		}
+	}()
 
 	esp := tr.Start("pool/entries")
-	for _, seq := range seqs {
-		s.addEntry(seq)
+	for chunk := range chunks {
+		for _, seq := range chunk {
+			s.addEntry(seq)
+		}
 	}
+	if gen.panicked != nil {
+		panic(gen.panicked)
+	}
+	s.Stats.InstrGenTime = gen.d
+	s.Stats.Sequences = gen.n
 	// Pre-sort every fallback filter bucket cheapest-first, once. The
 	// SMT fallback consumes candidates in cost order; sorting per
 	// pattern — with cost vectors recomputed inside the comparator —
@@ -489,14 +538,34 @@ func (s *Synthesizer) BuildPool() {
 		End()
 }
 
-// enumerate lists candidate sequences: singles, wired/flag-consuming
-// pairs, and target extras.
-func (s *Synthesizer) enumerate() []*isa.Sequence {
-	var out []*isa.Sequence
+// enumerate emits the candidate sequences in pool order — singles,
+// wired/flag-consuming pairs, target extras — and returns how many
+// compositions it accepted, pairs pruned before construction included.
+func (s *Synthesizer) enumerate(emit func(*isa.Sequence)) int {
+	bases := s.singles(emit)
+	n := len(s.Target.Insts)
+	if s.Cfg.MaxSeqLen >= 2 {
+		if nb := s.Cfg.MaxPairBases; nb > 0 && nb < len(bases) {
+			bases = bases[:nb]
+		}
+		n += s.pairs(bases, true, emit)
+	}
+	if s.Cfg.ExtraSequences != nil {
+		for _, seq := range s.Cfg.ExtraSequences(s.B, s.Target) {
+			emit(seq)
+			n++
+		}
+	}
+	return n
+}
+
+// singles emits every instruction as a one-instruction sequence and
+// returns the pair bases.
+func (s *Synthesizer) singles(emit func(*isa.Sequence)) []*isa.Sequence {
 	var bases []*isa.Sequence
 	for _, inst := range s.Target.Insts {
 		seq := isa.Single(s.B, inst)
-		out = append(out, seq)
+		emit(seq)
 		bases = append(bases, seq)
 		// Flag-setting instructions with an immediate also enter the
 		// pool with the immediate bound to zero: compare-against-zero is
@@ -505,64 +574,90 @@ func (s *Synthesizer) enumerate() []*isa.Sequence {
 		if writesFlags(seq) {
 			zeroed := seq
 			ok := true
-			for k, op := range inst.Operands {
+			for _, op := range inst.Operands {
 				if op.Kind != spec.OpImm {
 					continue
 				}
-				z, err := isa.BindImm(s.B, zeroed, 0, op.Name, bvZero(op.Width))
+				z, err := isa.BindImm(s.B, zeroed, 0, op.Name, bv.Zero(op.Width))
 				if err != nil {
 					ok = false
 					break
 				}
 				zeroed = z
-				_ = k
 			}
 			if ok && zeroed != seq {
 				bases = append(bases, zeroed)
 			}
 		}
 	}
-	if s.Cfg.MaxSeqLen >= 2 {
-		nb := len(bases)
-		if s.Cfg.MaxPairBases > 0 && s.Cfg.MaxPairBases < nb {
-			nb = s.Cfg.MaxPairBases
+	return bases
+}
+
+// pairs composes each base with every instruction that may follow it
+// and emits the compositions in order; it returns how many it composed.
+// Every call it makes is one Append accepts: CanAppend holds, a wired
+// operand matches the base's result width, and a flag consumer follows
+// a flag writer.
+//
+// With prune set, a pair that addEntry would drop is counted but never
+// built: Config.PoolFilter rejects its instructions, the appended
+// instruction has no single primary effect, or the result is certain
+// to read a flag (any effect) or the PC (the primary effect).
+// AppendCache.MustRead decides the last without building, and only
+// where no builder fold can erase the variable. addEntry's rules stay
+// the backstop for every pair that is built.
+func (s *Synthesizer) pairs(bases []*isa.Sequence, prune bool, emit func(*isa.Sequence)) int {
+	// The template cache amortizes the rename/rebuild work of Append
+	// across the O(bases × insts) pair loop (enumerate runs on one
+	// goroutine, so the cache needs no locking).
+	ac := isa.NewAppendCache()
+	var insts []*isa.Instruction // PoolFilter's view of a pair
+	doomed := func(base *isa.Sequence, inst *isa.Instruction, wire []string, flags bool) bool {
+		if s.Cfg.PoolFilter != nil {
+			insts = append(append(insts[:0], base.Insts...), inst)
+			if !s.Cfg.PoolFilter(insts) {
+				return true
+			}
 		}
-		// The template cache amortizes the rename/rebuild work of Append
-		// across the O(bases × insts) pair loop (enumerate runs on one
-		// goroutine, so the cache needs no locking).
-		ac := isa.NewAppendCache()
-		for _, base := range bases[:nb] {
-			for _, inst := range s.Target.Insts {
-				if !base.CanAppend(inst) {
+		primary, _, ok := primaryEffect(inst.Effects)
+		if !ok {
+			return true
+		}
+		fl, pc, err := ac.MustRead(s.B, base, inst, wire, flags)
+		return err == nil && (fl != 0 || pc&(1<<primary) != 0)
+	}
+	n := 0
+	compose := func(base *isa.Sequence, inst *isa.Instruction, wire []string, flags bool) {
+		if prune && doomed(base, inst, wire, flags) {
+			n++
+			return
+		}
+		if seq, err := ac.Append(s.B, base, inst, wire, flags); err == nil {
+			n++
+			emit(seq)
+		}
+	}
+	for _, base := range bases {
+		for _, inst := range s.Target.Insts {
+			if !base.CanAppend(inst) {
+				continue
+			}
+			// Wire each width-compatible register operand.
+			prevW := resultWidth(base)
+			for _, op := range inst.Operands {
+				if op.Kind == spec.OpImm || op.Width != prevW {
 					continue
 				}
-				// Wire each width-compatible register operand.
-				prevW := resultWidth(base)
-				for _, op := range inst.Operands {
-					if op.Kind == spec.OpImm || op.Width != prevW {
-						continue
-					}
-					if seq, err := ac.Append(s.B, base, inst, []string{op.Name}, false); err == nil {
-						out = append(out, seq)
-					}
-				}
-				// Flag-consuming composition (cmp+csel chains, §VI-A).
-				if readsFlags(inst) && writesFlags(base) {
-					if seq, err := ac.Append(s.B, base, inst, nil, true); err == nil {
-						out = append(out, seq)
-					}
-				}
+				compose(base, inst, []string{op.Name}, false)
+			}
+			// Flag-consuming composition (cmp+csel chains, §VI-A).
+			if readsFlags(inst) && writesFlags(base) {
+				compose(base, inst, nil, true)
 			}
 		}
 	}
-	if s.Cfg.ExtraSequences != nil {
-		out = append(out, s.Cfg.ExtraSequences(s.B, s.Target)...)
-	}
-	return out
+	return n
 }
-
-// bvZero builds a zero immediate of the given width.
-func bvZero(w int) bv.BV { return bv.Zero(w) }
 
 func resultWidth(seq *isa.Sequence) int {
 	for _, e := range seq.Effects {
@@ -593,27 +688,39 @@ func writesFlags(seq *isa.Sequence) bool {
 	return false
 }
 
-// addEntry canonicalizes, evaluates, and indexes one sequence's primary
-// effect.
-func (s *Synthesizer) addEntry(seq *isa.Sequence) {
-	if s.Cfg.PoolFilter != nil && !s.Cfg.PoolFilter(seq) {
-		return
+// poolEffect applies the pool's drop rules to seq: it returns the
+// primary effect an entry for seq indexes, or false when seq stays out
+// of the pool.
+func (s *Synthesizer) poolEffect(seq *isa.Sequence) (spec.Effect, EffectClass, bool) {
+	if s.Cfg.PoolFilter != nil && !s.Cfg.PoolFilter(seq.Insts) {
+		return spec.Effect{}, 0, false
 	}
-	eff, class, ok := primaryEffect(seq)
+	i, class, ok := primaryEffect(seq.Effects)
 	if !ok {
-		return
+		return spec.Effect{}, 0, false
 	}
+	eff := seq.Effects[i]
 	// Sequences with unconsumed flag or PC inputs cannot match IR
 	// patterns (IR has neither); they only exist as composition bases.
 	for _, in := range seq.Inputs {
 		if in.Flags || in.Var.Kind == term.KindPC {
-			return
+			return spec.Effect{}, 0, false
 		}
 	}
 	for _, v := range eff.T.Vars() {
 		if v.Kind == term.KindFlag || v.Kind == term.KindPC {
-			return
+			return spec.Effect{}, 0, false
 		}
+	}
+	return eff, class, true
+}
+
+// addEntry canonicalizes, evaluates, and indexes one sequence's primary
+// effect, unless poolEffect drops the sequence.
+func (s *Synthesizer) addEntry(seq *isa.Sequence) {
+	eff, class, ok := s.poolEffect(seq)
+	if !ok {
+		return
 	}
 
 	e := &PoolEntry{Seq: seq, Effect: eff, Class: class, Width: eff.T.W()}
@@ -642,7 +749,13 @@ func (s *Synthesizer) addEntry(seq *isa.Sequence) {
 	s.Stats.IndexEntries++
 
 	s.Pool = append(s.Pool, e)
-	s.byFilter[e.filterKey()] = append(s.byFilter[e.filterKey()], e)
+	key := e.filterKey()
+	s.byFilter[key] = append(s.byFilter[key], e)
+}
+
+// filterKey is the SMT-fallback bucket the entry is filed under.
+func (e *PoolEntry) filterKey() string {
+	return filterKeyOf(e.Class, e.Width, e.NRegs, e.NImms, e.LoadSig)
 }
 
 // primaryEffect picks the effect a rule would match: the register result
@@ -650,48 +763,44 @@ func (s *Synthesizer) addEntry(seq *isa.Sequence) {
 // extra visible effects (write-backs, PC updates, live flag outputs are
 // fine — flags are simply clobbered, like LLVM's implicit-def NZCV) are
 // still indexed by their primary effect; write-backs and PC effects are
-// not matchable and are skipped.
-func primaryEffect(seq *isa.Sequence) (spec.Effect, EffectClass, bool) {
-	var reg, mem *spec.Effect
-	for i := range seq.Effects {
-		e := &seq.Effects[i]
+// not matchable and are skipped. It reads only effect kinds and
+// destinations, so an instruction's own effects answer it for every
+// sequence that ends in that instruction.
+func primaryEffect(effects []spec.Effect) (int, EffectClass, bool) {
+	reg, mem := -1, -1
+	for i, e := range effects {
 		switch e.Kind {
 		case spec.EffPC, spec.EffWB:
-			return spec.Effect{}, 0, false
+			return 0, 0, false
 		case spec.EffReg:
-			if e.Dest == "rd" && reg == nil {
-				reg = e
+			if e.Dest == "rd" && reg < 0 {
+				reg = i
 			} else {
-				return spec.Effect{}, 0, false // rd2: multi-output
+				return 0, 0, false // rd2: multi-output
 			}
 		case spec.EffMem:
-			if mem != nil {
-				return spec.Effect{}, 0, false
+			if mem >= 0 {
+				return 0, 0, false
 			}
-			mem = e
+			mem = i
 		}
 	}
 	switch {
-	case reg != nil && mem == nil:
-		return *reg, ClassValue, true
-	case mem != nil && reg == nil:
-		return *mem, ClassStore, true
+	case reg >= 0 && mem < 0:
+		return reg, ClassValue, true
+	case mem >= 0 && reg < 0:
+		return mem, ClassStore, true
 	}
-	return spec.Effect{}, 0, false
+	return 0, 0, false
 }
 
 // loadSignature summarizes load widths for the candidate filter.
 func loadSignature(t *term.Term) string {
-	loads := t.Loads()
 	sig := ""
-	for _, l := range loads {
-		sig += fmt.Sprintf("l%d;", l.W())
+	for _, l := range t.Loads() {
+		sig += "l" + itoa(l.W()) + ";"
 	}
 	return sig
-}
-
-func (e *PoolEntry) filterKey() string {
-	return fmt.Sprintf("%d|%d|%d|%d|%s", e.Class, e.Width, e.NRegs, e.NImms, e.LoadSig)
 }
 
 // --- deterministic test inputs (§V-C) ---

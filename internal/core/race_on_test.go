@@ -1,7 +1,7 @@
 //go:build race
 
-package core_test
+package core
 
-// raceEnabled mirrors the race detector's build tag so heavyweight
+// RaceEnabled mirrors the race detector's build tag so heavyweight
 // stress tests can trim their matrices under -race.
-const raceEnabled = true
+const RaceEnabled = true

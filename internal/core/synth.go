@@ -171,7 +171,7 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := s.s_newWorkerLocked(&mu)
+			w := s.newWorker()
 			for i := range next {
 				r := w.synthesizeOne(wave[i])
 				results[i] = result{idx: i, rule: r}
@@ -216,12 +216,6 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 		}
 		lib.Add(r.rule)
 	}
-}
-
-func (s *Synthesizer) s_newWorkerLocked(mu *sync.Mutex) *worker {
-	mu.Lock()
-	defer mu.Unlock()
-	return s.newWorker()
 }
 
 // SynthesizeOne synthesizes the best rule for a single pattern (used by
@@ -555,20 +549,7 @@ func (w *worker) verify(tp *term.Term, leaves []*pattern.Node, entry *PoolEntry,
 // operand assignment, and verify survivors with the SMT solver, stopping
 // at the first match (cheapest-first).
 func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*pattern.Node) *rules.Rule {
-	class := ClassValue
-	if p.IsStore() {
-		class = ClassStore
-	}
-	var regLeaves, immLeaves []int
-	for i, l := range leaves {
-		if l.LeafReg {
-			regLeaves = append(regLeaves, i)
-		} else {
-			immLeaves = append(immLeaves, i)
-		}
-	}
-	width := tp.W()
-	key := filterKeyOf(class, width, len(regLeaves), len(immLeaves), loadSignature(tp))
+	key, regLeaves, immLeaves := patternFilterKey(p, tp, leaves)
 	// Buckets are pre-sorted cheapest-first by BuildPool; iteration stops
 	// at the first verified match.
 	sorted := w.s.byFilter[key]
@@ -640,6 +621,28 @@ func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*patter
 	return nil
 }
 
+// patternFilterKey returns the SMT-fallback bucket a pattern draws its
+// candidates from, with the indices of its register and immediate
+// leaves.
+func patternFilterKey(p *pattern.Pattern, tp *term.Term, leaves []*pattern.Node) (key string, regLeaves, immLeaves []int) {
+	class := ClassValue
+	if p.IsStore() {
+		class = ClassStore
+	}
+	for i, l := range leaves {
+		if l.LeafReg {
+			regLeaves = append(regLeaves, i)
+		} else {
+			immLeaves = append(immLeaves, i)
+		}
+	}
+	key = filterKeyOf(class, tp.W(), len(regLeaves), len(immLeaves), loadSignature(tp))
+	return key, regLeaves, immLeaves
+}
+
+// filterKeyOf is the SMT-fallback bucket key: pool entries are filed
+// under it in addEntry and patterns look their candidates up by it, so
+// both sides must encode a signature through this one function.
 func filterKeyOf(class EffectClass, width, nRegs, nImms int, loadSig string) string {
 	var sb strings.Builder
 	sb.WriteString(itoa(int(class)))

@@ -138,8 +138,8 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 	fresh := map[string]*rules.Rule{}
 	if len(reducedPats) > 0 && len(changed) > 0 {
 		rcfg := opt.Config
-		rcfg.PoolFilter = func(seq *isa.Sequence) bool {
-			for _, inst := range seq.Insts {
+		rcfg.PoolFilter = func(insts []*isa.Instruction) bool {
+			for _, inst := range insts {
 				if changed[inst.Name] {
 					return true
 				}

@@ -370,7 +370,8 @@ func Append(b *term.Builder, s *Sequence, inst *Instruction, wireOps []string, c
 // uncached Append because the hash-consing constructors see the same
 // final arguments either way. Not safe for concurrent use.
 type AppendCache struct {
-	m map[appendKey]*appendTemplate
+	m    map[appendKey]*appendTemplate
+	scan readScan // MustRead's reusable state
 }
 
 type appendKey struct {
@@ -386,6 +387,9 @@ type appendTemplate struct {
 	wiredW   int                       // its width
 	flagSrc  []*term.Term              // source vars of consumed flags, in FlagNames order
 	inputs   []SeqOperand              // inst's unwired operands, pre-renamed
+	// reads: inst's effects read the PC or a flag the composition does
+	// not consume, so the result may read one whatever the base.
+	reads bool
 }
 
 // NewAppendCache returns an empty cache.
@@ -400,45 +404,9 @@ func (c *AppendCache) Append(b *term.Builder, s *Sequence, inst *Instruction, wi
 	if len(wireOps) > 1 {
 		return Append(b, s, inst, wireOps, consumeFlags)
 	}
-	if !s.CanAppend(inst) {
-		return nil, fmt.Errorf("isa: cannot append %s to %s", inst.Name, s)
-	}
-	prev, hasPrev := regEffect(s.Effects)
-	idx := len(s.Insts)
-
-	if len(wireOps) > 0 && !hasPrev {
-		return nil, fmt.Errorf("isa: %s has no register result to wire", s)
-	}
-	var flagTerms []*term.Term
-	var fmask uint8
-	if consumeFlags {
-		for i, f := range spec.FlagNames {
-			if fe, ok := flagEffect(s.Effects, f); ok {
-				fmask |= 1 << i
-				flagTerms = append(flagTerms, fe.T)
-			}
-		}
-	}
-	if len(wireOps) == 0 && fmask == 0 {
-		return nil, fmt.Errorf("isa: rule 1 violated: %s would not depend on %s", inst.Name, s)
-	}
-
-	key := appendKey{inst: inst, idx: idx, flags: fmask}
-	if len(wireOps) == 1 {
-		key.wired = wireOps[0]
-	}
-	tpl, ok := c.m[key]
-	if !ok {
-		var err error
-		tpl, err = buildAppendTemplate(b, inst, idx, key.wired, fmask)
-		if err != nil {
-			return nil, err
-		}
-		c.m[key] = tpl
-	}
-	if tpl.wiredSrc != nil && tpl.wiredW != prev.T.W() {
-		return nil, fmt.Errorf("isa: wire width mismatch: %s.%s is %d bits, result is %d",
-			inst.Name, key.wired, tpl.wiredW, prev.T.W())
+	tpl, prev, flagTerms, err := c.bind(b, s, inst, wireOps, consumeFlags)
+	if err != nil {
+		return nil, err
 	}
 
 	// The wired/flag bindings go into a small per-call overlay instead of
@@ -449,7 +417,7 @@ func (c *AppendCache) Append(b *term.Builder, s *Sequence, inst *Instruction, wi
 	// of a copy of the whole memo.
 	ov := make(map[*term.Term]*term.Term, 8)
 	if tpl.wiredSrc != nil {
-		ov[tpl.wiredSrc] = prev.T
+		ov[tpl.wiredSrc] = prev
 	}
 	for i, src := range tpl.flagSrc {
 		ov[src] = flagTerms[i]
@@ -510,6 +478,57 @@ func (c *AppendCache) Append(b *term.Builder, s *Sequence, inst *Instruction, wi
 		}
 	}
 	return ns, nil
+}
+
+// bind runs Append's checks and returns the template for the
+// composition together with the base terms it substitutes: the base's
+// primary result (nil when wiring flags only) and the consumed flag
+// effects, in the template's flagSrc order.
+func (c *AppendCache) bind(b *term.Builder, s *Sequence, inst *Instruction, wireOps []string, consumeFlags bool) (*appendTemplate, *term.Term, []*term.Term, error) {
+	if !s.CanAppend(inst) {
+		return nil, nil, nil, fmt.Errorf("isa: cannot append %s to %s", inst.Name, s)
+	}
+	prev, hasPrev := regEffect(s.Effects)
+	idx := len(s.Insts)
+
+	if len(wireOps) > 0 && !hasPrev {
+		return nil, nil, nil, fmt.Errorf("isa: %s has no register result to wire", s)
+	}
+	var flagTerms []*term.Term
+	var fmask uint8
+	if consumeFlags {
+		for i, f := range spec.FlagNames {
+			if fe, ok := flagEffect(s.Effects, f); ok {
+				fmask |= 1 << i
+				flagTerms = append(flagTerms, fe.T)
+			}
+		}
+	}
+	if len(wireOps) == 0 && fmask == 0 {
+		return nil, nil, nil, fmt.Errorf("isa: rule 1 violated: %s would not depend on %s", inst.Name, s)
+	}
+
+	key := appendKey{inst: inst, idx: idx, flags: fmask}
+	if len(wireOps) == 1 {
+		key.wired = wireOps[0]
+	}
+	tpl, ok := c.m[key]
+	if !ok {
+		var err error
+		tpl, err = buildAppendTemplate(b, inst, idx, key.wired, fmask)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		c.m[key] = tpl
+	}
+	if tpl.wiredSrc == nil {
+		return tpl, nil, flagTerms, nil
+	}
+	if tpl.wiredW != prev.T.W() {
+		return nil, nil, nil, fmt.Errorf("isa: wire width mismatch: %s.%s is %d bits, result is %d",
+			inst.Name, key.wired, tpl.wiredW, prev.T.W())
+	}
+	return tpl, prev.T, flagTerms, nil
 }
 
 // buildAppendTemplate constructs the reusable part of an Append: the
@@ -577,6 +596,13 @@ func buildAppendTemplate(b *term.Builder, inst *Instruction, idx int, wired stri
 			continue
 		}
 		tpl.inputs = append(tpl.inputs, SeqOperand{Var: seqVar(b, idx, op), Inst: idx, Op: op})
+	}
+	for _, e := range inst.Effects {
+		for _, v := range e.T.Vars() {
+			if v.Kind == term.KindPC || (v.Kind == term.KindFlag && !wiredSet[v]) {
+				tpl.reads = true
+			}
+		}
 	}
 	return tpl, nil
 }

@@ -14,6 +14,9 @@ import (
 // simplifications at construction time (x+0, x*1, x^x, double negation,
 // ...). Deeper normalization — linear combinations, coefficient
 // extraction, operand ordering — is the job of package canon.
+// isa.AppendCache.MustRead mirrors these folds to predict, without
+// building, which variables a composition keeps: a new fold that can
+// drop an argument must be mirrored there.
 type Builder struct {
 	terms map[key]*Term
 	vars  map[string]*Term
