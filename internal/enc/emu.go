@@ -5,21 +5,24 @@ import (
 
 	"iselgen/internal/bv"
 	"iselgen/internal/gmir"
+	"iselgen/internal/isa"
 	"iselgen/internal/spec"
-	"iselgen/internal/term"
 )
 
 // Emulator executes machine code at the byte level: fetch, decode
-// through the trie, bind the decoded fields to the instruction's
-// symbolic operand variables, and evaluate the very effect terms the
-// synthesis consumed. Where the MIR simulator trusts the instruction
-// stream, the emulator trusts only the bytes — which is what makes it
-// the far side of the round-trip oracle.
+// through the trie, bind the decoded fields to the instruction's input
+// layout, and run the very effect terms the synthesis consumed, as the
+// programs the target compiled at load (isa.Instruction.Exec) — the
+// MIR simulator's executor, with pc bound to the real PC. Where the MIR
+// simulator trusts the instruction stream, the emulator trusts only the
+// bytes — which is what makes it the far side of the round-trip oracle.
 type Emulator struct {
 	Codec *Codec
 	Mem   *gmir.Memory
 	// MaxSteps bounds execution (default 200M instructions).
 	MaxSteps int64
+
+	frame isa.Frame
 }
 
 // EmuResult reports one machine-code execution.
@@ -29,10 +32,6 @@ type EmuResult struct {
 	Insts  int64
 	Flags  map[string]bv.BV
 }
-
-type emuMem struct{ m *gmir.Memory }
-
-func (a emuMem) Load(addr uint64, bits int) bv.BV { return a.m.Load(addr, bits) }
 
 // Run executes an image with the given arguments until the PC reaches
 // the end of the code.
@@ -51,7 +50,7 @@ func (e *Emulator) Run(img *Image, args []bv.BV) (EmuResult, error) {
 	for i, p := range img.ParamRegs {
 		regs[p] = args[i]
 	}
-	flags := map[string]bv.BV{"N": bv.Zero(1), "Z": bv.Zero(1), "C": bv.Zero(1), "V": bv.Zero(1)}
+	e.frame.Reset()
 
 	res := EmuResult{}
 	pc := img.Base
@@ -67,13 +66,13 @@ func (e *Emulator) Run(img *Image, args []bv.BV) (EmuResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("enc: fetch at pc %#x: %w", pc, err)
 		}
-		nextPC, err := e.step(ic, ops, regs, flags, pc, uint64(size))
+		nextPC, err := e.step(ic, ops, regs, pc, uint64(size))
 		if err != nil {
 			return res, fmt.Errorf("enc: pc %#x (%s): %w", pc, ic.Inst.Name, err)
 		}
 		pc = nextPC
 	}
-	res.Flags = flags
+	res.Flags = e.frame.FlagMap()
 	if img.RetReg >= 0 {
 		res.Ret = regs[img.RetReg]
 		res.HasRet = true
@@ -82,25 +81,20 @@ func (e *Emulator) Run(img *Image, args []bv.BV) (EmuResult, error) {
 }
 
 // step executes one decoded instruction and returns the next PC.
-func (e *Emulator) step(ic *InstCodec, ops Operands, regs []bv.BV, flags map[string]bv.BV, pc, size uint64) (uint64, error) {
+func (e *Emulator) step(ic *InstCodec, ops Operands, regs []bv.BV, pc, size uint64) (uint64, error) {
 	in := ic.Inst
-	env := term.NewEnv()
-	env.Mem = emuMem{e.Mem}
-	for _, op := range in.Operands {
-		name := in.Name + "." + op.Name
+	vals := e.frame.Begin(in, pc)
+	for i, op := range in.Operands {
 		if op.Kind == spec.OpImm {
-			env.Bind(name, ops.Imms[op.Name])
+			vals[i] = ops.Imms[op.Name]
 		} else {
-			env.Bind(name, adjust(regs[ops.Regs[op.Name]], op.Width))
+			vals[i] = adjust(regs[ops.Regs[op.Name]], op.Width)
 		}
 	}
-	for _, fn := range spec.FlagNames {
-		env.Bind(in.Name+"."+fn, flags[fn])
-	}
-	env.Bind(in.Name+".pc", bv.New(64, pc))
 
 	next := pc + size
-	for _, eff := range in.Effects {
+	for k, eff := range in.Effects {
+		x := &in.Exec[k]
 		switch eff.Kind {
 		case spec.EffReg:
 			dst := ops.Rd
@@ -110,24 +104,24 @@ func (e *Emulator) step(ic *InstCodec, ops Operands, regs []bv.BV, flags map[str
 			if dst < 0 {
 				return 0, fmt.Errorf("no %s field", eff.Dest)
 			}
-			regs[dst] = eff.T.Eval(env)
+			regs[dst] = e.frame.Run(x.Val, e.Mem)
 		case spec.EffWB:
 			dst, ok := ops.Regs[eff.Dest]
 			if !ok {
 				return 0, fmt.Errorf("write-back to unknown operand %s", eff.Dest)
 			}
-			regs[dst] = eff.T.Eval(env)
+			regs[dst] = e.frame.Run(x.Val, e.Mem)
 		case spec.EffFlag:
-			flags[eff.Dest] = eff.T.Eval(env)
+			e.frame.Flags[x.Flag] = e.frame.Run(x.Val, e.Mem)
 		case spec.EffMem:
-			addr := eff.T.Args[0].Eval(env)
-			val := eff.T.Args[1].Eval(env)
+			addr := e.frame.Run(x.Addr, e.Mem)
+			val := e.frame.Run(x.Val, e.Mem)
 			e.Mem.Store(addr.Uint64(), val, int(eff.T.Aux0))
 		case spec.EffPC:
 			// The effect term already folds the not-taken arm (pc plus
 			// the encoding-derived size), so evaluating it concretely
 			// decides taken-ness with no displacement probing.
-			next = eff.T.Eval(env).Uint64()
+			next = e.frame.Run(x.Val, e.Mem).Uint64()
 		}
 	}
 	return next, nil

@@ -40,6 +40,14 @@ type Instruction struct {
 	// hash of its name, operands and symbolically executed effects, so two
 	// loads of semantically identical specs agree (see instFingerprint).
 	FP string
+	// Exec holds Effects compiled for concrete execution, parallel to
+	// Effects and built at load (compileExec). Every program reads the
+	// instruction's input layout (see Frame). The programs are shared by
+	// every goroutine that executes the instruction, so they are only
+	// ever run with term.Program.RunIn; execScratch is the scratch length
+	// the largest of them needs.
+	Exec        []ExecEffect
+	execScratch int
 }
 
 // NumInputs returns the operand count — the unit of the paper's cost
@@ -711,6 +719,9 @@ func LoadTarget(b *term.Builder, name, src string, latency map[string]int, size 
 			in.Size = 4
 		}
 		in.FP = instFingerprint(in)
+		if err := compileExec(in); err != nil {
+			return nil, fmt.Errorf("isa %s: %w", name, err)
+		}
 		t.Insts = append(t.Insts, in)
 	}
 	if err := spec.CheckEncodings(f, sems); err != nil {

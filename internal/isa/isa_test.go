@@ -215,3 +215,62 @@ func TestPruneInputs(t *testing.T) {
 		t.Errorf("inputs = %+v", s2.Inputs)
 	}
 }
+
+// TestCompileExec: LoadTarget compiles every effect over the input
+// layout (a store into address and value programs), and an effect
+// variable that is not an operand, a flag or pc at its slot's width is a
+// load error rather than a failure in the middle of execution.
+func TestCompileExec(t *testing.T) {
+	b := term.NewBuilder()
+	tgt, err := LoadTarget(b, "mini", miniSpec, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range tgt.Insts {
+		if len(in.Exec) != len(in.Effects) || in.execScratch == 0 {
+			t.Fatalf("%s: %d programs for %d effects, scratch %d", in.Name, len(in.Exec), len(in.Effects), in.execScratch)
+		}
+		for k, e := range in.Effects {
+			if (e.Kind == spec.EffMem) != (in.Exec[k].Addr != nil) {
+				t.Errorf("%s: %s effect with address program %v", in.Name, e.Kind, in.Exec[k].Addr)
+			}
+		}
+	}
+	// SUBS over the layout [rn rm N Z C V pc]: 9 - 4, and the flags.
+	subs := tgt.ByName("SUBS")
+	var f Frame
+	f.Reset()
+	vals := f.Begin(subs, 0)
+	if len(vals) != 2+len(spec.FlagNames)+1 {
+		t.Fatalf("SUBS layout has %d slots", len(vals))
+	}
+	vals[0], vals[1] = bv.New(64, 9), bv.New(64, 4)
+	if got := f.Run(subs.Exec[0].Val, nil); got.Lo != 5 {
+		t.Errorf("SUBS rd = %d, want 5", got.Lo)
+	}
+	for k, e := range subs.Effects {
+		if e.Kind == spec.EffFlag && spec.FlagNames[subs.Exec[k].Flag] != e.Dest {
+			t.Errorf("flag effect %s has index %d", e.Dest, subs.Exec[k].Flag)
+		}
+	}
+	if got := f.Run(subs.Exec[3].Val, nil); subs.Effects[3].Dest != "C" || got.Lo != 1 {
+		t.Errorf("SUBS effect 3 (%s) = %v, want C = 1", subs.Effects[3].Dest, got)
+	}
+
+	for _, bad := range []struct {
+		name string
+		w    int
+	}{
+		{"X.other", 64}, // not an operand of X
+		{"X.rn", 32},    // an operand at the wrong width
+		{"Y.rn", 64},    // another instruction's operand
+	} {
+		b := term.NewBuilder()
+		v := b.VarT(bad.name, term.KindReg, bad.w)
+		in := &Instruction{Name: "X", Operands: []spec.Operand{{Name: "rn", Kind: spec.OpReg, Width: 64}},
+			Effects: []spec.Effect{{Kind: spec.EffReg, Dest: "rd", T: b.ZExt(64, b.Extract(0, 0, v))}}}
+		if err := compileExec(in); err == nil {
+			t.Errorf("effect over %s (%d bits) compiled", bad.name, bad.w)
+		}
+	}
+}

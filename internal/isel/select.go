@@ -81,6 +81,12 @@ type Ctx struct {
 	// root when decision provenance is enabled, so a subsequent hook
 	// lowering (or terminal failure) can attach them to its event.
 	lastRejected []obs.RejectedCand
+
+	// bind is the one binding every candidate match fills; a match
+	// result is consumed by emitRule before the next match starts.
+	// inVals is emitRule's scratch for the resolved sequence inputs.
+	bind   matchBinding
+	inVals []mir.Operand
 }
 
 // Select lowers a gMIR function to machine IR. On failure (no rule, no
@@ -110,27 +116,7 @@ func (b *Backend) Select(f *gmir.Function) (*mir.Func, *Report) {
 		}
 	}()
 	gmir.SplitCriticalEdges(f)
-	c := &Ctx{
-		B: b, F: f,
-		Out:    &mir.Func{Name: f.Name},
-		def:    map[gmir.Value]*gmir.Inst{},
-		uses:   map[gmir.Value]int{},
-		vreg:   map[gmir.Value]mir.Reg{},
-		cover:  map[*gmir.Inst]bool{},
-		pos:    map[*gmir.Inst]instPos{},
-		report: report,
-	}
-	for _, blk := range f.Blocks {
-		for idx, in := range blk.Insts {
-			c.pos[in] = instPos{blk: blk, idx: idx}
-			if in.Dst >= 0 {
-				c.def[in.Dst] = in
-			}
-			for _, a := range in.Args {
-				c.uses[a]++
-			}
-		}
-	}
+	c := b.newCtx(f, report)
 	for _, p := range f.Params {
 		r := c.Out.NewReg()
 		c.vreg[p.Val] = r
@@ -224,6 +210,33 @@ func (b *Backend) Select(f *gmir.Function) (*mir.Func, *Report) {
 		ob.Insts = append(ob.Insts[:pos:pos], append(seqd, rest...)...)
 	}
 	return c.Out, report
+}
+
+// newCtx indexes f for selection: every value's def, use count and
+// position.
+func (b *Backend) newCtx(f *gmir.Function, report *Report) *Ctx {
+	c := &Ctx{
+		B: b, F: f,
+		Out:    &mir.Func{Name: f.Name},
+		def:    map[gmir.Value]*gmir.Inst{},
+		uses:   map[gmir.Value]int{},
+		vreg:   map[gmir.Value]mir.Reg{},
+		cover:  map[*gmir.Inst]bool{},
+		pos:    map[*gmir.Inst]instPos{},
+		report: report,
+	}
+	for _, blk := range f.Blocks {
+		for idx, in := range blk.Insts {
+			c.pos[in] = instPos{blk: blk, idx: idx}
+			if in.Dst >= 0 {
+				c.def[in.Dst] = in
+			}
+			for _, a := range in.Args {
+				c.uses[a]++
+			}
+		}
+	}
+	return c
 }
 
 // terminatorStart finds where the trailing branch/ret group begins.
@@ -480,28 +493,21 @@ func (c *Ctx) tryRules(in *gmir.Inst) bool {
 	}
 	prov := c.B.Obs.ProvOrNil()
 	var rejected []obs.RejectedCand
-	reject := func(r *rules.Rule, why matchFail) {
-		if prov.Enabled() {
-			rejected = append(rejected, obs.RejectedCand{Rule: r.Seq.String(), Reason: why.String()})
-		}
-	}
-	chose := func(r *rules.Rule) {
-		if prov.Enabled() {
-			prov.AddSel(obs.SelDecision{
-				Fn: c.F.Name, Root: in.String(),
-				Chosen: r.Seq.String(), Via: "rule", Rejected: rejected,
-			})
-		}
-	}
 	for _, r := range c.B.Lib.Candidates(key) {
-		if binding, okm := c.matchPattern(r, in); okm == matchOK {
-			if c.emitRule(r, in, binding) {
-				chose(r)
-				return true
+		why := failEmit
+		if binding, okm := c.matchPattern(r, in); okm != matchOK {
+			why = okm
+		} else if c.emitRule(r, in, binding) {
+			if prov.Enabled() {
+				prov.AddSel(obs.SelDecision{
+					Fn: c.F.Name, Root: in.String(),
+					Chosen: r.SeqName(), Via: "rule", Rejected: rejected,
+				})
 			}
-			reject(r, failEmit)
-		} else {
-			reject(r, okm)
+			return true
+		}
+		if prov.Enabled() {
+			rejected = append(rejected, obs.RejectedCand{Rule: r.SeqName(), Reason: why.String()})
 		}
 	}
 	// Bool-valued roots (s1) have no direct rules (ISA registers are
@@ -530,33 +536,7 @@ func (c *Ctx) tryBoolRoot(in *gmir.Inst) bool {
 			}
 			// Match the zext's operand subtree directly at the root (no
 			// single-use requirement: `in` IS the root being selected).
-			b := &matchBinding{leafVals: make([]valOperand, countLeaves(root.Args[0]))}
-			leafIdx := 0
-			if !c.matchTree(root.Args[0], in, b, &leafIdx) {
-				continue
-			}
-			okc := true
-			for leaf, want := range r.LeafConsts {
-				cv, has := c.ConstOf(b.leafVals[leaf].val)
-				if !has || cv != want {
-					okc = false
-					break
-				}
-			}
-			for _, src := range r.Operands {
-				if src.Kind == rules.SrcLeaf && src.Embed != nil {
-					cv, ok := c.ConstOf(b.leafVals[src.Leaf].val)
-					if !ok {
-						okc = false
-						break
-					}
-					if _, ok := src.Embed.Decode(cv); !ok {
-						okc = false
-						break
-					}
-				}
-			}
-			if okc && c.emitRule(r, in, b) {
+			if b, okm := c.matchAt(r, root.Args[0], in); okm == matchOK && c.emitRule(r, in, b) {
 				return true
 			}
 		}
@@ -615,9 +595,25 @@ const failEmit matchFail = -1
 
 // matchPattern matches a rule's full pattern at root `in`.
 func (c *Ctx) matchPattern(r *rules.Rule, in *gmir.Inst) (*matchBinding, matchFail) {
-	b := &matchBinding{leafVals: make([]valOperand, len(r.Pattern.Leaves()))}
+	return c.matchAt(r, r.Pattern.Root, in)
+}
+
+// matchAt matches the subtree n of r's pattern, whose leaves are all of
+// the pattern's leaves, at instruction `in`, then checks r's constant
+// and immediate constraints. The binding it returns is c.bind: valid
+// until the next match, and allocation-free once c.bind has grown to
+// the largest pattern.
+func (c *Ctx) matchAt(r *rules.Rule, n *pattern.Node, in *gmir.Inst) (*matchBinding, matchFail) {
+	b := &c.bind
+	leaves := countLeaves(n)
+	if cap(b.leafVals) < leaves {
+		b.leafVals = make([]valOperand, leaves)
+	}
+	b.leafVals = b.leafVals[:leaves]
+	clear(b.leafVals)
+	b.interior = b.interior[:0]
 	leafIdx := 0
-	if !c.matchTree(r.Pattern.Root, in, b, &leafIdx) {
+	if !c.matchTree(n, in, b, &leafIdx) {
 		return nil, failShape
 	}
 	// Exact-constant leaf constraints (manual rules like BIC's xor -1).
@@ -641,18 +637,6 @@ func (c *Ctx) matchPattern(r *rules.Rule, in *gmir.Inst) (*matchBinding, matchFa
 		}
 	}
 	return b, matchOK
-}
-
-// matchNode matches a pattern subtree against a value operand.
-func (c *Ctx) matchNode(n *pattern.Node, vo valOperand, b *matchBinding) (*matchBinding, bool) {
-	if b == nil {
-		b = &matchBinding{leafVals: make([]valOperand, countLeaves(n))}
-	}
-	leafIdx := 0
-	if !c.matchSub(n, vo, b, &leafIdx) {
-		return nil, false
-	}
-	return b, true
 }
 
 func countLeaves(n *pattern.Node) int {
@@ -740,10 +724,10 @@ func (c *Ctx) loadFoldSafe(load *gmir.Inst) bool {
 
 // emitRule emits the machine instructions of a matched rule.
 func (c *Ctx) emitRule(r *rules.Rule, root *gmir.Inst, b *matchBinding) bool {
-	// Resolve operand values first (pure; no emission yet).
+	// Resolve operand values first (no emission yet), parallel to
+	// seq.Inputs.
 	seq := r.Seq
-	// Values for sequence inputs, keyed by (instruction index, operand name).
-	inVals := map[string]mir.Operand{}
+	inVals := c.inVals[:0]
 	for k, in := range seq.Inputs {
 		src := r.Operands[k]
 		var op mir.Operand
@@ -766,8 +750,9 @@ func (c *Ctx) emitRule(r *rules.Rule, root *gmir.Inst, b *matchBinding) bool {
 				op = mir.R(c.ValueReg(vo.val))
 			}
 		}
-		inVals[fmt.Sprintf("%d.%s", in.Inst, in.Op.Name)] = op
+		inVals = append(inVals, op)
 	}
+	c.inVals = inVals
 
 	// Wire intermediate results through fresh registers; the final
 	// instruction writes the root's register.
@@ -776,9 +761,8 @@ func (c *Ctx) emitRule(r *rules.Rule, root *gmir.Inst, b *matchBinding) bool {
 	for idx, inst := range seq.Insts {
 		m := &mir.Inst{Meta: inst}
 		for _, opnd := range inst.Operands {
-			keyName := fmt.Sprintf("%d.%s", idx, opnd.Name)
-			if v, ok := inVals[keyName]; ok {
-				m.Args = append(m.Args, v)
+			if k := inputOf(seq, idx, opnd.Name); k >= 0 {
+				m.Args = append(m.Args, inVals[k])
 				continue
 			}
 			wired := false
@@ -821,8 +805,19 @@ func (c *Ctx) emitRule(r *rules.Rule, root *gmir.Inst, b *matchBinding) bool {
 		c.MarkCovered(in)
 	}
 	c.report.RuleInsts += 1 + len(b.interior)
-	c.report.RulesUsed = append(c.report.RulesUsed, seq.String())
+	c.report.RulesUsed = append(c.report.RulesUsed, r.SeqName())
 	return true
+}
+
+// inputOf returns the index of the sequence input that feeds operand op
+// of instruction idx (the last one, should two name it), or -1.
+func inputOf(seq *isa.Sequence, idx int, op string) int {
+	for k := len(seq.Inputs) - 1; k >= 0; k-- {
+		if in := seq.Inputs[k]; in.Inst == idx && in.Op.Name == op {
+			return k
+		}
+	}
+	return -1
 }
 
 func hasRegEffect(inst *isa.Instruction) bool {

@@ -119,6 +119,18 @@ type Rule struct {
 	// verbatim across save/load; zero means "no model cost recorded" and
 	// every consumer falls back to the legacy operand-count metric.
 	CostV cost.Vector
+
+	seqName string // Seq.String(), stamped by Library.Add
+}
+
+// SeqName is the rule's sequence rendered as Seq.String() ("INST1 ;
+// INST2"). Library.Add computes it once (a rule is immutable after Add),
+// so the selector's provenance reuses one string per rule.
+func (r *Rule) SeqName() string {
+	if r.seqName != "" {
+		return r.seqName
+	}
+	return r.Seq.String()
 }
 
 // Cost is the paper's metric: total input operands over the sequence.
@@ -216,6 +228,11 @@ func NewLibrary(target string) *Library {
 // insertion, so every library — synthesized, manual, or loaded — carries
 // the reuse metadata the incremental planner needs.
 func (l *Library) Add(r *Rule) {
+	// Stamp only once: a rule reused into a new library may be read by
+	// selectors of the library it came from.
+	if r.seqName == "" {
+		r.seqName = r.Seq.String()
+	}
 	if r.Prov == nil {
 		r.Prov = SupportOf(r.Seq)
 	}
@@ -257,7 +274,7 @@ func (l *Library) Add(r *Rule) {
 
 func ruleSig(r *Rule) string {
 	var sb strings.Builder
-	sb.WriteString(r.Seq.String())
+	sb.WriteString(r.SeqName())
 	for leaf, v := range r.LeafConsts {
 		fmt.Fprintf(&sb, "|k%d=%s", leaf, v)
 	}

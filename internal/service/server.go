@@ -385,12 +385,14 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 			if ent, ok := sv.store.LoadDisk(fp, func() (*term.Builder, *isa.Target, error) {
 				return sv.loadTarget(def, fsp)
 			}); ok {
-				// The flight span ends before Complete wakes the waiters,
-				// so a sampled request's trace is whole once it answers.
+				// The flight span ends, and the lineage's shards are
+				// updated, before Complete wakes the waiters: a sampled
+				// request's trace is whole once it answers, and the
+				// client's next edit of this lineage finds the shards.
 				sv.metrics.DiskHits.Add(1)
 				fsp.SetStr("origin", "disk").End()
-				sv.store.Complete(fp, ent, nil)
 				sv.shards.Update(lk, ent.Target, ent.Lib)
+				sv.store.Complete(fp, ent, nil)
 				return
 			}
 			// Disk miss: ask the fingerprint's ring owner before doing any
@@ -402,10 +404,10 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 				if ent, ok := sv.fillFromPeer(def, rid, timeout, fsp.Context()); ok {
 					sv.metrics.PeerFills.Add(1)
 					fsp.SetStr("origin", "peer").End()
-					sv.store.Complete(fp, ent, nil)
 					if !ent.Partial {
 						sv.shards.Update(lk, ent.Target, ent.Lib)
 					}
+					sv.store.Complete(fp, ent, nil)
 					return
 				}
 			}
@@ -423,10 +425,10 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 				origin = "error"
 			}
 			fsp.SetStr("origin", origin).End()
-			sv.store.Complete(fp, ent, err)
 			if err == nil && ent != nil && !ent.Partial {
 				sv.shards.Update(lk, ent.Target, ent.Lib)
 			}
+			sv.store.Complete(fp, ent, err)
 		}
 		if err := sv.sched.Submit(job); err != nil {
 			// The flight must still resolve or joiners would hang.

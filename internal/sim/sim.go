@@ -5,6 +5,11 @@
 // (Apple M2, Milk-V SG2042): simulated cycle counts (per-instruction
 // latencies from the ISA metadata) play the role of measured runtime,
 // and static code bytes the role of binary size (§VIII-C).
+//
+// The effect terms run as the programs isa.LoadTarget compiled for each
+// instruction (isa.Instruction.Exec): a step fills the instruction's
+// input layout once and runs every effect over it, so a step allocates
+// nothing.
 package sim
 
 import (
@@ -13,9 +18,9 @@ import (
 	"iselgen/internal/bv"
 	"iselgen/internal/cost"
 	"iselgen/internal/gmir"
+	"iselgen/internal/isa"
 	"iselgen/internal/mir"
 	"iselgen/internal/spec"
-	"iselgen/internal/term"
 )
 
 // Result reports one execution.
@@ -30,7 +35,8 @@ type Result struct {
 	Flags map[string]bv.BV
 }
 
-// Machine executes machine functions.
+// Machine executes machine functions. A Machine runs one function at a
+// time.
 type Machine struct {
 	Mem *gmir.Memory
 	// MaxSteps bounds execution (default 200M instructions).
@@ -40,11 +46,13 @@ type Machine struct {
 	// reproduces them exactly, so dynamic cost under a custom table stays
 	// comparable with the static model the selectors optimize.
 	Model *cost.Table
+
+	frame isa.Frame
 }
 
-type memAdapter struct{ m *gmir.Memory }
-
-func (a memAdapter) Load(addr uint64, bits int) bv.BV { return a.m.Load(addr, bits) }
+// pcBase is the PC every instruction sees: the MIR stream has no
+// addresses, so branches are decided by displacement sensitivity.
+const pcBase = 0x100000
 
 // Adjust converts a register-file value to an operand width: the file
 // behaves like physical 64-bit registers, so narrower reads truncate and
@@ -78,7 +86,7 @@ func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
 	for i, p := range f.Params {
 		regs[p] = args[i]
 	}
-	flags := map[string]bv.BV{"N": bv.Zero(1), "Z": bv.Zero(1), "C": bv.Zero(1), "V": bv.Zero(1)}
+	m.frame.Reset()
 
 	layout := map[int]int{} // block ID -> layout index
 	for i, b := range f.Blocks {
@@ -108,13 +116,10 @@ func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
 					res.Ret = regs[in.Args[0].Reg]
 					res.HasRet = true
 				}
-				res.Flags = map[string]bv.BV{}
-				for k, v := range flags {
-					res.Flags[k] = v
-				}
+				res.Flags = m.frame.FlagMap()
 				return res, nil
 			}
-			t, err := m.step(in, regs, flags)
+			t, err := m.step(in, regs)
 			if err != nil {
 				return res, fmt.Errorf("sim: %s: %s: %w", f.Name, in, err)
 			}
@@ -137,7 +142,7 @@ func (m *Machine) Run(f *mir.Func, args []bv.BV) (Result, error) {
 }
 
 // step executes one ISA instruction; reports whether a branch was taken.
-func (m *Machine) step(in *mir.Inst, regs []bv.BV, flags map[string]bv.BV) (bool, error) {
+func (m *Machine) step(in *mir.Inst, regs []bv.BV) (bool, error) {
 	meta := in.Meta
 	if meta == nil {
 		return false, fmt.Errorf("unexpected pseudo")
@@ -145,42 +150,36 @@ func (m *Machine) step(in *mir.Inst, regs []bv.BV, flags map[string]bv.BV) (bool
 	if len(in.Args) != len(meta.Operands) {
 		return false, fmt.Errorf("operand count %d, want %d", len(in.Args), len(meta.Operands))
 	}
-	env := term.NewEnv()
-	env.Mem = memAdapter{m.Mem}
+	vals := m.frame.Begin(meta, pcBase)
 	labelImm := -1
 	for i, op := range meta.Operands {
-		name := meta.Name + "." + op.Name
 		a := in.Args[i]
 		if a.IsImm {
-			env.Bind(name, Adjust(a.Imm, op.Width))
+			vals[i] = Adjust(a.Imm, op.Width)
 			if len(in.Succs) > 0 && op.Kind == spec.OpImm && labelImm < 0 {
 				labelImm = i
 			}
 		} else {
-			env.Bind(name, Adjust(regs[a.Reg], op.Width))
+			vals[i] = Adjust(regs[a.Reg], op.Width)
 		}
 	}
-	for _, fn := range spec.FlagNames {
-		env.Bind(meta.Name+"."+fn, flags[fn])
-	}
-	const pcBase = 0x100000
-	env.Bind(meta.Name+".pc", bv.New(64, pcBase))
 
 	branchTaken := false
 	dstIdx := 0
-	for _, e := range meta.Effects {
+	for k, e := range meta.Effects {
+		x := &meta.Exec[k]
 		switch e.Kind {
 		case spec.EffReg, spec.EffWB:
 			if dstIdx >= len(in.Dsts) {
 				return false, fmt.Errorf("missing destination register for %s effect", e.Kind)
 			}
-			regs[in.Dsts[dstIdx]] = e.T.Eval(env)
+			regs[in.Dsts[dstIdx]] = m.frame.Run(x.Val, m.Mem)
 			dstIdx++
 		case spec.EffFlag:
-			flags[e.Dest] = e.T.Eval(env)
+			m.frame.Flags[x.Flag] = m.frame.Run(x.Val, m.Mem)
 		case spec.EffMem:
-			addr := e.T.Args[0].Eval(env)
-			val := e.T.Args[1].Eval(env)
+			addr := m.frame.Run(x.Addr, m.Mem)
+			val := m.frame.Run(x.Val, m.Mem)
 			m.Mem.Store(addr.Uint64(), val, int(e.T.Aux0))
 		case spec.EffPC:
 			// Decide taken-ness by displacement sensitivity: evaluate the
@@ -193,12 +192,12 @@ func (m *Machine) step(in *mir.Inst, regs []bv.BV, flags map[string]bv.BV) (bool
 			if labelImm < 0 {
 				return false, fmt.Errorf("branch without label immediate")
 			}
-			labelName := meta.Name + "." + meta.Operands[labelImm].Name
-			labelW := meta.Operands[labelImm].Width
-			env.Bind(labelName, bv.New(labelW, 2))
-			r1 := e.T.Eval(env)
-			env.Bind(labelName, bv.New(labelW, 3))
-			r2 := e.T.Eval(env)
+			label, labelW := vals[labelImm], meta.Operands[labelImm].Width
+			vals[labelImm] = bv.New(labelW, 2)
+			r1 := m.frame.Run(x.Val, m.Mem)
+			vals[labelImm] = bv.New(labelW, 3)
+			r2 := m.frame.Run(x.Val, m.Mem)
+			vals[labelImm] = label
 			if r1 != r2 {
 				branchTaken = true
 			} else if r1.Lo != pcBase+uint64(in.Size()) {

@@ -19,13 +19,15 @@ import (
 type Env struct {
 	Vals map[string]bv.BV
 	// Mem, when non-nil, replaces the hash-based memory model for Load
-	// terms — the machine simulator supplies its real memory here. Store
-	// terms still evaluate to a digest; executors handle store effects by
-	// evaluating the address and value subterms explicitly.
+	// terms. Store terms still evaluate to a digest; executors handle
+	// store effects by evaluating the address and value subterms
+	// explicitly.
 	Mem MemModel
 }
 
-// MemModel supplies load values during evaluation.
+// MemModel supplies load values during evaluation (Env.Mem, and the
+// mem argument of Program.RunIn, through which the machine simulator and
+// the emulator read their real memory).
 type MemModel interface {
 	Load(addr uint64, bits int) bv.BV
 }

@@ -11,17 +11,25 @@ import (
 // which is fine for one-shot evaluation but dominates the profile when
 // the same term is evaluated on hundreds of test vectors (§V-C sample
 // evaluation, the SMT-fallback probe, and the counterexample screen all
-// do exactly that). Compile walks the DAG once; Run then evaluates with
-// no allocation at all beyond the Program's own scratch buffer.
+// do exactly that) or once per simulated instruction. Compile walks the
+// DAG once; evaluation then allocates nothing.
 //
-// A Program is immutable after Compile except for its scratch registers,
-// so a single Program must not be Run from two goroutines at once; each
-// worker compiles its own (compilation is two orders of magnitude
-// cheaper than the evaluations it amortizes).
+// There are two ways to run a Program:
+//   - Run binds vals[i] to Vars()[i] and evaluates in the Program's own
+//     scratch registers, so a Program compiled by Compile must not be Run
+//     from two goroutines at once; each worker compiles its own
+//     (compilation is two orders of magnitude cheaper than the
+//     evaluations it amortizes).
+//   - RunIn evaluates in scratch the caller supplies and reads loads from
+//     a caller-supplied memory. It never writes the Program, so one
+//     Program may be shared by any number of goroutines as long as they
+//     run it only through RunIn, each with its own scratch. CompileLayout
+//     builds such shared programs (the per-instruction effect programs a
+//     loaded target carries).
 type Program struct {
 	code []pinst
 	vars []PVar
-	regs []bv.BV // scratch, reused across Run calls
+	regs []bv.BV // scratch for Run; nil for CompileLayout programs
 }
 
 // PVar describes one variable slot of a compiled term, in the same
@@ -37,15 +45,50 @@ type pinst struct {
 	a0, a1, a2 int32 // argument registers (result register is the index)
 	aux0, aux1 int32
 	width      int32
-	slot       int32 // Var: index into the vals argument of Run
+	slot       int32 // Var: index into the vals argument of Run/RunIn
 	cval       bv.BV // Const: the value
 }
 
 // Compile flattens t into a Program. Shared DAG nodes are evaluated
-// once, like Term.Eval's memoization.
+// once, like Term.Eval's memoization. Variables get slots in
+// first-occurrence order (Vars).
 func Compile(t *Term) *Program {
 	p := &Program{}
 	slots := map[string]int32{}
+	p.compile(t, func(u *Term) int32 {
+		s, ok := slots[u.Name]
+		if !ok {
+			s = int32(len(p.vars))
+			slots[u.Name] = s
+			p.vars = append(p.vars, PVar{Name: u.Name, Kind: u.Kind, Width: u.W()})
+		}
+		return s
+	})
+	p.regs = make([]bv.BV, len(p.code))
+	return p
+}
+
+// CompileLayout flattens t against an input layout the caller fixes:
+// variable v reads vals[slot(v)] in RunIn. slot returns a negative index
+// for a variable outside the layout, which fails the compilation. The
+// result has no Vars and no scratch of its own; run it only with RunIn.
+func CompileLayout(t *Term, slot func(v *Term) int) (*Program, error) {
+	p := &Program{}
+	var bad *Term
+	p.compile(t, func(u *Term) int32 {
+		s := slot(u)
+		if s < 0 && bad == nil {
+			bad = u
+		}
+		return int32(s)
+	})
+	if bad != nil {
+		return nil, fmt.Errorf("term: variable %q (%s, %d bits) is outside the input layout", bad.Name, bad.Kind, bad.W())
+	}
+	return p, nil
+}
+
+func (p *Program) compile(t *Term, slotOf func(v *Term) int32) {
 	regOf := map[*Term]int32{}
 	var walk func(u *Term) int32
 	walk = func(u *Term) int32 {
@@ -58,13 +101,7 @@ func Compile(t *Term) *Program {
 		case Const:
 			in.cval = u.CVal
 		case Var:
-			s, ok := slots[u.Name]
-			if !ok {
-				s = int32(len(p.vars))
-				slots[u.Name] = s
-				p.vars = append(p.vars, PVar{Name: u.Name, Kind: u.Kind, Width: u.W()})
-			}
-			in.slot = s
+			in.slot = slotOf(u)
 		default:
 			for i, a := range u.Args {
 				r := walk(a)
@@ -86,9 +123,10 @@ func Compile(t *Term) *Program {
 		return r
 	}
 	walk(t)
-	p.regs = make([]bv.BV, len(p.code))
-	return p
 }
+
+// Len is the number of scratch registers RunIn needs.
+func (p *Program) Len() int { return len(p.code) }
 
 // Vars returns the variable slots, in first-occurrence order. The slice
 // is shared; callers must not modify it.
@@ -98,8 +136,16 @@ func (p *Program) Vars() []PVar { return p.vars }
 // the deterministic hash memory model (MemValue), exactly like
 // Term.Eval under an Env with no Mem. Widths of vals must match the
 // slots'; Run does not re-check them.
-func (p *Program) Run(vals []bv.BV) bv.BV {
-	regs := p.regs
+func (p *Program) Run(vals []bv.BV) bv.BV { return p.RunIn(vals, p.regs, nil) }
+
+// RunIn evaluates the program with each variable reading its slot of
+// vals, using scratch (at least Len() entries) for intermediate values.
+// Loads read mem, or the hash memory model (MemValue) when mem is nil —
+// Term.Eval under an Env with that Mem. Unlike Term.Eval, both arms of
+// an Ite are evaluated; every operation is pure, so only the cost
+// differs. RunIn only reads the Program.
+func (p *Program) RunIn(vals, scratch []bv.BV, mem MemModel) bv.BV {
+	regs := scratch[:len(p.code)]
 	for i := range p.code {
 		in := &p.code[i]
 		var r bv.BV
@@ -163,7 +209,11 @@ func (p *Program) Run(vals []bv.BV) bv.BV {
 				r = regs[in.a2]
 			}
 		case Load:
-			r = MemValue(regs[in.a0].Uint64(), int(in.width))
+			if mem != nil {
+				r = mem.Load(regs[in.a0].Uint64(), int(in.width))
+			} else {
+				r = MemValue(regs[in.a0].Uint64(), int(in.width))
+			}
 		case Store:
 			r = StoreDigest(regs[in.a0].Uint64(), regs[in.a1], int(in.width))
 		case Popcount:

@@ -123,3 +123,48 @@ func TestProgramLoadStore(t *testing.T) {
 		t.Fatalf("store: program=%v eval=%v", got, ref)
 	}
 }
+
+// fixedMem is a MemModel that answers every load with addr+bits.
+type fixedMem struct{}
+
+func (fixedMem) Load(addr uint64, bits int) bv.BV { return bv.New(bits, addr+uint64(bits)) }
+
+// TestCompileLayoutRunIn: a layout program reads each variable from the
+// slot the caller assigned, in caller scratch, and loads from the
+// supplied memory — agreeing with Term.Eval under an Env with that Mem.
+// A variable outside the layout fails the compilation.
+func TestCompileLayoutRunIn(t *testing.T) {
+	b := NewBuilder()
+	x, y := b.VarT("x", KindReg, 64), b.VarT("y", KindReg, 64)
+	tm := b.Sub(b.Load(64, b.Add(x, y)), x)
+	layout := map[string]int{"y": 0, "x": 2} // slot 1 is unused
+	p, err := CompileLayout(tm, func(v *Term) int {
+		if s, ok := layout[v.Name]; ok {
+			return s
+		}
+		return -1
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.Vars()) != 0 {
+		t.Errorf("layout program lists %d vars", len(p.Vars()))
+	}
+	vals := []bv.BV{bv.New(64, 0x20), bv.BV{}, bv.New(64, 0x100)}
+	env := NewEnv()
+	env.Bind("x", vals[2])
+	env.Bind("y", vals[0])
+	env.Mem = fixedMem{}
+	if got, want := p.RunIn(vals, make([]bv.BV, p.Len()), fixedMem{}), tm.Eval(env); got != want || got.Lo != 0x160-0x100 {
+		t.Errorf("RunIn = %v, Eval = %v", got, want)
+	}
+	onlyX := func(v *Term) int {
+		if v.Name == "x" {
+			return 0
+		}
+		return -1
+	}
+	if _, err := CompileLayout(tm, onlyX); err == nil {
+		t.Error("a variable outside the layout compiled")
+	}
+}
