@@ -19,10 +19,10 @@
 //	GET  /v1/jobs/{id}    job progress and, when done, the result
 //	POST /v1/artifact     serve (or produce) a serialized library for a
 //	                      peer replica's cache fill
-//	GET  /v1/solver/query look up one memoized SMT verdict by its
-//	                      content-addressed key (?key=...); misses probe
-//	                      cluster peers cache-only and answer 404 — the
-//	                      endpoint never solves
+//	GET  /v1/solver/query look up one memoized SMT verdict in this
+//	                      replica's memo by its content-addressed key
+//	                      (?key=...); misses answer 404 — the endpoint
+//	                      never solves and never asks a peer
 //	POST /v1/solver/query the same lookup with the key in a JSON body
 //	GET  /v1/rules/{fingerprint}/why
 //	                      a rule's provenance joined with the memoized
@@ -63,7 +63,9 @@
 // fingerprints: a miss is filled from its ring owner over HTTP (so a
 // cold key is synthesized once fleet-wide), reads are hedged, per-peer
 // circuit breakers isolate dead replicas, and everything degrades to
-// local-only service when the fleet is unreachable. On SIGTERM the
+// local-only service when the fleet is unreachable. Peers exchange only
+// persisted library artifacts and trace spans. A spec edit is
+// resynthesized from the artifact of its lineage's previous revision. On SIGTERM the
 // daemon stops accepting, drains in-flight work under -drain-timeout,
 // and flushes the disk cache before exiting.
 package main

@@ -669,9 +669,6 @@ func (b *Blaster) AssertDistinct(x, y []sat.Lit) {
 	b.S.AddClause(diff...)
 }
 
-// AssertLit requires the given literal to hold.
-func (b *Blaster) AssertLit(l sat.Lit) { b.S.AddClause(l) }
-
 // DistinctLit returns a literal that is true iff x != y, without
 // asserting it.
 func (b *Blaster) DistinctLit(x, y []sat.Lit) sat.Lit {

@@ -9,13 +9,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sort"
 	"time"
 
 	"iselgen/internal/obs"
 	"iselgen/internal/service"
-	"iselgen/internal/smt"
 )
 
 // Config configures a cluster node. Every replica serves every request
@@ -68,8 +66,8 @@ type peerState struct {
 }
 
 // New builds the cluster layer around a local service, attaches it as
-// the service's remote filler, memo prober, and trace collector, and
-// mounts GET /v1/cluster on the service's routes. Serve sv.Handler().
+// the service's remote filler and trace collector, and mounts
+// GET /v1/cluster on the service's routes. Serve sv.Handler().
 func New(sv *service.Server, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: config needs Self")
@@ -112,7 +110,6 @@ func New(sv *service.Server, cfg Config) (*Node, error) {
 		}
 	}
 	sv.SetFiller(n)
-	sv.SetMemoProber(n)
 	sv.SetTraceCollector(n)
 	sv.HandleFunc("GET /v1/cluster", n.handleStatus)
 	return n, nil
@@ -295,150 +292,6 @@ func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillReq
 
 // maxArtifactBytes bounds an artifact response read from a peer.
 const maxArtifactBytes = 64 << 20
-
-// memoProbeTimeout bounds one solver-memo probe: a probe is two map
-// lookups on the peer, so anything slower is a peer problem, and the
-// caller (an API query, never the synthesis hot path) falls back to a
-// plain miss.
-const memoProbeTimeout = 2 * time.Second
-
-// maxMemoBytes bounds a solver-query response read from a peer.
-const maxMemoBytes = 1 << 20
-
-// memoResult is one peer memo-probe outcome on the hedge race.
-type memoResult struct {
-	entry smt.MemoEntry
-	ok    bool
-	err   error
-	peer  string
-}
-
-// ProbeMemo implements service.MemoProber: ask the memo key's ring
-// owner whether it holds a verdict, hedging to the next distinct
-// replica after HedgeDelay (or immediately once the owner answers
-// empty). Every leg is cache-only by construction — the request carries
-// the forwarded marker, so the peer answers strictly from its local
-// memo and a fleet-wide miss costs a few map lookups, never a solve.
-func (n *Node) ProbeMemo(ctx context.Context, key string) (smt.MemoEntry, bool) {
-	owners := n.ring.Owners(key, 2)
-	var targets []*peerState
-	for _, o := range owners {
-		if o == n.cfg.Self {
-			continue
-		}
-		if ps := n.peer[o]; ps != nil {
-			targets = append(targets, ps)
-		}
-	}
-	if len(targets) == 0 {
-		return smt.MemoEntry{}, false
-	}
-	// A sampled API query's probes join its fleet trace: the probe span
-	// parents under the request span and its context rides each leg's
-	// X-Iseld-Trace header.
-	var psp *obs.Span
-	if tr := n.cfg.Obs.TracerOrNil(); tr != nil {
-		if tc, ok := service.TraceContextFrom(ctx); ok {
-			psp = tr.StartRemote("memo probe", tc)
-		} else {
-			psp = tr.Start("memo probe")
-		}
-	}
-	traceHdr := ""
-	if pc := psp.Context(); pc.Valid() {
-		traceHdr = pc.Header()
-	}
-	defer psp.End()
-	ctx, cancel := context.WithTimeout(ctx, memoProbeTimeout)
-	defer cancel()
-	results := make(chan memoResult, len(targets))
-	launch := func(ps *peerState) {
-		if !ps.breaker.Allow() {
-			results <- memoResult{err: fmt.Errorf("cluster: circuit open for %s", ps.url), peer: ps.url}
-			return
-		}
-		n.count("cluster_memo_probes", "cache-only solver verdict probes sent to peers")
-		e, ok, err := n.probeMemoFrom(ctx, ps, key, traceHdr)
-		results <- memoResult{e, ok, err, ps.url}
-	}
-	go launch(targets[0])
-	inflight := 1
-	var hedgeTimer *time.Timer
-	if n.cfg.HedgeDelay > 0 && len(targets) > 1 {
-		second := targets[1]
-		hedgeTimer = time.AfterFunc(n.cfg.HedgeDelay, func() {
-			n.count("cluster_memo_hedges", "hedged memo probes issued")
-			launch(second)
-		})
-		inflight = 2
-	}
-	defer func() {
-		if hedgeTimer != nil {
-			hedgeTimer.Stop()
-		}
-	}()
-	for i := 0; i < inflight; i++ {
-		select {
-		case res := <-results:
-			if res.err == nil && res.ok {
-				n.count("cluster_memo_hits", "peer memo probes that returned a verdict")
-				return res.entry, true
-			}
-			// The owner came up empty (miss or failure): if the hedge has
-			// not launched yet, launch it now rather than waiting out the
-			// delay — the second replica is the only remaining chance.
-			if hedgeTimer != nil && res.peer == targets[0].url && hedgeTimer.Stop() {
-				go launch(targets[1])
-			}
-		case <-ctx.Done():
-			return smt.MemoEntry{}, false
-		}
-	}
-	return smt.MemoEntry{}, false
-}
-
-// probeMemoFrom performs one GET /v1/solver/query exchange with a peer,
-// recording the outcome on its breaker. A 404 is a healthy "no verdict
-// here", not a peer failure.
-func (n *Node) probeMemoFrom(ctx context.Context, ps *peerState, key, traceHdr string) (smt.MemoEntry, bool, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		ps.url+"/v1/solver/query?key="+url.QueryEscape(key), nil)
-	if err != nil {
-		return smt.MemoEntry{}, false, err
-	}
-	hr.Header.Set(service.ForwardedHeader, n.cfg.Self)
-	if traceHdr != "" {
-		hr.Header.Set(obs.TraceHeader, traceHdr)
-	}
-	resp, err := n.cfg.Client.Do(hr)
-	if err != nil {
-		n.peerFailed(ps)
-		return smt.MemoEntry{}, false, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(io.LimitReader(resp.Body, maxMemoBytes))
-	if err != nil {
-		n.peerFailed(ps)
-		return smt.MemoEntry{}, false, err
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		var qr service.SolverQueryResponse
-		if err := json.Unmarshal(out, &qr); err != nil || !qr.Found || qr.Entry == nil {
-			n.peerFailed(ps)
-			return smt.MemoEntry{}, false, fmt.Errorf("cluster: bad solver answer from %s", ps.url)
-		}
-		ps.breaker.Success()
-		return *qr.Entry, true, nil
-	case resp.StatusCode >= 500:
-		n.peerFailed(ps)
-		return smt.MemoEntry{}, false, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
-	default:
-		// 4xx: the peer is healthy but holds no verdict for the key.
-		ps.breaker.Success()
-		return smt.MemoEntry{}, false, nil
-	}
-}
 
 // traceCollectTimeout bounds one peer span-ring read: a bounded-ring
 // export plus JSON, so anything slower is a peer problem and trace

@@ -74,3 +74,18 @@ func TestSynthesizeCtxNoDeadline(t *testing.T) {
 		t.Errorf("suspiciously small library: %d rules", lib1.Len())
 	}
 }
+
+// TestWavePanicReachesCaller: a matcher worker's panic comes back to
+// the goroutine that called Synthesize, where a server can recover it,
+// instead of ending the process from a goroutine nobody can guard.
+func TestWavePanicReachesCaller(t *testing.T) {
+	s, _ := miniSynth(t, Config{TestInputs: 32, Workers: 2})
+	pats := cancelPats()[:2]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a worker's panic did not reach the caller")
+		}
+	}()
+	// A nil pattern panics inside a worker when it is compiled.
+	s.wave([]*pattern.Pattern{pats[0], nil, pats[1]}, rules.NewLibrary("mini"))
+}

@@ -816,24 +816,14 @@ func nameHash(name string) uint64 {
 	return h
 }
 
-// rawInput produces the fixed 128-bit random input for test vector j and
-// variable name. Values are keyed by name (not position) so pattern-side
-// probing can reproduce exactly the value a sequence variable received.
-func rawInput(j int, name string) (hi, lo uint64) {
-	return rawInputH(j, nameHash(name))
-}
-
-// rawInputH is rawInput with the name already hashed.
+// rawInputH produces the fixed 128-bit random input for test vector j
+// and the variable whose name hashes (nameHash) to h. Values are keyed
+// by name (not position) so pattern-side probing can reproduce exactly
+// the value a sequence variable received.
 func rawInputH(j int, h uint64) (hi, lo uint64) {
 	rng := bv.NewRNG(h ^ uint64(j)*0x9e3779b97f4a7c15)
 	v := rng.BV(128)
 	return v.Hi, v.Lo
-}
-
-// InputFor returns the test value for vector j, variable name, width w.
-func InputFor(j int, name string, w int) bv.BV {
-	hi, lo := rawInput(j, name)
-	return bv.New128(w, hi, lo)
 }
 
 // digest reduces an evaluation result to 64 bits for compact caching.

@@ -146,7 +146,9 @@ func (s *Synthesizer) cancelled() bool {
 	return s.cancelFn != nil && s.cancelFn()
 }
 
-// wave matches one batch of same-size patterns in parallel.
+// wave matches one batch of same-size patterns in parallel. A worker's
+// panic is handed back to the caller once every worker has stopped, as
+// BuildPool does with its enumerator's.
 func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 	type result struct {
 		idx  int
@@ -167,10 +169,20 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 	}
 	close(next)
 	var mu sync.Mutex
+	var panicked any
 	for k := 0; k < nw; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = p
+					}
+					mu.Unlock()
+				}
+			}()
 			w := s.newWorker()
 			for i := range next {
 				r := w.synthesizeOne(wave[i])
@@ -198,6 +210,9 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	for _, r := range results {
 		if r.rule == nil {
 			continue

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"iselgen/internal/bv"
 	"iselgen/internal/gmir"
 	"iselgen/internal/term"
 )
@@ -316,9 +315,6 @@ func (e *Extractor) Count(p *Pattern) int {
 	return 0
 }
 
-// NumPatterns returns the number of distinct patterns seen.
-func (e *Extractor) NumPatterns() int { return len(e.counts) }
-
 // --- convenience constructors for tests and manual rules ---
 
 // Leaf builds a register leaf.
@@ -349,7 +345,3 @@ func StoreOp(memBits int, val, addr *Node) *Node {
 
 // New wraps a root node into a Pattern.
 func New(root *Node) *Pattern { return &Pattern{Root: root} }
-
-// EvalLeafInputs produces deterministic test-input values for leaf i of
-// vector j, shared with the sequence side of probing (§V-C).
-func EvalLeafInputs(rng *bv.RNG, width int) bv.BV { return rng.BV(width) }

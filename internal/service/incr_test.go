@@ -9,6 +9,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"iselgen/internal/harness"
+	"iselgen/internal/incr"
+	"iselgen/internal/isel"
+	"iselgen/internal/term"
 )
 
 // svcSpecEdited is svcSpec with one semantic edit: ORNrr or-inverts no
@@ -18,11 +23,11 @@ var svcSpecEdited = strings.Replace(svcSpec,
 	"inst ORNrr(rn: reg64, rm: reg64) { rd = rn | ~rm; }",
 	"inst ORNrr(rn: reg64, rm: reg64) { rd = rn | rm; }", 1)
 
-// TestIncrementalSpecEdit is the service-level acceptance for the shard
-// store: after one full synthesis, a whitespace-only edit resynthesizes
-// from shards with every rule reused and zero solver queries, and a
-// semantic edit still answers from shards, re-running synthesis only
-// for the touched instruction.
+// TestIncrementalSpecEdit is the service-level acceptance for lineages:
+// after one full synthesis, a whitespace-only edit resynthesizes from
+// the lineage's artifact with every rule reused and zero solver
+// queries, and a semantic edit still answers incrementally, re-running
+// synthesis only for the touched instruction.
 func TestIncrementalSpecEdit(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 
@@ -37,7 +42,7 @@ func TestIncrementalSpecEdit(t *testing.T) {
 	}
 
 	// 2. Whitespace-only edit: new spec text, so the full cache misses —
-	// but the instruction fingerprints are unchanged, so the shard store
+	// but the instruction fingerprints are unchanged, so the lineage
 	// answers with every rule reused and the solver never consulted.
 	status, body = postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec + "\n"})
 	if status != http.StatusOK {
@@ -58,7 +63,7 @@ func TestIncrementalSpecEdit(t *testing.T) {
 		t.Errorf("whitespace edit consulted the solver %d times, want 0", ws.Stats.SMTQueries)
 	}
 
-	// 3. Semantic edit to one instruction: still served from shards,
+	// 3. Semantic edit to one instruction: still served incrementally,
 	// with most rules reused.
 	status, body = postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpecEdited})
 	if status != http.StatusOK {
@@ -82,9 +87,79 @@ func TestIncrementalSpecEdit(t *testing.T) {
 	if m.RulesReused == 0 {
 		t.Error("rules_reused = 0 after two incremental runs")
 	}
-	if m.ShardLineages != 1 || m.Shards == 0 {
-		t.Errorf("shard_lineages=%d shards=%d, want 1 lineage with shards", m.ShardLineages, m.Shards)
+	if m.ShardLineages != 1 {
+		t.Errorf("shard_lineages=%d, want 1", m.ShardLineages)
 	}
+}
+
+// TestIncrementalMatchesArtifactReader pins that a lineage answers an
+// edit from nothing but the seed's persisted artifact: for a whitespace
+// no-op and for a semantic edit, the daemon's cache=incr library equals,
+// byte for byte, incr.Resynthesize run directly over
+// incr.ParseArtifact of the seed's /v1/artifact text, under the same
+// config and corpus.
+func TestIncrementalMatchesArtifactReader(t *testing.T) {
+	for _, tc := range []struct{ name, spec string }{
+		{"whitespace", svcSpec + "\n"},
+		{"semantic", svcSpecEdited},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sv, ts := newTestServer(t, testConfig())
+			status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec})
+			if status != http.StatusOK {
+				t.Fatalf("seed synthesis: status %d: %s", status, body)
+			}
+			seed := fetchArtifact(t, ts.URL, decodeSynth(t, body).Fingerprint)
+
+			status, body = postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: tc.spec})
+			if status != http.StatusOK {
+				t.Fatalf("edit: status %d: %s", status, body)
+			}
+			edit := decodeSynth(t, body)
+			if edit.Cache != "incr" {
+				t.Fatalf("edit cache = %q, want incr", edit.Cache)
+			}
+			served := fetchArtifact(t, ts.URL, edit.Fingerprint)
+
+			def, err := sv.resolveTarget("mini", tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			art, err := incr.ParseArtifact(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := term.NewBuilder()
+			tgt, err := def.load(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib, _, err := incr.Resynthesize(b, tgt, art, incr.Options{
+				Config: def.cfg, Patterns: harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := isel.SaveLibraryFor(lib, tgt); served != want {
+				t.Errorf("served library differs from the artifact reader's:\n--- served\n%s--- reader\n%s", served, want)
+			}
+		})
+	}
+}
+
+// fetchArtifact reads a cached library's persisted text through
+// POST /v1/artifact.
+func fetchArtifact(t *testing.T, base, fp string) string {
+	t.Helper()
+	status, body := postJSON(t, base+"/v1/artifact", FillRequest{Fingerprint: fp, CacheOnly: true})
+	if status != http.StatusOK {
+		t.Fatalf("artifact %s: status %d: %s", fp, status, body)
+	}
+	var ar ArtifactResponse
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	return ar.Library
 }
 
 // TestStoreLRU exercises the memory-layer cap directly: the

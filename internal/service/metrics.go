@@ -20,7 +20,7 @@ type Metrics struct {
 	SynthRuns  atomic.Uint64 // full synthesis executions
 	PartialRes atomic.Uint64 // deadline-curtailed (partial) results
 
-	IncrRuns     atomic.Uint64 // incremental resyntheses served from shards
+	IncrRuns     atomic.Uint64 // incremental resyntheses from a lineage's artifact
 	RulesReused  atomic.Uint64 // rules carried over re-verified (zero solver queries)
 	RulesResynth atomic.Uint64 // rules synthesized by incremental runs
 	Errors       atomic.Uint64 // requests answered with an error status
@@ -31,8 +31,7 @@ type Metrics struct {
 	BatchPrograms  atomic.Uint64 // programs received through /v1/select/batch
 	JobsSubmitted  atomic.Uint64 // async jobs admitted through /v1/jobs
 
-	MemoServed   atomic.Uint64 // /v1/solver/query answers from the local verdict memo
-	MemoPeerHits atomic.Uint64 // solver-query misses answered by a hedged peer probe
+	MemoServed atomic.Uint64 // /v1/solver/query answers from the local verdict memo
 
 	mu     sync.Mutex
 	stages core.StageStats
@@ -73,8 +72,7 @@ type MetricsSnapshot struct {
 	JobsActive     int             `json:"jobs_active"`
 	CachedEntries  int             `json:"cached_entries"`
 	Evictions      uint64          `json:"evictions"`
-	ShardLineages  int             `json:"shard_lineages"`
-	Shards         int             `json:"shards"`
+	ShardLineages  int             `json:"shard_lineages"` // lineages holding an artifact
 	QueueDepth     int             `json:"queue_depth"`
 	QueueCapacity  int             `json:"queue_capacity"`
 	InFlight       int64           `json:"in_flight"`
@@ -91,7 +89,6 @@ type MetricsSnapshot struct {
 	SolverMemoEntries int                 `json:"solver_memo_entries"`
 	SolverJournal     solver.JournalStats `json:"solver_journal"`
 	MemoServed        uint64              `json:"memo_probes_served"`
-	MemoPeerHits      uint64              `json:"memo_peer_hits"`
 
 	// TraceExemplars mirrors the Prometheus exposition's exemplar
 	// annotations into JSON: for each populated latency bucket, the most

@@ -35,7 +35,7 @@ func RequestIDFrom(ctx context.Context) string {
 }
 
 // tcKey is the context key carrying the sampled trace context into
-// detached jobs, peer fills, and memo probes.
+// detached jobs and peer fills.
 type tcKey struct{}
 
 // WithTraceContext returns ctx carrying a trace context. Invalid
@@ -317,7 +317,7 @@ func (sv *Server) registerGauges() {
 		func() int64 { return int64(sv.metrics.Joins.Load()) })
 	mirror("synth_runs", "full synthesis executions",
 		func() int64 { return int64(sv.metrics.SynthRuns.Load()) })
-	mirror("incr_runs", "incremental resyntheses served from shards",
+	mirror("incr_runs", "incremental resyntheses from a lineage's artifact",
 		func() int64 { return int64(sv.metrics.IncrRuns.Load()) })
 	mirror("partial_results", "deadline-curtailed synthesis results",
 		func() int64 { return int64(sv.metrics.PartialRes.Load()) })

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,16 +79,20 @@ type Config struct {
 type Server struct {
 	cfg       Config
 	store     *Store
-	shards    *ShardStore
 	sched     *Scheduler
 	metrics   Metrics
 	mux       *http.ServeMux
 	jobs      *jobTable
 	filler    RemoteFiller
-	prober    MemoProber
 	collector TraceCollector
 	sample    float64
 	builtins  map[string]*builtinSlot
+
+	// lineages maps a lineage key to the persisted artifact
+	// (isel.SaveLibraryFor) of its latest full-quality entry: what the
+	// lineage's next spec edit resynthesizes from.
+	lineageMu sync.Mutex
+	lineages  map[string]string
 
 	obsv    *obs.Obs
 	logger  *slog.Logger
@@ -138,17 +143,17 @@ func New(cfg Config) (*Server, error) {
 		sample = 1
 	}
 	sv := &Server{
-		cfg:    cfg,
-		store:  store,
-		shards: NewShardStore(),
-		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
-		mux:    http.NewServeMux(),
-		jobs:   newJobTable(cfg.MaxJobs),
-		sample: sample,
-		obsv:   cfg.Obs,
-		logger: cfg.Logger,
-		start:  time.Now(),
-		build:  readBuildInfo(),
+		cfg:      cfg,
+		store:    store,
+		sched:    NewScheduler(cfg.Workers, cfg.QueueDepth),
+		mux:      http.NewServeMux(),
+		jobs:     newJobTable(cfg.MaxJobs),
+		sample:   sample,
+		lineages: map[string]string{},
+		obsv:     cfg.Obs,
+		logger:   cfg.Logger,
+		start:    time.Now(),
+		build:    readBuildInfo(),
 	}
 	sv.builtins = map[string]*builtinSlot{}
 	for _, bt := range targets.All() {
@@ -264,7 +269,7 @@ func (sv *Server) resolveTarget(name, inline string) (*targetDef, error) {
 			inline:   true,
 			minWidth: 32,
 			load: func(b *term.Builder) (*isa.Target, error) {
-				return isa.LoadTarget(b, name, inline, nil, 4)
+				return isa.LoadTarget(b, name, inline, nil, 0)
 			},
 		}, nil, nil), nil
 	}
@@ -320,8 +325,8 @@ func (sv *Server) resolveBuiltin(bt *targets.Builtin) (*targetDef, error) {
 // results are never cached, and a full result is identical whatever
 // budget it ran under. The lineage key is the fingerprint *minus the
 // spec text*: two revisions of a spec share a lineage, which is exactly
-// what lets the shard store answer the second revision from the first
-// one's shards.
+// what lets the second revision resynthesize from the first one's
+// artifact.
 func (sv *Server) define(def *targetDef, extra func(*term.Builder, *isa.Target) []*isa.Sequence, model *cost.Table) *targetDef {
 	cfg := sv.cfg.Synth
 	if cfg.ExtraSequences == nil {
@@ -364,7 +369,6 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 		return e, "hit", http.StatusOK, nil
 	}
 	if owner {
-		lk := def.lineage
 		rid := RequestIDFrom(ctx)
 		// The flight outlives the HTTP request (joiners may be served
 		// after the opener disconnects), so the sampled trace context is
@@ -374,60 +378,21 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 		// the flight.
 		tc, _ := TraceContextFrom(ctx)
 		job := func() {
-			if sv.testJobGate != nil {
-				sv.testJobGate()
-			}
 			var fsp *obs.Span
 			if tc.Valid() {
 				fsp = sv.obsv.TracerOrNil().StartRemote("synth flight", tc).
 					SetStr("fingerprint", fp)
 			}
-			if ent, ok := sv.store.LoadDisk(fp, func() (*term.Builder, *isa.Target, error) {
-				return sv.loadTarget(def, fsp)
-			}); ok {
-				// The flight span ends, and the lineage's shards are
-				// updated, before Complete wakes the waiters: a sampled
-				// request's trace is whole once it answers, and the
-				// client's next edit of this lineage finds the shards.
-				sv.metrics.DiskHits.Add(1)
-				fsp.SetStr("origin", "disk").End()
-				sv.shards.Update(lk, ent.Target, ent.Lib)
-				sv.store.Complete(fp, ent, nil)
-				return
+			ent, err := sv.fill(def, rid, timeout, allowPeer, fsp)
+			origin := "error"
+			if err == nil {
+				origin = ent.Origin
 			}
-			// Disk miss: ask the fingerprint's ring owner before doing any
-			// work ourselves — across the fleet, only the owner ever
-			// synthesizes a key, so N replicas missing at once still cost
-			// one synthesis (the owner's local singleflight collapses the
-			// concurrent fills).
-			if allowPeer && sv.filler != nil {
-				if ent, ok := sv.fillFromPeer(def, rid, timeout, fsp.Context()); ok {
-					sv.metrics.PeerFills.Add(1)
-					fsp.SetStr("origin", "peer").End()
-					if !ent.Partial {
-						sv.shards.Update(lk, ent.Target, ent.Lib)
-					}
-					sv.store.Complete(fp, ent, nil)
-					return
-				}
-			}
-			// Local fill: if this lineage has completed before (same target
-			// name and config, different spec text), resynthesize from its
-			// shards instead of from scratch.
-			ent, ok := sv.runIncremental(def, timeout, fsp)
-			var err error
-			origin := "incremental"
-			if !ok {
-				ent, err = sv.runSynthesis(def, timeout, fsp)
-				origin = "synthesized"
-			}
-			if err != nil {
-				origin = "error"
-			}
+			// The flight span ends, and fill has recorded the lineage's
+			// artifact, before Complete wakes the waiters: a sampled
+			// request's trace is whole once it answers, and the client's
+			// next edit of this lineage finds the artifact.
 			fsp.SetStr("origin", origin).End()
-			if err == nil && ent != nil && !ent.Partial {
-				sv.shards.Update(lk, ent.Target, ent.Lib)
-			}
 			sv.store.Complete(fp, ent, err)
 		}
 		if err := sv.sched.Submit(job); err != nil {
@@ -464,6 +429,57 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 	return ent, cache, http.StatusOK, nil
 }
 
+// fill produces the entry for an owned flight: the disk layer, then —
+// with allowPeer — a peer fill, then an incremental or from-scratch
+// synthesis. A full-quality entry is recorded as its lineage's artifact
+// before fill returns. A panic on the way becomes the flight's error, so
+// one bad job answers 500 instead of ending the daemon. fsp is the
+// flight span (nil when unsampled).
+func (sv *Server) fill(def *targetDef, rid string, timeout time.Duration, allowPeer bool, fsp *obs.Span) (ent *Entry, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ent, err = nil, fmt.Errorf("service: synthesis of %s panicked: %v", def.name, p)
+			if sv.logger != nil {
+				sv.logger.Error("synthesis panicked", "target", def.name, "fingerprint", def.fp,
+					"panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			}
+		}
+	}()
+	if sv.testJobGate != nil {
+		sv.testJobGate()
+	}
+	ent, ok := sv.store.LoadDisk(def.fp, func() (*term.Builder, *isa.Target, error) {
+		return sv.loadTarget(def, fsp)
+	})
+	if ok {
+		sv.metrics.DiskHits.Add(1)
+	} else if allowPeer {
+		// Disk miss: ask the fingerprint's ring owner before doing any
+		// work ourselves — across the fleet, only the owner ever
+		// synthesizes a key, so N replicas missing at once still cost
+		// one synthesis (the owner's local singleflight collapses the
+		// concurrent fills).
+		if ent, ok = sv.fillFromPeer(def, rid, timeout, fsp.Context()); ok {
+			sv.metrics.PeerFills.Add(1)
+		}
+	}
+	if !ok {
+		// Local fill: if this lineage has completed before (same target
+		// name and config, different spec text), resynthesize from its
+		// artifact instead of from scratch.
+		ent, ok = sv.runIncremental(def, timeout, fsp)
+	}
+	if !ok {
+		if ent, err = sv.runSynthesis(def, timeout, fsp); err != nil {
+			return nil, err
+		}
+	}
+	if !ent.Partial {
+		sv.recordLineage(def.lineage, ent)
+	}
+	return ent, nil
+}
+
 // loadTarget materializes def's target into a fresh builder under a
 // "spec/load" span: a child of parent (the flight or fill span) when
 // there is one, a root span otherwise.
@@ -479,17 +495,32 @@ func (sv *Server) loadTarget(def *targetDef, parent *obs.Span) (*term.Builder, *
 	return b, tgt, err
 }
 
+// recordLineage keeps ent's persisted artifact as lineage lk's latest
+// full-quality result.
+func (sv *Server) recordLineage(lk string, ent *Entry) {
+	text := isel.SaveLibraryFor(ent.Lib, ent.Target)
+	sv.lineageMu.Lock()
+	sv.lineages[lk] = text
+	sv.lineageMu.Unlock()
+}
+
 // runIncremental attempts to answer a full-cache miss from the
-// lineage's shards: load the new spec, diff its instruction
-// fingerprints against the shards' provenance, re-verify the rules
+// lineage's artifact: load the new spec, diff its instruction
+// fingerprints against the artifact's provenance, re-verify the rules
 // whose support is unchanged (randomized evaluation, zero solver
 // queries), and synthesize only the remainder. Returns ok=false when
 // the lineage has no prior result or the resynthesis fails — the
 // caller then falls back to a from-scratch run. parent is the flight
 // span (nil when unsampled).
 func (sv *Server) runIncremental(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, bool) {
-	art := sv.shards.Artifact(def.lineage)
-	if art == nil {
+	sv.lineageMu.Lock()
+	text, ok := sv.lineages[def.lineage]
+	sv.lineageMu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	art, err := incr.ParseArtifact(text)
+	if err != nil {
 		return nil, false
 	}
 	t0 := time.Now()
@@ -603,7 +634,7 @@ type SynthesizeResponse struct {
 	Cache       string  `json:"cache"` // hit | disk | miss | join | incr
 	ElapsedMS   float64 `json:"elapsed_ms"`
 	// Reused and Resynthesized report, for cache=incr responses, how many
-	// rules were carried over from the lineage's shards (re-verified, no
+	// rules were carried over from the lineage's artifact (re-verified, no
 	// solver) versus synthesized for the delta.
 	Reused        int             `json:"reused_rules,omitempty"`
 	Resynthesized int             `json:"resynthesized_rules,omitempty"`
@@ -826,7 +857,9 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	lineages, shards := sv.shards.Counts()
+	sv.lineageMu.Lock()
+	lineages := len(sv.lineages)
+	sv.lineageMu.Unlock()
 	memoHits, memoMisses, memoStores := solver.Shared.Counters()
 	var exemplars []obs.HistExemplar
 	if m := sv.obsv.MetricsOrNil(); m != nil {
@@ -853,7 +886,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		CachedEntries:  sv.store.MemLen(),
 		Evictions:      sv.store.Evictions(),
 		ShardLineages:  lineages,
-		Shards:         shards,
 		QueueDepth:     sv.sched.QueueDepth(),
 		QueueCapacity:  sv.sched.QueueCapacity(),
 		InFlight:       sv.sched.InFlight(),
@@ -867,7 +899,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SolverMemoEntries: solver.Shared.Len(),
 		SolverJournal:     solver.Shared.Journal(),
 		MemoServed:        sv.metrics.MemoServed.Load(),
-		MemoPeerHits:      sv.metrics.MemoPeerHits.Load(),
 		TraceExemplars:    exemplars,
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -309,6 +310,34 @@ func TestQueueFullBackpressure(t *testing.T) {
 		if status := <-done; status != http.StatusOK {
 			t.Errorf("blocked request %d finished with status %d, want 200", i, status)
 		}
+	}
+}
+
+// TestSynthesisPanicAnswers500: a panic inside a synthesis job fails
+// that flight with a 500, counted as an error, and leaves the daemon
+// serving: the next request for the same fingerprint synthesizes.
+func TestSynthesisPanicAnswers500(t *testing.T) {
+	sv, ts := newTestServer(t, testConfig())
+	var jobs atomic.Int32
+	sv.testJobGate = func() {
+		if jobs.Add(1) == 1 {
+			panic("injected synthesis fault")
+		}
+	}
+	req := SynthesizeRequest{Target: "mini", Spec: svcSpec}
+	status, body := postJSON(t, ts.URL+"/v1/synthesize", req)
+	if status != http.StatusInternalServerError || !strings.Contains(string(body), "injected synthesis fault") {
+		t.Fatalf("panicking job answered %d: %s", status, body)
+	}
+	if m := getMetrics(t, ts.URL); m.Errors != 1 || m.CachedEntries != 0 {
+		t.Errorf("errors=%d cached_entries=%d after the panic, want 1 and 0", m.Errors, m.CachedEntries)
+	}
+	status, body = postJSON(t, ts.URL+"/v1/synthesize", req)
+	if status != http.StatusOK {
+		t.Fatalf("retry after the panic: status %d: %s", status, body)
+	}
+	if sr := decodeSynth(t, body); sr.Cache != "miss" || sr.Rules == 0 {
+		t.Errorf("retry: cache=%q rules=%d, want a fresh synthesis", sr.Cache, sr.Rules)
 	}
 }
 

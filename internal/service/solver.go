@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,24 +11,6 @@ import (
 	"iselgen/internal/smt"
 	"iselgen/internal/solver"
 )
-
-// ForwardedHeader marks a peer-originated request; a solver probe
-// carrying it is answered strictly from the local memo (no onward
-// probing), so two replicas can never chase a key around the ring.
-const ForwardedHeader = "X-Iseld-Forwarded"
-
-// MemoProber asks the fleet whether any peer already holds a verdict
-// for a memo key. Implementations must be cache-only end to end: a
-// probe that misses everywhere returns ok=false and must never trigger
-// remote solving — the memo service answers questions, it does not
-// create work.
-type MemoProber interface {
-	ProbeMemo(ctx context.Context, key string) (smt.MemoEntry, bool)
-}
-
-// SetMemoProber attaches the cluster's memo-probe hook. Call it after
-// New and before the handler serves traffic, like SetFiller.
-func (sv *Server) SetMemoProber(p MemoProber) { sv.prober = p }
 
 // SolverQueryRequest is the body of POST /v1/solver/query.
 type SolverQueryRequest struct {
@@ -42,8 +23,8 @@ type SolverQueryRequest struct {
 type SolverQueryResponse struct {
 	Key   string `json:"key"`
 	Found bool   `json:"found"`
-	// Source is where the verdict came from: "local" (this replica's
-	// memo) or "peer" (a hedged cache-only fleet probe).
+	// Source is where the verdict came from: always "local" (this
+	// replica's memo).
 	Source string `json:"source,omitempty"`
 	// Verdict is the human form of Entry.Verdict: "equal", "not-equal",
 	// or "unknown".
@@ -55,7 +36,7 @@ type SolverQueryResponse struct {
 }
 
 func (sv *Server) handleSolverQueryGet(w http.ResponseWriter, r *http.Request) {
-	sv.answerSolverQuery(w, r, r.URL.Query().Get("key"))
+	sv.answerSolverQuery(w, r.URL.Query().Get("key"))
 }
 
 func (sv *Server) handleSolverQueryPost(w http.ResponseWriter, r *http.Request) {
@@ -63,14 +44,12 @@ func (sv *Server) handleSolverQueryPost(w http.ResponseWriter, r *http.Request) 
 	if !sv.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
-	sv.answerSolverQuery(w, r, req.Key)
+	sv.answerSolverQuery(w, req.Key)
 }
 
-// answerSolverQuery resolves one memo key: local store, then — for
-// requests that did not already cross the fleet — a hedged cache-only
-// peer probe. A miss everywhere is a 404 with found=false; by
-// construction no path here ever starts a solve.
-func (sv *Server) answerSolverQuery(w http.ResponseWriter, r *http.Request, key string) {
+// answerSolverQuery resolves one memo key against the local store. A
+// miss is a 404 with found=false; no path here ever starts a solve.
+func (sv *Server) answerSolverQuery(w http.ResponseWriter, key string) {
 	if key == "" {
 		sv.fail(w, http.StatusBadRequest, errors.New(`solver query needs a "key"`))
 		return
@@ -80,17 +59,6 @@ func (sv *Server) answerSolverQuery(w http.ResponseWriter, r *http.Request, key 
 		writeJSON(w, http.StatusOK, SolverQueryResponse{
 			Key: key, Found: true, Source: "local", Verdict: e.Verdict.String(), Entry: &e})
 		return
-	}
-	if sv.prober != nil && r.Header.Get(ForwardedHeader) == "" {
-		if e, ok := sv.prober.ProbeMemo(r.Context(), key); ok {
-			// Adopt the peer's verdict locally; Store's dedupe makes
-			// repeated adoptions idempotent and the journal gains it too.
-			solver.Shared.Store(key, e)
-			sv.metrics.MemoPeerHits.Add(1)
-			writeJSON(w, http.StatusOK, SolverQueryResponse{
-				Key: key, Found: true, Source: "peer", Verdict: e.Verdict.String(), Entry: &e})
-			return
-		}
 	}
 	writeJSON(w, http.StatusNotFound, SolverQueryResponse{Key: key, Found: false})
 }

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -11,16 +10,9 @@ import (
 	"iselgen/internal/solver"
 )
 
-func getSolverQuery(t *testing.T, base, key string, forwarded bool) (int, SolverQueryResponse) {
+func getSolverQuery(t *testing.T, base, key string) (int, SolverQueryResponse) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/solver/query?key="+key, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forwarded {
-		req.Header.Set(ForwardedHeader, "1")
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(base + "/v1/solver/query?key=" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,17 +22,6 @@ func getSolverQuery(t *testing.T, base, key string, forwarded bool) (int, Solver
 		t.Fatal(err)
 	}
 	return resp.StatusCode, out
-}
-
-// stubProber answers every probe with a fixed entry, counting calls.
-type stubProber struct {
-	entry  smt.MemoEntry
-	probes int
-}
-
-func (p *stubProber) ProbeMemo(ctx context.Context, key string) (smt.MemoEntry, bool) {
-	p.probes++
-	return p.entry, true
 }
 
 // TestSolverQueryAndRuleWhy drives the provenance API end to end:
@@ -122,7 +103,7 @@ func TestSolverQueryAndRuleWhy(t *testing.T) {
 	}
 
 	// Replay the provenance query by key: a local memo hit.
-	code, q := getSolverQuery(t, ts.URL, key, false)
+	code, q := getSolverQuery(t, ts.URL, key)
 	if code != http.StatusOK || !q.Found || q.Source != "local" || q.Entry == nil {
 		t.Fatalf("local query = %d %+v", code, q)
 	}
@@ -139,39 +120,7 @@ func TestSolverQueryAndRuleWhy(t *testing.T) {
 			t.Fatalf("unknown rule fingerprint: status %d", r2.StatusCode)
 		}
 	}
-	if code, q := getSolverQuery(t, ts.URL, "no-such-key", false); code != http.StatusNotFound || q.Found {
+	if code, q := getSolverQuery(t, ts.URL, "no-such-key"); code != http.StatusNotFound || q.Found {
 		t.Fatalf("unknown key = %d %+v", code, q)
-	}
-}
-
-// TestSolverQueryPeerProbe pins the fleet semantics: a local miss
-// consults the prober (adopting the peer's verdict), but a request
-// already carrying ForwardedHeader is answered strictly locally — two
-// replicas can never chase a key around the ring.
-func TestSolverQueryPeerProbe(t *testing.T) {
-	solver.Shared.Reset()
-	sv, ts := newTestServer(t, testConfig())
-	p := &stubProber{entry: smt.MemoEntry{Verdict: smt.Equal, SpecFP: "peer-fp", Budget: 7}}
-	sv.SetMemoProber(p)
-
-	// Forwarded: local miss answers 404 without touching the prober.
-	code, q := getSolverQuery(t, ts.URL, "k1", true)
-	if code != http.StatusNotFound || q.Found || p.probes != 0 {
-		t.Fatalf("forwarded request = %d %+v (probes=%d)", code, q, p.probes)
-	}
-
-	// Not forwarded: the prober answers and the verdict is adopted.
-	code, q = getSolverQuery(t, ts.URL, "k1", false)
-	if code != http.StatusOK || !q.Found || q.Source != "peer" || p.probes != 1 {
-		t.Fatalf("peer probe = %d %+v (probes=%d)", code, q, p.probes)
-	}
-	if e, ok := solver.Shared.Lookup("k1"); !ok || e.SpecFP != "peer-fp" {
-		t.Fatalf("peer verdict not adopted locally: %+v, %v", e, ok)
-	}
-
-	// Adopted: the next query is local, no second probe.
-	code, q = getSolverQuery(t, ts.URL, "k1", false)
-	if code != http.StatusOK || q.Source != "local" || p.probes != 1 {
-		t.Fatalf("post-adoption query = %d %+v (probes=%d)", code, q, p.probes)
 	}
 }

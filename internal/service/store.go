@@ -40,7 +40,8 @@ type Entry struct {
 	Stats   core.StageStats
 	Elapsed time.Duration
 	// Origin records how the entry came to exist: "synthesized",
-	// "incremental" (resynthesized from a lineage's shards), or "disk".
+	// "incremental" (resynthesized from a lineage's artifact), "peer",
+	// or "disk".
 	Origin string
 	// Reused and Resynth count, for incremental entries, how many rules
 	// were carried over re-verified versus produced by synthesis.

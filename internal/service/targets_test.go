@@ -1,12 +1,14 @@
 package service
 
 import (
+	"net/http"
 	"sync"
 	"testing"
 
 	"iselgen/internal/isa"
 	"iselgen/internal/isa/riscv"
 	"iselgen/internal/targets"
+	"iselgen/internal/term"
 )
 
 // A builtin target is resolved once per server: every request shares one
@@ -89,5 +91,41 @@ func TestInlineSpecResolution(t *testing.T) {
 	if edited.fp == a.fp || edited.lineage != a.lineage {
 		t.Errorf("a spec edit must change the fingerprint (%t) but keep the lineage (%t)",
 			edited.fp != a.fp, edited.lineage == a.lineage)
+	}
+}
+
+// Every builtin spec text synthesizes inline, loading with the builtin
+// loader's sizes wherever an encoding exists and 4 bytes elsewhere.
+func TestInlineBuiltinSpecs(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxPatterns = 1
+	sv, ts := newTestServer(t, cfg)
+	for _, bt := range targets.All() {
+		t.Run(bt.Name, func(t *testing.T) {
+			status, body := postJSON(t, ts.URL+"/v1/synthesize",
+				SynthesizeRequest{Target: bt.Name + "-inline", Spec: bt.Spec()})
+			if status != http.StatusOK {
+				t.Fatalf("status %d: %s", status, body)
+			}
+			e := sv.store.Peek(decodeSynth(t, body).Fingerprint)
+			if e == nil {
+				t.Fatal("inline library not cached")
+			}
+			want, err := bt.Load(term.NewBuilder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(e.Target.Insts) != len(want.Insts) {
+				t.Fatalf("%d instructions, builtin has %d", len(e.Target.Insts), len(want.Insts))
+			}
+			for i, in := range e.Target.Insts {
+				if in.Enc != nil && in.Size != want.Insts[i].Size {
+					t.Errorf("%s: size %d, builtin %d", in.Name, in.Size, want.Insts[i].Size)
+				}
+				if in.Enc == nil && in.Size != 4 {
+					t.Errorf("%s has no encoding but size %d", in.Name, in.Size)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,10 @@ import (
 	"iselgen/internal/obs"
 )
 
+// ForwardedHeader marks a peer-originated request: a trace-span read
+// carrying it is answered strictly from the local ring.
+const ForwardedHeader = "X-Iseld-Forwarded"
+
 // TraceCollector gathers one trace's spans from ring peers — the
 // cluster layer's hook into fleet trace assembly. Implementations must
 // be cache-only end to end (peers answer from their span rings, never

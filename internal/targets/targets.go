@@ -134,7 +134,8 @@ func LookupSelecting(name string) (*Builtin, error) {
 // LoadFile loads a DSL spec file as a target named after the file, its
 // directory and extension stripped. The source goes through spec.Check
 // first — the front door the daemon's inline path uses too — so errors
-// carry source positions.
+// carry source positions. As there, an encoding sets its instruction's
+// size, and an instruction without one is 4 bytes.
 func LoadFile(b *term.Builder, path string) (*isa.Target, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -144,7 +145,7 @@ func LoadFile(b *term.Builder, path string) (*isa.Target, error) {
 		return nil, err
 	}
 	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	return isa.LoadTarget(b, name, string(src), nil, 4)
+	return isa.LoadTarget(b, name, string(src), nil, 0)
 }
 
 // riscvZextChains returns the RISC-V zero-extension chains appended to

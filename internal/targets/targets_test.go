@@ -104,3 +104,38 @@ func TestLoadFile(t *testing.T) {
 		t.Errorf("missing file error %v", err)
 	}
 }
+
+// Every builtin spec text loads from a file with the builtin loader's
+// sizes wherever an encoding exists: an encoding sets its instruction's
+// size (aarch64 and x86 have non-4-byte ones), and an instruction
+// without one is 4 bytes.
+func TestLoadFileBuiltinSpecs(t *testing.T) {
+	dir := t.TempDir()
+	for _, bt := range All() {
+		t.Run(bt.Name, func(t *testing.T) {
+			path := filepath.Join(dir, bt.Name+".spec")
+			if err := os.WriteFile(path, []byte(bt.Spec()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := LoadFile(term.NewBuilder(), path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := bt.Load(term.NewBuilder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Insts) != len(want.Insts) {
+				t.Fatalf("%d instructions, builtin has %d", len(got.Insts), len(want.Insts))
+			}
+			for i, in := range got.Insts {
+				if in.Enc != nil && in.Size != want.Insts[i].Size {
+					t.Errorf("%s: size %d, builtin %d", in.Name, in.Size, want.Insts[i].Size)
+				}
+				if in.Enc == nil && in.Size != 4 {
+					t.Errorf("%s has no encoding but size %d", in.Name, in.Size)
+				}
+			}
+		})
+	}
+}

@@ -145,9 +145,6 @@ func (t *Term) W() int { return int(t.Width) }
 // IsConst reports whether the term is a constant.
 func (t *Term) IsConst() bool { return t.Op == Const }
 
-// IsVar reports whether the term is a symbolic variable.
-func (t *Term) IsVar() bool { return t.Op == Var }
-
 // Size returns the number of distinct DAG nodes reachable from t.
 func (t *Term) Size() int {
 	seen := map[*Term]bool{}
