@@ -93,7 +93,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8791", "listen address")
 	cacheDir := flag.String("cache-dir", "", "disk artifact cache directory (empty = memory only)")
-	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries (0 = unbounded)")
+	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries, and on the lineage artifacts spec edits resynthesize from (0 = unbounded)")
 	workers := flag.Int("workers", 2, "synthesis jobs running at once")
 	synthWorkers := flag.Int("synth-workers", 0, "matcher threads per synthesis job (0 = ISEL_WORKERS or NumCPU)")
 	queue := flag.Int("queue", 8, "waiting-job queue depth (full queue answers 429)")

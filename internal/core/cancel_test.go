@@ -75,10 +75,10 @@ func TestSynthesizeCtxNoDeadline(t *testing.T) {
 	}
 }
 
-// TestWavePanicReachesCaller: a matcher worker's panic comes back to
+// TestMatchPanicReachesCaller: a matcher worker's panic comes back to
 // the goroutine that called Synthesize, where a server can recover it,
 // instead of ending the process from a goroutine nobody can guard.
-func TestWavePanicReachesCaller(t *testing.T) {
+func TestMatchPanicReachesCaller(t *testing.T) {
 	s, _ := miniSynth(t, Config{TestInputs: 32, Workers: 2})
 	pats := cancelPats()[:2]
 	defer func() {
@@ -87,5 +87,5 @@ func TestWavePanicReachesCaller(t *testing.T) {
 		}
 	}()
 	// A nil pattern panics inside a worker when it is compiled.
-	s.wave([]*pattern.Pattern{pats[0], nil, pats[1]}, rules.NewLibrary("mini"))
+	s.match([]*pattern.Pattern{pats[0], nil, pats[1]})
 }

@@ -193,9 +193,15 @@ const digestBlock = 32
 // or which goroutine asks first, so laziness cannot change any probe
 // verdict. Time spent extending is added to *dur.
 //
+// The first extension evaluates just what is asked: the probe's
+// precheck asks for one vector, and most entries are never asked for a
+// second. Vector 0 goes through the caller's v0, which evaluates without
+// compiling the entry's program; later extensions compile it and go
+// block-wise.
+//
 // Concurrent readers are safe: elements below a returned slice's length
 // are never rewritten, and extension happens under the entry's mutex.
-func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, dur *time.Duration) []uint64 {
+func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, v0 *vector0, dur *time.Duration) []uint64 {
 	if k > e.evalN {
 		k = e.evalN
 	}
@@ -205,12 +211,19 @@ func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, dur *time.Duration) []uin
 		return e.evals
 	}
 	t0 := time.Now()
+	if k == 1 {
+		if d, ok := v0.digest(e.Effect.T, ic); ok {
+			e.evals = append(e.evals, d)
+			*dur += time.Since(t0)
+			return e.evals
+		}
+	}
 	if e.prog == nil {
 		e.prog = term.Compile(e.Effect.T)
 	}
-	target := (k + digestBlock - 1) / digestBlock * digestBlock
-	if target > e.evalN {
-		target = e.evalN
+	target := k
+	if len(e.evals) > 0 {
+		target = min((k+digestBlock-1)/digestBlock*digestBlock, e.evalN)
 	}
 	p := e.prog
 	pv := p.Vars()
@@ -228,6 +241,37 @@ func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, dur *time.Duration) []uin
 	}
 	*dur += time.Since(t0)
 	return e.evals
+}
+
+// vector0 evaluates terms on test vector 0 under one memo, owned by one
+// worker. Entries composed from a common base share its effect subterm,
+// so most of an entry's vector-0 value is already in the memo, where a
+// program compiled per entry would recompute it. A value depends only
+// on the subterm and the vector, so sharing cannot change a digest.
+type vector0 struct {
+	env  *term.Env
+	memo map[*term.Term]bv.BV
+}
+
+func newVector0() *vector0 {
+	return &vector0{env: term.NewEnv(), memo: make(map[*term.Term]bv.BV)}
+}
+
+// digest returns t's digest on vector 0. It reports false, leaving t to
+// a compiled program, when a variable of t shares its name with one
+// already bound at another width.
+func (v *vector0) digest(t *term.Term, ic *inputCache) (uint64, bool) {
+	for _, x := range t.Vars() {
+		if b, ok := v.env.Vals[x.Name]; ok {
+			if b.W() != x.W() {
+				return 0, false
+			}
+			continue
+		}
+		r := ic.vecs(nameHash(x.Name))[0]
+		v.env.Bind(x.Name, bv.New128(x.W(), r.Hi, r.Lo))
+	}
+	return digest(t.EvalMemo(v.env, v.memo)), true
 }
 
 // inputCache memoizes the raw 128-bit test vectors per variable-name

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -44,6 +45,7 @@ type worker struct {
 	wcx     *canon.Ctx
 	checker *smt.Checker
 	ic      *inputCache
+	v0      *vector0
 
 	lookupT time.Duration
 	probeT  time.Duration
@@ -76,6 +78,7 @@ func (s *Synthesizer) newWorker() *worker {
 		wb:  term.NewBuilder(),
 		wcx: canon.NewCtx(),
 		ic:  newInputCache(s.Cfg.TestInputs),
+		v0:  newVector0(),
 		checker: &smt.Checker{
 			MaxConflicts: s.Cfg.SMTMaxConflicts,
 			Obs:          s.Cfg.Obs,
@@ -93,26 +96,37 @@ func (s *Synthesizer) newWorker() *worker {
 
 // Synthesize runs stage 2 over the given patterns (most-frequent-first
 // ordering is the caller's choice, per §VII-B) and adds discovered rules
-// to lib. Patterns are processed in waves of increasing size so that the
-// beneficial-rule filter (§VI) can consult the smaller rules.
+// to lib. Every pattern is matched in one parallel pass; the
+// beneficial-rule filter (§VI) then admits the rules size by size, so
+// that a multi-op rule is weighed against the smaller rules admitted
+// before it. Matching never reads lib, so taking the filter out of the
+// pass leaves the library unchanged.
 func (s *Synthesizer) Synthesize(patterns []*pattern.Pattern, lib *rules.Library) {
 	s.Stats.Patterns += len(patterns)
-	bySize := map[int][]*pattern.Pattern{}
-	maxSize := 0
-	for _, p := range patterns {
-		n := p.Size()
-		bySize[n] = append(bySize[n], p)
-		if n > maxSize {
-			maxSize = n
-		}
-	}
+	bySize := slices.Clone(patterns)
+	slices.SortStableFunc(bySize, func(a, b *pattern.Pattern) int { return a.Size() - b.Size() })
 	tm := obs.Timed(s.Cfg.Obs.TracerOrNil(), "synth/match")
-	for size := 1; size <= maxSize; size++ {
-		wave := bySize[size]
-		if len(wave) == 0 {
+	for _, r := range s.match(bySize) {
+		if r == nil {
 			continue
 		}
-		s.wave(wave, lib)
+		// Beneficial-rule filter (§VI): a multi-op rule must beat the
+		// best cover by smaller rules (under the configured cost metric).
+		if r.Pattern.Size() > 1 {
+			if cover, ok := s.coverCost(r.Pattern.Root, lib); ok && !s.seqVec(r.Seq).Less(cover) {
+				continue
+			}
+		}
+		if r.Source == "index" {
+			s.Stats.IndexRules++
+		} else {
+			s.Stats.SMTRules++
+		}
+		lib.Add(r)
+	}
+	maxSize := 0
+	if n := len(bySize); n > 0 {
+		maxSize = bySize[n-1].Size()
 	}
 	tm.Span().SetInt("patterns", int64(len(patterns))).SetInt("max_size", int64(maxSize))
 	s.Stats.LookupTime += tm.Done()
@@ -146,25 +160,22 @@ func (s *Synthesizer) cancelled() bool {
 	return s.cancelFn != nil && s.cancelFn()
 }
 
-// wave matches one batch of same-size patterns in parallel. A worker's
-// panic is handed back to the caller once every worker has stopped, as
-// BuildPool does with its enumerator's.
-func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
-	type result struct {
-		idx  int
-		rule *rules.Rule
-	}
+// match finds each pattern's rule in parallel; the result is aligned
+// with patterns, nil where nothing matched. A worker's panic is handed
+// back to the caller once every worker has stopped, as BuildPool does
+// with its enumerator's.
+func (s *Synthesizer) match(patterns []*pattern.Pattern) []*rules.Rule {
 	nw := s.Cfg.Workers
-	if nw > len(wave) {
-		nw = len(wave)
+	if nw > len(patterns) {
+		nw = len(patterns)
 	}
 	if nw < 1 {
 		nw = 1
 	}
-	results := make([]result, len(wave))
+	results := make([]*rules.Rule, len(patterns))
 	var wg sync.WaitGroup
-	next := make(chan int, len(wave))
-	for i := range wave {
+	next := make(chan int, len(patterns))
+	for i := range patterns {
 		next <- i
 	}
 	close(next)
@@ -185,8 +196,7 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 			}()
 			w := s.newWorker()
 			for i := range next {
-				r := w.synthesizeOne(wave[i])
-				results[i] = result{idx: i, rule: r}
+				results[i] = w.synthesizeOne(patterns[i])
 			}
 			mu.Lock()
 			s.Stats.IndexLookupT += w.lookupT
@@ -213,24 +223,7 @@ func (s *Synthesizer) wave(wave []*pattern.Pattern, lib *rules.Library) {
 	if panicked != nil {
 		panic(panicked)
 	}
-	for _, r := range results {
-		if r.rule == nil {
-			continue
-		}
-		// Beneficial-rule filter (§VI): a multi-op rule must beat the
-		// best cover by smaller rules (under the configured cost metric).
-		if r.rule.Pattern.Size() > 1 {
-			if cover, ok := s.coverCost(r.rule.Pattern.Root, lib); ok && !s.seqVec(r.rule.Seq).Less(cover) {
-				continue
-			}
-		}
-		if r.rule.Source == "index" {
-			s.Stats.IndexRules++
-		} else {
-			s.Stats.SMTRules++
-		}
-		lib.Add(r.rule)
-	}
+	return results
 }
 
 // SynthesizeOne synthesizes the best rule for a single pattern (used by
@@ -571,13 +564,9 @@ func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*patter
 	if len(sorted) == 0 {
 		return nil
 	}
-
-	// Compile the pattern term once; the probe then evaluates it on each
-	// test vector with no per-evaluation allocation.
-	prog := term.Compile(tp)
-	leafSlot := resolveLeafSlots(prog, leaves)
+	pp := newPatternProbe(tp, leaves)
 	asg := make([]int, len(leaves))
-
+	var r *rules.Rule
 	for _, entry := range sorted {
 		// Candidate enumeration can run many solver queries; honor the
 		// deadline between entries.
@@ -585,55 +574,66 @@ func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*patter
 			w.curtailed = true
 			return nil
 		}
-		var regIns, immIns []int
-		for k, in := range entry.Seq.Inputs {
-			if in.Op.Kind == spec.OpImm {
-				immIns = append(immIns, k)
-			} else {
-				regIns = append(regIns, k)
+		if forEachAssignment(leaves, regLeaves, immLeaves, entry, asg, func() bool {
+			if !w.probe(pp, entry, asg) {
+				return false
 			}
-		}
-		for _, regPerm := range permutations(len(regIns)) {
-			for _, immPerm := range permutations(len(immIns)) {
-				// asg maps pattern leaf -> seq input index (-1 unassigned);
-				// the slice is reused across permutation combinations.
-				for i := range asg {
-					asg[i] = -1
-				}
-				ok := true
-				for a, b := range regPerm {
-					li, ki := regLeaves[a], regIns[b]
-					if leaves[li].Ty.Bits != entry.Seq.Inputs[ki].Op.Width {
-						ok = false
-						break
-					}
-					asg[li] = ki
-				}
-				if !ok {
-					continue
-				}
-				for a, b := range immPerm {
-					li, ki := immLeaves[a], immIns[b]
-					if leaves[li].Ty.Bits < entry.Seq.Inputs[ki].Op.Width {
-						ok = false
-						break
-					}
-					asg[li] = ki
-				}
-				if !ok {
-					continue
-				}
-				if !w.probe(prog, leafSlot, leaves, entry, asg) {
-					continue
-				}
-				if r := w.tryAssignment(p, tp, leaves, entry, asg); r != nil {
-					r.Source = "smt"
-					return r
-				}
-			}
+			r = w.tryAssignment(p, tp, leaves, entry, asg)
+			return r != nil
+		}) {
+			r.Source = "smt"
+			return r
 		}
 	}
 	return nil
+}
+
+// forEachAssignment sets asg (pattern leaf -> sequence input index) to
+// each operand assignment the SMT fallback tries for entry — register
+// leaves one-to-one onto register inputs of their width, immediate
+// leaves onto immediate inputs no wider than the leaf — and calls fn on
+// it, until fn returns true. It reports whether fn did.
+func forEachAssignment(leaves []*pattern.Node, regLeaves, immLeaves []int, entry *PoolEntry, asg []int, fn func() bool) bool {
+	var regIns, immIns []int
+	for k, in := range entry.Seq.Inputs {
+		if in.Op.Kind == spec.OpImm {
+			immIns = append(immIns, k)
+		} else {
+			regIns = append(regIns, k)
+		}
+	}
+	for _, regPerm := range permutations(len(regIns)) {
+		for _, immPerm := range permutations(len(immIns)) {
+			// asg is reused across permutation combinations.
+			for i := range asg {
+				asg[i] = -1
+			}
+			ok := true
+			for a, b := range regPerm {
+				li, ki := regLeaves[a], regIns[b]
+				if leaves[li].Ty.Bits != entry.Seq.Inputs[ki].Op.Width {
+					ok = false
+					break
+				}
+				asg[li] = ki
+			}
+			if !ok {
+				continue
+			}
+			for a, b := range immPerm {
+				li, ki := immLeaves[a], immIns[b]
+				if leaves[li].Ty.Bits < entry.Seq.Inputs[ki].Op.Width {
+					ok = false
+					break
+				}
+				asg[li] = ki
+			}
+			if ok && fn() {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // patternFilterKey returns the SMT-fallback bucket a pattern draws its
@@ -700,13 +700,57 @@ func resolveLeafSlots(prog *term.Program, leaves []*pattern.Node) []int {
 // is identical for any cap value.
 const probeCap = 32
 
+// patternProbe is one pattern's side of the probe: its term compiled
+// once, so each evaluation runs with no allocation, each leaf's slot in
+// the program (-1 when the leaf's variable does not occur in the term),
+// and the first-vector memo of precheck.
+type patternProbe struct {
+	prog     *term.Program
+	leaves   []*pattern.Node
+	leafSlot []int
+	// first is nil for a pattern with more than maxKeyLeaves leaves,
+	// which skips the precheck.
+	first map[inputKey]firstVec
+}
+
+// maxKeyLeaves is how many leaves an inputKey records: the largest
+// pattern of the builtin corpora has 8.
+const maxKeyLeaves = 8
+
+// inputKey is all the pattern side of a probe depends on under an
+// assignment: for each leaf, the name hash and operand width of the
+// sequence input bound to it (zero when unbound). Test vectors are keyed
+// by name hash, and a leaf's own width is fixed by the pattern.
+type inputKey struct {
+	hash  [maxKeyLeaves]uint64
+	width [maxKeyLeaves]uint8
+}
+
+// firstVec is the index of the first usable test vector under an
+// inputKey and the pattern's digest there; j is -1 when no vector is
+// usable.
+type firstVec struct {
+	j int
+	d uint64
+}
+
+func newPatternProbe(tp *term.Term, leaves []*pattern.Node) *patternProbe {
+	pp := &patternProbe{prog: term.Compile(tp), leaves: leaves}
+	pp.leafSlot = resolveLeafSlots(pp.prog, leaves)
+	if len(leaves) <= maxKeyLeaves {
+		pp.first = make(map[inputKey]firstVec)
+	}
+	return pp
+}
+
 // probe compares the pattern's evaluations under the assignment against
 // the entry's cached evaluations (§V-C). Vectors whose input value is
 // not representable in the bound immediate are skipped. The pattern side
 // runs as a compiled program; the entry side comes from the lazily
-// computed block-wise digest cache, so a probe that rejects on the
-// first vector never pays for the remaining ones.
-func (w *worker) probe(prog *term.Program, leafSlot []int, leaves []*pattern.Node, entry *PoolEntry, asg []int) bool {
+// computed digest cache, so a probe that rejects on the first vector
+// never pays for the remaining ones. Most candidates fail on the first
+// usable vector, so precheck decides that one from a memo first.
+func (w *worker) probe(pp *patternProbe, entry *PoolEntry, asg []int) bool {
 	if w.s.Cfg.DisableProbe {
 		return true
 	}
@@ -716,21 +760,55 @@ func (w *worker) probe(prog *term.Program, leafSlot []int, leaves []*pattern.Nod
 	// (the expensive part) still times itself exactly inside digestsUpTo.
 	w.probeTick++
 	if w.probeTick&7 != 0 {
-		return w.probeRun(prog, leafSlot, leaves, entry, asg, &w.evalT)
+		return w.precheck(pp, entry, asg, &w.evalT) && w.probeRun(pp, entry, asg, &w.evalT)
 	}
 	t0 := time.Now()
 	var evalDur time.Duration
-	ok := w.probeRun(prog, leafSlot, leaves, entry, asg, &evalDur)
+	ok := w.precheck(pp, entry, asg, &evalDur) && w.probeRun(pp, entry, asg, &evalDur)
 	w.evalT += evalDur
 	w.probeT += (time.Since(t0) - evalDur) * 8
 	return ok
 }
 
-func (w *worker) probeRun(prog *term.Program, leafSlot []int, leaves []*pattern.Node, entry *PoolEntry, asg []int, evalDur *time.Duration) bool {
-	// binds and vals live in worker scratch: probeRun is the innermost
-	// hot call of the matcher and a fresh pair of slices per call is
-	// measurable GC traffic. vals must still start zeroed — slots no
-	// binding writes (constant-bound leaves) read as zero vectors.
+// precheck is probeRun's verdict on the first usable vector alone: false
+// when no vector is usable or the entry's digest there differs from the
+// pattern's, which are exactly the ways probeRun fails before comparing a
+// second vector. The pattern side of that comparison is memoized per
+// inputKey, so most candidates cost one map lookup and the entry's first
+// digest.
+func (w *worker) precheck(pp *patternProbe, entry *PoolEntry, asg []int, evalDur *time.Duration) bool {
+	if pp.first == nil {
+		return true
+	}
+	var k inputKey
+	for li, ki := range asg {
+		if ki >= 0 {
+			in := entry.Seq.Inputs[ki]
+			k.hash[li], k.width[li] = nameHash(in.Var.Name), uint8(in.Op.Width)
+		}
+	}
+	fv, ok := pp.first[k]
+	if !ok {
+		fv = firstVec{j: -1}
+		binds, vals := w.bindInputs(pp, entry, asg)
+		for j := 0; j < entry.evalN; j++ {
+			if loadVector(binds, vals, j) {
+				fv = firstVec{j: j, d: digest(pp.prog.Run(vals))}
+				break
+			}
+		}
+		pp.first[k] = fv
+	}
+	return fv.j >= 0 && entry.digestsUpTo(fv.j+1, w.ic, w.v0, evalDur)[fv.j] == fv.d
+}
+
+// bindInputs pairs every assigned leaf with the test vectors of its
+// sequence input, and returns the bindings with the program's zeroed
+// variable values. Both live in worker scratch: the probe is the
+// innermost hot call of the matcher and a fresh pair of slices per call
+// is measurable GC traffic. vals must start zeroed — slots no binding
+// writes (constant-bound leaves) read as zero vectors.
+func (w *worker) bindInputs(pp *patternProbe, entry *PoolEntry, asg []int) ([]probeBinding, []bv.BV) {
 	binds := w.probeBinds[:0]
 	for li, ki := range asg {
 		if ki < 0 {
@@ -739,50 +817,61 @@ func (w *worker) probeRun(prog *term.Program, leafSlot []int, leaves []*pattern.
 		in := entry.Seq.Inputs[ki]
 		binds = append(binds, probeBinding{
 			raw:   w.ic.vecs(nameHash(in.Var.Name)),
-			leafW: leaves[li].Ty.Bits,
+			leafW: pp.leaves[li].Ty.Bits,
 			opW:   in.Op.Width,
-			slot:  leafSlot[li],
+			slot:  pp.leafSlot[li],
 		})
 	}
 	w.probeBinds = binds
-	nv := len(prog.Vars())
+	nv := len(pp.prog.Vars())
 	if cap(w.probeVals) < nv {
 		w.probeVals = make([]bv.BV, nv)
 	}
 	vals := w.probeVals[:nv]
 	clear(vals)
-	evals := entry.digestsUpTo(1, w.ic, evalDur)
+	return binds, vals
+}
+
+// loadVector writes test vector j of every binding into vals and
+// reports whether the vector is usable.
+func loadVector(binds []probeBinding, vals []bv.BV, j int) bool {
+	for _, b := range binds {
+		r := b.raw[j]
+		v := bv.New128(b.leafW, r.Hi, r.Lo)
+		if b.leafW > b.opW {
+			// The sequence only saw the low Op.Width bits. To keep
+			// the probe sound for both zero- and sign-extended
+			// embeddings, only use vectors where the two coincide
+			// (narrow value non-negative and round-tripping) —
+			// "in cases where an input value cannot be represented
+			// in an immediate binding, we ignore the test input".
+			narrow := v.Trunc(b.opW)
+			if narrow.SignBit() != 0 || narrow.ZExt(b.leafW) != v {
+				return false
+			}
+		}
+		if b.slot >= 0 {
+			vals[b.slot] = v
+		}
+	}
+	return true
+}
+
+// probeRun compares up to probeCap usable vectors, and accepts when at
+// least one was usable and all compared equal.
+func (w *worker) probeRun(pp *patternProbe, entry *PoolEntry, asg []int, evalDur *time.Duration) bool {
+	binds, vals := w.bindInputs(pp, entry, asg)
+	evals := entry.digestsUpTo(1, w.ic, w.v0, evalDur)
 	checked := 0
 	for j := 0; j < entry.evalN; j++ {
 		if j >= len(evals) {
-			evals = entry.digestsUpTo(j+1, w.ic, evalDur)
+			evals = entry.digestsUpTo(j+1, w.ic, w.v0, evalDur)
 		}
-		usable := true
-		for _, b := range binds {
-			r := b.raw[j]
-			v := bv.New128(b.leafW, r.Hi, r.Lo)
-			if b.leafW > b.opW {
-				// The sequence only saw the low Op.Width bits. To keep
-				// the probe sound for both zero- and sign-extended
-				// embeddings, only use vectors where the two coincide
-				// (narrow value non-negative and round-tripping) —
-				// "in cases where an input value cannot be represented
-				// in an immediate binding, we ignore the test input".
-				narrow := v.Trunc(b.opW)
-				if narrow.SignBit() != 0 || narrow.ZExt(b.leafW) != v {
-					usable = false
-					break
-				}
-			}
-			if b.slot >= 0 {
-				vals[b.slot] = v
-			}
-		}
-		if !usable {
+		if !loadVector(binds, vals, j) {
 			continue
 		}
 		checked++
-		if digest(prog.Run(vals)) != evals[j] {
+		if digest(pp.prog.Run(vals)) != evals[j] {
 			return false
 		}
 		if checked >= probeCap {

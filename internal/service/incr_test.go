@@ -223,6 +223,33 @@ func TestServerCacheCap(t *testing.T) {
 	}
 }
 
+// TestLineageCap: CacheEntries bounds the lineage artifacts as it
+// bounds the library cache. Five inline targets under a cap of one
+// leave one lineage, the most recent, and an edit of it still
+// resynthesizes incrementally.
+func TestLineageCap(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheEntries = 1
+	_, ts := newTestServer(t, cfg)
+
+	for i := 1; i <= 5; i++ {
+		req := SynthesizeRequest{Target: fmt.Sprintf("t%d", i), Spec: svcSpec}
+		if status, body := postJSON(t, ts.URL+"/v1/synthesize", req); status != http.StatusOK {
+			t.Fatalf("target %d: status %d: %s", i, status, body)
+		}
+	}
+	if m := getMetrics(t, ts.URL); m.ShardLineages != 1 {
+		t.Errorf("shard_lineages = %d, want 1 under CacheEntries=1", m.ShardLineages)
+	}
+	status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "t5", Spec: svcSpecEdited})
+	if status != http.StatusOK {
+		t.Fatalf("edit of t5: status %d: %s", status, body)
+	}
+	if got := decodeSynth(t, body).Cache; got != "incr" {
+		t.Errorf("edit of t5 cache = %q, want incr", got)
+	}
+}
+
 // TestRetryAfterOnBackpressure: a 429 from a full queue carries a
 // Retry-After header so clients back off instead of spinning.
 func TestRetryAfterOnBackpressure(t *testing.T) {

@@ -43,8 +43,10 @@ type Config struct {
 	QueueDepth int
 	// CacheDir, when non-empty, enables the disk artifact layer.
 	CacheDir string
-	// CacheEntries, when positive, caps the in-memory library cache;
-	// past the cap the least-recently-used entry is evicted (0 = unbounded).
+	// CacheEntries, when positive, caps the in-memory library cache and,
+	// separately, the lineage artifacts kept for incremental resynthesis;
+	// past either cap the least-recently-used one is evicted (0 =
+	// unbounded).
 	CacheEntries int
 	// Synth is the server-wide synthesis configuration; its semantic
 	// knobs are part of every fingerprint.
@@ -90,9 +92,12 @@ type Server struct {
 
 	// lineages maps a lineage key to the persisted artifact
 	// (isel.SaveLibraryFor) of its latest full-quality entry: what the
-	// lineage's next spec edit resynthesizes from.
-	lineageMu sync.Mutex
-	lineages  map[string]string
+	// lineage's next spec edit resynthesizes from. With CacheEntries set
+	// it holds at most that many, evicting the one least recently
+	// recorded or read.
+	lineageMu    sync.Mutex
+	lineages     map[string]*lineageArt
+	lineageClock uint64
 
 	obsv    *obs.Obs
 	logger  *slog.Logger
@@ -149,7 +154,7 @@ func New(cfg Config) (*Server, error) {
 		mux:      http.NewServeMux(),
 		jobs:     newJobTable(cfg.MaxJobs),
 		sample:   sample,
-		lineages: map[string]string{},
+		lineages: map[string]*lineageArt{},
 		obsv:     cfg.Obs,
 		logger:   cfg.Logger,
 		start:    time.Now(),
@@ -495,13 +500,32 @@ func (sv *Server) loadTarget(def *targetDef, parent *obs.Span) (*term.Builder, *
 	return b, tgt, err
 }
 
+// lineageArt is a lineage's artifact text and the clock tick of its
+// last record or read.
+type lineageArt struct {
+	text string
+	used uint64
+}
+
 // recordLineage keeps ent's persisted artifact as lineage lk's latest
 // full-quality result.
 func (sv *Server) recordLineage(lk string, ent *Entry) {
 	text := isel.SaveLibraryFor(ent.Lib, ent.Target)
 	sv.lineageMu.Lock()
-	sv.lineages[lk] = text
-	sv.lineageMu.Unlock()
+	defer sv.lineageMu.Unlock()
+	sv.lineageClock++
+	sv.lineages[lk] = &lineageArt{text: text, used: sv.lineageClock}
+	if limit := sv.cfg.CacheEntries; limit > 0 {
+		for len(sv.lineages) > limit {
+			victim, oldest := "", uint64(0)
+			for k, a := range sv.lineages {
+				if victim == "" || a.used < oldest {
+					victim, oldest = k, a.used
+				}
+			}
+			delete(sv.lineages, victim)
+		}
+	}
 }
 
 // runIncremental attempts to answer a full-cache miss from the
@@ -514,9 +538,14 @@ func (sv *Server) recordLineage(lk string, ent *Entry) {
 // span (nil when unsampled).
 func (sv *Server) runIncremental(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, bool) {
 	sv.lineageMu.Lock()
-	text, ok := sv.lineages[def.lineage]
+	var text string
+	la := sv.lineages[def.lineage]
+	if la != nil {
+		sv.lineageClock++
+		la.used, text = sv.lineageClock, la.text
+	}
 	sv.lineageMu.Unlock()
-	if !ok {
+	if la == nil {
 		return nil, false
 	}
 	art, err := incr.ParseArtifact(text)
@@ -574,7 +603,7 @@ func (sv *Server) runIncremental(def *targetDef, timeout time.Duration, parent *
 func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, error) {
 	t0 := time.Now()
 	// The deadline clock starts before pool construction: the budget is
-	// for the whole job, and an exhausted budget degrades the wave loop
+	// for the whole job, and an exhausted budget degrades the matching pass
 	// to index-only lookups rather than aborting with nothing.
 	ctx := context.Background()
 	cancel := context.CancelFunc(func() {})

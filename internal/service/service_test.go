@@ -211,7 +211,7 @@ func TestDeadlinePartial(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxPatterns = 0 // full corpus, so seed patterns are included
 	// Pool construction runs under the job deadline; holding stage 1 past
-	// the 1ms budget guarantees the wave loop starts with the deadline
+	// the 1ms budget guarantees the matching pass starts with the deadline
 	// already expired — deterministic degradation. (Stage 1 used to burn
 	// the budget by itself via eager test evaluation; digests are lazy
 	// now, so the stall is explicit.)

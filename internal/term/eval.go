@@ -68,6 +68,12 @@ func (t *Term) Eval(env *Env) bv.BV {
 	return t.eval(env, memo)
 }
 
+// EvalMemo is Eval with a memo the caller keeps across calls, so terms
+// evaluated one after another share the values of their common
+// subterms. Every call with one memo must pass an env that binds each
+// name to the same value.
+func (t *Term) EvalMemo(env *Env, memo map[*Term]bv.BV) bv.BV { return t.eval(env, memo) }
+
 func (t *Term) eval(env *Env, memo map[*Term]bv.BV) bv.BV {
 	if v, ok := memo[t]; ok {
 		return v

@@ -17,12 +17,18 @@
 // constraints for rule generation); excess query constants bind to ISA
 // immediates; excess ISA immediates bind to zero; and PC+imm linear
 // combinations unify with a lone immediate (PC-relative addressing).
+//
+// Nodes with many edges (the root above all: it holds one edge per
+// distinct first addend of every indexed term) also file their edges in
+// head buckets. A query addend can unify with a register, flag or
+// operation edge only if the two share a head (see headKey), so the walk
+// visits just the buckets of the query's unused addends, merged in
+// insertion order with the edges any addend may pair with.
 package trie
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"slices"
 
 	"iselgen/internal/bv"
 	"iselgen/internal/canon"
@@ -72,6 +78,64 @@ type node struct {
 	elist []edgeEnt        // same edges, insertion-ordered, for the walk
 	// terminal canonical terms ending at this node, by constant part.
 	terms map[bvKey]*canon.CTerm
+	// Head buckets, kept once the node has bucketMin edges (nil before):
+	// heads files the elist indices of shape edges by head, and always
+	// holds the indices of every other edge. Both lists ascend.
+	heads  map[headKey][]int32
+	always []int32
+}
+
+// bucketMin is the fan-out at which a node starts keeping head buckets.
+// Below it a linear scan is as cheap as merging buckets, and a map per
+// small node would cost memory on every interior node of the trie.
+const bucketMin = 64
+
+// headKey is everything unifyShape requires a query addend and a shape
+// edge to agree on before it looks at operands: the shape kind, the
+// atom kind or operator, the width, the operator's auxiliaries and
+// arity, and the coefficient (width included).
+type headKey struct {
+	coef       bv.BV
+	width      int32
+	aux0, aux1 int32
+	arity      int32
+	kind       canon.CKind
+	sub        uint8 // term.VarKind of an atom, term.Op of an operation
+}
+
+// headOf returns the head of coef·t. Linear combinations have none: a
+// Lin edge unifies with a query addend of any shape.
+func headOf(coef bv.BV, t *canon.CTerm) (headKey, bool) {
+	h := headKey{coef: coef, width: int32(t.Width), kind: t.Kind}
+	switch t.Kind {
+	case canon.Atom:
+		h.sub = uint8(t.AtomKind())
+	case canon.OpNode:
+		h.sub = uint8(t.Op)
+		h.aux0, h.aux1, h.arity = t.Aux0, t.Aux1, int32(len(t.Args))
+	default:
+		return headKey{}, false
+	}
+	return h, true
+}
+
+// shapeHead returns the head of a shape edge: any edge but an
+// immediate, a pc+imm or a PC atom, which options A′, B, C and D pair
+// without comparing heads, and a Lin, which has no head.
+func (e *edgeEnt) shapeHead() (headKey, bool) {
+	if e.isImm || e.isPCImm || (e.sub.IsAtom() && e.sub.AtomKind() == term.KindPC) {
+		return headKey{}, false
+	}
+	return headOf(e.coef, e.sub)
+}
+
+// file adds elist[i] to the node's head buckets.
+func (n *node) file(i int) {
+	if h, ok := n.elist[i].shapeHead(); ok {
+		n.heads[h] = append(n.heads[h], int32(i))
+	} else {
+		n.always = append(n.always, int32(i))
+	}
 }
 
 func newNode() *node { return &node{} }
@@ -119,6 +183,15 @@ func (ix *Index) Insert(ct *canon.CTerm, payload any) {
 				imm: imm, immHi: hi, immLo: lo, isImm: isImm,
 				pcImm: pcImm, pcHi: pcHi, pcLo: pcLo, pcCoef: pcCoef, isPCImm: isPCImm,
 			})
+			switch {
+			case n.heads != nil:
+				n.file(len(n.elist) - 1)
+			case len(n.elist) == bucketMin:
+				n.heads = make(map[headKey][]int32)
+				for i := range n.elist {
+					n.file(i)
+				}
+			}
 		}
 		n = e.next
 	}
@@ -313,27 +386,6 @@ func embedShift(coefQ, coefI bv.BV) (int, bool) {
 	return 0, false
 }
 
-// signature serializes a binding for match deduplication.
-func (b *Binding) signature() string {
-	rs := append([]RegBind(nil), b.Regs...)
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ISA.ID < rs[j].ISA.ID })
-	var sb strings.Builder
-	for _, rb := range rs {
-		fmt.Fprintf(&sb, "r%d=%d;", rb.ISA.ID, rb.Query.ID)
-	}
-	im := append([]ImmBind(nil), b.Imms...)
-	sort.Slice(im, func(i, j int) bool { return im[i].ISA.ID < im[j].ISA.ID })
-	for _, ib := range im {
-		q := -1
-		if ib.Query != nil {
-			q = ib.Query.ID
-		}
-		fmt.Fprintf(&sb, "i%d[%d:%d]=%d[%d:%d]c%v/%v/%v%v;",
-			ib.ISA.ID, ib.ISAHi, ib.ISALo, q, ib.QHi, ib.QLo, ib.Const, ib.CoefQ, ib.CoefI, ib.PCRel)
-	}
-	return sb.String()
-}
-
 // Match is one unification result.
 type Match struct {
 	Term     *canon.CTerm // the indexed canonical term
@@ -351,19 +403,34 @@ type searcher struct {
 	ix      *Index
 	steps   int
 	matches []Match
-	seen    map[string]bool
+	seen    map[string]struct{} // matchKey of every emitted match
+	// qHeads holds each query addend's head; qHeaded[i] is false for an
+	// addend without one.
+	qHeads  []headKey
+	qHeaded []bool
+	// lists is the stack of edge-index lists bucketed nodes merge.
+	lists [][]int32
+	// key and the sorted binding copies are matchKey's scratch.
+	key  []byte
+	regs []RegBind
+	imms []ImmBind
 }
 
 // Lookup unifies the query pattern against the index and returns all
 // matches (bounded). The query's free variables are IR operands; matches
-// carry the ISA-operand binding.
+// carry the ISA-operand binding. Concurrent Lookups are safe once every
+// Insert has returned.
 func (ix *Index) Lookup(query *canon.CTerm) []Match {
 	root := ix.roots[query.Width]
 	if root == nil {
 		return nil
 	}
-	s := &searcher{ix: ix, seen: map[string]bool{}}
 	qK, qAddends := linView(query)
+	s := &searcher{ix: ix, seen: map[string]struct{}{},
+		qHeads: make([]headKey, len(qAddends)), qHeaded: make([]bool, len(qAddends))}
+	for i, a := range qAddends {
+		s.qHeads[i], s.qHeaded[i] = headOf(a.Coef, a.T)
+	}
 	used := make([]bool, len(qAddends))
 	s.walk(root, qK, qAddends, used, &Binding{}, false)
 	return s.matches
@@ -384,80 +451,129 @@ func (s *searcher) walk(n *node, qK bv.BV, qAddends []canon.Addend, used []bool,
 			s.emit(ct, bind)
 		}
 	}
-	for ei := range n.elist {
-		e := &n.elist[ei]
-		coefI := e.coef
-		sub, next := e.sub, e.next
-		imm, hi, lo, isImm := e.imm, e.immHi, e.immLo, e.isImm
-		// Option A: pair with an unused query addend. Each speculative
-		// step mutates bind in place and rolls back after exploring the
-		// branch (a recursive walk always restores bind before returning,
-		// so sharing one binding across the whole search is sound).
-		for qi := range qAddends {
-			if used[qi] {
-				continue
+	if n.heads == nil {
+		for ei := range n.elist {
+			s.edge(&n.elist[ei], qK, qAddends, used, bind, pcDebt)
+		}
+		return
+	}
+	// Merge, in elist order, the always list with the buckets of the
+	// unused query addends: every other edge is a shape edge whose head
+	// no unused addend shares, on which no option can succeed. Two
+	// addends with one head share a bucket, which is merged once.
+	base := len(s.lists)
+	s.lists = append(s.lists, n.always)
+	for qi, h := range s.qHeads {
+		if used[qi] || !s.qHeaded[qi] {
+			continue
+		}
+		b := n.heads[h]
+		if len(b) == 0 || s.merging(base+1, b) {
+			continue
+		}
+		s.lists = append(s.lists, b)
+	}
+	for {
+		next := -1
+		for i := base; i < len(s.lists); i++ {
+			if l := s.lists[i]; len(l) > 0 && (next < 0 || l[0] < s.lists[next][0]) {
+				next = i
 			}
-			if pcDebt && isImm {
-				// Option A': absorb the PC debt into a PC-relative
-				// immediate binding.
-				if qimm, qhi, qlo, qok := immWrapper(qAddends[qi].T); qok {
-					m := bind.mark()
-					if bind.bindImm(ImmBind{ISA: imm, ISAHi: hi, ISALo: lo,
-						Query: qimm, QHi: qhi, QLo: qlo,
-						CoefQ: qAddends[qi].Coef, CoefI: coefI, PCRel: true}) {
-						used[qi] = true
-						s.walk(next, qK, qAddends, used, bind, false)
-						used[qi] = false
-					}
-					bind.rollback(m)
+		}
+		if next < 0 {
+			break
+		}
+		ei := s.lists[next][0]
+		s.lists[next] = s.lists[next][1:]
+		s.edge(&n.elist[ei], qK, qAddends, used, bind, pcDebt)
+	}
+	s.lists = s.lists[:base]
+}
+
+// merging reports whether bucket b is already on the merge stack at or
+// above index from.
+func (s *searcher) merging(from int, b []int32) bool {
+	for _, l := range s.lists[from:] {
+		if &l[0] == &b[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// edge tries every option of the walk on one edge of the current node.
+func (s *searcher) edge(e *edgeEnt, qK bv.BV, qAddends []canon.Addend, used []bool, bind *Binding, pcDebt bool) {
+	coefI := e.coef
+	sub, next := e.sub, e.next
+	imm, hi, lo, isImm := e.imm, e.immHi, e.immLo, e.isImm
+	// Option A: pair with an unused query addend. Each speculative
+	// step mutates bind in place and rolls back after exploring the
+	// branch (a recursive walk always restores bind before returning,
+	// so sharing one binding across the whole search is sound).
+	for qi := range qAddends {
+		if used[qi] {
+			continue
+		}
+		if pcDebt && isImm {
+			// Option A': absorb the PC debt into a PC-relative
+			// immediate binding.
+			if qimm, qhi, qlo, qok := immWrapper(qAddends[qi].T); qok {
+				m := bind.mark()
+				if bind.bindImm(ImmBind{ISA: imm, ISAHi: hi, ISALo: lo,
+					Query: qimm, QHi: qhi, QLo: qlo,
+					CoefQ: qAddends[qi].Coef, CoefI: coefI, PCRel: true}) {
+					used[qi] = true
+					s.walk(next, qK, qAddends, used, bind, false)
+					used[qi] = false
 				}
+				bind.rollback(m)
 			}
-			m := bind.mark()
-			// Dispatch on the label decomposition precomputed at insert
-			// time instead of letting unify re-derive it per visit.
-			var uok bool
-			switch {
-			case e.isImm:
-				uok = unifyImm(bind, qAddends[qi].Coef, qAddends[qi].T, imm, hi, lo, coefI)
-			case e.isPCImm:
-				uok = unifyPCImm(bind, qAddends[qi].Coef, qAddends[qi].T, e.pcImm, e.pcHi, e.pcLo, e.pcCoef, coefI)
-			default:
-				uok = unifyShape(bind, qAddends[qi].Coef, qAddends[qi].T, coefI, sub)
-			}
-			if uok {
-				used[qi] = true
-				s.walk(next, qK, qAddends, used, bind, pcDebt)
-				used[qi] = false
-			}
-			bind.rollback(m)
 		}
-		// Options B and C need an ISA immediate operand on the edge.
-		if isImm {
-			// Option B: bind the excess query constant to the immediate.
-			if !qK.IsZero() {
-				if v, ok := solveScaled(qK, coefI); ok {
-					m := bind.mark()
-					if bind.bindImm(ImmBind{ISA: imm, ISAHi: hi, ISALo: lo,
-						Const: v, CoefQ: bv.New(qK.W(), 1), CoefI: coefI, PCRel: pcDebt}) {
-						s.walk(next, bv.Zero(qK.W()), qAddends, used, bind, false)
-					}
-					bind.rollback(m)
+		m := bind.mark()
+		// Dispatch on the label decomposition precomputed at insert
+		// time instead of letting unify re-derive it per visit.
+		var uok bool
+		switch {
+		case e.isImm:
+			uok = unifyImm(bind, qAddends[qi].Coef, qAddends[qi].T, imm, hi, lo, coefI)
+		case e.isPCImm:
+			uok = unifyPCImm(bind, qAddends[qi].Coef, qAddends[qi].T, e.pcImm, e.pcHi, e.pcLo, e.pcCoef, coefI)
+		default:
+			uok = unifyShape(bind, qAddends[qi].Coef, qAddends[qi].T, coefI, sub)
+		}
+		if uok {
+			used[qi] = true
+			s.walk(next, qK, qAddends, used, bind, pcDebt)
+			used[qi] = false
+		}
+		bind.rollback(m)
+	}
+	// Options B and C need an ISA immediate operand on the edge.
+	if isImm {
+		// Option B: bind the excess query constant to the immediate.
+		if !qK.IsZero() {
+			if v, ok := solveScaled(qK, coefI); ok {
+				m := bind.mark()
+				if bind.bindImm(ImmBind{ISA: imm, ISAHi: hi, ISALo: lo,
+					Const: v, CoefQ: bv.New(qK.W(), 1), CoefI: coefI, PCRel: pcDebt}) {
+					s.walk(next, bv.Zero(qK.W()), qAddends, used, bind, false)
 				}
+				bind.rollback(m)
 			}
-			// Option C: excess ISA immediate binds to zero.
-			m := bind.mark()
-			if bind.bindImm(ImmBind{ISA: imm, ISAHi: hi, ISALo: lo,
-				Const: bv.Zero(imm.Width), CoefQ: bv.New(qK.W(), 1), CoefI: coefI}) {
-				s.walk(next, qK, qAddends, used, bind, pcDebt)
-			}
-			bind.rollback(m)
 		}
-		// Option D: an unmatched PC edge incurs a debt to be absorbed by
-		// a following immediate edge (PC-relative addressing).
-		if !pcDebt && sub.IsAtom() && sub.AtomKind() == term.KindPC &&
-			coefI.Lo == 1 && coefI.Hi == 0 {
-			s.walk(next, qK, qAddends, used, bind, true)
+		// Option C: excess ISA immediate binds to zero.
+		m := bind.mark()
+		if bind.bindImm(ImmBind{ISA: imm, ISAHi: hi, ISALo: lo,
+			Const: bv.Zero(imm.Width), CoefQ: bv.New(qK.W(), 1), CoefI: coefI}) {
+			s.walk(next, qK, qAddends, used, bind, pcDebt)
 		}
+		bind.rollback(m)
+	}
+	// Option D: an unmatched PC edge incurs a debt to be absorbed by
+	// a following immediate edge (PC-relative addressing).
+	if !pcDebt && sub.IsAtom() && sub.AtomKind() == term.KindPC &&
+		coefI.Lo == 1 && coefI.Hi == 0 {
+		s.walk(next, qK, qAddends, used, bind, true)
 	}
 }
 
@@ -471,12 +587,51 @@ func allUsed(used []bool) bool {
 }
 
 func (s *searcher) emit(ct *canon.CTerm, bind *Binding) {
-	sig := fmt.Sprintf("%d|%s", ct.ID, bind.signature())
-	if s.seen[sig] {
+	key := s.matchKey(ct, bind)
+	if _, dup := s.seen[string(key)]; dup {
 		return
 	}
-	s.seen[sig] = true
+	s.seen[string(key)] = struct{}{}
 	s.matches = append(s.matches, Match{Term: ct, Payloads: s.ix.payloads[ct], Binding: bind.clone()})
+}
+
+// matchKey encodes the indexed term and the binding, its register and
+// immediate bindings each sorted by ISA atom, into s.key: two matches
+// are duplicates exactly when their keys are equal. A binding holds at
+// most one entry per ISA atom (bindReg and bindImm merge rebindings),
+// so the sort order is total.
+func (s *searcher) matchKey(ct *canon.CTerm, bind *Binding) []byte {
+	s.regs = append(s.regs[:0], bind.Regs...)
+	slices.SortFunc(s.regs, func(a, b RegBind) int { return a.ISA.ID - b.ISA.ID })
+	s.imms = append(s.imms[:0], bind.Imms...)
+	slices.SortFunc(s.imms, func(a, b ImmBind) int { return a.ISA.ID - b.ISA.ID })
+	k := binary.LittleEndian.AppendUint64(s.key[:0], uint64(ct.ID))
+	k = binary.LittleEndian.AppendUint64(k, uint64(len(s.regs)))
+	for _, rb := range s.regs {
+		k = binary.LittleEndian.AppendUint64(k, uint64(rb.ISA.ID))
+		k = binary.LittleEndian.AppendUint64(k, uint64(rb.Query.ID))
+	}
+	for _, ib := range s.imms {
+		q := -1
+		if ib.Query != nil {
+			q = ib.Query.ID
+		}
+		for _, v := range [...]int{ib.ISA.ID, ib.ISAHi, ib.ISALo, q, ib.QHi, ib.QLo} {
+			k = binary.LittleEndian.AppendUint64(k, uint64(v))
+		}
+		for _, v := range [...]bv.BV{ib.Const, ib.CoefQ, ib.CoefI} {
+			k = binary.LittleEndian.AppendUint64(k, v.Lo)
+			k = binary.LittleEndian.AppendUint64(k, v.Hi)
+			k = append(k, v.Width)
+		}
+		if ib.PCRel {
+			k = append(k, 1)
+		} else {
+			k = append(k, 0)
+		}
+	}
+	s.key = k
+	return k
 }
 
 // solveScaled finds v with coef·v == k (unsigned exact), if any.
