@@ -27,9 +27,8 @@
 package canon
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"iselgen/internal/bv"
@@ -114,15 +113,28 @@ func rank(c *CTerm) int {
 // Ctx interns canonical terms and assigns dense IDs in insertion order
 // (the paper's increasing term numbering: two canonicalized terms are
 // equal iff their IDs are equal).
+//
+// Terms are looked up by content hash. A candidate is compared with the
+// stored term shallowly: children are interned, so they compare by
+// pointer. Stage 1 interns tens of thousands of terms, so the table keeps
+// no key string per term, and a term that is already interned costs no
+// allocation at all (see intern).
 type Ctx struct {
-	byKey map[string]*CTerm
-	terms []*CTerm
-	memo  map[*term.Term]*CTerm
+	byHash map[uint64]*CTerm   // the first term interned under each hash
+	more   map[uint64][]*CTerm // later terms whose hash was taken
+	terms  []*CTerm
+	memo   map[*term.Term]*CTerm
+	// free holds addend scratch that built linBuilders handed back.
+	free [][]Addend
+	// ref, when set, interns in place of the hash tables. Tests install
+	// the key-string interning the tables replaced, as a reference.
+	ref func(cx *Ctx, c *CTerm) *CTerm
 }
 
 // NewCtx returns an empty canonicalization context.
 func NewCtx() *Ctx {
-	return &Ctx{byKey: make(map[string]*CTerm), memo: make(map[*term.Term]*CTerm)}
+	return &Ctx{byHash: make(map[uint64]*CTerm), more: make(map[uint64][]*CTerm),
+		memo: make(map[*term.Term]*CTerm)}
 }
 
 // NumTerms returns the number of distinct canonical terms interned.
@@ -131,16 +143,85 @@ func (cx *Ctx) NumTerms() int { return len(cx.terms) }
 // ByID returns the canonical term with the given ID.
 func (cx *Ctx) ByID(id int) *CTerm { return cx.terms[id] }
 
-func (cx *Ctx) intern(c *CTerm) *CTerm {
-	key := c.key()
-	if old, ok := cx.byKey[key]; ok {
-		return old
+// intern returns the interned term with the content of template p, an
+// operation node or linear combination whose Args or Addends may be
+// caller scratch. Only a miss allocates: the interned copy gets Args and
+// Addends of its own.
+func (cx *Ctx) intern(p *CTerm) *CTerm {
+	if cx.ref != nil {
+		return cx.ref(cx, p.own())
 	}
-	c.ID = len(cx.terms)
-	c.Hash = contentHash(c)
-	cx.terms = append(cx.terms, c)
-	cx.byKey[key] = c
+	p.Hash = contentHash(p)
+	if c := cx.lookup(p, p.Hash); c != nil {
+		return c
+	}
+	return cx.insert(p.own(), p.Hash)
+}
+
+// own returns a heap copy of template p that shares no slice with it. It
+// never copies Var, so intern's templates stay on their callers' stacks.
+func (p *CTerm) own() *CTerm {
+	c := &CTerm{Kind: p.Kind, Width: p.Width, Hash: p.Hash, Op: p.Op, Aux0: p.Aux0, Aux1: p.Aux1, K: p.K}
+	if len(p.Args) > 0 {
+		c.Args = append(make([]*CTerm, 0, len(p.Args)), p.Args...)
+	}
+	if len(p.Addends) > 0 {
+		c.Addends = append(make([]Addend, 0, len(p.Addends)), p.Addends...)
+	}
 	return c
+}
+
+// lookup returns the term filed under key with p's content, or nil.
+func (cx *Ctx) lookup(p *CTerm, key uint64) *CTerm {
+	c, ok := cx.byHash[key]
+	if !ok {
+		return nil
+	}
+	if sameNode(c, p) {
+		return c
+	}
+	for _, c := range cx.more[key] {
+		if sameNode(c, p) {
+			return c
+		}
+	}
+	return nil
+}
+
+// insert files c, a term new to the context, under key and numbers it.
+func (cx *Ctx) insert(c *CTerm, key uint64) *CTerm {
+	c.ID = len(cx.terms)
+	cx.terms = append(cx.terms, c)
+	if _, taken := cx.byHash[key]; taken {
+		cx.more[key] = append(cx.more[key], c)
+	} else {
+		cx.byHash[key] = c
+	}
+	return c
+}
+
+// sameNode reports whether c and p have the same content, given that
+// their children are interned in one context.
+func sameNode(c, p *CTerm) bool {
+	if c.Kind != p.Kind || c.Width != p.Width {
+		return false
+	}
+	switch c.Kind {
+	case Atom:
+		return c.Var.Name == p.Var.Name && c.Var.Kind == p.Var.Kind
+	case OpNode:
+		return c.Op == p.Op && c.Aux0 == p.Aux0 && c.Aux1 == p.Aux1 && slices.Equal(c.Args, p.Args)
+	}
+	if c.K.Lo != p.K.Lo || c.K.Hi != p.K.Hi || len(c.Addends) != len(p.Addends) {
+		return false
+	}
+	for i, a := range c.Addends {
+		b := p.Addends[i]
+		if a.T != b.T || a.Coef.Lo != b.Coef.Lo || a.Coef.Hi != b.Coef.Hi {
+			return false
+		}
+	}
+	return true
 }
 
 // contentHash computes the structural hash of a term whose children are
@@ -255,49 +336,32 @@ func cmpBV(a, b bv.BV) int {
 	return int(a.Width) - int(b.Width)
 }
 
-func contentLess(a, b *CTerm) bool { return contentCmp(a, b) < 0 }
-
-func (c *CTerm) key() string {
-	var sb strings.Builder
-	var buf [8]byte
-	wInt := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		sb.Write(buf[:])
+// cmpAddend is the canonical addend order: kind rank, then content.
+func cmpAddend(a, b Addend) int {
+	if ra, rb := rank(a.T), rank(b.T); ra != rb {
+		return ra - rb
 	}
-	sb.WriteByte(byte(c.Kind))
-	sb.WriteByte(byte(c.Width))
-	switch c.Kind {
-	case Atom:
-		sb.WriteString(c.Var.Name)
-	case OpNode:
-		sb.WriteByte(byte(c.Op))
-		wInt(uint64(c.Aux0))
-		wInt(uint64(c.Aux1))
-		for _, a := range c.Args {
-			wInt(uint64(a.ID))
-		}
-	case Lin:
-		wInt(c.K.Lo)
-		wInt(c.K.Hi)
-		for _, a := range c.Addends {
-			wInt(a.Coef.Lo)
-			wInt(a.Coef.Hi)
-			wInt(uint64(a.T.ID))
-		}
-	}
-	return sb.String()
+	return contentCmp(a.T, b.T)
 }
 
 // atom interns an atom for the given variable.
 func (cx *Ctx) atom(v *term.Term) *CTerm {
-	return cx.intern(&CTerm{Kind: Atom, Width: v.W(), Var: v})
+	c := &CTerm{Kind: Atom, Width: v.W(), Var: v}
+	if cx.ref != nil {
+		return cx.ref(cx, c)
+	}
+	c.Hash = contentHash(c)
+	if old := cx.lookup(c, c.Hash); old != nil {
+		return old
+	}
+	return cx.insert(c, c.Hash)
 }
 
 // opNode interns an operation node, ordering commutative operands by
 // content (never by Ctx-local ID, which would make the canonical shape
 // depend on what the context happened to intern earlier).
 func (cx *Ctx) opNode(op term.Op, width int, aux0, aux1 int32, args ...*CTerm) *CTerm {
-	if op.IsCommutative() && len(args) == 2 && contentLess(args[1], args[0]) {
+	if op.IsCommutative() && len(args) == 2 && contentCmp(args[1], args[0]) < 0 {
 		args[0], args[1] = args[1], args[0]
 	}
 	return cx.intern(&CTerm{Kind: OpNode, Width: width, Op: op, Aux0: aux0, Aux1: aux1, Args: args})
@@ -308,16 +372,24 @@ func (cx *Ctx) constLin(v bv.BV) *CTerm {
 	return cx.intern(&CTerm{Kind: Lin, Width: v.W(), K: v})
 }
 
-// linBuilder accumulates addends during construction, keyed by subterm,
-// implementing the ordered-map-over-term-ids step of §V-B2.
+// linBuilder accumulates addends during construction, merging the
+// coefficients of a repeated subterm: the ordered-map-over-term-ids step
+// of §V-B2. A combination has a handful of addends, so they sit in a
+// slice searched linearly, drawn from the context's scratch.
 type linBuilder struct {
 	width int
 	k     bv.BV
-	coefs map[*CTerm]bv.BV
+	ads   []Addend // one per distinct subterm; a coefficient may be zero
 }
 
-func newLinBuilder(width int) *linBuilder {
-	return &linBuilder{width: width, k: bv.Zero(width), coefs: make(map[*CTerm]bv.BV)}
+// newLinBuilder returns an empty accumulator. build hands its scratch
+// back to cx.
+func (cx *Ctx) newLinBuilder(width int) linBuilder {
+	lb := linBuilder{width: width, k: bv.Zero(width)}
+	if n := len(cx.free); n > 0 {
+		lb.ads, cx.free = cx.free[n-1], cx.free[:n-1]
+	}
+	return lb
 }
 
 func (lb *linBuilder) addConst(v bv.BV) { lb.k = lb.k.Add(v.ZExt(lb.width)) }
@@ -327,11 +399,13 @@ func (lb *linBuilder) add(coef bv.BV, t *CTerm) {
 		lb.addConst(coef.Mul(t.K.ZExt(lb.width)))
 		return
 	}
-	if old, ok := lb.coefs[t]; ok {
-		lb.coefs[t] = old.Add(coef)
-	} else {
-		lb.coefs[t] = coef
+	for i := range lb.ads {
+		if lb.ads[i].T == t {
+			lb.ads[i].Coef = lb.ads[i].Coef.Add(coef)
+			return
+		}
 	}
+	lb.ads = append(lb.ads, Addend{Coef: coef, T: t})
 }
 
 // addTerm folds an arbitrary canonical term into the accumulator with the
@@ -350,32 +424,27 @@ func (lb *linBuilder) addTerm(coef bv.BV, t *CTerm) {
 
 // build finalizes the accumulator into an interned canonical term.
 func (lb *linBuilder) build(cx *Ctx) *CTerm {
-	addends := make([]Addend, 0, len(lb.coefs))
-	for t, c := range lb.coefs {
-		if c.IsZero() {
-			continue
-		}
-		addends = append(addends, Addend{Coef: c, T: t})
-	}
-	sort.Slice(addends, func(i, j int) bool {
-		ri, rj := rank(addends[i].T), rank(addends[j].T)
-		if ri != rj {
-			return ri < rj
-		}
-		return contentLess(addends[i].T, addends[j].T)
-	})
-	// Collapse the trivial wrapper 0 + 1·t (same width) to t itself.
+	addends := slices.DeleteFunc(lb.ads, func(a Addend) bool { return a.Coef.IsZero() })
+	slices.SortFunc(addends, cmpAddend)
+	var c *CTerm
 	if lb.k.IsZero() && len(addends) == 1 &&
 		addends[0].Coef.Lo == 1 && addends[0].Coef.Hi == 0 &&
 		addends[0].T.Width == lb.width {
-		return addends[0].T
+		// Collapse the trivial wrapper 0 + 1·t (same width) to t itself.
+		c = addends[0].T
+	} else {
+		c = cx.intern(&CTerm{Kind: Lin, Width: lb.width, K: lb.k, Addends: addends})
 	}
-	return cx.intern(&CTerm{Kind: Lin, Width: lb.width, K: lb.k, Addends: addends})
+	if cap(addends) > 0 {
+		cx.free = append(cx.free, addends[:0])
+	}
+	lb.ads = nil
+	return c
 }
 
 // scale returns c·t as a canonical term at t's width (rules V/VI).
 func (cx *Ctx) scale(c bv.BV, t *CTerm) *CTerm {
-	lb := newLinBuilder(t.Width)
+	lb := cx.newLinBuilder(t.Width)
 	lb.addTerm(c, t)
 	return lb.build(cx)
 }
@@ -409,13 +478,13 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		return cx.atom(t)
 
 	case term.Add: // rule I
-		lb := newLinBuilder(w)
+		lb := cx.newLinBuilder(w)
 		lb.addTerm(bv.New(w, 1), cx.Canon(t.Args[0]))
 		lb.addTerm(bv.New(w, 1), cx.Canon(t.Args[1]))
 		return lb.build(cx)
 
 	case term.Sub:
-		lb := newLinBuilder(w)
+		lb := cx.newLinBuilder(w)
 		lb.addTerm(bv.New(w, 1), cx.Canon(t.Args[0]))
 		lb.addTerm(bv.Ones(w), cx.Canon(t.Args[1]))
 		return lb.build(cx)
@@ -424,7 +493,7 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		return cx.scale(bv.Ones(w), cx.Canon(t.Args[0]))
 
 	case term.Not: // rule II: ¬a = -1 - a
-		lb := newLinBuilder(w)
+		lb := cx.newLinBuilder(w)
 		lb.addConst(bv.Ones(w))
 		lb.addTerm(bv.Ones(w), cx.Canon(t.Args[0]))
 		return lb.build(cx)
@@ -449,7 +518,7 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		if d.IsConst() {
 			if k, ok := d.K.IsPow2(); ok && k > 0 && k < w {
 				ex := cx.extractLow(k, x)
-				lb := newLinBuilder(w)
+				lb := cx.newLinBuilder(w)
 				lb.addTerm(bv.New(w, 1), ex)
 				return lb.build(cx)
 			}
@@ -460,7 +529,7 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		return cx.canonConcat(w, t.Args[0], t.Args[1])
 
 	case term.ZExt:
-		lb := newLinBuilder(w)
+		lb := cx.newLinBuilder(w)
 		lb.addTerm(bv.New(w, 1), cx.Canon(t.Args[0]))
 		return lb.build(cx)
 
@@ -469,7 +538,7 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		x := cx.Canon(t.Args[0])
 		n := x.Width
 		sign := cx.extractBits(n-1, n-1, x)
-		lb := newLinBuilder(w)
+		lb := cx.newLinBuilder(w)
 		lb.addTerm(bv.New(w, 1), x)
 		fill := bv.Ones(w).ShlN(uint(n)) // 2^w − 2^n
 		lb.addTerm(fill, sign)
@@ -491,7 +560,7 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		// the §V-B1 "booleans as bitvectors of length 1" normalization; it
 		// lets condition-flag expressions like N == V unify linearly.
 		if a.Width == 1 && b.Width == 1 {
-			lb := newLinBuilder(1)
+			lb := cx.newLinBuilder(1)
 			lb.addConst(bv.New(1, 1))
 			lb.addTerm(bv.New(1, 1), a)
 			lb.addTerm(bv.New(1, 1), b)
@@ -517,7 +586,8 @@ func (cx *Ctx) canon(t *term.Term) *CTerm {
 		return cx.opNode(term.Store, w, t.Aux0, 0, cx.Canon(t.Args[0]), cx.Canon(t.Args[1]))
 
 	default:
-		args := make([]*CTerm, len(t.Args))
+		var buf [3]*CTerm
+		args := buf[:len(t.Args)]
 		for i, a := range t.Args {
 			args[i] = cx.Canon(a)
 		}
@@ -535,10 +605,11 @@ func (cx *Ctx) canonMul(w int, x, y *CTerm) *CTerm {
 		return cx.scale(y.K, x)
 	}
 	// Rule IV: distribute over linear combinations, bounded.
-	xs := cx.factors(x)
-	ys := cx.factors(y)
+	var xb, yb [4]Addend
+	xs := factors(x, xb[:0])
+	ys := factors(y, yb[:0])
 	if len(xs)*len(ys) <= maxDistribute {
-		lb := newLinBuilder(w)
+		lb := cx.newLinBuilder(w)
 		for _, fx := range xs {
 			for _, fy := range ys {
 				coef := fx.Coef.ZExt(w).Mul(fy.Coef.ZExt(w))
@@ -551,7 +622,7 @@ func (cx *Ctx) canonMul(w int, x, y *CTerm) *CTerm {
 					lb.add(coef, fx.T)
 				default:
 					a, b := fx.T, fy.T
-					if contentLess(b, a) {
+					if contentCmp(b, a) < 0 {
 						a, b = b, a
 					}
 					prod := cx.intern(&CTerm{Kind: OpNode, Width: w, Op: term.Mul, Args: []*CTerm{a, b}})
@@ -564,18 +635,16 @@ func (cx *Ctx) canonMul(w int, x, y *CTerm) *CTerm {
 	return cx.opNode(term.Mul, w, 0, 0, x, y)
 }
 
-// factors decomposes a canonical term into (coef, subterm) pairs, with a
-// nil subterm denoting the constant part.
-func (cx *Ctx) factors(c *CTerm) []Addend {
+// factors appends to out the decomposition of a canonical term into
+// (coef, subterm) pairs, with a nil subterm denoting the constant part.
+func factors(c *CTerm, out []Addend) []Addend {
 	if c.Kind == Lin {
-		out := make([]Addend, 0, len(c.Addends)+1)
 		if !c.K.IsZero() {
 			out = append(out, Addend{Coef: c.K, T: nil})
 		}
-		out = append(out, c.Addends...)
-		return out
+		return append(out, c.Addends...)
 	}
-	return []Addend{{Coef: bv.New(c.Width, 1), T: c}}
+	return append(out, Addend{Coef: bv.New(c.Width, 1), T: c})
 }
 
 // canonConcat implements rule III: concat(a_n, b_m) at width k = n+m is
@@ -586,7 +655,7 @@ func (cx *Ctx) canonConcat(k int, at, bt *term.Term) *CTerm {
 	m := bt.W()
 	a := cx.Canon(at)
 	b := cx.Canon(bt)
-	lb := newLinBuilder(k)
+	lb := cx.newLinBuilder(k)
 	shift := bv.New(k, 1).ShlN(uint(m)) // 2^m
 	lb.addTerm(shift, a)
 	if b.Kind != Lin || len(b.Addends) == 0 {
@@ -594,7 +663,7 @@ func (cx *Ctx) canonConcat(k int, at, bt *term.Term) *CTerm {
 		return lb.build(cx)
 	}
 	// Lift b's combination to width k.
-	blb := newLinBuilder(k)
+	blb := cx.newLinBuilder(k)
 	blb.addConst(b.K)
 	for _, ad := range b.Addends {
 		blb.add(ad.Coef.ZExt(k), ad.T)
@@ -616,7 +685,7 @@ func (cx *Ctx) extractLow(width int, x *CTerm) *CTerm {
 	}
 	switch x.Kind {
 	case Lin:
-		lb := newLinBuilder(width)
+		lb := cx.newLinBuilder(width)
 		lb.addConst(x.K.Trunc(width))
 		for _, a := range x.Addends {
 			t := a.T
@@ -661,41 +730,35 @@ func (cx *Ctx) canonIte(w int, cond, thn, els *CTerm) *CTerm {
 		return thn
 	}
 	// Rule IX: hoist common (coefficient, subterm) addends and, when the
-	// constants agree, the constant part.
-	tf, ef := cx.factors(thn), cx.factors(els)
-	common := newLinBuilder(w)
+	// constants agree, the constant part. Each then-factor pairs with the
+	// first equal else-factor not yet hoisted; tRest keeps the rest.
+	var tb, eb [4]Addend
+	tf, ef := factors(thn, tb[:0]), factors(els, eb[:0])
+	var common linBuilder
 	hoisted := false
-	tKeep := map[int]bool{}
-	eKeep := map[int]bool{}
-	for i := range tf {
-		tKeep[i] = true
-	}
-	for j := range ef {
-		eKeep[j] = true
-	}
-	for i, fa := range tf {
-		for j, fb := range ef {
-			if !eKeep[j] || !tKeep[i] {
-				continue
-			}
-			if fa.T == fb.T && fa.Coef.ZExt(w) == fb.Coef.ZExt(w) {
-				if fa.T == nil {
-					common.addConst(fa.Coef.ZExt(w))
-				} else {
-					common.add(fa.Coef.ZExt(w), fa.T)
-				}
-				tKeep[i], eKeep[j] = false, false
-				hoisted = true
-			}
+	tRest := tf[:0]
+	for _, fa := range tf {
+		j := slices.IndexFunc(ef, func(fb Addend) bool {
+			return fa.T == fb.T && fa.Coef.ZExt(w) == fb.Coef.ZExt(w)
+		})
+		if j < 0 {
+			tRest = append(tRest, fa)
+			continue
 		}
+		if !hoisted {
+			common, hoisted = cx.newLinBuilder(w), true
+		}
+		if fa.T == nil {
+			common.addConst(fa.Coef.ZExt(w))
+		} else {
+			common.add(fa.Coef.ZExt(w), fa.T)
+		}
+		ef = slices.Delete(ef, j, j+1)
 	}
 	if hoisted {
-		rebuild := func(fs []Addend, keep map[int]bool) *CTerm {
-			lb := newLinBuilder(w)
-			for i, f := range fs {
-				if !keep[i] {
-					continue
-				}
+		rebuild := func(fs []Addend) *CTerm {
+			lb := cx.newLinBuilder(w)
+			for _, f := range fs {
 				if f.T == nil {
 					lb.addConst(f.Coef.ZExt(w))
 				} else {
@@ -704,7 +767,7 @@ func (cx *Ctx) canonIte(w int, cond, thn, els *CTerm) *CTerm {
 			}
 			return lb.build(cx)
 		}
-		inner := cx.canonIte(w, cond, rebuild(tf, tKeep), rebuild(ef, eKeep))
+		inner := cx.canonIte(w, cond, rebuild(tRest), rebuild(ef))
 		common.addTerm(bv.New(w, 1), inner)
 		return common.build(cx)
 	}
@@ -725,7 +788,7 @@ func (cx *Ctx) canonIte(w int, cond, thn, els *CTerm) *CTerm {
 
 // notCond returns the canonical 1-bit negation c+1 (rule VIII).
 func (cx *Ctx) notCond(c *CTerm) *CTerm {
-	lb := newLinBuilder(1)
+	lb := cx.newLinBuilder(1)
 	lb.addConst(bv.New(1, 1))
 	lb.addTerm(bv.New(1, 1), c)
 	return lb.build(cx)

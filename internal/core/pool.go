@@ -315,7 +315,7 @@ type Stats struct {
 	Patterns     int
 	LookupTime   time.Duration
 	IndexLookupT time.Duration
-	ProbeTime    time.Duration
+	ProbeTime    time.Duration // SMT fallback time outside the solver and digest evaluation
 	SMTTime      time.Duration
 	IndexRules   int
 	SMTRules     int
@@ -443,7 +443,7 @@ type Synthesizer struct {
 	Index  *trie.Index
 	Pool   []*PoolEntry
 	// byFilter groups entries for the SMT-fallback candidate filter.
-	byFilter map[string][]*PoolEntry
+	byFilter map[filterKey][]*PoolEntry
 	Cfg      Config
 	Stats    Stats
 	// SpecFP fingerprints the loaded specification (every instruction's
@@ -477,7 +477,7 @@ func New(b *term.Builder, target *isa.Target, cfg Config) *Synthesizer {
 		CX:       canon.NewCtx(),
 		Target:   target,
 		Index:    trie.New(),
-		byFilter: map[string][]*PoolEntry{},
+		byFilter: map[filterKey][]*PoolEntry{},
 		Cfg:      cfg,
 		SpecFP:   SpecFingerprint(target),
 	}
@@ -656,6 +656,16 @@ func (s *Synthesizer) pairs(bases []*isa.Sequence, prune bool, emit func(*isa.Se
 	// goroutine, so the cache needs no locking).
 	ac := isa.NewAppendCache()
 	var insts []*isa.Instruction // PoolFilter's view of a pair
+	// One wiring slice per operand name, shared by every pair that wires
+	// that operand; Append and MustRead never write to it.
+	wires := map[string][]string{}
+	for _, inst := range s.Target.Insts {
+		for _, op := range inst.Operands {
+			if wires[op.Name] == nil {
+				wires[op.Name] = []string{op.Name}
+			}
+		}
+	}
 	doomed := func(base *isa.Sequence, inst *isa.Instruction, wire []string, flags bool) bool {
 		if s.Cfg.PoolFilter != nil {
 			insts = append(append(insts[:0], base.Insts...), inst)
@@ -682,17 +692,17 @@ func (s *Synthesizer) pairs(bases []*isa.Sequence, prune bool, emit func(*isa.Se
 		}
 	}
 	for _, base := range bases {
+		prevW := resultWidth(base)
 		for _, inst := range s.Target.Insts {
 			if !base.CanAppend(inst) {
 				continue
 			}
 			// Wire each width-compatible register operand.
-			prevW := resultWidth(base)
 			for _, op := range inst.Operands {
 				if op.Kind == spec.OpImm || op.Width != prevW {
 					continue
 				}
-				compose(base, inst, []string{op.Name}, false)
+				compose(base, inst, wires[op.Name], false)
 			}
 			// Flag-consuming composition (cmp+csel chains, §VI-A).
 			if readsFlags(inst) && writesFlags(base) {
@@ -797,9 +807,18 @@ func (s *Synthesizer) addEntry(seq *isa.Sequence) {
 	s.byFilter[key] = append(s.byFilter[key], e)
 }
 
+// filterKey is the SMT-fallback bucket key: pool entries are filed under
+// it in addEntry and patterns look their candidates up by it.
+type filterKey struct {
+	class        EffectClass
+	width        int
+	nRegs, nImms int
+	loads        string // loadSignature, "" without loads
+}
+
 // filterKey is the SMT-fallback bucket the entry is filed under.
-func (e *PoolEntry) filterKey() string {
-	return filterKeyOf(e.Class, e.Width, e.NRegs, e.NImms, e.LoadSig)
+func (e *PoolEntry) filterKey() filterKey {
+	return filterKey{e.Class, e.Width, e.NRegs, e.NImms, e.LoadSig}
 }
 
 // primaryEffect picks the effect a rule would match: the register result

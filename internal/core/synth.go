@@ -4,7 +4,6 @@ import (
 	"context"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,10 +56,9 @@ type worker struct {
 	curtailed bool
 
 	// probeRun scratch, reused across calls to keep the matcher's hot
-	// loop allocation-free, and the sampling counter for its timer.
+	// loop allocation-free.
 	probeBinds []probeBinding
 	probeVals  []bv.BV
-	probeTick  uint64
 }
 
 // probeBinding pairs one pattern leaf with the cached test vectors of
@@ -556,7 +554,14 @@ func (w *worker) verify(tp *term.Term, leaves []*pattern.Node, entry *PoolEntry,
 // operand/memory signature, probe the cached test evaluations per
 // operand assignment, and verify survivors with the SMT solver, stopping
 // at the first match (cheapest-first).
+//
+// The whole call is timed once: what it spends outside the solver and
+// digest evaluation, which keep timers of their own, is probe time.
 func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*pattern.Node) *rules.Rule {
+	t0, smt0, eval0 := time.Now(), w.smtT, w.evalT
+	defer func() {
+		w.probeT += time.Since(t0) - (w.smtT - smt0) - (w.evalT - eval0)
+	}()
 	key, regLeaves, immLeaves := patternFilterKey(p, tp, leaves)
 	// Buckets are pre-sorted cheapest-first by BuildPool; iteration stops
 	// at the first verified match.
@@ -594,7 +599,8 @@ func (w *worker) smtFallback(p *pattern.Pattern, tp *term.Term, leaves []*patter
 // leaves onto immediate inputs no wider than the leaf — and calls fn on
 // it, until fn returns true. It reports whether fn did.
 func forEachAssignment(leaves []*pattern.Node, regLeaves, immLeaves []int, entry *PoolEntry, asg []int, fn func() bool) bool {
-	var regIns, immIns []int
+	var regBuf, immBuf [8]int
+	regIns, immIns := regBuf[:0], immBuf[:0]
 	for k, in := range entry.Seq.Inputs {
 		if in.Op.Kind == spec.OpImm {
 			immIns = append(immIns, k)
@@ -639,7 +645,7 @@ func forEachAssignment(leaves []*pattern.Node, regLeaves, immLeaves []int, entry
 // patternFilterKey returns the SMT-fallback bucket a pattern draws its
 // candidates from, with the indices of its register and immediate
 // leaves.
-func patternFilterKey(p *pattern.Pattern, tp *term.Term, leaves []*pattern.Node) (key string, regLeaves, immLeaves []int) {
+func patternFilterKey(p *pattern.Pattern, tp *term.Term, leaves []*pattern.Node) (key filterKey, regLeaves, immLeaves []int) {
 	class := ClassValue
 	if p.IsStore() {
 		class = ClassStore
@@ -651,25 +657,8 @@ func patternFilterKey(p *pattern.Pattern, tp *term.Term, leaves []*pattern.Node)
 			immLeaves = append(immLeaves, i)
 		}
 	}
-	key = filterKeyOf(class, tp.W(), len(regLeaves), len(immLeaves), loadSignature(tp))
+	key = filterKey{class, tp.W(), len(regLeaves), len(immLeaves), loadSignature(tp)}
 	return key, regLeaves, immLeaves
-}
-
-// filterKeyOf is the SMT-fallback bucket key: pool entries are filed
-// under it in addEntry and patterns look their candidates up by it, so
-// both sides must encode a signature through this one function.
-func filterKeyOf(class EffectClass, width, nRegs, nImms int, loadSig string) string {
-	var sb strings.Builder
-	sb.WriteString(itoa(int(class)))
-	sb.WriteByte('|')
-	sb.WriteString(itoa(width))
-	sb.WriteByte('|')
-	sb.WriteString(itoa(nRegs))
-	sb.WriteByte('|')
-	sb.WriteString(itoa(nImms))
-	sb.WriteByte('|')
-	sb.WriteString(loadSig)
-	return sb.String()
 }
 
 // resolveLeafSlots maps each pattern leaf to its variable slot in the
@@ -754,20 +743,7 @@ func (w *worker) probe(pp *patternProbe, entry *PoolEntry, asg []int) bool {
 	if w.s.Cfg.DisableProbe {
 		return true
 	}
-	// The probe/eval stage timers are coarse diagnostics, but probe is
-	// called often enough that two clock reads per call show up in the
-	// profile — so sample one call in eight and scale. Digest extension
-	// (the expensive part) still times itself exactly inside digestsUpTo.
-	w.probeTick++
-	if w.probeTick&7 != 0 {
-		return w.precheck(pp, entry, asg, &w.evalT) && w.probeRun(pp, entry, asg, &w.evalT)
-	}
-	t0 := time.Now()
-	var evalDur time.Duration
-	ok := w.precheck(pp, entry, asg, &evalDur) && w.probeRun(pp, entry, asg, &evalDur)
-	w.evalT += evalDur
-	w.probeT += (time.Since(t0) - evalDur) * 8
-	return ok
+	return w.precheck(pp, entry, asg, &w.evalT) && w.probeRun(pp, entry, asg, &w.evalT)
 }
 
 // precheck is probeRun's verdict on the first usable vector alone: false

@@ -231,15 +231,20 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 		s.evictLocked()
 	}
 	s.mu.Unlock()
+	persist := s.dir != "" && e != nil && err == nil && !e.Partial &&
+		(e.Origin == "synthesized" || e.Origin == "incremental" || e.Origin == "peer")
+	if persist {
+		// Counted before the waiters wake, so a Flush that follows their
+		// answer waits for this write.
+		s.pending.Add(1)
+	}
 	if fl != nil {
 		fl.entry, fl.err = e, err
 		close(fl.done)
 	}
-	if s.dir != "" && e != nil && err == nil && !e.Partial &&
-		(e.Origin == "synthesized" || e.Origin == "incremental" || e.Origin == "peer") {
+	if persist {
 		// Best-effort and asynchronous; the memory layer already has it.
 		// A full queue falls back to writing inline rather than dropping.
-		s.pending.Add(1)
 		select {
 		case s.persistCh <- persistReq{fp, e}:
 		default:

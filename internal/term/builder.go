@@ -23,15 +23,16 @@ type Builder struct {
 	next  uint32
 }
 
+// key is the hash-cons key of a constant or operation term; variables
+// are interned by name in vars. It holds no pointer, so the table costs
+// the collector nothing beyond its values.
 type key struct {
 	op         Op
 	width      uint8
 	aux0, aux1 int32
-	a0, a1, a2 uint32 // arg IDs + 1; 0 means absent
-	cHi, cLo   uint64
-	cW         uint8
-	kind       VarKind
-	name       string
+	// x0 and x1 hold a constant's Lo and Hi, or an operation's argument
+	// IDs + 1 (0 means absent): the first two in x0, the third in x1.
+	x0, x1 uint64
 }
 
 // NewBuilder returns an empty Builder.
@@ -40,30 +41,63 @@ func NewBuilder() *Builder {
 }
 
 // NumTerms returns the number of distinct interned terms.
-func (b *Builder) NumTerms() int { return len(b.terms) }
+func (b *Builder) NumTerms() int { return len(b.terms) + len(b.vars) }
 
-func (b *Builder) intern(t *Term) *Term {
-	k := key{op: t.Op, width: t.Width, aux0: t.Aux0, aux1: t.Aux1,
-		kind: t.Kind, name: t.Name}
-	if t.Op == Const {
-		k.cHi, k.cLo, k.cW = t.CVal.Hi, t.CVal.Lo, t.CVal.Width
-	}
-	switch len(t.Args) {
+// node returns the interned op(args...) term. It looks the hash-cons key
+// up first and allocates the term, with its Args in the same object, only
+// on a miss: stage 1 rebuilds many subterms it already holds, and a
+// term allocated before the lookup would be garbage on every hit.
+func (b *Builder) node(op Op, width uint8, aux0, aux1 int32, args ...*Term) *Term {
+	k := key{op: op, width: width, aux0: aux0, aux1: aux1}
+	switch len(args) {
 	case 3:
-		k.a2 = t.Args[2].ID + 1
+		k.x1 = uint64(args[2].ID) + 1
 		fallthrough
 	case 2:
-		k.a1 = t.Args[1].ID + 1
+		k.x0 = (uint64(args[1].ID) + 1) << 32
 		fallthrough
 	case 1:
-		k.a0 = t.Args[0].ID + 1
-	case 0:
+		k.x0 |= uint64(args[0].ID) + 1
 	default:
-		panic("term: arity > 3")
+		panic("term: arity must be 1..3")
 	}
 	if old, ok := b.terms[k]; ok {
 		return old
 	}
+	var t *Term
+	switch len(args) {
+	case 1:
+		n := &struct {
+			t Term
+			a [1]*Term
+		}{}
+		n.a[0] = args[0]
+		t = &n.t
+		t.Args = n.a[:]
+	case 2:
+		n := &struct {
+			t Term
+			a [2]*Term
+		}{}
+		n.a[0], n.a[1] = args[0], args[1]
+		t = &n.t
+		t.Args = n.a[:]
+	default:
+		n := &struct {
+			t Term
+			a [3]*Term
+		}{}
+		n.a[0], n.a[1], n.a[2] = args[0], args[1], args[2]
+		t = &n.t
+		t.Args = n.a[:]
+	}
+	t.Op, t.Width, t.Aux0, t.Aux1 = op, width, aux0, aux1
+	return b.add(k, t)
+}
+
+// add interns t, a term new to the builder, under k. IDs count misses,
+// so they follow first-construction order.
+func (b *Builder) add(k key, t *Term) *Term {
 	t.ID = b.next
 	b.next++
 	b.terms[k] = t
@@ -72,7 +106,11 @@ func (b *Builder) intern(t *Term) *Term {
 
 // ConstBV returns the constant term for v.
 func (b *Builder) ConstBV(v bv.BV) *Term {
-	return b.intern(&Term{Op: Const, Width: v.Width, CVal: v})
+	k := key{op: Const, width: v.Width, x0: v.Lo, x1: v.Hi}
+	if old, ok := b.terms[k]; ok {
+		return old
+	}
+	return b.add(k, &Term{Op: Const, Width: v.Width, CVal: v})
 }
 
 // Const returns the constant term of the given width and value.
@@ -95,7 +133,8 @@ func (b *Builder) VarT(name string, kind VarKind, width int) *Term {
 		}
 		return old
 	}
-	t := b.intern(&Term{Op: Var, Width: uint8(width), Name: name, Kind: kind})
+	t := &Term{ID: b.next, Op: Var, Width: uint8(width), Name: name, Kind: kind}
+	b.next++
 	b.vars[name] = t
 	return t
 }
@@ -123,7 +162,7 @@ func (b *Builder) binary(op Op, x, y *Term) *Term {
 	if op.IsCommutative() && y.ID < x.ID {
 		x, y = y, x
 	}
-	return b.intern(&Term{Op: op, Width: w, Args: []*Term{x, y}})
+	return b.node(op, w, 0, 0, x, y)
 }
 
 // Add returns x + y, folding constants and dropping zero addends.
@@ -222,7 +261,7 @@ func (b *Builder) Neg(x *Term) *Term {
 	if x.Op == Neg {
 		return x.Args[0]
 	}
-	return b.intern(&Term{Op: Neg, Width: x.Width, Args: []*Term{x}})
+	return b.node(Neg, x.Width, 0, 0, x)
 }
 
 // Not returns the bitwise complement of x.
@@ -233,7 +272,7 @@ func (b *Builder) Not(x *Term) *Term {
 	if x.Op == Not {
 		return x.Args[0]
 	}
-	return b.intern(&Term{Op: Not, Width: x.Width, Args: []*Term{x}})
+	return b.node(Not, x.Width, 0, 0, x)
 }
 
 // And returns x & y.
@@ -411,7 +450,7 @@ func (b *Builder) Concat(x, y *Term) *Term {
 	if w > bv.MaxWidth {
 		panic("term: concat exceeds max width")
 	}
-	return b.intern(&Term{Op: Concat, Width: uint8(w), Args: []*Term{x, y}})
+	return b.node(Concat, uint8(w), 0, 0, x, y)
 }
 
 // Extract returns bits hi..lo of x.
@@ -443,8 +482,7 @@ func (b *Builder) Extract(hi, lo int, x *Term) *Term {
 			return b.Extract(hi, lo, x.Args[1])
 		}
 	}
-	return b.intern(&Term{Op: Extract, Width: uint8(hi - lo + 1),
-		Aux0: int32(hi), Aux1: int32(lo), Args: []*Term{x}})
+	return b.node(Extract, uint8(hi-lo+1), int32(hi), int32(lo), x)
 }
 
 // ZExt zero-extends x to the given width.
@@ -461,7 +499,7 @@ func (b *Builder) ZExt(width int, x *Term) *Term {
 	if x.Op == ZExt {
 		return b.ZExt(width, x.Args[0])
 	}
-	return b.intern(&Term{Op: ZExt, Width: uint8(width), Args: []*Term{x}})
+	return b.node(ZExt, uint8(width), 0, 0, x)
 }
 
 // SExt sign-extends x to the given width.
@@ -478,7 +516,7 @@ func (b *Builder) SExt(width int, x *Term) *Term {
 	if x.Op == SExt {
 		return b.SExt(width, x.Args[0])
 	}
-	return b.intern(&Term{Op: SExt, Width: uint8(width), Args: []*Term{x}})
+	return b.node(SExt, uint8(width), 0, 0, x)
 }
 
 // Trunc truncates x to the given width (an extract of the low bits).
@@ -504,7 +542,7 @@ func (b *Builder) Ite(cond, x, y *Term) *Term {
 	if x == y {
 		return x
 	}
-	return b.intern(&Term{Op: Ite, Width: x.Width, Args: []*Term{cond, x, y}})
+	return b.node(Ite, x.Width, 0, 0, cond, x, y)
 }
 
 // Bool converts a term to a 1-bit condition: x != 0.
@@ -521,8 +559,7 @@ func (b *Builder) Load(width int, addr *Term) *Term {
 	if addr.W() != 64 {
 		panic("term: load address must be 64 bits")
 	}
-	return b.intern(&Term{Op: Load, Width: uint8(width), Aux0: int32(width),
-		Args: []*Term{addr}})
+	return b.node(Load, uint8(width), int32(width), 0, addr)
 }
 
 // Store returns the symbolic store effect of val to the 64-bit address
@@ -531,8 +568,7 @@ func (b *Builder) Store(addr, val *Term) *Term {
 	if addr.W() != 64 {
 		panic("term: store address must be 64 bits")
 	}
-	return b.intern(&Term{Op: Store, Width: val.Width, Aux0: int32(val.W()),
-		Args: []*Term{addr, val}})
+	return b.node(Store, val.Width, int32(val.W()), 0, addr, val)
 }
 
 // Popcount returns the population count of x.
@@ -540,7 +576,7 @@ func (b *Builder) Popcount(x *Term) *Term {
 	if x.IsConst() {
 		return b.ConstBV(x.CVal.Popcount())
 	}
-	return b.intern(&Term{Op: Popcount, Width: x.Width, Args: []*Term{x}})
+	return b.node(Popcount, x.Width, 0, 0, x)
 }
 
 // Clz returns the count of leading zeros of x.
@@ -548,7 +584,7 @@ func (b *Builder) Clz(x *Term) *Term {
 	if x.IsConst() {
 		return b.ConstBV(x.CVal.Clz())
 	}
-	return b.intern(&Term{Op: Clz, Width: x.Width, Args: []*Term{x}})
+	return b.node(Clz, x.Width, 0, 0, x)
 }
 
 // Ctz returns the count of trailing zeros of x.
@@ -556,7 +592,7 @@ func (b *Builder) Ctz(x *Term) *Term {
 	if x.IsConst() {
 		return b.ConstBV(x.CVal.Ctz())
 	}
-	return b.intern(&Term{Op: Ctz, Width: x.Width, Args: []*Term{x}})
+	return b.node(Ctz, x.Width, 0, 0, x)
 }
 
 // Rev returns the byte-reverse of x.
@@ -567,7 +603,7 @@ func (b *Builder) Rev(x *Term) *Term {
 	if x.Op == Rev {
 		return x.Args[0]
 	}
-	return b.intern(&Term{Op: Rev, Width: x.Width, Args: []*Term{x}})
+	return b.node(Rev, x.Width, 0, 0, x)
 }
 
 // Rebuild re-creates t inside this builder, applying subst to variables.

@@ -169,13 +169,14 @@ func (t *Term) Vars() []*Term {
 		return *p
 	}
 	var out []*Term
-	seen := map[*Term]bool{}
+	var buf [visitSmall]*Term
+	seen := visited{list: buf[:0]}
 	var walk func(*Term)
 	walk = func(u *Term) {
-		if seen[u] {
+		var fresh bool
+		if seen, fresh = seen.add(u); !fresh {
 			return
 		}
-		seen[u] = true
 		if u.Op == Var {
 			out = append(out, u)
 			return
@@ -183,8 +184,7 @@ func (t *Term) Vars() []*Term {
 		// A cached subterm contributes its variables without re-walking.
 		if p := u.varsCache.Load(); p != nil {
 			for _, v := range *p {
-				if !seen[v] {
-					seen[v] = true
+				if seen, fresh = seen.add(v); fresh {
 					out = append(out, v)
 				}
 			}
@@ -197,6 +197,44 @@ func (t *Term) Vars() []*Term {
 	walk(t)
 	t.varsCache.Store(&out)
 	return out
+}
+
+// visitSmall is how many terms a visited set scans linearly before it
+// builds a map. Most of the walks Vars and Loads make stop at cached
+// subterms within a few dozen nodes, and a map per walk was most of what
+// they allocated.
+const visitSmall = 32
+
+// visited is the set of terms one walk has seen.
+type visited struct {
+	list []*Term
+	m    map[*Term]struct{}
+}
+
+// add returns the set with u added, and whether u was new. It takes and
+// returns the set by value: appending through a pointer would move the
+// caller's stack buffer to the heap.
+func (v visited) add(u *Term) (visited, bool) {
+	if v.m == nil {
+		for _, x := range v.list {
+			if x == u {
+				return v, false
+			}
+		}
+		if len(v.list) < visitSmall {
+			v.list = append(v.list, u)
+			return v, true
+		}
+		v.m = make(map[*Term]struct{}, 2*visitSmall)
+		for _, x := range v.list {
+			v.m[x] = struct{}{}
+		}
+	}
+	if _, ok := v.m[u]; ok {
+		return v, false
+	}
+	v.m[u] = struct{}{}
+	return v, true
 }
 
 // CountOp returns the number of distinct nodes with the given op.
@@ -226,23 +264,23 @@ func (t *Term) Loads() []*Term {
 		return *p
 	}
 	var out []*Term
-	seen := map[*Term]bool{}
+	var buf [visitSmall]*Term
+	seen := visited{list: buf[:0]}
 	var walk func(*Term)
 	walk = func(u *Term) {
-		if seen[u] {
+		var fresh bool
+		if seen, fresh = seen.add(u); !fresh {
 			return
 		}
-		seen[u] = true
 		if u.Op == Load {
 			out = append(out, u)
 		}
 		// Note: unlike Vars, a Load may contain further Loads in its
 		// address, so cached subterm results are still merged via the
-		// seen map rather than cutting the walk short.
+		// seen set rather than cutting the walk short.
 		if p := u.loadsCache.Load(); p != nil {
 			for _, l := range *p {
-				if !seen[l] {
-					seen[l] = true
+				if seen, fresh = seen.add(l); fresh {
 					out = append(out, l)
 				}
 			}

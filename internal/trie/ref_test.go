@@ -20,7 +20,8 @@ func refLookup(ix *Index, query *canon.CTerm) []Match {
 		return nil
 	}
 	s := &refSearcher{ix: ix, seen: map[string]bool{}}
-	qK, qAddends := linView(query)
+	var one [1]canon.Addend
+	qK, qAddends := linView(query, &one)
 	used := make([]bool, len(qAddends))
 	s.walk(root, qK, qAddends, used, &Binding{}, false)
 	return s.matches
@@ -37,8 +38,8 @@ func (s *refSearcher) walk(n *node, qK bv.BV, qAddends []canon.Addend, used []bo
 	if s.steps++; s.steps > maxSearchSteps || len(s.matches) >= maxMatches {
 		return
 	}
-	if n.terms != nil && allUsed(used) && !pcDebt {
-		if ct, ok := n.terms[bvKey{qK.Lo, qK.Hi}]; ok {
+	if len(n.terms) > 0 && allUsed(used) && !pcDebt {
+		if ct := n.term(qK); ct != nil {
 			s.emit(ct, bind)
 		}
 	}
@@ -46,7 +47,7 @@ func (s *refSearcher) walk(n *node, qK bv.BV, qAddends []canon.Addend, used []bo
 		e := &n.elist[ei]
 		coefI := e.coef
 		sub, next := e.sub, e.next
-		imm, hi, lo, isImm := e.imm, e.immHi, e.immLo, e.isImm
+		imm, hi, lo, isImm := e.imm, int(e.hi), int(e.lo), e.isImm
 		for qi := range qAddends {
 			if used[qi] {
 				continue
@@ -70,7 +71,7 @@ func (s *refSearcher) walk(n *node, qK bv.BV, qAddends []canon.Addend, used []bo
 			case e.isImm:
 				uok = unifyImm(bind, qAddends[qi].Coef, qAddends[qi].T, imm, hi, lo, coefI)
 			case e.isPCImm:
-				uok = unifyPCImm(bind, qAddends[qi].Coef, qAddends[qi].T, e.pcImm, e.pcHi, e.pcLo, e.pcCoef, coefI)
+				uok = unifyPCImm(bind, qAddends[qi].Coef, qAddends[qi].T, imm, hi, lo, e.pcCoef, coefI)
 			default:
 				uok = unifyShape(bind, qAddends[qi].Coef, qAddends[qi].T, coefI, sub)
 			}

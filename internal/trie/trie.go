@@ -48,46 +48,45 @@ type edgeKey struct {
 	id             int32
 }
 
-type bvKey struct{ lo, hi uint64 }
-
-type edge struct {
-	sub  *canon.CTerm // the operand labelling this edge
-	next *node
-}
-
-// edgeEnt is the walk-side view of an edge: a slice element in insertion
-// order (deterministic, unlike map iteration) with the immWrapper
-// decomposition of the label precomputed at insert time — the search
+// edgeEnt is one edge, as an element of its node's insertion-ordered
+// edge list (deterministic, unlike map iteration), with the decomposition
+// of its label the walk needs precomputed at insert time: the search
 // re-derives it on every node visit otherwise.
 type edgeEnt struct {
-	sub          *canon.CTerm
-	next         *node
-	coef         bv.BV // materialized edge coefficient (root width = query width)
-	imm          *canon.CTerm
-	immHi, immLo int
-	isImm        bool
-	// pcPlusImm decomposition of the label, precomputed like imm above.
-	pcImm      *canon.CTerm
-	pcHi, pcLo int
-	pcCoef     bv.BV
-	isPCImm    bool
+	sub  *canon.CTerm // the operand labelling this edge
+	next *node
+	coef bv.BV // materialized edge coefficient (root width = query width)
+	// isImm marks an immWrapper label and isPCImm a pcPlusImm one; imm is
+	// then its ISA immediate, hi..lo the immediate's extract window, and
+	// pcCoef the immediate's coefficient in pc + c·imm.
+	imm            *canon.CTerm
+	pcCoef         bv.BV
+	hi, lo         int32
+	isImm, isPCImm bool
 }
 
 type node struct {
-	edges map[edgeKey]edge // dedup map for Insert
-	elist []edgeEnt        // same edges, insertion-ordered, for the walk
-	// terminal canonical terms ending at this node, by constant part.
-	terms map[bvKey]*canon.CTerm
-	// Head buckets, kept once the node has bucketMin edges (nil before):
-	// heads files the elist indices of shape edges by head, and always
-	// holds the indices of every other edge. Both lists ascend.
+	elist []edgeEnt // the edges in insertion order
+	// terms holds the canonical terms ending at this node, at most one
+	// per constant part.
+	terms []*canon.CTerm
+	// big indexes the edges of a node with bucketMin edges or more; a
+	// smaller node is scanned instead.
+	big *buckets
+}
+
+// buckets indexes a node's edges: edges maps an edge label to its elist
+// index for Insert, heads files the elist indices of shape edges by head,
+// and always holds the indices of every other edge. Both lists ascend.
+type buckets struct {
+	edges  map[edgeKey]int32
 	heads  map[headKey][]int32
 	always []int32
 }
 
-// bucketMin is the fan-out at which a node starts keeping head buckets.
-// Below it a linear scan is as cheap as merging buckets, and a map per
-// small node would cost memory on every interior node of the trie.
+// bucketMin is the fan-out at which a node starts keeping buckets. Below
+// it a linear scan is as cheap as merging buckets or hashing a label, and
+// maps on every small node would cost memory across the whole trie.
 const bucketMin = 64
 
 // headKey is everything unifyShape requires a query addend and a shape
@@ -129,15 +128,6 @@ func (e *edgeEnt) shapeHead() (headKey, bool) {
 	return headOf(e.coef, e.sub)
 }
 
-// file adds elist[i] to the node's head buckets.
-func (n *node) file(i int) {
-	if h, ok := n.elist[i].shapeHead(); ok {
-		n.heads[h] = append(n.heads[h], int32(i))
-	} else {
-		n.always = append(n.always, int32(i))
-	}
-}
-
 func newNode() *node { return &node{} }
 
 // New returns an empty index.
@@ -149,18 +139,29 @@ func New() *Index {
 func (ix *Index) Len() int { return ix.inserted }
 
 // linView presents any canonical term as (K, addends): linear combinations
-// verbatim, everything else as a single unit-coefficient addend.
-func linView(ct *canon.CTerm) (bv.BV, []canon.Addend) {
+// verbatim, everything else as a single unit-coefficient addend, which
+// it writes to one.
+func linView(ct *canon.CTerm, one *[1]canon.Addend) (bv.BV, []canon.Addend) {
 	if ct.Kind == canon.Lin {
 		return ct.K, ct.Addends
 	}
-	return bv.Zero(ct.Width), []canon.Addend{{Coef: bv.New(ct.Width, 1), T: ct}}
+	one[0] = canon.Addend{Coef: bv.New(ct.Width, 1), T: ct}
+	return bv.Zero(ct.Width), one[:]
+}
+
+// constPart is the K of ct's linView.
+func constPart(ct *canon.CTerm) bv.BV {
+	if ct.Kind == canon.Lin {
+		return ct.K
+	}
+	return bv.Zero(ct.Width)
 }
 
 // Insert stores the canonical term with an associated payload (typically
 // the instruction sequence whose effect the term denotes).
 func (ix *Index) Insert(ct *canon.CTerm, payload any) {
-	k, addends := linView(ct)
+	var one [1]canon.Addend
+	k, addends := linView(ct, &one)
 	root := ix.roots[ct.Width]
 	if root == nil {
 		root = newNode()
@@ -168,39 +169,77 @@ func (ix *Index) Insert(ct *canon.CTerm, payload any) {
 	}
 	n := root
 	for _, a := range addends {
-		ek := edgeKey{coefLo: a.Coef.Lo, coefHi: a.Coef.Hi, id: int32(a.T.ID)}
-		if n.edges == nil {
-			n.edges = make(map[edgeKey]edge)
-		}
-		e, ok := n.edges[ek]
-		if !ok {
-			e = edge{sub: a.T, next: newNode()}
-			n.edges[ek] = e
-			imm, hi, lo, isImm := immWrapper(a.T)
-			pcImm, pcHi, pcLo, pcCoef, isPCImm := pcPlusImm(a.T)
-			n.elist = append(n.elist, edgeEnt{
-				sub: a.T, next: e.next, coef: a.Coef,
-				imm: imm, immHi: hi, immLo: lo, isImm: isImm,
-				pcImm: pcImm, pcHi: pcHi, pcLo: pcLo, pcCoef: pcCoef, isPCImm: isPCImm,
-			})
-			switch {
-			case n.heads != nil:
-				n.file(len(n.elist) - 1)
-			case len(n.elist) == bucketMin:
-				n.heads = make(map[headKey][]int32)
-				for i := range n.elist {
-					n.file(i)
-				}
-			}
-		}
-		n = e.next
+		n = n.child(a)
 	}
-	if n.terms == nil {
-		n.terms = make(map[bvKey]*canon.CTerm)
-	}
-	n.terms[bvKey{k.Lo, k.Hi}] = ct
+	n.setTerm(k, ct)
 	ix.payloads[ct] = append(ix.payloads[ct], payload)
 	ix.inserted++
+}
+
+// child returns the node under n's edge labelled a, adding the edge if n
+// has none.
+func (n *node) child(a canon.Addend) *node {
+	if n.big != nil {
+		if i, ok := n.big.edges[edgeKey{coefLo: a.Coef.Lo, coefHi: a.Coef.Hi, id: int32(a.T.ID)}]; ok {
+			return n.elist[i].next
+		}
+	} else {
+		for i := range n.elist {
+			if e := &n.elist[i]; e.sub.ID == a.T.ID && e.coef.Lo == a.Coef.Lo && e.coef.Hi == a.Coef.Hi {
+				return e.next
+			}
+		}
+	}
+	e := edgeEnt{sub: a.T, next: newNode(), coef: a.Coef}
+	if imm, hi, lo, ok := immWrapper(a.T); ok {
+		e.imm, e.hi, e.lo, e.isImm = imm, int32(hi), int32(lo), true
+	} else if imm, hi, lo, coef, ok := pcPlusImm(a.T); ok {
+		e.imm, e.hi, e.lo, e.pcCoef, e.isPCImm = imm, int32(hi), int32(lo), coef, true
+	}
+	n.elist = append(n.elist, e)
+	switch last := len(n.elist) - 1; {
+	case n.big != nil:
+		n.index(last)
+	case len(n.elist) == bucketMin:
+		n.big = &buckets{edges: make(map[edgeKey]int32, 2*bucketMin), heads: make(map[headKey][]int32)}
+		for i := range n.elist {
+			n.index(i)
+		}
+	}
+	return e.next
+}
+
+// index files elist[i] in the node's buckets.
+func (n *node) index(i int) {
+	e, b := &n.elist[i], n.big
+	b.edges[edgeKey{coefLo: e.coef.Lo, coefHi: e.coef.Hi, id: int32(e.sub.ID)}] = int32(i)
+	if h, ok := e.shapeHead(); ok {
+		b.heads[h] = append(b.heads[h], int32(i))
+	} else {
+		b.always = append(b.always, int32(i))
+	}
+}
+
+// setTerm records ct as the term ending at n with constant part k,
+// replacing any earlier one.
+func (n *node) setTerm(k bv.BV, ct *canon.CTerm) {
+	for i, old := range n.terms {
+		if c := constPart(old); c.Lo == k.Lo && c.Hi == k.Hi {
+			n.terms[i] = ct
+			return
+		}
+	}
+	n.terms = append(n.terms, ct)
+}
+
+// term returns the term ending at n with constant part k, or nil.
+func (n *node) term(k bv.BV) *canon.CTerm {
+	for _, ct := range n.terms {
+		if c := constPart(ct); c.Lo == k.Lo && c.Hi == k.Hi {
+			return ct
+		}
+	}
+	return nil
 }
 
 // Payloads returns the payloads stored for a canonical term.
@@ -425,7 +464,8 @@ func (ix *Index) Lookup(query *canon.CTerm) []Match {
 	if root == nil {
 		return nil
 	}
-	qK, qAddends := linView(query)
+	var one [1]canon.Addend
+	qK, qAddends := linView(query, &one)
 	s := &searcher{ix: ix, seen: map[string]struct{}{},
 		qHeads: make([]headKey, len(qAddends)), qHeaded: make([]bool, len(qAddends))}
 	for i, a := range qAddends {
@@ -446,12 +486,12 @@ func (s *searcher) walk(n *node, qK bv.BV, qAddends []canon.Addend, used []bool,
 		return
 	}
 	// Terminal check: all query addends consumed and constants agree.
-	if n.terms != nil && allUsed(used) && !pcDebt {
-		if ct, ok := n.terms[bvKey{qK.Lo, qK.Hi}]; ok {
+	if len(n.terms) > 0 && allUsed(used) && !pcDebt {
+		if ct := n.term(qK); ct != nil {
 			s.emit(ct, bind)
 		}
 	}
-	if n.heads == nil {
+	if n.big == nil {
 		for ei := range n.elist {
 			s.edge(&n.elist[ei], qK, qAddends, used, bind, pcDebt)
 		}
@@ -462,12 +502,12 @@ func (s *searcher) walk(n *node, qK bv.BV, qAddends []canon.Addend, used []bool,
 	// no unused addend shares, on which no option can succeed. Two
 	// addends with one head share a bucket, which is merged once.
 	base := len(s.lists)
-	s.lists = append(s.lists, n.always)
+	s.lists = append(s.lists, n.big.always)
 	for qi, h := range s.qHeads {
 		if used[qi] || !s.qHeaded[qi] {
 			continue
 		}
-		b := n.heads[h]
+		b := n.big.heads[h]
 		if len(b) == 0 || s.merging(base+1, b) {
 			continue
 		}
@@ -505,7 +545,7 @@ func (s *searcher) merging(from int, b []int32) bool {
 func (s *searcher) edge(e *edgeEnt, qK bv.BV, qAddends []canon.Addend, used []bool, bind *Binding, pcDebt bool) {
 	coefI := e.coef
 	sub, next := e.sub, e.next
-	imm, hi, lo, isImm := e.imm, e.immHi, e.immLo, e.isImm
+	imm, hi, lo, isImm := e.imm, int(e.hi), int(e.lo), e.isImm
 	// Option A: pair with an unused query addend. Each speculative
 	// step mutates bind in place and rolls back after exploring the
 	// branch (a recursive walk always restores bind before returning,
@@ -537,7 +577,7 @@ func (s *searcher) edge(e *edgeEnt, qK bv.BV, qAddends []canon.Addend, used []bo
 		case e.isImm:
 			uok = unifyImm(bind, qAddends[qi].Coef, qAddends[qi].T, imm, hi, lo, coefI)
 		case e.isPCImm:
-			uok = unifyPCImm(bind, qAddends[qi].Coef, qAddends[qi].T, e.pcImm, e.pcHi, e.pcLo, e.pcCoef, coefI)
+			uok = unifyPCImm(bind, qAddends[qi].Coef, qAddends[qi].T, imm, hi, lo, e.pcCoef, coefI)
 		default:
 			uok = unifyShape(bind, qAddends[qi].Coef, qAddends[qi].T, coefI, sub)
 		}
@@ -803,9 +843,11 @@ func unifyShape(bind *Binding, coefQ bv.BV, tQ *canon.CTerm, coefI bv.BV, tI *ca
 // On success the accumulated bindings remain in bind; on failure every
 // speculative step has been rolled back.
 func unifyLin(bind *Binding, q, i *canon.CTerm) bool {
-	qK, qAdd := linView(q)
-	iK, iAdd := linView(i)
-	used := make([]bool, len(qAdd))
+	var qOne, iOne [1]canon.Addend
+	qK, qAdd := linView(q, &qOne)
+	iK, iAdd := linView(i, &iOne)
+	var usedBuf [8]bool
+	used := slices.Grow(usedBuf[:0], len(qAdd))[:len(qAdd)]
 	var rec func(ii int, k bv.BV) bool
 	rec = func(ii int, k bv.BV) bool {
 		if ii == len(iAdd) {
