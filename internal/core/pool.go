@@ -48,9 +48,6 @@ type Config struct {
 	// §VII-A length-3 zero-extension chains and length-4 immediate
 	// materializations).
 	ExtraSequences func(b *term.Builder, t *isa.Target) []*isa.Sequence
-	// MaxPairBases optionally caps how many base sequences are extended
-	// to pairs (0 = no cap) — used by tuning experiments.
-	MaxPairBases int
 	// DisableIndex skips the term-index lookup so every pattern takes the
 	// SMT fallback path — the paper's "without the index" ablation.
 	DisableIndex bool
@@ -86,7 +83,7 @@ type Config struct {
 // a synthesis run produces, for content-addressed caching of rule
 // libraries. Every knob that changes the output must appear here —
 // TestInputs steers the probe filter (and thus which candidates reach
-// the solver), MaxSeqLen/MaxPairBases change the pool, SMTMaxConflicts
+// the solver), MaxSeqLen changes the pool, SMTMaxConflicts
 // changes which equivalences the solver proves before timing out, and
 // the ablation switches change whole code paths. CostModel changes rule
 // ranking (its content hash stands in for the table). Workers is
@@ -111,8 +108,8 @@ func (c Config) CacheKey() string {
 	if norm.PoolFilter != nil {
 		filter = "+" // a filtered pool produces a different (partial) library
 	}
-	return fmt.Sprintf("inputs=%d|seqlen=%d|conflicts=%d|pairbases=%d|noindex=%t|noprobe=%t|extra=%s|filter=%s|cost=%s",
-		norm.TestInputs, norm.MaxSeqLen, norm.SMTMaxConflicts, norm.MaxPairBases,
+	return fmt.Sprintf("inputs=%d|seqlen=%d|conflicts=%d|noindex=%t|noprobe=%t|extra=%s|filter=%s|cost=%s",
+		norm.TestInputs, norm.MaxSeqLen, norm.SMTMaxConflicts,
 		norm.DisableIndex, norm.DisableProbe, extra, filter,
 		norm.CostModel.Version())
 }
@@ -589,9 +586,6 @@ func (s *Synthesizer) enumerate(emit func(*isa.Sequence)) int {
 	bases := s.singles(emit)
 	n := len(s.Target.Insts)
 	if s.Cfg.MaxSeqLen >= 2 {
-		if nb := s.Cfg.MaxPairBases; nb > 0 && nb < len(bases) {
-			bases = bases[:nb]
-		}
 		n += s.pairs(bases, true, emit)
 	}
 	if s.Cfg.ExtraSequences != nil {

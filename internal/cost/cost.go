@@ -14,7 +14,6 @@
 package cost
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -225,70 +224,4 @@ func (t *Table) Version() string {
 	}
 	sum := sha256.Sum256([]byte(t.Format()))
 	return hex.EncodeToString(sum[:8])
-}
-
-// Parse reads a table back from its Format text. Unknown directives are
-// an error: a cost table is an input to cache-key derivation, so silent
-// tolerance of typos would silently alias distinct configurations.
-func Parse(text string) (*Table, error) {
-	var t *Table
-	sc := bufio.NewScanner(strings.NewReader(text))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, "# cost table "):
-			t = NewTable(strings.TrimPrefix(line, "# cost table "))
-			continue
-		case strings.HasPrefix(line, "#"):
-			continue
-		}
-		if t == nil {
-			return nil, fmt.Errorf("cost: line %d: missing \"# cost table <target>\" header", lineNo)
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("cost: line %d: want \"<name> latency=N size=N\"", lineNo)
-		}
-		lat, err1 := parseKV(fields[1], "latency")
-		sz, err2 := parseKV(fields[2], "size")
-		if err1 != nil {
-			return nil, fmt.Errorf("cost: line %d: %w", lineNo, err1)
-		}
-		if err2 != nil {
-			return nil, fmt.Errorf("cost: line %d: %w", lineNo, err2)
-		}
-		if fields[0] == "default" {
-			t.DefaultLatency, t.DefaultSize = lat, sz
-		} else {
-			if lat != t.DefaultLatency {
-				t.Latency[fields[0]] = lat
-			}
-			if sz != t.DefaultSize {
-				t.Size[fields[0]] = sz
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if t == nil {
-		return nil, fmt.Errorf("cost: empty table")
-	}
-	return t, nil
-}
-
-func parseKV(tok, key string) (int, error) {
-	k, v, ok := strings.Cut(tok, "=")
-	if !ok || k != key {
-		return 0, fmt.Errorf("want %s=N, got %q", key, tok)
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("bad %s value %q", key, v)
-	}
-	return n, nil
 }

@@ -41,31 +41,6 @@ func TestVectorStringRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFormatParseRoundTrip(t *testing.T) {
-	tb := NewTable("demo")
-	tb.Latency["MUL"] = 3
-	tb.Latency["DIV"] = 20
-	tb.Size["BIGOP"] = 8
-
-	text := tb.Format()
-	back, err := Parse(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Target != "demo" {
-		t.Errorf("target %q", back.Target)
-	}
-	if back.Format() != text {
-		t.Errorf("Format not a fixpoint:\n%s\nvs\n%s", text, back.Format())
-	}
-	if back.Version() != tb.Version() {
-		t.Errorf("version changed across round-trip")
-	}
-	if back.LatencyOf("MUL") != 3 || back.LatencyOf("ADD") != 1 || back.SizeOf("BIGOP") != 8 {
-		t.Errorf("lookups wrong after round-trip")
-	}
-}
-
 func TestVersionDistinguishesTables(t *testing.T) {
 	a := NewTable("demo")
 	b := NewTable("demo")
@@ -79,22 +54,6 @@ func TestVersionDistinguishesTables(t *testing.T) {
 	var nilT *Table
 	if nilT.Version() != "-" {
 		t.Fatal("nil table version sentinel")
-	}
-}
-
-func TestParseRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"MUL latency=3 size=4\n",                         // no header
-		"# cost table x\nMUL latency=3\n",                // missing size
-		"# cost table x\nMUL cycles=3 size=4\n",          // wrong key
-		"# cost table x\nMUL latency=0 size=4\n",         // non-positive
-		"# cost table x\ndefault latency=a size=4\n",     // non-numeric
-		"# cost table x\nMUL latency=3 size=4 extra=1\n", // extra field
-	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse accepted %q", bad)
-		}
 	}
 }
 

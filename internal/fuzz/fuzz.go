@@ -7,10 +7,7 @@ import (
 
 	"iselgen/internal/bv"
 	"iselgen/internal/core"
-	"iselgen/internal/gmir"
 	"iselgen/internal/harness"
-	"iselgen/internal/isel"
-	"iselgen/internal/sim"
 )
 
 // SubSeed derives the deterministic per-iteration seed: a splitmix64
@@ -82,22 +79,12 @@ func NewPipeline(target string, synth bool) (*Pipeline, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: %w", err)
 	}
-	if synth {
-		set.Synthesize(core.DefaultConfig(), 0)
-	}
-	return SetupPipeline(set, synth), nil
-}
-
-// SetupPipeline wraps an already-built harness.Setup as a select-diff
-// pipeline (with the synthesized backend as primary when synth is set —
-// the caller must have run Synthesize).
-func SetupPipeline(set *harness.Setup, synth bool) *Pipeline {
 	pl := &Pipeline{Name: set.Name, Primary: set.Handwritten, ISA: set.ISA, MinWidth: set.MinWidth()}
 	if synth {
-		pl.Primary = set.Synth
-		pl.Fallback = set.Handwritten
+		set.Synthesize(core.DefaultConfig(), 0)
+		pl.Primary, pl.Fallback = set.Synth, set.Handwritten
 	}
-	return pl
+	return pl, nil
 }
 
 // Run executes the configured oracles for N iterations each.
@@ -285,55 +272,4 @@ func ReplayRepro(r *Repro, pipelines map[string]*Pipeline) error {
 	default:
 		return fmt.Errorf("fuzz: unknown oracle %q", r.Oracle)
 	}
-}
-
-// Throughput measures end-to-end programs/second through generation,
-// selection, and simulation (no interpreter reference) — the figure
-// iselbench reports as fuzz_throughput.
-func Throughput(pl *Pipeline, seed uint64, n int) float64 {
-	cfg := DefaultGenConfig()
-	start := time.Now()
-	done := 0
-	for iter := 0; iter < n; iter++ {
-		rng := bv.NewRNG(SubSeed(seed, uint64(iter)))
-		p := Gen(rng, cfg)
-		f, err := p.Build()
-		if err != nil {
-			continue
-		}
-		minW := pl.MinWidth
-		if minW == 0 {
-			minW = 32
-		}
-		if gmir.Legalize(f, minW) != nil {
-			continue
-		}
-		isel.Prepare(f, pl.Name)
-		mf, rep := pl.Primary.Select(f)
-		if rep.Fallback {
-			if pl.Fallback == nil {
-				continue
-			}
-			f2, _ := p.Build()
-			if gmir.Legalize(f2, minW) != nil {
-				continue
-			}
-			isel.Prepare(f2, pl.Name)
-			mf, rep = pl.Fallback.Select(f2)
-			if rep.Fallback {
-				continue
-			}
-		}
-		args := VectorsFor(seed, p, 1)[0]
-		m := &sim.Machine{Mem: gmir.NewMemory()}
-		if _, err := m.Run(mf, args); err != nil {
-			continue
-		}
-		done++
-	}
-	el := time.Since(start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(done) / el
 }

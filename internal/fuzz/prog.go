@@ -442,65 +442,11 @@ func (p *Prog) Build() (*gmir.Function, error) {
 			fb.Ret(vals[in.Args[0]])
 		default:
 			if op, ok := binOps[in.Op]; ok {
-				vals[i] = emitBinary(fb, op, vals[in.Args[0]], vals[in.Args[1]])
+				vals[i] = fb.Binary(op, vals[in.Args[0]], vals[in.Args[1]])
 			} else {
-				vals[i] = emitUnary(fb, unOps[in.Op], vals[in.Args[0]])
+				vals[i] = fb.Unary(unOps[in.Op], vals[in.Args[0]])
 			}
 		}
 	}
 	return fb.Finish()
-}
-
-func emitBinary(fb *gmir.FuncBuilder, op gmir.Opcode, x, y gmir.Value) gmir.Value {
-	switch op {
-	case gmir.GAdd:
-		return fb.Add(x, y)
-	case gmir.GSub:
-		return fb.Sub(x, y)
-	case gmir.GMul:
-		return fb.Mul(x, y)
-	case gmir.GUDiv:
-		return fb.UDiv(x, y)
-	case gmir.GSDiv:
-		return fb.SDiv(x, y)
-	case gmir.GURem:
-		return fb.URem(x, y)
-	case gmir.GSRem:
-		return fb.SRem(x, y)
-	case gmir.GAnd:
-		return fb.And(x, y)
-	case gmir.GOr:
-		return fb.Or(x, y)
-	case gmir.GXor:
-		return fb.Xor(x, y)
-	case gmir.GShl:
-		return fb.Shl(x, y)
-	case gmir.GLShr:
-		return fb.LShr(x, y)
-	case gmir.GAShr:
-		return fb.AShr(x, y)
-	case gmir.GSMin:
-		return fb.SMin(x, y)
-	case gmir.GSMax:
-		return fb.SMax(x, y)
-	case gmir.GUMin:
-		return fb.UMin(x, y)
-	default:
-		return fb.UMax(x, y)
-	}
-}
-
-func emitUnary(fb *gmir.FuncBuilder, op gmir.Opcode, x gmir.Value) gmir.Value {
-	switch op {
-	case gmir.GCtpop:
-		return fb.Ctpop(x)
-	case gmir.GCtlz:
-		return fb.Ctlz(x)
-	case gmir.GCttz:
-		return fb.Cttz(x)
-	case gmir.GBSwap:
-		return fb.BSwap(x)
-	default:
-		return fb.Abs(x)
-	}
 }

@@ -78,7 +78,9 @@ func (fb *FuncBuilder) tyOf(v Value) Type {
 	return ty
 }
 
-func (fb *FuncBuilder) binary(op Opcode, x, y Value) Value {
+// Binary emits a two-operand operation whose operands and result share
+// one type.
+func (fb *FuncBuilder) Binary(op Opcode, x, y Value) Value {
 	tx, ty := fb.tyOf(x), fb.tyOf(y)
 	if tx != ty {
 		panic(fmt.Sprintf("gmir: %v operand types %v vs %v", op, tx, ty))
@@ -106,26 +108,26 @@ func (fb *FuncBuilder) ConstBV(v bv.BV) Value {
 }
 
 // Binary operations.
-func (fb *FuncBuilder) Add(x, y Value) Value  { return fb.binary(GAdd, x, y) }
-func (fb *FuncBuilder) Sub(x, y Value) Value  { return fb.binary(GSub, x, y) }
-func (fb *FuncBuilder) Mul(x, y Value) Value  { return fb.binary(GMul, x, y) }
-func (fb *FuncBuilder) UDiv(x, y Value) Value { return fb.binary(GUDiv, x, y) }
-func (fb *FuncBuilder) SDiv(x, y Value) Value { return fb.binary(GSDiv, x, y) }
-func (fb *FuncBuilder) URem(x, y Value) Value { return fb.binary(GURem, x, y) }
-func (fb *FuncBuilder) SRem(x, y Value) Value { return fb.binary(GSRem, x, y) }
-func (fb *FuncBuilder) And(x, y Value) Value  { return fb.binary(GAnd, x, y) }
-func (fb *FuncBuilder) Or(x, y Value) Value   { return fb.binary(GOr, x, y) }
-func (fb *FuncBuilder) Xor(x, y Value) Value  { return fb.binary(GXor, x, y) }
-func (fb *FuncBuilder) Shl(x, y Value) Value  { return fb.binary(GShl, x, y) }
-func (fb *FuncBuilder) LShr(x, y Value) Value { return fb.binary(GLShr, x, y) }
-func (fb *FuncBuilder) AShr(x, y Value) Value { return fb.binary(GAShr, x, y) }
-func (fb *FuncBuilder) SMin(x, y Value) Value { return fb.binary(GSMin, x, y) }
-func (fb *FuncBuilder) SMax(x, y Value) Value { return fb.binary(GSMax, x, y) }
-func (fb *FuncBuilder) UMin(x, y Value) Value { return fb.binary(GUMin, x, y) }
-func (fb *FuncBuilder) UMax(x, y Value) Value { return fb.binary(GUMax, x, y) }
+func (fb *FuncBuilder) Add(x, y Value) Value  { return fb.Binary(GAdd, x, y) }
+func (fb *FuncBuilder) Sub(x, y Value) Value  { return fb.Binary(GSub, x, y) }
+func (fb *FuncBuilder) Mul(x, y Value) Value  { return fb.Binary(GMul, x, y) }
+func (fb *FuncBuilder) UDiv(x, y Value) Value { return fb.Binary(GUDiv, x, y) }
+func (fb *FuncBuilder) SDiv(x, y Value) Value { return fb.Binary(GSDiv, x, y) }
+func (fb *FuncBuilder) URem(x, y Value) Value { return fb.Binary(GURem, x, y) }
+func (fb *FuncBuilder) SRem(x, y Value) Value { return fb.Binary(GSRem, x, y) }
+func (fb *FuncBuilder) And(x, y Value) Value  { return fb.Binary(GAnd, x, y) }
+func (fb *FuncBuilder) Or(x, y Value) Value   { return fb.Binary(GOr, x, y) }
+func (fb *FuncBuilder) Xor(x, y Value) Value  { return fb.Binary(GXor, x, y) }
+func (fb *FuncBuilder) Shl(x, y Value) Value  { return fb.Binary(GShl, x, y) }
+func (fb *FuncBuilder) LShr(x, y Value) Value { return fb.Binary(GLShr, x, y) }
+func (fb *FuncBuilder) AShr(x, y Value) Value { return fb.Binary(GAShr, x, y) }
+func (fb *FuncBuilder) SMin(x, y Value) Value { return fb.Binary(GSMin, x, y) }
+func (fb *FuncBuilder) SMax(x, y Value) Value { return fb.Binary(GSMax, x, y) }
+func (fb *FuncBuilder) UMin(x, y Value) Value { return fb.Binary(GUMin, x, y) }
+func (fb *FuncBuilder) UMax(x, y Value) Value { return fb.Binary(GUMax, x, y) }
 
 // PtrAdd offsets a pointer by an s64 index.
-func (fb *FuncBuilder) PtrAdd(p, off Value) Value { return fb.binary(GPtrAdd, p, off) }
+func (fb *FuncBuilder) PtrAdd(p, off Value) Value { return fb.Binary(GPtrAdd, p, off) }
 
 // ICmp compares two values, yielding s1.
 func (fb *FuncBuilder) ICmp(pred Pred, x, y Value) Value {
@@ -169,18 +171,20 @@ func (fb *FuncBuilder) SExt(ty Type, x Value) Value { return fb.ext(GSExt, ty, x
 // Trunc truncates.
 func (fb *FuncBuilder) Trunc(ty Type, x Value) Value { return fb.ext(GTrunc, ty, x) }
 
-func (fb *FuncBuilder) unary(op Opcode, x Value) Value {
+// Unary emits a one-operand operation whose result has the operand's
+// type.
+func (fb *FuncBuilder) Unary(op Opcode, x Value) Value {
 	dst := fb.newValue(fb.tyOf(x))
 	fb.emit(&Inst{Op: op, Ty: fb.tyOf(x), Dst: dst, Args: []Value{x}})
 	return dst
 }
 
 // Bit-manipulation unaries.
-func (fb *FuncBuilder) Ctpop(x Value) Value { return fb.unary(GCtpop, x) }
-func (fb *FuncBuilder) Ctlz(x Value) Value  { return fb.unary(GCtlz, x) }
-func (fb *FuncBuilder) Cttz(x Value) Value  { return fb.unary(GCttz, x) }
-func (fb *FuncBuilder) BSwap(x Value) Value { return fb.unary(GBSwap, x) }
-func (fb *FuncBuilder) Abs(x Value) Value   { return fb.unary(GAbs, x) }
+func (fb *FuncBuilder) Ctpop(x Value) Value { return fb.Unary(GCtpop, x) }
+func (fb *FuncBuilder) Ctlz(x Value) Value  { return fb.Unary(GCtlz, x) }
+func (fb *FuncBuilder) Cttz(x Value) Value  { return fb.Unary(GCttz, x) }
+func (fb *FuncBuilder) BSwap(x Value) Value { return fb.Unary(GBSwap, x) }
+func (fb *FuncBuilder) Abs(x Value) Value   { return fb.Unary(GAbs, x) }
 
 // Load loads memBits from p, zero-extending into ty.
 func (fb *FuncBuilder) Load(ty Type, p Value, memBits int) Value {

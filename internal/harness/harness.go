@@ -2,24 +2,21 @@
 // target, builds the synthesis pool, extracts the IR pattern corpus from
 // the benchmark suite (the CTMark analog, §VII-B), synthesizes the rule
 // library, constructs all backends (synthesized + baselines), and runs
-// the SPEC-analog evaluation — everything the paper's tables and figures
-// need, shared between the CLI tools and the benchmark harness.
+// the SPEC-analog workload suite. Evaluate computes every table and
+// figure of the paper's evaluation from these as data.
 package harness
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"iselgen/internal/bench"
-	"iselgen/internal/bv"
 	"iselgen/internal/core"
 	"iselgen/internal/cost"
 	"iselgen/internal/gmir"
 	"iselgen/internal/isa"
 	"iselgen/internal/isel"
-	"iselgen/internal/obs"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
 	"iselgen/internal/sim"
@@ -40,28 +37,8 @@ type Setup struct {
 	// Handwritten is the GlobalISel-analog baseline (also the fallback
 	// backend when selection fails, mirroring §VIII-A).
 	Handwritten *isel.Backend
-	// Model is the cost table Synthesize ran with (nil means legacy
-	// metadata costs); RunSuite simulates and prices code under it.
-	Model *cost.Table
 
 	builtin *targets.Builtin
-}
-
-// AttachObs stamps the observability sink onto every backend the setup
-// holds (baselines and synthesized), so selection spans and decision
-// provenance from all backends land in one place. Call it
-// after Synthesize so the synthesized backends exist.
-func (s *Setup) AttachObs(o *obs.Obs) {
-	for _, b := range s.Baselines {
-		if b != nil {
-			b.Obs = o
-		}
-	}
-	for _, b := range []*isel.Backend{s.Synth, s.Handwritten} {
-		if b != nil {
-			b.Obs = o
-		}
-	}
 }
 
 // New loads a builtin selection target and its baselines.
@@ -225,20 +202,17 @@ func (s *Setup) Synthesize(cfg core.Config, maxPatterns int) *rules.Library {
 	s.Synther.Synthesize(pats, lib)
 	s.SynthLib = lib
 	s.Synth = s.builtin.Synth(s.ISA, lib)
-	s.Model = cfg.CostModel
 	return lib
 }
 
 // Row is one (workload, backend) measurement.
 type Row struct {
-	Workload string
-	Backend  string
-	Cycles   int64
-	Insts    int64
-	Size     int
-	Fallback bool
-	HookPct  float64
-	Checksum bv.BV
+	Workload string `json:"workload"`
+	Backend  string `json:"backend"`
+	Cycles   int64  `json:"cycles"`
+	Insts    int64  `json:"insts"`
+	Size     int    `json:"size"`
+	Fallback bool   `json:"fallback"`
 }
 
 // RunSuite compiles and simulates the whole workload suite on every
@@ -280,14 +254,11 @@ func (s *Setup) RunSuite(scale int) ([]Row, error) {
 					return nil, fmt.Errorf("%s: even baseline fell back: %s", w.Name, rep.FallbackReason)
 				}
 			}
-			if tot := rep.RuleInsts + rep.HookInsts; tot > 0 && !row.Fallback {
-				row.HookPct = 100 * float64(rep.HookInsts) / float64(tot)
-			}
 			mem := gmir.NewMemory()
 			if w.InitMem != nil {
 				w.InitMem(mem)
 			}
-			m := &sim.Machine{Mem: mem, Model: s.Model}
+			m := &sim.Machine{Mem: mem}
 			res, err := m.Run(mf, w.Args)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: sim: %w", w.Name, bk.Name, err)
@@ -298,7 +269,6 @@ func (s *Setup) RunSuite(scale int) ([]Row, error) {
 			row.Cycles = res.Cycles
 			row.Insts = res.Insts
 			row.Size = mf.BinarySize()
-			row.Checksum = res.Ret
 			rows = append(rows, row)
 		}
 	}
@@ -365,31 +335,5 @@ func (s *Setup) TableII(lib *rules.Library) string {
 	out += fmt.Sprintf("    SMT Test Eval.        %25v cpu/thread\n", perThread(st.ProbeTime))
 	out += fmt.Sprintf("    SMT Time              %8d rules %17v cpu/thread (%d queries, %d timeouts)\n",
 		st.SMTRules, perThread(st.SMTTime), st.SMTQueries, st.SMTTimeouts)
-	return out
-}
-
-// FormatRows renders rows grouped by workload.
-func FormatRows(rows []Row) string {
-	byWorkload := map[string][]Row{}
-	var names []string
-	for _, r := range rows {
-		if len(byWorkload[r.Workload]) == 0 {
-			names = append(names, r.Workload)
-		}
-		byWorkload[r.Workload] = append(byWorkload[r.Workload], r)
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		out += n + ":\n"
-		for _, r := range byWorkload[n] {
-			fb := ""
-			if r.Fallback {
-				fb = "  [FALLBACK]"
-			}
-			out += fmt.Sprintf("  %-14s cycles=%-10d insts=%-10d size=%-6d%s\n",
-				r.Backend, r.Cycles, r.Insts, r.Size, fb)
-		}
-	}
 	return out
 }

@@ -7,8 +7,8 @@ import (
 	"iselgen/internal/core"
 )
 
-// The harness tests run a scaled-down synthesis (capped pattern budget
-// and pair bases) so the whole evaluation path stays fast in CI.
+// The harness tests run a scaled-down synthesis (fewer test inputs) so
+// the whole selection path stays fast in CI.
 func quickSetup(t *testing.T, name string) *Setup {
 	t.Helper()
 	s, err := New(name)
@@ -66,16 +66,6 @@ func TestEndToEndRISCV(t *testing.T) {
 	g := GeoMean(norm, "synth")
 	if g < 0.8 || g > 1.2 {
 		t.Errorf("synth geomean %.3f outside the paper's shape", g)
-	}
-	// Reports render.
-	if out := TableIII(rows); !strings.Contains(out, "total") {
-		t.Error("TableIII malformed")
-	}
-	if out := SizeTable(rows); !strings.Contains(out, "size ratio") {
-		t.Error("SizeTable malformed")
-	}
-	if out := Fig6(s, s.SynthLib); !strings.Contains(out, "sequence length") {
-		t.Error("Fig6 malformed")
 	}
 	if out := s.TableII(s.SynthLib); !strings.Contains(out, "Index Lookup") {
 		t.Error("TableII malformed")

@@ -406,11 +406,11 @@ func (l *Library) Emit() string {
 
 // Stats summarizes the library composition (used by the Fig. 6 harness).
 type Stats struct {
-	Rules          int
-	BySource       map[string]int
-	BySeqLen       map[int]int
-	ByPatternSize  map[int]int
-	RulesWithImmCs int
+	Rules          int            `json:"rules"`
+	BySource       map[string]int `json:"by_source"`
+	BySeqLen       map[int]int    `json:"by_seq_len"`
+	ByPatternSize  map[int]int    `json:"by_pattern_size"`
+	RulesWithImmCs int            `json:"rules_with_imm_constraints"`
 }
 
 // Summarize computes library statistics.
