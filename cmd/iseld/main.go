@@ -9,9 +9,10 @@
 //	                      target or an inline DSL spec
 //	POST /v1/select       lower a benchmark gMIR program (or an inline
 //	                      "program") with a target's synthesized backend
-//	                      and simulate it with the greedy
-//	                      largest-pattern-first matcher (the cost-table
-//	                      version rides in the library fingerprint)
+//	                      and the greedy largest-pattern-first matcher,
+//	                      then simulate it; the answer reports the static
+//	                      cost and simulated cycles from the spec's
+//	                      per-instruction metadata
 //	POST /v1/select/batch lower many inline programs in one request
 //	                      against one library acquisition
 //	POST /v1/jobs         submit a synthesis asynchronously: answers 202

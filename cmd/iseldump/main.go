@@ -10,7 +10,7 @@
 //	iseldump -target aarch64 -mir x264_sad         # selected machine code
 //	iseldump -target riscv -mir x264_sad -disasm   # ... plus encoded bytes
 //	iseldump -target riscv -provenance             # per-rule provenance
-//	iseldump -target aarch64 -rules                # per-rule cost table
+//	iseldump -target aarch64 -rules                # per-rule cost
 //
 // -disasm assembles the selected function with the spec-derived encoder
 // and prints, per emitted instruction, its address, machine bytes, and
@@ -22,10 +22,9 @@
 // rule — pattern key, proof origin, and each supporting instruction with
 // its content fingerprint — sorted, so two dumps diff cleanly.
 //
-// -rules synthesizes the library under the target's cost model and
-// prints one line per rule — pattern key, the legacy cost (operand
-// count), the model cost vector "latency,size", and the replacement
-// sequence — sorted, so two dumps diff cleanly.
+// -rules synthesizes the library and prints one line per rule — pattern
+// key, the cost (the paper's operand count, which ranks rules), and the
+// replacement sequence — sorted, so two dumps diff cleanly.
 package main
 
 import (
@@ -51,9 +50,9 @@ func main() {
 	corpus := flag.Int("corpus", 0, "print the top N corpus patterns")
 	mirOf := flag.String("mir", "", "print the handwritten backend's machine code for a workload")
 	provenance := flag.Bool("provenance", false, "synthesize and print each rule's provenance (stable order)")
-	rulesDump := flag.Bool("rules", false, "synthesize and print each rule's legacy + model cost (stable order)")
+	rulesDump := flag.Bool("rules", false, "synthesize and print each rule's cost (stable order)")
 	disasm := flag.Bool("disasm", false, "with -mir: assemble the selection and print bytes + decoded mnemonics")
-	patterns := flag.Int("patterns", 0, "limit corpus patterns for -provenance (0 = all)")
+	patterns := flag.Int("patterns", 0, "limit corpus patterns for -provenance and -rules (0 = all)")
 	flag.Parse()
 
 	s, err := harness.New(*target)
@@ -106,25 +105,19 @@ func main() {
 		}
 
 	case *rulesDump:
-		model, merr := harness.CostModel(s.Name)
-		if merr != nil {
-			fatal(merr)
-		}
-		cfg := core.DefaultConfig()
-		cfg.CostModel = model
-		lib := s.Synthesize(cfg, *patterns)
+		lib := s.Synthesize(core.DefaultConfig(), *patterns)
 		var lines []string
 		for _, r := range lib.Rules {
 			names := make([]string, len(r.Seq.Insts))
 			for i, inst := range r.Seq.Insts {
 				names[i] = inst.Name
 			}
-			lines = append(lines, fmt.Sprintf("%s\tlegacy=%d\tmodel=%s\t%s",
-				r.Pattern.Key(), r.Cost(), r.EffCost(), strings.Join(names, ";")))
+			lines = append(lines, fmt.Sprintf("%s\tcost=%d\t%s",
+				r.Pattern.Key(), r.Cost(), strings.Join(names, ";")))
 		}
 		// Sorted for the same reason as -provenance: stable diffs.
 		sort.Strings(lines)
-		fmt.Printf("# %s cost model %s — %d rules\n", s.Name, model.Version(), len(lines))
+		fmt.Printf("# %s — %d rules\n", s.Name, len(lines))
 		for _, l := range lines {
 			fmt.Println(l)
 		}

@@ -64,12 +64,11 @@ type Config struct {
 	// incremental planner uses it to build a reduced pool containing only
 	// sequences that touch changed instructions.
 	PoolFilter func(insts []*isa.Instruction) bool
-	// CostModel, when set, ranks candidate sequences (index matches, SMT
-	// fallback order) and the beneficial-rule filter by model cost
-	// (latency cycles, then encoding bytes) instead of the paper's
-	// operand-count metric. Callers that pass a model here should set the
-	// same table as the target library's Model so stamped rule costs and
-	// synthesis-time ranking agree. Its Version is part of CacheKey.
+	// CostModel is ignored: every synthesis ranks sequences by the
+	// paper's operand count (isa.Sequence.Cost).
+	//
+	// Deprecated: only the frozen benchmark's replay (cmd/iselperf) still
+	// sets it; the benchmark change of ROADMAP item 2 deletes it.
 	CostModel *cost.Table
 	// Obs, when set, receives stage/pattern spans, latency histograms,
 	// and SMT decision-provenance events from the synthesis run. Purely
@@ -85,8 +84,7 @@ type Config struct {
 // TestInputs steers the probe filter (and thus which candidates reach
 // the solver), MaxSeqLen changes the pool, SMTMaxConflicts
 // changes which equivalences the solver proves before timing out, and
-// the ablation switches change whole code paths. CostModel changes rule
-// ranking (its content hash stands in for the table). Workers is
+// the ablation switches change whole code paths. Workers is
 // deliberately excluded: it parallelizes matching without affecting the
 // result.
 func (c Config) CacheKey() string {
@@ -108,10 +106,9 @@ func (c Config) CacheKey() string {
 	if norm.PoolFilter != nil {
 		filter = "+" // a filtered pool produces a different (partial) library
 	}
-	return fmt.Sprintf("inputs=%d|seqlen=%d|conflicts=%d|noindex=%t|noprobe=%t|extra=%s|filter=%s|cost=%s",
+	return fmt.Sprintf("inputs=%d|seqlen=%d|conflicts=%d|noindex=%t|noprobe=%t|extra=%s|filter=%s",
 		norm.TestInputs, norm.MaxSeqLen, norm.SMTMaxConflicts,
-		norm.DisableIndex, norm.DisableProbe, extra, filter,
-		norm.CostModel.Version())
+		norm.DisableIndex, norm.DisableProbe, extra, filter)
 }
 
 // DefaultConfig returns the settings used by the experiments.
@@ -168,9 +165,9 @@ type PoolEntry struct {
 	NRegs, NImms int
 	LoadSig      string
 	Width        int
-	vec          cost.Vector // sequence cost under the synthesizer's model
-	evalN        int         // vector count (Config.TestInputs at build time)
-	evalMu       sync.Mutex  // guards prog/evals extension
+	cost         int        // Seq.Cost(), the ranking key
+	evalN        int        // vector count (Config.TestInputs at build time)
+	evalMu       sync.Mutex // guards prog/evals extension
 	prog         *term.Program
 	evals        []uint64 // per-test-vector digests, extended block-wise
 }
@@ -562,12 +559,12 @@ func (s *Synthesizer) BuildPool() {
 	s.Stats.Sequences = gen.n
 	// Pre-sort every fallback filter bucket cheapest-first, once. The
 	// SMT fallback consumes candidates in cost order; sorting per
-	// pattern — with cost vectors recomputed inside the comparator —
+	// pattern — with costs recomputed inside the comparator —
 	// was pure overhead, since bucket contents and costs are fixed for
 	// the synthesizer's lifetime.
 	for _, bucket := range s.byFilter {
 		sort.Slice(bucket, func(i, j int) bool {
-			return bucket[i].vec.Less(bucket[j].vec)
+			return bucket[i].cost < bucket[j].cost
 		})
 	}
 	esp.SetInt("canonicalize_ns", s.Stats.CanonTime.Nanoseconds()).
@@ -772,7 +769,7 @@ func (s *Synthesizer) addEntry(seq *isa.Sequence) {
 	}
 
 	e := &PoolEntry{Seq: seq, Effect: eff, Class: class, Width: eff.T.W()}
-	e.vec = s.seqVec(seq)
+	e.cost = seq.Cost()
 	for _, in := range seq.Inputs {
 		if in.Op.Kind == spec.OpImm {
 			e.NImms++

@@ -9,8 +9,6 @@ import (
 
 	"iselgen/internal/bv"
 	"iselgen/internal/canon"
-	"iselgen/internal/cost"
-	"iselgen/internal/isa"
 	"iselgen/internal/obs"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
@@ -20,19 +18,6 @@ import (
 	"iselgen/internal/term"
 	"iselgen/internal/trie"
 )
-
-// seqVec is the ranking cost of a sequence under the configured model:
-// the model vector when Config.CostModel is set, else the paper's
-// operand count replicated into both components. All synthesis-time
-// orderings (index match order, SMT candidate order, the beneficial-rule
-// filter) go through this one helper so they agree on the metric.
-func (s *Synthesizer) seqVec(seq *isa.Sequence) cost.Vector {
-	if m := s.Cfg.CostModel; m != nil {
-		return m.SeqVector(seq)
-	}
-	c := int64(seq.Cost())
-	return cost.Vector{Latency: c, Size: c}
-}
 
 // worker holds the per-goroutine state for parallel matching: a private
 // term builder, canonicalization context, and SMT checker. The shared
@@ -109,9 +94,9 @@ func (s *Synthesizer) Synthesize(patterns []*pattern.Pattern, lib *rules.Library
 			continue
 		}
 		// Beneficial-rule filter (§VI): a multi-op rule must beat the
-		// best cover by smaller rules (under the configured cost metric).
+		// best cover by smaller rules.
 		if r.Pattern.Size() > 1 {
-			if cover, ok := s.coverCost(r.Pattern.Root, lib); ok && !s.seqVec(r.Seq).Less(cover) {
+			if cover, ok := coverCost(r.Pattern.Root, lib); ok && r.Seq.Cost() >= cover {
 				continue
 			}
 		}
@@ -273,11 +258,11 @@ func (w *worker) synthesizeOneInner(p *pattern.Pattern) *rules.Rule {
 		query := w.wcx.Canon(tp)
 		matches = w.s.Index.Lookup(query)
 	}
-	// Cheapest sequences first (model cost when configured). Keys are
-	// precomputed: seqCostOf scans every payload, which is far too
-	// expensive to re-derive inside the comparator.
+	// Cheapest sequences first. Keys are precomputed: seqCostOf scans
+	// every payload, which is far too expensive to re-derive inside the
+	// comparator.
 	if len(matches) > 1 {
-		keys := make([]cost.Vector, len(matches))
+		keys := make([]int, len(matches))
 		for i := range matches {
 			keys[i] = w.seqCostOf(matches[i])
 		}
@@ -288,7 +273,7 @@ func (w *worker) synthesizeOneInner(p *pattern.Pattern) *rules.Rule {
 		for _, payload := range m.Payloads {
 			entry := payload.(*PoolEntry)
 			if r := w.ruleFromBinding(p, tp, leaves, entry, m.Binding); r != nil {
-				if best == nil || w.s.seqVec(r.Seq).Less(w.s.seqVec(best.Seq)) {
+				if best == nil || r.Seq.Cost() < best.Seq.Cost() {
 					best = r
 				}
 			}
@@ -314,20 +299,20 @@ func (w *worker) synthesizeOneInner(p *pattern.Pattern) *rules.Rule {
 // slices aligned.
 type matchesByCost struct {
 	m    []trie.Match
-	keys []cost.Vector
+	keys []int
 }
 
 func (s *matchesByCost) Len() int           { return len(s.m) }
-func (s *matchesByCost) Less(i, j int) bool { return s.keys[i].Less(s.keys[j]) }
+func (s *matchesByCost) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
 func (s *matchesByCost) Swap(i, j int) {
 	s.m[i], s.m[j] = s.m[j], s.m[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-func (w *worker) seqCostOf(m trie.Match) cost.Vector {
-	min := cost.Vector{Latency: 1 << 40, Size: 1 << 40}
+func (w *worker) seqCostOf(m trie.Match) int {
+	min := 1 << 40
 	for _, p := range m.Payloads {
-		if c := p.(*PoolEntry).vec; c.Less(min) {
+		if c := p.(*PoolEntry).cost; c < min {
 			min = c
 		}
 	}
@@ -983,12 +968,10 @@ func enumPerms(n int) [][]int {
 }
 
 // coverCost computes the cheapest cover of a pattern by existing
-// single-operation rules (§VI's beneficial-rule check), under the
-// synthesizer's cost metric — recomputed from each rule's sequence so
-// the comparison never mixes stamped and unstamped scales.
-func (s *Synthesizer) coverCost(n *pattern.Node, lib *rules.Library) (cost.Vector, bool) {
+// single-operation rules (§VI's beneficial-rule check).
+func coverCost(n *pattern.Node, lib *rules.Library) (int, bool) {
 	if n.IsLeaf() {
-		return cost.Vector{}, true
+		return 0, true
 	}
 	args := make([]*pattern.Node, len(n.Args))
 	for i, a := range n.Args {
@@ -1002,18 +985,18 @@ func (s *Synthesizer) coverCost(n *pattern.Node, lib *rules.Library) (cost.Vecto
 		MemBits: n.MemBits, Args: args})
 	r := lib.Lookup(single.Key())
 	if r == nil {
-		return cost.Vector{}, false
+		return 0, false
 	}
-	total := s.seqVec(r.Seq)
+	total := r.Seq.Cost()
 	for _, a := range n.Args {
 		if a.IsLeaf() {
 			continue
 		}
-		c, ok := s.coverCost(a, lib)
+		c, ok := coverCost(a, lib)
 		if !ok {
-			return cost.Vector{}, false
+			return 0, false
 		}
-		total = total.Add(c)
+		total += c
 	}
 	return total, true
 }

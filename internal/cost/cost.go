@@ -1,16 +1,11 @@
-// Package cost defines per-target instruction cost models: a latency
-// and size vector per ISA opcode, assembled into a versioned, hashable
-// table. The paper ranks synthesized rules by operand count (§V-A3);
-// a cost table refines that with the per-opcode cycle latencies and
-// encoding sizes the simulator already carries, so rule ranking at
-// synthesis time optimizes what the evaluation actually measures
-// (cycles first, bytes as tie-break — the metric of Daly et al.'s
-// lowest-cost rewrite rules).
+// Package cost prices selected machine code: StaticOf sums a function's
+// per-instruction latency and encoding size into the static cost that
+// select responses report next to the simulator's dynamic cycles. Rules
+// are ranked by the paper's operand count (§V-A3, isa.Sequence.Cost),
+// never by this package.
 //
-// The table format is line-based and deterministic, so its content hash
-// (Version) can participate in cache keys: two services with the same
-// spec but different cost tables must never share rule-library
-// artifacts.
+// Table, a per-opcode latency and size table derived from the spec's
+// metadata, survives only for the frozen benchmark's replay.
 package cost
 
 import (
@@ -25,10 +20,7 @@ import (
 	"iselgen/internal/mir"
 )
 
-// Vector is a two-component cost: cycles and encoding bytes. Vectors
-// compare lexicographically — latency dominates, size breaks ties —
-// matching how the evaluation reports results (runtime as the headline,
-// binary size as §VIII-C's secondary figure).
+// Vector is a two-component cost: cycles and encoding bytes.
 type Vector struct {
 	Latency int64 `json:"latency"`
 	Size    int64 `json:"size"`
@@ -39,23 +31,13 @@ func (v Vector) Add(o Vector) Vector {
 	return Vector{Latency: v.Latency + o.Latency, Size: v.Size + o.Size}
 }
 
-// Less orders vectors lexicographically: latency first, size second.
-func (v Vector) Less(o Vector) bool {
-	if v.Latency != o.Latency {
-		return v.Latency < o.Latency
-	}
-	return v.Size < o.Size
-}
-
-// IsZero reports whether both components are zero (the "no cost
-// recorded" sentinel: no real instruction sequence is free).
-func (v Vector) IsZero() bool { return v.Latency == 0 && v.Size == 0 }
-
+// String renders the vector as "latency,size".
 func (v Vector) String() string {
 	return fmt.Sprintf("%d,%d", v.Latency, v.Size)
 }
 
-// ParseVector parses the String form ("latency,size").
+// ParseVector parses the String form ("latency,size"). Library loaders
+// use it to check the cost field of artifacts saved by older versions.
 func ParseVector(s string) (Vector, error) {
 	lat, sz, ok := strings.Cut(s, ",")
 	if !ok {
@@ -77,6 +59,9 @@ var Pseudo = Vector{Latency: 1, Size: 4}
 // Table is a per-target cost model: latency and size per opcode name,
 // with defaults for opcodes the table does not list. The zero defaults
 // are normalized to 1 cycle / 4 bytes, the simulator's own fallback.
+//
+// Deprecated: only the frozen benchmark's replay (cmd/iselperf) uses it;
+// the benchmark change of ROADMAP item 2 deletes it.
 type Table struct {
 	Target         string
 	Latency        map[string]int
@@ -135,18 +120,6 @@ func (t *Table) SizeOf(name string) int {
 	return 4
 }
 
-// SeqVector is the model cost of an instruction sequence: the sum of
-// its opcodes' vectors. This is the per-rule cost the synthesis stamps
-// into libraries (rules.Rule.CostV).
-func (t *Table) SeqVector(s *isa.Sequence) Vector {
-	var v Vector
-	for _, in := range s.Insts {
-		v.Latency += int64(t.LatencyOf(in.Name))
-		v.Size += int64(t.SizeOf(in.Name))
-	}
-	return v
-}
-
 // InstVector is the model cost of one machine instruction; pseudos
 // (copies, returns) are charged the Pseudo vector.
 func (t *Table) InstVector(in *mir.Inst) Vector {
@@ -159,10 +132,12 @@ func (t *Table) InstVector(in *mir.Inst) Vector {
 	}
 }
 
-// StaticOf sums the model cost over every instruction of a selected
-// function — the static cost select responses report next to the
-// simulator's dynamic cycles. A nil table
-// falls back to the instruction metadata (the legacy accounting).
+// StaticOf sums the cost over every instruction of a selected function
+// — the static cost select responses report next to the simulator's
+// dynamic cycles. The daemon passes a nil table, which charges the spec's
+// instruction metadata; only the frozen benchmark's replay
+// (cmd/iselperf) passes a table, and the benchmark change of ROADMAP
+// item 2 deletes the parameter.
 func StaticOf(f *mir.Func, t *Table) Vector {
 	var v Vector
 	for _, b := range f.Blocks {
@@ -178,7 +153,7 @@ func StaticOf(f *mir.Func, t *Table) Vector {
 	return v
 }
 
-// Format renders the table in its canonical line-based text form:
+// format renders the table in its canonical line-based text form:
 //
 //	# cost table <target>
 //	default latency=<n> size=<n>
@@ -187,7 +162,7 @@ func StaticOf(f *mir.Func, t *Table) Vector {
 // with opcode lines name-sorted and only non-default entries emitted,
 // so two semantically equal tables render byte-identically — the
 // property Version's content hash relies on.
-func (t *Table) Format() string {
+func (t *Table) format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# cost table %s\n", t.Target)
 	fmt.Fprintf(&sb, "default latency=%d size=%d\n", t.LatencyOf(""), t.SizeOf(""))
@@ -215,13 +190,14 @@ func (t *Table) Format() string {
 	return sb.String()
 }
 
-// Version is the content hash of the canonical Format — the string
-// cache keys fold in so artifacts synthesized under different cost
-// models never alias.
+// Version is the content hash of the canonical text form.
+//
+// Deprecated: only the frozen benchmark's replay (cmd/iselperf) calls
+// it; the benchmark change of ROADMAP item 2 deletes it.
 func (t *Table) Version() string {
 	if t == nil {
 		return "-"
 	}
-	sum := sha256.Sum256([]byte(t.Format()))
+	sum := sha256.Sum256([]byte(t.format()))
 	return hex.EncodeToString(sum[:8])
 }

@@ -4,29 +4,10 @@ import (
 	"strings"
 	"testing"
 
-	"iselgen/internal/isa"
 	"iselgen/internal/isa/aarch64"
 	"iselgen/internal/mir"
 	"iselgen/internal/term"
 )
-
-func TestVectorOrdering(t *testing.T) {
-	a := Vector{Latency: 2, Size: 16}
-	b := Vector{Latency: 3, Size: 4}
-	if !a.Less(b) {
-		t.Errorf("latency must dominate: %v < %v", a, b)
-	}
-	c := Vector{Latency: 2, Size: 8}
-	if !c.Less(a) || a.Less(c) {
-		t.Errorf("size must break latency ties: %v < %v", c, a)
-	}
-	if (Vector{}).IsZero() != true || a.IsZero() {
-		t.Error("IsZero misclassifies")
-	}
-	if got := a.Add(b); got != (Vector{Latency: 5, Size: 20}) {
-		t.Errorf("Add = %v", got)
-	}
-}
 
 func TestVectorStringRoundTrip(t *testing.T) {
 	v := Vector{Latency: 12, Size: 8}
@@ -77,32 +58,6 @@ func TestFromTargetMatchesSim(t *testing.T) {
 	}
 }
 
-func TestSeqVector(t *testing.T) {
-	b := term.NewBuilder()
-	tgt, err := aarch64.Load(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := FromTarget(tgt)
-	add := tgt.ByName("ADDXrr")
-	mul := tgt.ByName("MULX")
-	if add == nil || mul == nil {
-		t.Skip("expected instructions missing")
-	}
-	seq := isa.Single(b, mul)
-	s2, err := isa.Append(b, seq, add, []string{"rn"}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Vector{
-		Latency: int64(tb.LatencyOf("MULX") + tb.LatencyOf("ADDXrr")),
-		Size:    int64(tb.SizeOf("MULX") + tb.SizeOf("ADDXrr")),
-	}
-	if got := tb.SeqVector(s2); got != want {
-		t.Errorf("SeqVector = %v, want %v", got, want)
-	}
-}
-
 func TestStaticOfAndPseudo(t *testing.T) {
 	b := term.NewBuilder()
 	tgt, err := aarch64.Load(b)
@@ -127,7 +82,7 @@ func TestStaticOfAndPseudo(t *testing.T) {
 	if got := StaticOf(f, nil); got != want {
 		t.Errorf("StaticOf(nil) = %v, want %v", got, want)
 	}
-	if strings.Contains(tb.Format(), "default latency=1 size=4") == false {
-		t.Error("defaults missing from Format")
+	if strings.Contains(tb.format(), "default latency=1 size=4") == false {
+		t.Error("defaults missing from the table's text form")
 	}
 }

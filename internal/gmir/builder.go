@@ -121,10 +121,7 @@ func (fb *FuncBuilder) Xor(x, y Value) Value  { return fb.Binary(GXor, x, y) }
 func (fb *FuncBuilder) Shl(x, y Value) Value  { return fb.Binary(GShl, x, y) }
 func (fb *FuncBuilder) LShr(x, y Value) Value { return fb.Binary(GLShr, x, y) }
 func (fb *FuncBuilder) AShr(x, y Value) Value { return fb.Binary(GAShr, x, y) }
-func (fb *FuncBuilder) SMin(x, y Value) Value { return fb.Binary(GSMin, x, y) }
-func (fb *FuncBuilder) SMax(x, y Value) Value { return fb.Binary(GSMax, x, y) }
 func (fb *FuncBuilder) UMin(x, y Value) Value { return fb.Binary(GUMin, x, y) }
-func (fb *FuncBuilder) UMax(x, y Value) Value { return fb.Binary(GUMax, x, y) }
 
 // PtrAdd offsets a pointer by an s64 index.
 func (fb *FuncBuilder) PtrAdd(p, off Value) Value { return fb.Binary(GPtrAdd, p, off) }
@@ -179,12 +176,7 @@ func (fb *FuncBuilder) Unary(op Opcode, x Value) Value {
 	return dst
 }
 
-// Bit-manipulation unaries.
-func (fb *FuncBuilder) Ctpop(x Value) Value { return fb.Unary(GCtpop, x) }
-func (fb *FuncBuilder) Ctlz(x Value) Value  { return fb.Unary(GCtlz, x) }
-func (fb *FuncBuilder) Cttz(x Value) Value  { return fb.Unary(GCttz, x) }
-func (fb *FuncBuilder) BSwap(x Value) Value { return fb.Unary(GBSwap, x) }
-func (fb *FuncBuilder) Abs(x Value) Value   { return fb.Unary(GAbs, x) }
+func (fb *FuncBuilder) Abs(x Value) Value { return fb.Unary(GAbs, x) }
 
 // Load loads memBits from p, zero-extending into ty.
 func (fb *FuncBuilder) Load(ty Type, p Value, memBits int) Value {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"slices"
 	"strings"
 	"time"
@@ -46,9 +45,6 @@ type Report struct {
 
 // Machine records where a report was taken.
 type Machine struct {
-	// Commit is the build's vcs.revision, empty when the toolchain did
-	// not stamp one (go run and go test do not).
-	Commit string `json:"commit"`
 	GOOS   string `json:"goos"`
 	GOARCH string `json:"goarch"`
 	CPU    string `json:"cpu"`
@@ -269,13 +265,6 @@ func each[I, O any](in []I, f func(I) (O, error)) ([]O, error) {
 
 func machine() Machine {
 	m := Machine{GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, NProc: runtime.NumCPU()}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" {
-				m.Commit = s.Value
-			}
-		}
-	}
 	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
 		_, rest, _ := strings.Cut(string(b), "model name")
 		_, rest, _ = strings.Cut(rest, ":")

@@ -60,14 +60,21 @@ func New(name string) (*Setup, error) {
 // MinWidth is the target's legalization floor (see targets.Builtin).
 func (s *Setup) MinWidth() int { return s.builtin.MinWidth }
 
-// CostModel derives the cost table of a builtin target. It loads the
-// spec on every call: callers that price many requests resolve it once.
+// CostModel derives the cost table of a builtin target from its spec's
+// latency and size metadata, loading the spec on every call.
+//
+// Deprecated: only the frozen benchmark's replay (cmd/iselperf) calls
+// it; the benchmark change of ROADMAP item 2 deletes it.
 func CostModel(name string) (*cost.Table, error) {
 	bt, err := targets.Lookup(name)
 	if err != nil {
 		return nil, fmt.Errorf("cost model: %w", err)
 	}
-	return bt.CostModel()
+	tgt, err := bt.Load(term.NewBuilder())
+	if err != nil {
+		return nil, err
+	}
+	return cost.FromTarget(tgt), nil
 }
 
 // ExtraSequences returns a builtin target's §VII-A special sequences
@@ -186,8 +193,6 @@ func SeedPatterns() []*pattern.Pattern {
 
 // Synthesize builds the pool (if needed) and synthesizes the rule
 // library from the corpus, then constructs the synthesized backend.
-// With cfg.CostModel set, rules are cost-stamped and synthesis ranks by
-// the model.
 func (s *Setup) Synthesize(cfg core.Config, maxPatterns int) *rules.Library {
 	if cfg.ExtraSequences == nil {
 		cfg.ExtraSequences = s.builtin.Extra
@@ -197,7 +202,6 @@ func (s *Setup) Synthesize(cfg core.Config, maxPatterns int) *rules.Library {
 		s.Synther.BuildPool()
 	}
 	lib := rules.NewLibrary(s.Name)
-	lib.Model = cfg.CostModel
 	pats := CorpusPatterns(s.Name, maxPatterns)
 	s.Synther.Synthesize(pats, lib)
 	s.SynthLib = lib

@@ -110,32 +110,3 @@ func TestGeoMean(t *testing.T) {
 		t.Errorf("missing backend geomean = %f", g)
 	}
 }
-
-// With a cost model configured, Synthesize stamps every rule of the
-// library with its model cost, and CostModel rejects unknown targets.
-func TestSynthesizeStampsRuleCosts(t *testing.T) {
-	s, err := New("riscv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := CostModel("riscv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.TestInputs = 48
-	cfg.CostModel = model
-	lib := s.Synthesize(cfg, 80)
-	stamped := 0
-	for _, r := range lib.Rules {
-		if !r.CostV.IsZero() {
-			stamped++
-		}
-	}
-	if stamped != lib.Len() {
-		t.Errorf("only %d/%d rules cost-stamped", stamped, lib.Len())
-	}
-	if _, err := CostModel("nope"); err == nil {
-		t.Error("unknown target accepted")
-	}
-}

@@ -149,7 +149,6 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 		syn := core.New(b, tgt, rcfg)
 		syn.BuildPool()
 		rlib := rules.NewLibrary(tgt.Name)
-		rlib.Model = opt.Config.CostModel
 		seeded := map[*rules.Rule]bool{}
 		for _, rs := range reused {
 			for _, r := range rs {
@@ -162,7 +161,7 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 		for _, p := range reducedPats {
 			k := p.Key()
 			for _, r := range rlib.LookupAll(k) {
-				if !seeded[r] && (fresh[k] == nil || r.EffCost().Less(fresh[k].EffCost())) {
+				if !seeded[r] && (fresh[k] == nil || r.Cost() < fresh[k].Cost()) {
 					fresh[k] = r
 				}
 			}
@@ -174,7 +173,6 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 	// reused rule (and its proof origin), matching what a from-scratch run
 	// over the same deterministic pool would keep.
 	lib := rules.NewLibrary(tgt.Name)
-	lib.Model = opt.Config.CostModel
 	merged := map[string]bool{}
 	mergeKey := func(k string) {
 		if merged[k] {
@@ -191,7 +189,7 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 		case len(old) == 0:
 			lib.Add(f) // previously uncovered pattern gained a rule
 			rep.Resynthesized++
-		case f.EffCost().Less(old[0].EffCost()):
+		case f.Cost() < old[0].Cost():
 			lib.Add(f) // a changed instruction yields a strictly cheaper cover
 			rep.Resynthesized++
 			rep.Improved++

@@ -341,7 +341,7 @@ func TestFallbackReported(t *testing.T) {
 	// legal 32/64-bit widths, and nothing covers a raw s16 popcount.
 	fb := gmir.NewFunc("pop")
 	a := fb.Param(gmir.S16)
-	fb.Ret(fb.Ctpop(a))
+	fb.Ret(fb.Unary(gmir.GCtpop, a))
 	f := fb.MustFinish()
 	_, rep := a64Set.Handwritten.Select(f)
 	if !rep.Fallback {

@@ -83,7 +83,7 @@ func TestFallbackProvenance(t *testing.T) {
 
 	fb := gmir.NewFunc("pop16")
 	a := fb.Param(gmir.S16)
-	fb.Ret(fb.Ctpop(a))
+	fb.Ret(fb.Unary(gmir.GCtpop, a))
 	f := fb.MustFinish()
 	_, rep := a64Set.Handwritten.Select(f)
 	if !rep.Fallback {

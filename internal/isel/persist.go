@@ -21,7 +21,7 @@ import (
 //
 //	# comment
 //	#%inst <name> <fingerprint>
-//	<pattern-key> \t <sequence-spec> \t <operand-spec> [\t <leaf-consts>] [\t cost:<lat>,<sz>] \t <source>
+//	<pattern-key> \t <sequence-spec> \t <operand-spec> [\t <leaf-consts>] \t <source>
 //
 // using the same compact sequence/operand grammar as the manual-rule DSL
 // (MustSeq / MustRule), so saved rules are human-auditable. The "#%inst"
@@ -29,14 +29,14 @@ import (
 // fingerprint its semantics had at synthesis time (isa.Instruction.FP)
 // — the provenance an incremental resynthesis diffs against a new spec.
 // The trailing source field preserves each rule's proof origin (index vs
-// smt) across save/load cycles. The optional "cost:" field carries the
-// rule's model cost vector (rules.Rule.CostV) for libraries synthesized
-// under a cost table; cost-less lines load with the legacy operand-count
-// metric. All extensions are backward compatible: "#"-prefixed lines
-// were always comments, and loaders discriminate the trailing fields by
-// shape — the "cost:" prefix is checked before the '='-means-leaf-consts
-// test, since the cost field itself contains no '='. Every rule is
-// re-verified on load.
+// smt) across save/load cycles. Older artifacts may carry a
+// "cost:<lat>,<sz>" field before the source, from libraries ranked by a
+// cost table; it is checked for shape and ignored, because every library
+// now ranks rules by operand count. All extensions are backward
+// compatible: "#"-prefixed lines were always comments, and loaders
+// discriminate the trailing fields by shape — the "cost:" prefix is
+// checked before the '='-means-leaf-consts test, since the cost field
+// itself contains no '='. Every rule is re-verified on load.
 
 // SaveLibrary serializes a library. The provenance header covers the
 // instructions the rules depend on; use SaveLibraryFor when the loaded
@@ -103,9 +103,6 @@ func RuleLine(r *rules.Rule) string {
 			lcs[i] = fmt.Sprintf("%d=%d", leaf, r.LeafConsts[leaf].Int64())
 		}
 		line += "\t" + strings.Join(lcs, ",")
-	}
-	if !r.CostV.IsZero() {
-		line += "\tcost:" + r.CostV.String()
 	}
 	src := r.Source
 	if src == "" {
@@ -201,19 +198,16 @@ func LoadRule(b *term.Builder, tgt *isa.Target, line string) (*rules.Rule, error
 	if opSpec == "-" {
 		opSpec = ""
 	}
-	// Trailing fields, discriminated by shape: "cost:" prefix first (the
-	// vector contains a ',' but never an '='), then '='-containing
-	// leaf-consts, then the bare source field.
+	// Trailing fields, discriminated by shape: the legacy "cost:" prefix
+	// first (the vector contains a ',' but never an '='), then
+	// '='-containing leaf-consts, then the bare source field.
 	var leafConsts []string
-	var costV cost.Vector
 	source := "loaded"
 	for _, f := range fields[3:] {
 		if strings.HasPrefix(f, "cost:") {
-			v, err := cost.ParseVector(strings.TrimPrefix(f, "cost:"))
-			if err != nil {
+			if _, err := cost.ParseVector(strings.TrimPrefix(f, "cost:")); err != nil {
 				return nil, err
 			}
-			costV = v
 		} else if strings.Contains(f, "=") {
 			leafConsts = strings.Split(f, ",")
 		} else if f != "" {
@@ -225,10 +219,6 @@ func LoadRule(b *term.Builder, tgt *isa.Target, line string) (*rules.Rule, error
 		return nil, err
 	}
 	r.Source = source
-	// The persisted model cost is preserved verbatim: the loading library
-	// may have no Model to restamp it from, and Save → Load → Save must
-	// reproduce the artifact byte-identically.
-	r.CostV = costV
 	return r, nil
 }
 

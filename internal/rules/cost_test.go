@@ -3,23 +3,20 @@ package rules
 import (
 	"testing"
 
-	"iselgen/internal/cost"
 	"iselgen/internal/gmir"
 	"iselgen/internal/isa"
 	"iselgen/internal/pattern"
 	"iselgen/internal/term"
 )
 
-// tieTarget has two distinct 2-operand instructions (equal legacy cost,
-// equal pattern) plus a 1-operand instruction with a long model latency,
-// so tests can separate tie-breaking from model ranking.
+// tieTarget has two distinct 2-operand instructions: equal cost, equal
+// pattern, so only the tie-break orders them.
 func tieTarget(t *testing.T) (*term.Builder, *isa.Target) {
 	t.Helper()
 	b := term.NewBuilder()
 	src := `inst ALPHA(rn: reg64, rm: reg64) { rd = rn + rm; }
-inst BETA(rn: reg64, rm: reg64) { rd = rn | rm; }
-inst SLOW(rn: reg64) { rd = rn; }`
-	tgt, err := isa.LoadTarget(b, "m", src, map[string]int{"SLOW": 20}, 4)
+inst BETA(rn: reg64, rm: reg64) { rd = rn | rm; }`
+	tgt, err := isa.LoadTarget(b, "m", src, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,52 +88,5 @@ func TestFreezeTieBreakDeterministic(t *testing.T) {
 		if ruleSig(cf[i]) != ruleSig(cr[i]) {
 			t.Fatalf("candidate %d differs across insertion orders", i)
 		}
-	}
-}
-
-// A library with a Model stamps CostV on Add and ranks chains by model
-// cost: the 1-operand SLOW instruction loses to a 2-operand 1-cycle one,
-// inverting the legacy operand-count order.
-func TestModelStampingAndRanking(t *testing.T) {
-	b, tgt := tieTarget(t)
-	lib := NewLibrary("m")
-	lib.Model = cost.FromTarget(tgt)
-	slow := tieRule(b, tgt, "SLOW")
-	slow.Operands = slow.Operands[:1]
-	fast := tieRule(b, tgt, "ALPHA")
-	lib.Add(slow)
-	lib.Add(fast)
-	if slow.CostV.Latency != 20 || fast.CostV.Latency != 1 {
-		t.Fatalf("CostV stamping: slow=%v fast=%v", slow.CostV, fast.CostV)
-	}
-	key := fast.Pattern.Key()
-	if got := lib.Lookup(key); got != fast {
-		t.Errorf("model ranking: Lookup = %s, want ALPHA", got.Seq)
-	}
-	// Legacy library (no model): operand count wins, SLOW first.
-	legacy := NewLibrary("m")
-	legacy.Add(tieRule(b, tgt, "ALPHA"))
-	sl := tieRule(b, tgt, "SLOW")
-	sl.Operands = sl.Operands[:1]
-	legacy.Add(sl)
-	if got := legacy.Lookup(key); got.Seq.Insts[0].Name != "SLOW" {
-		t.Errorf("legacy ranking: Lookup = %s, want SLOW", got.Seq)
-	}
-	if !legacy.Lookup(key).CostV.IsZero() {
-		t.Error("legacy library must not stamp CostV")
-	}
-}
-
-// EffCost falls back to the operand count when no model cost was
-// stamped, so mixed comparisons stay well-defined.
-func TestEffCostFallback(t *testing.T) {
-	b, tgt := tieTarget(t)
-	r := tieRule(b, tgt, "ALPHA")
-	if got := r.EffCost(); got != (cost.Vector{Latency: 2, Size: 2}) {
-		t.Errorf("legacy EffCost = %v", got)
-	}
-	r.CostV = cost.Vector{Latency: 5, Size: 8}
-	if got := r.EffCost(); got != r.CostV {
-		t.Errorf("stamped EffCost = %v", got)
 	}
 }

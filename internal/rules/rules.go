@@ -113,12 +113,6 @@ type Rule struct {
 	// by Library.Add; the incremental planner reuses a rule only if every
 	// supporting fingerprint is unchanged in the new spec.
 	Prov []InstFP
-	// CostV is the model cost of the rule's sequence under the cost table
-	// the library was synthesized with (latency cycles, encoding bytes).
-	// Stamped by Library.Add when the library carries a Model, preserved
-	// verbatim across save/load; zero means "no model cost recorded" and
-	// every consumer falls back to the legacy operand-count metric.
-	CostV cost.Vector
 
 	seqName string // Seq.String(), stamped by Library.Add
 }
@@ -135,19 +129,6 @@ func (r *Rule) SeqName() string {
 
 // Cost is the paper's metric: total input operands over the sequence.
 func (r *Rule) Cost() int { return r.Seq.Cost() }
-
-// EffCost is the rule's effective cost vector: the model-stamped CostV
-// when present, else the legacy operand-count metric replicated into
-// both components. Within one library the two never mix scales in a
-// comparison-relevant way: either the library has a Model (every rule
-// stamped on Add) or it has none (every comparison is legacy-vs-legacy).
-func (r *Rule) EffCost() cost.Vector {
-	if !r.CostV.IsZero() {
-		return r.CostV
-	}
-	c := int64(r.Seq.Cost())
-	return cost.Vector{Latency: c, Size: c}
-}
 
 // String renders the rule in the TableGen-flavoured form of Listing 1.
 func (r *Rule) String() string {
@@ -208,9 +189,11 @@ type Library struct {
 	byRoot  map[RootKey][]*Rule
 	byKey   map[string][]*Rule // cost-sorted rules per pattern key
 	sortedQ bool
-	// Model, when set, is the cost table rules are ranked under: Add
-	// stamps each inserted rule's CostV from it. A nil Model keeps the
-	// paper's operand-count metric everywhere (legacy behavior).
+	// Model is ignored: rules rank by the paper's operand count
+	// (Rule.Cost).
+	//
+	// Deprecated: only the frozen benchmark's replay (cmd/iselperf) still
+	// sets it; the benchmark change of ROADMAP item 2 deletes it.
 	Model *cost.Table
 }
 
@@ -236,9 +219,6 @@ func (l *Library) Add(r *Rule) {
 	if r.Prov == nil {
 		r.Prov = SupportOf(r.Seq)
 	}
-	if l.Model != nil && r.CostV.IsZero() {
-		r.CostV = l.Model.SeqVector(r.Seq)
-	}
 	key := r.Pattern.Key()
 	chain := l.byKey[key]
 	sig := ruleSig(r)
@@ -250,14 +230,14 @@ func (l *Library) Add(r *Rule) {
 	if len(chain) >= maxRulesPerPattern {
 		return
 	}
-	// Insertion point: effective cost, then content signature — equal-cost
-	// rules land in the same slot whatever order Add saw them in, so
-	// Lookup's winner never depends on worker scheduling.
+	// Insertion point: cost, then content signature — equal-cost rules
+	// land in the same slot whatever order Add saw them in, so Lookup's
+	// winner never depends on worker scheduling.
 	pos := len(chain)
-	rc := r.EffCost()
+	rc := r.Cost()
 	for i, old := range chain {
-		oc := old.EffCost()
-		if rc.Less(oc) || (rc == oc && sig < ruleSig(old)) {
+		oc := old.Cost()
+		if rc < oc || (rc == oc && sig < ruleSig(old)) {
 			pos = i
 			break
 		}
@@ -359,8 +339,8 @@ func (l *Library) Freeze() {
 			if si != sj {
 				return si > sj
 			}
-			if ci, cj := rs[i].EffCost(), rs[j].EffCost(); ci != cj {
-				return ci.Less(cj)
+			if ci, cj := rs[i].Cost(), rs[j].Cost(); ci != cj {
+				return ci < cj
 			}
 			if ii, ij := immLeafCount(rs[i]), immLeafCount(rs[j]); ii != ij {
 				return ii > ij
@@ -395,11 +375,7 @@ func (l *Library) Emit() string {
 	fmt.Fprintf(&sb, "// Generated instruction selection rules for %s: %d rules.\n",
 		l.Target, len(l.Rules))
 	for _, r := range l.Rules {
-		fmt.Fprintf(&sb, "// cost %d", r.Cost())
-		if !r.CostV.IsZero() {
-			fmt.Fprintf(&sb, ", model %s", r.CostV)
-		}
-		fmt.Fprintf(&sb, ", source %s\n%s\n", r.Source, r)
+		fmt.Fprintf(&sb, "// cost %d, source %s\n%s\n", r.Cost(), r.Source, r)
 	}
 	return sb.String()
 }

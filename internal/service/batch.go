@@ -40,7 +40,6 @@ type BatchSelectResponse struct {
 	Fingerprint string          `json:"fingerprint"`
 	Cache       string          `json:"cache"`
 	Partial     bool            `json:"partial"`
-	CostVersion string          `json:"cost_version,omitempty"`
 	Programs    int             `json:"programs"`
 	Selected    int             `json:"selected"`
 	Fallbacks   int             `json:"fallbacks"`
@@ -82,7 +81,6 @@ func (sv *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: e.Fingerprint,
 		Cache:       cache,
 		Partial:     e.Partial,
-		CostVersion: def.costVersion,
 		Programs:    len(req.Programs),
 		Results:     make([]ProgramResult, 0, len(req.Programs)),
 	}

@@ -90,15 +90,14 @@ func (env *selEnv) lower(f *gmir.Function, runs []simRun) (lw lowering, err erro
 	if rep.Fallback {
 		return lw, nil
 	}
-	model := env.def.cfg.CostModel
-	lw.staticCost = cost.StaticOf(mf, model).String()
+	lw.staticCost = cost.StaticOf(mf, nil).String()
 	lw.binarySize = mf.BinarySize()
 	for _, run := range runs {
 		mem := gmir.NewMemory()
 		if run.initMem != nil {
 			run.initMem(mem)
 		}
-		m := &sim.Machine{Mem: mem, Model: model}
+		m := &sim.Machine{Mem: mem}
 		out, err := m.Run(mf, run.args)
 		if err != nil {
 			return lw, fmt.Errorf("sim: %w", err)

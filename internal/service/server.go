@@ -15,7 +15,6 @@ import (
 
 	"iselgen/internal/bench"
 	"iselgen/internal/core"
-	"iselgen/internal/cost"
 	"iselgen/internal/harness"
 	"iselgen/internal/incr"
 	"iselgen/internal/isa"
@@ -237,12 +236,11 @@ type targetDef struct {
 	backend  func(tgt *isa.Target, lib *rules.Library) *isel.Backend
 	minWidth int // legalization floor of program-mode selection
 	// cfg is the server-wide synthesis config specialized to the target;
-	// fp the full-cache fingerprint it yields, lineage its incremental
-	// lineage key, and costVersion the version of cfg's cost table.
-	cfg         core.Config
-	fp          string
-	lineage     string
-	costVersion string
+	// fp the full-cache fingerprint it yields, and lineage its incremental
+	// lineage key.
+	cfg     core.Config
+	fp      string
+	lineage string
 }
 
 // builtinSlot holds one builtin target's definition, resolved on first
@@ -251,7 +249,6 @@ type builtinSlot struct {
 	bt   *targets.Builtin
 	once sync.Once
 	def  *targetDef
-	err  error
 }
 
 // resolveTarget maps a request to a target definition: a builtin name,
@@ -276,7 +273,7 @@ func (sv *Server) resolveTarget(name, inline string) (*targetDef, error) {
 			load: func(b *term.Builder) (*isa.Target, error) {
 				return isa.LoadTarget(b, name, inline, nil, 0)
 			},
-		}, nil, nil), nil
+		}, nil), nil
 	}
 	if name == "" {
 		return nil, errors.New("request must set \"target\" or \"spec\"")
@@ -286,8 +283,8 @@ func (sv *Server) resolveTarget(name, inline string) (*targetDef, error) {
 		_, err := targets.Lookup(name)
 		return nil, err
 	}
-	slot.once.Do(func() { slot.def, slot.err = sv.resolveBuiltin(slot.bt) })
-	return slot.def, slot.err
+	slot.once.Do(func() { slot.def = sv.resolveBuiltin(slot.bt) })
+	return slot.def, nil
 }
 
 // resolveSelecting resolves a builtin target that has a selection
@@ -300,51 +297,36 @@ func (sv *Server) resolveSelecting(name string) (*targetDef, error) {
 	return def, err
 }
 
-// resolveBuiltin derives a builtin target's definition: its spec text
-// and, for selection targets, the target-derived cost model. Both take a
-// full spec generation or load, which is why each server does this once
-// per target rather than once per request.
-func (sv *Server) resolveBuiltin(bt *targets.Builtin) (*targetDef, error) {
-	var model *cost.Table
-	if bt.Selects() && sv.cfg.Synth.CostModel == nil {
-		var err error
-		if model, err = bt.CostModel(); err != nil {
-			return nil, err
-		}
-	}
+// resolveBuiltin derives a builtin target's definition. Generating its
+// spec text is why each server does this once per target rather than
+// once per request.
+func (sv *Server) resolveBuiltin(bt *targets.Builtin) *targetDef {
 	return sv.define(&targetDef{
 		name:     bt.Name,
 		spec:     bt.Spec(),
 		load:     bt.Load,
 		backend:  bt.Synth,
 		minWidth: bt.MinWidth,
-	}, bt.Extra, model), nil
+	}, bt.Extra)
 }
 
 // define specializes the server-wide synthesis config to a target —
-// wiring in its special sequences (§VII-A) and cost model unless the
-// server config sets its own — and derives the keys the result yields.
-// The cost-table version flows into the fingerprint via the config's
-// CacheKey, so editing a cost table invalidates everything stamped under
-// the old one. The deadline is deliberately not part of the key: partial
-// results are never cached, and a full result is identical whatever
-// budget it ran under. The lineage key is the fingerprint *minus the
+// wiring in its special sequences (§VII-A) unless the server config sets
+// its own — and derives the keys the result yields. The deadline is
+// deliberately not part of the key: partial results are never cached,
+// and a full result is identical whatever budget it ran under. The lineage key is the fingerprint *minus the
 // spec text*: two revisions of a spec share a lineage, which is exactly
 // what lets the second revision resynthesize from the first one's
 // artifact.
-func (sv *Server) define(def *targetDef, extra func(*term.Builder, *isa.Target) []*isa.Sequence, model *cost.Table) *targetDef {
+func (sv *Server) define(def *targetDef, extra func(*term.Builder, *isa.Target) []*isa.Sequence) *targetDef {
 	cfg := sv.cfg.Synth
 	if cfg.ExtraSequences == nil {
 		cfg.ExtraSequences = extra
-	}
-	if cfg.CostModel == nil {
-		cfg.CostModel = model
 	}
 	key, maxpat := cfg.CacheKey(), fmt.Sprintf("maxpat=%d", sv.cfg.MaxPatterns)
 	def.cfg = cfg
 	def.fp = isa.Fingerprint(fingerprintScheme, def.name, def.spec, key, maxpat)
 	def.lineage = isa.Fingerprint(fingerprintScheme, "lineage", def.name, key, maxpat)
-	def.costVersion = cfg.CostModel.Version()
 	return def
 }
 
@@ -618,7 +600,6 @@ func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration, parent *ob
 	syn := core.New(b, tgt, def.cfg)
 	syn.BuildPool()
 	lib := rules.NewLibrary(def.name)
-	lib.Model = def.cfg.CostModel
 	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
 	partial := syn.SynthesizeCtx(ctx, pats, lib)
 	lib.Freeze()
@@ -777,15 +758,19 @@ type SelectResponse struct {
 	RuleInsts      int      `json:"rule_insts"`
 	HookInsts      int      `json:"hook_insts"`
 	RulesUsed      []string `json:"rules_used"`
-	// CostVersion is the cost-table hash the request was keyed under;
-	// StaticCost the model cost "latency,size" of the selected code.
+	// CostVersion is never set: answers carry no cost table.
+	//
+	// Deprecated: only the frozen benchmark's replay (cmd/iselperf) sets
+	// it; the benchmark change of ROADMAP item 2 deletes it.
 	CostVersion string `json:"cost_version,omitempty"`
-	StaticCost  string `json:"static_cost,omitempty"`
-	Cycles      int64  `json:"cycles,omitempty"`
-	Insts       int64  `json:"insts,omitempty"`
-	BinarySize  int    `json:"binary_size,omitempty"`
-	Checksum    string `json:"checksum,omitempty"`
-	MIR         string `json:"mir,omitempty"`
+	// StaticCost is the static cost "latency,size" of the selected code,
+	// summed from the spec's per-instruction metadata (cost.StaticOf).
+	StaticCost string `json:"static_cost,omitempty"`
+	Cycles     int64  `json:"cycles,omitempty"`
+	Insts      int64  `json:"insts,omitempty"`
+	BinarySize int    `json:"binary_size,omitempty"`
+	Checksum   string `json:"checksum,omitempty"`
+	MIR        string `json:"mir,omitempty"`
 	// Bytes is the assembled machine code (hex) and Listing its decoded
 	// disassembly, present with emit="bytes".
 	Bytes   string   `json:"bytes,omitempty"`
@@ -842,7 +827,6 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: e.Fingerprint,
 		Cache:       cache,
 		Partial:     e.Partial,
-		CostVersion: def.costVersion,
 	}
 	if req.Program != "" {
 		res := env.selectProgram(0, req.Program)

@@ -71,7 +71,6 @@ type RuleListing struct {
 	Pattern     string `json:"pattern"`
 	Sequence    string `json:"sequence"`
 	Source      string `json:"source"`
-	Cost        string `json:"cost,omitempty"`
 }
 
 // RuleListResponse answers GET /v1/rules.
@@ -103,9 +102,6 @@ func (sv *Server) handleRuleList(w http.ResponseWriter, r *http.Request) {
 				Sequence:    rule.Seq.String(),
 				Source:      rule.Source,
 			}
-			if !rule.CostV.IsZero() {
-				l.Cost = rule.CostV.String()
-			}
 			resp.Rules = append(resp.Rules, l)
 		}
 	}
@@ -130,8 +126,6 @@ type RuleWhyResponse struct {
 	Sequence    string `json:"sequence"`
 	// Source is the rule's discovery path: "index", "smt", or "manual".
 	Source string `json:"source"`
-	// Cost is the model cost "latency,size" when a cost table stamped it.
-	Cost string `json:"cost,omitempty"`
 	// Provenance lists the supporting instructions with the semantic
 	// fingerprints they had when the rule was established.
 	Provenance []rules.InstFP `json:"provenance,omitempty"`
@@ -179,9 +173,6 @@ func (sv *Server) handleRuleWhy(w http.ResponseWriter, r *http.Request) {
 	resp.Pattern = found.Pattern.Key()
 	resp.Sequence = found.Seq.String()
 	resp.Source = found.Source
-	if !found.CostV.IsZero() {
-		resp.Cost = found.CostV.String()
-	}
 	resp.Provenance = found.Prov
 	resp.Context = "synthesis:" + found.Pattern.Key()
 	qs := solver.Shared.ByContext(resp.Context)

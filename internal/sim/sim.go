@@ -42,9 +42,11 @@ type Machine struct {
 	// MaxSteps bounds execution (default 200M instructions).
 	MaxSteps int64
 	// Model overrides per-instruction cycle charging. Nil keeps the ISA
-	// metadata latencies; the target-derived table (cost.FromTarget)
-	// reproduces them exactly, so dynamic cost under a custom table stays
-	// comparable with the static model the selectors optimize.
+	// metadata latencies, which the target-derived table (cost.FromTarget)
+	// reproduces exactly.
+	//
+	// Deprecated: only the frozen benchmark's replay (cmd/iselperf) sets
+	// it; the benchmark change of ROADMAP item 2 deletes it.
 	Model *cost.Table
 
 	frame isa.Frame

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"iselgen/internal/bv"
-	"iselgen/internal/cost"
 	"iselgen/internal/isa"
 	"iselgen/internal/isa/aarch64"
 	"iselgen/internal/isa/riscv"
@@ -49,17 +48,6 @@ type Builtin struct {
 
 // Selects reports whether the target has a selection backend.
 func (t *Builtin) Selects() bool { return t.Synth != nil }
-
-// CostModel loads the target and derives its cost table. Every call
-// loads the spec again; a long-lived caller resolves it once and keeps
-// the table.
-func (t *Builtin) CostModel() (*cost.Table, error) {
-	tgt, err := t.Load(term.NewBuilder())
-	if err != nil {
-		return nil, err
-	}
-	return cost.FromTarget(tgt), nil
-}
 
 var table = []*Builtin{
 	{

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"iselgen/internal/cost"
 	"iselgen/internal/rules"
 	"iselgen/internal/term"
 )
@@ -67,20 +66,6 @@ func TestLookup(t *testing.T) {
 	}
 	if bt, err := LookupSelecting("riscv"); err != nil || bt.MinWidth != 64 || bt.Extra == nil {
 		t.Errorf("riscv: %v, %v", bt, err)
-	}
-}
-
-// CostModel is cost.FromTarget over a fresh load, so two derivations
-// agree on the version that rides in cache keys.
-func TestCostModel(t *testing.T) {
-	bt, _ := Lookup("riscv")
-	m1, err := bt.CostModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tgt, _ := bt.Load(term.NewBuilder())
-	if m2 := cost.FromTarget(tgt); m1.Version() != m2.Version() {
-		t.Errorf("versions %s vs %s", m1.Version(), m2.Version())
 	}
 }
 
