@@ -1,7 +1,8 @@
 // Command iseld is the selection-as-a-service daemon: it synthesizes
 // rule libraries on demand (once per spec + config fingerprint), caches
 // them in memory and on disk, and serves selection and metrics over
-// HTTP/JSON.
+// HTTP/JSON. Its service owns the SMT verdict memo; with -cache-dir the
+// memo persists to <cache-dir>/solver.journal, so a restart stays warm.
 //
 // Endpoints:
 //
@@ -79,7 +80,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -88,15 +88,14 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/obs"
 	"iselgen/internal/service"
-	"iselgen/internal/solver"
 )
 
 func main() {
 	addr := flag.String("addr", ":8791", "listen address")
-	cacheDir := flag.String("cache-dir", "", "disk artifact cache directory (empty = memory only)")
+	cacheDir := flag.String("cache-dir", "", "disk cache directory for artifacts and the solver journal (empty = memory only)")
 	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries, and on the lineage artifacts spec edits resynthesize from (0 = unbounded)")
 	workers := flag.Int("workers", 2, "synthesis jobs running at once")
-	synthWorkers := flag.Int("synth-workers", 0, "matcher threads per synthesis job (0 = ISEL_WORKERS or NumCPU)")
+	synthWorkers := flag.Int("synth-workers", 0, "matcher threads per synthesis job (0 = NumCPU)")
 	queue := flag.Int("queue", 8, "waiting-job queue depth (full queue answers 429)")
 	patterns := flag.Int("patterns", 0, "limit corpus patterns per synthesis (0 = all)")
 	timeout := flag.Duration("timeout", 0, "default per-job synthesis deadline (0 = none)")
@@ -128,27 +127,6 @@ func main() {
 		cfg.TestInputs = *inputs
 	}
 
-	// With a disk cache configured, the solver verdict memo persists
-	// alongside the artifacts: settled equivalence verdicts from past
-	// daemon lifetimes replay at startup, so a warm restart re-verifies
-	// libraries without re-running a single bit-blast.
-	if *cacheDir != "" {
-		solver.Shared.SetLogger(func(format string, args ...any) {
-			logger.Warn(fmt.Sprintf(format, args...))
-		})
-		jp := filepath.Join(*cacheDir, "solver.journal")
-		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "iseld:", err)
-			os.Exit(1)
-		}
-		if err := solver.Shared.AttachJournal(jp); err != nil {
-			logger.Warn("solver journal unavailable, memo is in-memory only", "path", jp, "err", err.Error())
-		} else {
-			js := solver.Shared.Journal()
-			logger.Info("solver journal attached",
-				"path", jp, "verdicts", js.Loaded, "quarantined", js.Quarantined)
-		}
-	}
 	sv, err := service.New(service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,

@@ -41,6 +41,7 @@ import (
 	"iselgen/internal/harness"
 	"iselgen/internal/isa"
 	"iselgen/internal/isel"
+	"iselgen/internal/solver"
 )
 
 func main() {
@@ -59,6 +60,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	cfg := core.DefaultConfig()
+	cfg.Verdicts = solver.New(0)
 
 	switch {
 	case *instName != "":
@@ -87,37 +90,31 @@ func main() {
 			fmt.Printf("%3d  %s\n", i+1, p)
 		}
 
-	case *provenance:
-		lib := s.Synthesize(core.DefaultConfig(), *patterns)
+	case *provenance || *rulesDump:
+		lib := s.Synthesize(cfg, *patterns)
 		var lines []string
 		for _, r := range lib.Rules {
 			parts := []string{r.Pattern.Key(), r.Source}
-			for _, p := range r.Prov {
-				parts = append(parts, fmt.Sprintf("%s=%s", p.Name, p.FP[:16]))
+			if *provenance {
+				for _, p := range r.Prov {
+					parts = append(parts, fmt.Sprintf("%s=%s", p.Name, p.FP[:16]))
+				}
+			} else {
+				names := make([]string, len(r.Seq.Insts))
+				for i, inst := range r.Seq.Insts {
+					names[i] = inst.Name
+				}
+				parts[1] = fmt.Sprintf("cost=%d", r.Cost())
+				parts = append(parts, strings.Join(names, ";"))
 			}
 			lines = append(lines, strings.Join(parts, "\t"))
 		}
 		// Sorted output: library order varies with worker scheduling, but
 		// two dumps of the same spec + config must diff cleanly.
 		sort.Strings(lines)
-		for _, l := range lines {
-			fmt.Println(l)
+		if !*provenance {
+			fmt.Printf("# %s — %d rules\n", s.Name, len(lines))
 		}
-
-	case *rulesDump:
-		lib := s.Synthesize(core.DefaultConfig(), *patterns)
-		var lines []string
-		for _, r := range lib.Rules {
-			names := make([]string, len(r.Seq.Insts))
-			for i, inst := range r.Seq.Insts {
-				names[i] = inst.Name
-			}
-			lines = append(lines, fmt.Sprintf("%s\tcost=%d\t%s",
-				r.Pattern.Key(), r.Cost(), strings.Join(names, ";")))
-		}
-		// Sorted for the same reason as -provenance: stable diffs.
-		sort.Strings(lines)
-		fmt.Printf("# %s — %d rules\n", s.Name, len(lines))
 		for _, l := range lines {
 			fmt.Println(l)
 		}

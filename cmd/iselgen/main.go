@@ -30,6 +30,7 @@ import (
 	"iselgen/internal/obs"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
+	"iselgen/internal/solver"
 	"iselgen/internal/targets"
 	"iselgen/internal/term"
 )
@@ -41,7 +42,7 @@ func main() {
 	tdOut := flag.String("td", "", "write the TableGen-style rule listing to this file")
 	inputs := flag.Int("inputs", 0, "test inputs per sequence (0 = default)")
 	maxPatterns := flag.Int("patterns", 0, "limit considered patterns (0 = all)")
-	workers := flag.Int("workers", 0, "matcher threads (0 = ISEL_WORKERS or NumCPU)")
+	workers := flag.Int("workers", 0, "matcher threads (0 = NumCPU)")
 	summary := flag.Bool("summary", false, "print the library composition summary")
 	incremental := flag.Bool("incremental", false, "resynthesize incrementally from a prior artifact (-from)")
 	fromPath := flag.String("from", "", "prior rule-library artifact to diff against (with -incremental)")
@@ -52,7 +53,7 @@ func main() {
 	if *inputs > 0 {
 		cfg.TestInputs = *inputs
 	}
-	cfg.Workers = core.ResolveWorkers(*workers)
+	cfg.Workers, cfg.Verdicts = core.ResolveWorkers(*workers), solver.New(0)
 	if *traceOut != "" {
 		o := obs.New()
 		cfg.Obs = o

@@ -20,6 +20,7 @@ import (
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
 	"iselgen/internal/sim"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -45,7 +46,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	synth := core.New(s.B, s.ISA, core.Config{TestInputs: 64, Workers: 4})
+	memo := solver.New(0)
+	synth := core.New(s.B, s.ISA, core.Config{TestInputs: 64, Workers: 4, Verdicts: memo})
 	synth.BuildPool()
 
 	p := pattern.New(pattern.Op(gmir.GAdd, gmir.S64,
@@ -104,7 +106,9 @@ func main() {
 	zext := fb2.ZExt(gmir.S64, cmp)
 	fb2.Ret(fb2.Xor(selv, zext))
 	f2 := fb2.MustFinish()
-	s.Synthesize(core.DefaultConfig(), 0)
+	cfg := core.DefaultConfig()
+	cfg.Verdicts = memo
+	s.Synthesize(cfg, 0)
 	mf2, rep2 := s.Synth.Select(f2)
 	if rep2.Fallback {
 		log.Fatalf("fig10 fallback: %s", rep2.FallbackReason)

@@ -21,6 +21,7 @@ import (
 	"iselgen/internal/mir"
 	"iselgen/internal/rules"
 	"iselgen/internal/sim"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -73,7 +74,7 @@ func main() {
 		len(target.Insts))
 
 	// Synthesize the rule library against the standard pattern corpus.
-	synth := core.New(b, target, core.Config{TestInputs: 96, Workers: 4})
+	synth := core.New(b, target, core.Config{TestInputs: 96, Workers: 4, Verdicts: solver.New(0)})
 	synth.BuildPool()
 	lib := rules.NewLibrary("zeta")
 	synth.Synthesize(harness.CorpusPatterns("zeta", 0), lib)

@@ -17,6 +17,7 @@ import (
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
 	"iselgen/internal/sim"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -43,7 +44,9 @@ func main() {
 
 	// Step 3 — build the synthesis pool: enumerate instruction sequences,
 	// canonicalize their effects, index them, cache test evaluations.
-	synth := core.New(b, target, core.Config{TestInputs: 64, Workers: 2})
+	// Verdicts is the SMT verdict memo; a later run handed the same store
+	// reuses every proof this one settles.
+	synth := core.New(b, target, core.Config{TestInputs: 64, Workers: 2, Verdicts: solver.New(0)})
 	synth.BuildPool()
 	fmt.Printf("pool: %d sequences, %d indexed\n",
 		synth.Stats.Sequences, synth.Stats.IndexEntries)

@@ -38,7 +38,9 @@ inst MOVZ(imm: imm16) { rd = zext(imm, 64); }
 const clProg = "v0 = param 64\nv1 = param 64\nv2 = add 64 v0 v1\nv3 = mul 64 v2 v0\nret v3\n"
 
 // bootTest starts an n-replica in-process cluster with the fast test
-// synthesis configuration.
+// synthesis configuration. The term index is off, so clSpec's patterns
+// take the SMT fallback and a synthesis fills its replica's verdict
+// store.
 func bootTest(t *testing.T, n int, tmpl Config) *Local {
 	t.Helper()
 	mk := func(i int) (*service.Server, *obs.Obs, error) {
@@ -46,7 +48,7 @@ func bootTest(t *testing.T, n int, tmpl Config) *Local {
 		sv, err := service.New(service.Config{
 			Workers:     2,
 			QueueDepth:  8,
-			Synth:       core.Config{TestInputs: 16, Workers: 2, SMTMaxConflicts: 64},
+			Synth:       core.Config{TestInputs: 16, Workers: 2, SMTMaxConflicts: 64, DisableIndex: true},
 			MaxPatterns: 10,
 			Obs:         o,
 		})
@@ -162,11 +164,16 @@ func TestClusterColdKeySynthesizedOnce(t *testing.T) {
 		}
 	}
 
+	// Each replica owns its verdict store, so only the owner's, which
+	// ran the one synthesis, holds verdicts.
 	var synth, peer uint64
 	for i := 0; i < lc.Len(); i++ {
 		m := metricsOf(t, lc.Replica(i).URL)
 		synth += m.SynthRuns + m.IncrRuns
 		peer += m.PeerFills
+		if owner := i == 2; owner != (m.SolverMemoEntries > 0) {
+			t.Errorf("replica %d (owner %v) holds %d verdicts", i, owner, m.SolverMemoEntries)
+		}
 	}
 	if synth != 1 {
 		t.Fatalf("fleet ran %d syntheses for one cold key, want exactly 1", synth)

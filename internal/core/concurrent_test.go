@@ -29,13 +29,13 @@ func fallbackPats() []*pattern.Pattern {
 }
 
 // TestConcurrentSynthesesShareWitnesses runs independent synthesizers
-// from every CPU at once, all feeding and screening through the shared
-// process-wide verdict memo, and demands they produce identical
+// from every CPU at once, all feeding and screening through one shared
+// verdict memo, and demands they produce identical
 // libraries. Under -race this is the memo's integration race test; in
 // any mode it checks that cross-run sharing cannot change verdicts
 // (each run sees verdicts and witnesses earned by the others).
 func TestConcurrentSynthesesShareWitnesses(t *testing.T) {
-	solver.Shared.Reset()
+	memo := solver.New(0)
 	n := runtime.NumCPU() + 2
 	arts := make([]string, n)
 	screens := make([]int64, n)
@@ -51,7 +51,7 @@ func TestConcurrentSynthesesShareWitnesses(t *testing.T) {
 				errs[g] = err
 				return
 			}
-			s := New(b, tgt, Config{TestInputs: 32, Workers: 2})
+			s := New(b, tgt, Config{TestInputs: 32, Workers: 2, Verdicts: memo})
 			s.BuildPool()
 			lib := rules.NewLibrary("mini")
 			s.Synthesize(fallbackPats(), lib)

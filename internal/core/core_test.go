@@ -8,6 +8,7 @@ import (
 	"iselgen/internal/isa"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -50,6 +51,9 @@ func miniSynth(t *testing.T, cfg Config) (*Synthesizer, *term.Builder) {
 	tgt, err := isa.LoadTarget(b, "mini", miniSpec, nil, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cfg.Verdicts == nil {
+		cfg.Verdicts = solver.New(0)
 	}
 	s := New(b, tgt, cfg)
 	s.BuildPool()
@@ -403,7 +407,7 @@ inst ADD(rn: reg64, rm: reg64) { rd = rn + rm; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(b, tgt, Config{TestInputs: 16})
+	s := New(b, tgt, Config{TestInputs: 16, Verdicts: solver.New(0)})
 	s.BuildPool()
 	vecSeen := false
 	for _, e := range s.Pool {

@@ -30,8 +30,8 @@ func ruleLines(artifact string) []string {
 // TestWorkerCountDeterminism is the schedule-independence stress test:
 // full synthesis of each builtin target at several worker-pool widths
 // must produce the same library — same rule fingerprint set and a
-// byte-identical saved artifact. The verdict memo is reset before every
-// run, but within a run the fill order of its verdicts and screen
+// byte-identical saved artifact. Every run gets an empty verdict memo,
+// but within a run the fill order of its verdicts and screen
 // witnesses varies with scheduling, so this also exercises the screen's
 // verdict preservation.
 func TestWorkerCountDeterminism(t *testing.T) {
@@ -56,8 +56,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := core.DefaultConfig()
-				cfg.Workers = w
-				solver.Shared.Reset()
+				cfg.Workers, cfg.Verdicts = w, solver.New(0)
 				lib := s.Synthesize(cfg, maxPatterns)
 				art := isel.SaveLibraryFor(lib, s.ISA)
 				if i == 0 {

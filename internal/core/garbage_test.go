@@ -7,6 +7,7 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
 	"iselgen/internal/rules"
+	"iselgen/internal/solver"
 )
 
 // riscvPoolAllocMB bounds the bytes a riscv BuildPool allocates: 13.0
@@ -45,7 +46,7 @@ func TestProbeTimeExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.Workers = 1
+	cfg.Workers, cfg.Verdicts = 1, solver.New(0)
 	cfg.ExtraSequences = harness.ExtraSequences("riscv")
 	sy := core.New(s.B, s.ISA, cfg)
 	sy.BuildPool()

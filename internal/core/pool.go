@@ -13,10 +13,8 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,6 +23,7 @@ import (
 	"iselgen/internal/cost"
 	"iselgen/internal/isa"
 	"iselgen/internal/obs"
+	"iselgen/internal/solver"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
 	"iselgen/internal/trie"
@@ -76,7 +75,22 @@ type Config struct {
 	// rules are produced), and nil costs only a pointer check on the hot
 	// path.
 	Obs *obs.Obs
+	// Verdicts is the SMT verdict memo every worker consults and feeds: a
+	// verdict or counterexample found while matching one pattern serves
+	// every other pattern, and every later run handed the same store.
+	// Like Workers it never changes which rules are produced, so it is
+	// not part of CacheKey. Nil falls back to fallbackVerdicts.
+	Verdicts *solver.Store
 }
+
+// fallbackVerdicts is the store the workers of a synthesizer without
+// Verdicts consult.
+//
+// Deprecated: only the frozen benchmark's in-process replay
+// (cmd/iselperf's synthReplay) leaves Verdicts nil, because its warm run
+// must see the verdicts its cold run stored; the benchmark change of
+// ROADMAP item 2 passes a store and deletes this.
+var fallbackVerdicts = solver.New(0)
 
 // CacheKey renders the configuration knobs that influence *which rules*
 // a synthesis run produces, for content-addressed caching of rule
@@ -123,22 +137,12 @@ func DefaultConfig() Config {
 
 // DefaultWorkers derives the matching-pool width from the machine
 // (the paper used 60 threads on their host; a hardcoded 8 ignored
-// machine size in both directions). The ISEL_WORKERS environment
-// variable overrides it; CLI -workers flags override both via
-// ResolveWorkers. Worker count never changes which rules are produced
-// (it is excluded from CacheKey), only how fast.
-func DefaultWorkers() int {
-	if v := os.Getenv("ISEL_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return runtime.NumCPU()
-}
+// machine size in both directions). Worker count never changes which
+// rules are produced (it is excluded from CacheKey), only how fast.
+func DefaultWorkers() int { return runtime.NumCPU() }
 
-// ResolveWorkers applies the precedence flag > ISEL_WORKERS env >
-// NumCPU: a positive flag value wins, otherwise the environment-aware
-// default. The CLIs all thread their -workers flag through here.
+// ResolveWorkers returns a positive -workers flag value, otherwise
+// DefaultWorkers. The CLIs all thread their -workers flag through here.
 func ResolveWorkers(flagVal int) int {
 	if flagVal > 0 {
 		return flagVal

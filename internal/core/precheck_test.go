@@ -5,6 +5,7 @@ import (
 
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
+	"iselgen/internal/solver"
 )
 
 // riscvPool builds the riscv synthesis pool the way iselgen does.
@@ -15,7 +16,7 @@ func riscvPool(t *testing.T) *core.Synthesizer {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	cfg.ExtraSequences = harness.ExtraSequences("riscv")
+	cfg.ExtraSequences, cfg.Verdicts = harness.ExtraSequences("riscv"), solver.New(0)
 	sy := core.New(s.B, s.ISA, cfg)
 	sy.BuildPool()
 	return sy

@@ -13,7 +13,6 @@ import (
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
 	"iselgen/internal/smt"
-	"iselgen/internal/solver"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
 	"iselgen/internal/trie"
@@ -56,6 +55,10 @@ type probeBinding struct {
 }
 
 func (s *Synthesizer) newWorker() *worker {
+	memo := s.Cfg.Verdicts
+	if memo == nil {
+		memo = fallbackVerdicts
+	}
 	return &worker{
 		s:   s,
 		wb:  term.NewBuilder(),
@@ -66,12 +69,12 @@ func (s *Synthesizer) newWorker() *worker {
 			MaxConflicts: s.Cfg.SMTMaxConflicts,
 			Obs:          s.Cfg.Obs,
 			Context:      "synthesis",
-			// All workers share the process-wide verdict memo: a query
-			// settled by any worker — this run, an earlier run, or a
-			// replayed journal — answers instantly, guarded by the spec
-			// fingerprint, and its stored counterexamples screen candidates
-			// for every other pattern.
-			Memo:   solver.Shared,
+			// All workers share the configured verdict memo: a query
+			// settled by any worker — this run, an earlier run on the same
+			// store, or a replayed journal — answers instantly, guarded by
+			// the spec fingerprint, and its stored counterexamples screen
+			// candidates for every other pattern.
+			Memo:   memo,
 			SpecFP: s.SpecFP,
 		},
 	}

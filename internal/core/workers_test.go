@@ -6,35 +6,20 @@ import (
 )
 
 // TestDefaultWorkersDerivation pins the Workers default contract: the
-// machine's CPU count, overridable by ISEL_WORKERS, overridable in turn
-// by a positive flag value through ResolveWorkers.
+// machine's CPU count, overridable by a positive flag value through
+// ResolveWorkers.
 func TestDefaultWorkersDerivation(t *testing.T) {
-	t.Setenv("ISEL_WORKERS", "")
 	if got := DefaultWorkers(); got != runtime.NumCPU() {
 		t.Errorf("DefaultWorkers() = %d, want NumCPU = %d", got, runtime.NumCPU())
 	}
 	if got := DefaultConfig().Workers; got != runtime.NumCPU() {
 		t.Errorf("DefaultConfig().Workers = %d, want NumCPU = %d", got, runtime.NumCPU())
 	}
-
-	t.Setenv("ISEL_WORKERS", "5")
-	if got := DefaultWorkers(); got != 5 {
-		t.Errorf("with ISEL_WORKERS=5, DefaultWorkers() = %d", got)
-	}
-	if got := ResolveWorkers(0); got != 5 {
-		t.Errorf("with ISEL_WORKERS=5, ResolveWorkers(0) = %d", got)
+	if got := ResolveWorkers(0); got != runtime.NumCPU() {
+		t.Errorf("ResolveWorkers(0) = %d, want NumCPU = %d", got, runtime.NumCPU())
 	}
 	if got := ResolveWorkers(3); got != 3 {
-		t.Errorf("flag must beat env: ResolveWorkers(3) = %d", got)
-	}
-
-	t.Setenv("ISEL_WORKERS", "not-a-number")
-	if got := DefaultWorkers(); got != runtime.NumCPU() {
-		t.Errorf("malformed ISEL_WORKERS must fall back to NumCPU, got %d", got)
-	}
-	t.Setenv("ISEL_WORKERS", "-2")
-	if got := DefaultWorkers(); got != runtime.NumCPU() {
-		t.Errorf("non-positive ISEL_WORKERS must fall back to NumCPU, got %d", got)
+		t.Errorf("a positive flag must win: ResolveWorkers(3) = %d", got)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"iselgen/internal/bv"
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
+	"iselgen/internal/solver"
 )
 
 // SubSeed derives the deterministic per-iteration seed: a splitmix64
@@ -81,7 +82,9 @@ func NewPipeline(target string, synth bool) (*Pipeline, error) {
 	}
 	pl := &Pipeline{Name: set.Name, Primary: set.Handwritten, ISA: set.ISA, MinWidth: set.MinWidth()}
 	if synth {
-		set.Synthesize(core.DefaultConfig(), 0)
+		cfg := core.DefaultConfig()
+		cfg.Verdicts = solver.New(0)
+		set.Synthesize(cfg, 0)
 		pl.Primary, pl.Fallback = set.Synth, set.Handwritten
 	}
 	return pl, nil
@@ -216,8 +219,9 @@ func runSpec(opts *Options, sum *Summary, over func() bool) error {
 }
 
 func runSMT(opts *Options, sum *Summary, over func() bool) error {
+	memo := solver.New(0)
 	for iter := 0; iter < opts.N && !over(); iter++ {
-		cerr := CheckSMT(opts.Seed, iter, 0)
+		cerr := CheckSMT(memo, opts.Seed, iter, 0)
 		sum.PerOracle["smt"]++
 		if cerr == nil {
 			sum.Ran++
@@ -268,7 +272,7 @@ func ReplayRepro(r *Repro, pipelines map[string]*Pipeline) error {
 		}
 		return nil
 	case "smt":
-		return CheckSMT(r.Seed, r.Iter, 0)
+		return CheckSMT(solver.New(0), r.Seed, r.Iter, 0)
 	default:
 		return fmt.Errorf("fuzz: unknown oracle %q", r.Oracle)
 	}

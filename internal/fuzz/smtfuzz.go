@@ -5,7 +5,6 @@ import (
 
 	"iselgen/internal/bv"
 	"iselgen/internal/smt"
-	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -23,9 +22,10 @@ const (
 	smtTrials = 16
 )
 
-// CheckSMT runs one deterministic metamorphic iteration. maxConflicts
-// bounds the solver (0 = a fuzzing-sized default).
-func CheckSMT(seed uint64, iter int, maxConflicts int64) (err error) {
+// CheckSMT runs one deterministic metamorphic iteration against the
+// verdict memo. maxConflicts bounds the solver (0 = a fuzzing-sized
+// default).
+func CheckSMT(memo smt.Memo, seed uint64, iter int, maxConflicts int64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
@@ -54,13 +54,13 @@ func CheckSMT(seed uint64, iter int, maxConflicts int64) (err error) {
 		t2 = g.gen(w, smtDepth)
 	}
 
-	// The oracle consults the shared verdict memo like every other
+	// The oracle consults the run's verdict memo like every other
 	// checker user (memo → screen → bit-blast): a memo-induced verdict
 	// change would surface here as an eval disagreement, so fuzz runs
 	// double as a continuous check that memoization is verdict-
 	// preserving. The fingerprint is a constant — fuzz queries are pure
 	// term-pair truths with no spec behind them.
-	c := &smt.Checker{MaxConflicts: maxConflicts, Memo: solver.Shared, SpecFP: "fuzz-v1"}
+	c := &smt.Checker{MaxConflicts: maxConflicts, Memo: memo, SpecFP: "fuzz-v1"}
 	verdict := c.Equiv(b, t1, t2)
 
 	agreeAll := true

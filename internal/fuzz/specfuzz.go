@@ -13,6 +13,7 @@ import (
 	"iselgen/internal/isel"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
+	"iselgen/internal/solver"
 	"iselgen/internal/spec"
 	"iselgen/internal/term"
 )
@@ -99,6 +100,7 @@ func checkSpecSrc(src string, seed uint64, opts SpecOptions) (err error) {
 
 	synth := core.New(b, target, core.Config{
 		TestInputs: 64, MaxSeqLen: 1, SMTMaxConflicts: 8000, Workers: 2,
+		Verdicts: solver.New(0),
 	})
 	synth.BuildPool()
 	lib := rules.NewLibrary("zeta-fuzz")

@@ -208,11 +208,11 @@ type Encoding struct {
 	RoundTrips int    `json:"round_trips"`
 }
 
-// Evaluate runs every leg of the evaluation. Each leg, and each run of
-// a timed leg, starts from an empty solver.Shared, so no leg is warmed
-// by another. The timed legs (Fig. 8, Table II, §IX, the ablation) run
-// repeats times; a count that differs between runs is an error, as is a
-// machine-code round trip that diverges.
+// Evaluate runs every leg of the evaluation. Every synthesis in it,
+// each run of a timed leg included, gets a verdict store of its own, so
+// no leg is warmed by another. The timed legs (Fig. 8, Table II, §IX,
+// the ablation) run repeats times; a count that differs between runs is
+// an error, as is a machine-code round trip that diverges.
 func Evaluate(repeats int) (*Report, error) {
 	r := &Report{Machine: machine(), Workers: map[string]int{}}
 	var both []*Setup
@@ -242,7 +242,6 @@ func Evaluate(repeats int) (*Report, error) {
 		if leg.workers > 0 {
 			r.Workers[leg.name] = leg.workers
 		}
-		solver.Shared.Reset()
 		if err := leg.run(); err != nil {
 			return nil, fmt.Errorf("%s: %w", leg.name, err)
 		}
@@ -282,21 +281,20 @@ func synthesized(name string) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	solver.Shared.Reset()
-	s.Synthesize(core.DefaultConfig(), 0)
+	cfg := core.DefaultConfig()
+	cfg.Verdicts = solver.New(0)
+	s.Synthesize(cfg, 0)
 	return s, nil
 }
 
-// timed runs f repeats times, each from an empty verdict store and a
-// collected heap, and returns the first run's row with each of its
-// durations summarized over the runs. f returns its row without times;
-// rows that differ between runs are an error, because the legs report
-// work that must not depend on the run.
+// timed runs f repeats times, each from a collected heap, and returns
+// the first run's row with each of its durations summarized over the
+// runs. f returns its row without times; rows that differ between runs
+// are an error: the legs report work that must not depend on the run.
 func timed[R comparable](repeats int, f func() (R, []time.Duration, error)) (R, []Timing, error) {
 	var first R
 	var samples [][]float64
 	for i := 0; i < max(repeats, 1); i++ {
-		solver.Shared.Reset()
 		runtime.GC()
 		row, ds, err := f()
 		if err != nil {
@@ -346,7 +344,8 @@ func round(x float64, digits int) float64 {
 }
 
 // synth loads target name afresh, builds its pool under cfg and
-// matches pats against it, timing the two stages apart.
+// matches pats against it with an empty verdict store, timing the two
+// stages apart.
 func synth(name string, cfg core.Config, pats []*pattern.Pattern) (*core.Synthesizer, Work, [2]time.Duration, error) {
 	bt, err := targets.Lookup(name)
 	if err != nil {
@@ -357,7 +356,7 @@ func synth(name string, cfg core.Config, pats []*pattern.Pattern) (*core.Synthes
 	if err != nil {
 		return nil, Work{}, [2]time.Duration{}, err
 	}
-	cfg.ExtraSequences = bt.Extra
+	cfg.ExtraSequences, cfg.Verdicts = bt.Extra, solver.New(0)
 	t0 := time.Now()
 	sy := core.New(b, tgt, cfg)
 	sy.BuildPool()
@@ -392,11 +391,12 @@ func fig6(s *Setup) (Fig6, error) {
 	return Fig6{s.Name, s.Handwritten.Lib.Summarize(), s.SynthLib.Summarize()}, nil
 }
 
-// fig7 matches growing corpus prefixes against s's pool.
+// fig7 matches growing corpus prefixes against s's pool, each with an
+// empty verdict store.
 func fig7(s *Setup) Fig7 {
 	out := Fig7{Target: s.Name}
 	for _, budget := range []int{25, 50, 100, 200, 400, 0} {
-		solver.Shared.Reset()
+		s.Synther.Cfg.Verdicts = solver.New(0)
 		pats := CorpusPatterns(s.Name, budget)
 		lib := rules.NewLibrary(s.Name)
 		s.Synther.Synthesize(pats, lib)

@@ -1,25 +1,6 @@
 package harness
 
-import (
-	"strings"
-	"testing"
-
-	"iselgen/internal/core"
-)
-
-// The harness tests run a scaled-down synthesis (fewer test inputs) so
-// the whole selection path stays fast in CI.
-func quickSetup(t *testing.T, name string) *Setup {
-	t.Helper()
-	s, err := New(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.TestInputs = 48
-	s.Synthesize(cfg, 0)
-	return s
-}
+import "testing"
 
 func TestCorpusPatternsContainSeeds(t *testing.T) {
 	pats := CorpusPatterns("aarch64", 0)
@@ -46,29 +27,6 @@ func TestSeedPatternsWellFormed(t *testing.T) {
 		if p.Size() < 1 {
 			t.Errorf("empty pattern %s", p)
 		}
-	}
-}
-
-func TestEndToEndRISCV(t *testing.T) {
-	s := quickSetup(t, "riscv")
-	if s.SynthLib.Len() < 40 {
-		t.Errorf("synthesized only %d rules", s.SynthLib.Len())
-	}
-	rows, err := s.RunSuite(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 9 workloads × 3 backends.
-	if len(rows) != 27 {
-		t.Errorf("rows = %d", len(rows))
-	}
-	norm := Normalized(rows, "selectiondag")
-	g := GeoMean(norm, "synth")
-	if g < 0.8 || g > 1.2 {
-		t.Errorf("synth geomean %.3f outside the paper's shape", g)
-	}
-	if out := s.TableII(s.SynthLib); !strings.Contains(out, "Index Lookup") {
-		t.Error("TableII malformed")
 	}
 }
 

@@ -59,8 +59,7 @@ func TestDisabledObsOverhead(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg := core.DefaultConfig()
-				cfg.Obs = o
-				solver.Shared.Reset()
+				cfg.Obs, cfg.Verdicts = o, solver.New(0)
 				t0 := time.Now()
 				lib := s.Synthesize(cfg, 0)
 				return isel.SaveLibraryFor(lib, s.ISA), time.Since(t0)

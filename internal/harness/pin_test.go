@@ -3,6 +3,7 @@ package harness
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"testing"
 
 	"iselgen/internal/core"
@@ -22,7 +23,8 @@ var pinnedLibraries = map[string]string{
 
 // TestBuiltinLibrariesPinned synthesizes each pinned target the way
 // iselgen does — default configuration, the full corpus, an empty
-// verdict memo — and compares the saved library's hash with the pin.
+// verdict memo — and compares the saved library's hash with the pin. It
+// also checks the Table II breakdown iselgen prints beside it.
 func TestBuiltinLibrariesPinned(t *testing.T) {
 	for name, want := range pinnedLibraries {
 		t.Run(name, func(t *testing.T) {
@@ -30,11 +32,15 @@ func TestBuiltinLibrariesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			solver.Shared.Reset()
-			lib := s.Synthesize(core.DefaultConfig(), 0)
+			cfg := core.DefaultConfig()
+			cfg.Verdicts = solver.New(0)
+			lib := s.Synthesize(cfg, 0)
 			sum := sha256.Sum256([]byte(isel.SaveLibraryFor(lib, s.ISA)))
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("saved %s library (%d rules) hashes to %s, pinned %s", name, lib.Len(), got, want)
+			}
+			if out := s.TableII(lib); !strings.Contains(out, "Index Lookup") {
+				t.Errorf("iselgen's Table II breakdown lacks its Index Lookup row:\n%s", out)
 			}
 		})
 	}

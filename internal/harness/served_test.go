@@ -12,25 +12,25 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
 	"iselgen/internal/service"
-	"iselgen/internal/solver"
 )
 
 // TestServedLibrariesPinned holds the library iseld serves under its
 // default flags to the pins: the daemon and iselgen synthesize one
 // library per target.
 func TestServedLibrariesPinned(t *testing.T) {
-	sv, err := service.New(service.Config{Workers: 1, QueueDepth: 2, Synth: core.DefaultConfig()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(sv.Handler())
-	defer func() {
-		ts.Close()
-		sv.Close()
-	}()
 	for name, want := range harness.PinnedLibraries {
 		t.Run(name, func(t *testing.T) {
-			solver.Shared.Reset()
+			// A server per target, as the pins were taken from an empty
+			// verdict store.
+			sv, err := service.New(service.Config{Workers: 1, QueueDepth: 2, Synth: core.DefaultConfig()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(sv.Handler())
+			defer func() {
+				ts.Close()
+				sv.Close()
+			}()
 			body, _ := json.Marshal(service.FillRequest{Target: name})
 			resp, err := http.Post(ts.URL+"/v1/artifact", "application/json", bytes.NewReader(body))
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"iselgen/internal/core"
 	"iselgen/internal/harness"
 	"iselgen/internal/isel"
+	"iselgen/internal/solver"
 )
 
 // TestBuiltinNoOpResynthesis is the floor of incremental cost on a real
@@ -25,6 +26,7 @@ func TestBuiltinNoOpResynthesis(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := core.DefaultConfig()
+			cfg.Verdicts = solver.New(0)
 			lib := s.Synthesize(cfg, 0)
 			art, err := ParseArtifact(isel.SaveLibraryFor(lib, s.ISA))
 			if err != nil {

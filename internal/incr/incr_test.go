@@ -12,6 +12,7 @@ import (
 	"iselgen/internal/isel"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -62,7 +63,9 @@ func bigPatterns() []*pattern.Pattern {
 	return out
 }
 
-var bigCfg = core.Config{TestInputs: 16, MaxSeqLen: 1, Workers: 4}
+// bigCfg's verdict store is shared by every synthesis of the package's
+// tests, as one store serves a daemon's runs.
+var bigCfg = core.Config{TestInputs: 16, MaxSeqLen: 1, Workers: 4, Verdicts: solver.New(0)}
 
 func synthBig(t *testing.T, spec string) (*term.Builder, *isa.Target, *rules.Library, *core.Synthesizer) {
 	t.Helper()

@@ -12,6 +12,7 @@ import (
 	"iselgen/internal/isa/x86"
 	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
+	"iselgen/internal/solver"
 	"iselgen/internal/term"
 )
 
@@ -71,7 +72,7 @@ func TestRoundTripX86(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	synth := core.New(b, tgt, core.Config{TestInputs: 32, Workers: 2})
+	synth := core.New(b, tgt, core.Config{TestInputs: 32, Workers: 2, Verdicts: solver.New(0)})
 	synth.BuildPool()
 	r32 := func() *pattern.Node { return pattern.Leaf(gmir.S32) }
 	i32 := func() *pattern.Node { return pattern.ImmLeaf(gmir.S32) }

@@ -80,7 +80,7 @@ type MetricsSnapshot struct {
 	JobsRejected   uint64          `json:"jobs_rejected"`
 	Stages         core.StageStats `json:"stages"`
 
-	// Solver verdict-memo surface (the process-wide solver.Shared store):
+	// Solver verdict-memo surface (the store this server owns):
 	// lookup traffic, resident entries, journal accounting, and the
 	// query-endpoint counters.
 	SolverMemoHits    int64               `json:"solver_memo_hits"`

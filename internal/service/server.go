@@ -126,16 +126,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Logger != nil {
-		lg := cfg.Logger
-		store.SetLogger(func(format string, args ...any) {
-			lg.Warn(fmt.Sprintf(format, args...))
-		})
-	}
 	// Thread the observability sink into every synthesis job the server
 	// runs (safe: Obs is not part of any cache fingerprint).
 	if cfg.Synth.Obs == nil {
 		cfg.Synth.Obs = cfg.Obs
+	}
+	// Likewise the verdict memo: the server owns it, so every synthesis,
+	// solver endpoint and memo metric of this server reads one store.
+	if cfg.Synth.Verdicts == nil {
+		cfg.Synth.Verdicts = solver.New(0)
+	}
+	if lg := cfg.Logger; lg != nil {
+		warn := func(format string, args ...any) { lg.Warn(fmt.Sprintf(format, args...)) }
+		store.SetLogger(warn)
+		cfg.Synth.Verdicts.SetLogger(warn)
 	}
 	sample := cfg.TraceSample
 	switch {
@@ -159,6 +163,7 @@ func New(cfg Config) (*Server, error) {
 		start:    time.Now(),
 		build:    readBuildInfo(),
 	}
+	sv.attachJournal()
 	sv.builtins = map[string]*builtinSlot{}
 	for _, bt := range targets.All() {
 		sv.builtins[bt.Name] = &builtinSlot{bt: bt}
@@ -193,12 +198,14 @@ func (sv *Server) HandleFunc(pattern string, h http.HandlerFunc) { sv.mux.Handle
 
 // Close drains the scheduler: queued and in-flight synthesis jobs finish
 // (completing their flights) before Close returns, then the store's
-// persist queue is flushed and its writer stopped.
+// persist queue is flushed and its writer stopped, and the verdict
+// journal is closed.
 func (sv *Server) Close() {
 	sv.closing.Store(true)
 	sv.jobs.wait(context.Background())
 	sv.sched.Close()
 	sv.store.Close()
+	sv.cfg.Synth.Verdicts.Close()
 }
 
 // Shutdown is the graceful half of Close: it stops admitting async
@@ -873,7 +880,7 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sv.lineageMu.Lock()
 	lineages := len(sv.lineages)
 	sv.lineageMu.Unlock()
-	memoHits, memoMisses, memoStores := solver.Shared.Counters()
+	memoHits, memoMisses, memoStores := sv.cfg.Synth.Verdicts.Counters()
 	var exemplars []obs.HistExemplar
 	if m := sv.obsv.MetricsOrNil(); m != nil {
 		exemplars = m.TraceExemplars()
@@ -909,8 +916,8 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		SolverMemoHits:    memoHits,
 		SolverMemoMisses:  memoMisses,
 		SolverMemoStores:  memoStores,
-		SolverMemoEntries: solver.Shared.Len(),
-		SolverJournal:     solver.Shared.Journal(),
+		SolverMemoEntries: sv.cfg.Synth.Verdicts.Len(),
+		SolverJournal:     sv.cfg.Synth.Verdicts.Journal(),
 		MemoServed:        sv.metrics.MemoServed.Load(),
 		TraceExemplars:    exemplars,
 	})

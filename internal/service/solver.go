@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"sort"
 
 	"iselgen/internal/obs"
@@ -35,6 +36,28 @@ type SolverQueryResponse struct {
 	Entry *smt.MemoEntry `json:"entry,omitempty"`
 }
 
+// attachJournal persists the server's verdict memo beside the disk
+// artifacts, when there are any: settled equivalence verdicts from past
+// lifetimes replay at startup, so a warm restart re-verifies libraries
+// without re-running a single bit-blast. A journal that cannot be opened
+// leaves the memo in memory only.
+func (sv *Server) attachJournal() {
+	if sv.cfg.CacheDir == "" {
+		return
+	}
+	verdicts, lg := sv.cfg.Synth.Verdicts, sv.logger
+	jp := filepath.Join(sv.cfg.CacheDir, "solver.journal")
+	err := verdicts.AttachJournal(jp)
+	switch {
+	case lg == nil:
+	case err != nil:
+		lg.Warn("solver journal unavailable, memo is in-memory only", "path", jp, "err", err.Error())
+	default:
+		js := verdicts.Journal()
+		lg.Info("solver journal attached", "path", jp, "verdicts", js.Loaded, "quarantined", js.Quarantined)
+	}
+}
+
 func (sv *Server) handleSolverQueryGet(w http.ResponseWriter, r *http.Request) {
 	sv.answerSolverQuery(w, r.URL.Query().Get("key"))
 }
@@ -54,7 +77,7 @@ func (sv *Server) answerSolverQuery(w http.ResponseWriter, key string) {
 		sv.fail(w, http.StatusBadRequest, errors.New(`solver query needs a "key"`))
 		return
 	}
-	if e, ok := solver.Shared.Lookup(key); ok {
+	if e, ok := sv.cfg.Synth.Verdicts.Lookup(key); ok {
 		sv.metrics.MemoServed.Add(1)
 		writeJSON(w, http.StatusOK, SolverQueryResponse{
 			Key: key, Found: true, Source: "local", Verdict: e.Verdict.String(), Entry: &e})
@@ -175,7 +198,7 @@ func (sv *Server) handleRuleWhy(w http.ResponseWriter, r *http.Request) {
 	resp.Source = found.Source
 	resp.Provenance = found.Prov
 	resp.Context = "synthesis:" + found.Pattern.Key()
-	qs := solver.Shared.ByContext(resp.Context)
+	qs := sv.cfg.Synth.Verdicts.ByContext(resp.Context)
 	sort.Slice(qs, func(i, j int) bool { return qs[i].Key < qs[j].Key })
 	resp.MemoQueries = qs
 	if p := sv.obsv.ProvOrNil(); p != nil {

@@ -7,7 +7,6 @@ import (
 
 	"iselgen/internal/rules"
 	"iselgen/internal/smt"
-	"iselgen/internal/solver"
 )
 
 func getSolverQuery(t *testing.T, base, key string) (int, SolverQueryResponse) {
@@ -31,7 +30,6 @@ func getSolverQuery(t *testing.T, base, key string) (int, SolverQueryResponse) {
 // spec is fully index-proven, so the memo entry is planted under the
 // rule's real context exactly as a synthesis worker would store it.)
 func TestSolverQueryAndRuleWhy(t *testing.T) {
-	solver.Shared.Reset()
 	sv, ts := newTestServer(t, testConfig())
 
 	status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec})
@@ -80,7 +78,7 @@ func TestSolverQueryAndRuleWhy(t *testing.T) {
 		}
 	}
 	key := "cafe" + fp
-	solver.Shared.Store(key, smt.MemoEntry{Verdict: smt.Equal, SpecFP: "spec-fp", Budget: 64, Context: ctx})
+	sv.cfg.Synth.Verdicts.Store(key, smt.MemoEntry{Verdict: smt.Equal, SpecFP: "spec-fp", Budget: 64, Context: ctx})
 
 	resp, err := http.Get(ts.URL + "/v1/rules/" + fp + "/why")
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package solver is the session-persistent SMT verdict service: a
-// process-wide, content-addressed store of settled equivalence verdicts
-// that survives across synthesis runs (in memory) and across processes
-// (an append-only disk journal under the service cache directory).
+// content-addressed store of settled equivalence verdicts that survives
+// across the synthesis runs its owner passes it to (in memory) and
+// across processes (an append-only journal in the service's cache).
 //
 // The checker (internal/smt) owns key derivation and the trust policy —
 // this package is deliberately a dumb store: it never solves, never
@@ -47,13 +47,6 @@ const DefaultCap = 1 << 16
 // in it; at 256 witnesses a screen is still microseconds.
 const MaxWitnesses = 256
 
-// Shared is the process-wide store every checker consults by default: a
-// verdict or witness found while matching one pattern serves every other
-// pattern, across goroutines and across synthesis runs in the same
-// process. It starts journal-less (pure in-memory); daemons and
-// benchmarks attach a journal explicitly.
-var Shared = New(DefaultCap)
-
 // record is one journal line.
 type record struct {
 	K string        `json:"k"`
@@ -95,12 +88,13 @@ func New(capEach int) *Store {
 		capEach = DefaultCap
 	}
 	s := &Store{
-		hot:     make(map[string]smt.MemoEntry),
-		cold:    make(map[string]smt.MemoEntry),
-		capEach: capEach,
-		logf:    log.Printf,
+		hot:         make(map[string]smt.MemoEntry),
+		cold:        make(map[string]smt.MemoEntry),
+		capEach:     capEach,
+		witnessSeen: make(map[uint64]struct{}),
+		logf:        log.Printf,
 	}
-	s.clearWitnessesLocked()
+	s.witnesses.Store(&[]map[string]bv.BV{})
 	return s
 }
 
@@ -192,11 +186,6 @@ func (s *Store) addWitnessLocked(e smt.MemoEntry) {
 	copy(next, old)
 	next = append(next, e.Cex)
 	s.witnesses.Store(&next)
-}
-
-func (s *Store) clearWitnessesLocked() {
-	s.witnessSeen = make(map[uint64]struct{})
-	s.witnesses.Store(&[]map[string]bv.BV{})
 }
 
 // witnessFingerprint hashes an assignment for dedupe, independent of map
@@ -332,9 +321,9 @@ func (s *Store) AttachJournal(path string) error {
 	return nil
 }
 
-// DetachJournal closes the journal (if any); the in-memory tiers keep
+// Close closes the journal (if any); the in-memory tiers keep
 // serving.
-func (s *Store) DetachJournal() {
+func (s *Store) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal != nil {
@@ -342,22 +331,6 @@ func (s *Store) DetachJournal() {
 		s.journal = nil
 		s.journalPath = ""
 	}
-}
-
-// Reset empties the in-memory tiers and the witness set and zeroes the
-// hit/miss/store counters, used by benchmarks that need a provably cold
-// run. An
-// attached journal stays attached (and keeps its line accounting):
-// resetting forgets verdicts, it does not unwrite them.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hot = make(map[string]smt.MemoEntry)
-	s.cold = make(map[string]smt.MemoEntry)
-	s.clearWitnessesLocked()
-	s.hits.Store(0)
-	s.misses.Store(0)
-	s.stores.Store(0)
 }
 
 // Len reports how many distinct entries the tiers currently hold.
@@ -374,7 +347,7 @@ func (s *Store) Len() int {
 }
 
 // Counters reports lifetime lookups that hit, lookups that missed, and
-// stores accepted (since the last Reset).
+// stores accepted.
 func (s *Store) Counters() (hits, misses, stores int64) {
 	return s.hits.Load(), s.misses.Load(), s.stores.Load()
 }

@@ -83,7 +83,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if js.Appended != 2 || js.Entries != 2 || js.Loaded != 0 {
 		t.Fatalf("journal stats = %+v", js)
 	}
-	s.DetachJournal()
+	s.Close()
 
 	// A fresh store (fresh process) replays the journal.
 	s2 := New(0)
@@ -144,7 +144,7 @@ func TestJournalCorruptionQuarantined(t *testing.T) {
 	// The truncated tail must have been cut so the next append starts on
 	// a clean line boundary, and a re-attach then loads everything.
 	s.Store("e", entry(smt.Equal, "fp", 1))
-	s.DetachJournal()
+	s.Close()
 	s2 := New(0)
 	if err := s2.AttachJournal(jp); err != nil {
 		t.Fatal(err)
@@ -152,30 +152,6 @@ func TestJournalCorruptionQuarantined(t *testing.T) {
 	js = s2.Journal()
 	if js.Loaded != 3 || js.Quarantined != 0 {
 		t.Fatalf("re-attach stats = %+v, want 3 loaded / 0 quarantined", js)
-	}
-}
-
-func TestResetKeepsJournalAttached(t *testing.T) {
-	dir := t.TempDir()
-	jp := filepath.Join(dir, "solver.journal")
-	s := New(0)
-	if err := s.AttachJournal(jp); err != nil {
-		t.Fatal(err)
-	}
-	s.Store("a", entry(smt.Equal, "fp", 1))
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("reset left entries in memory")
-	}
-	s.Store("b", entry(smt.Equal, "fp", 1))
-	s.DetachJournal()
-	data, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reset forgets verdicts but does not unwrite the journal.
-	if !strings.Contains(string(data), `"k":"a"`) || !strings.Contains(string(data), `"k":"b"`) {
-		t.Fatalf("journal after reset:\n%s", data)
 	}
 }
 
@@ -211,8 +187,7 @@ func refuted(x uint64) smt.MemoEntry {
 
 // TestWitnesses pins the screen's sample set: only NotEqual entries with
 // a counterexample feed it, identical witnesses are kept once, the cap
-// keeps the newest MaxWitnesses, journal replay restores the set, and
-// Reset clears it.
+// keeps the newest MaxWitnesses, and journal replay restores the set.
 func TestWitnesses(t *testing.T) {
 	jp := filepath.Join(t.TempDir(), "solver.journal")
 	s := New(0)
@@ -249,30 +224,22 @@ func TestWitnesses(t *testing.T) {
 	if w := s.Witnesses(); w[len(w)-1]["x"].Lo != 1 {
 		t.Fatal("an evicted witness was not re-admitted as the newest")
 	}
-	s.DetachJournal()
+	s.Close()
 
 	s2 := New(0)
 	if err := s2.AttachJournal(jp); err != nil {
 		t.Fatal(err)
 	}
-	defer s2.DetachJournal()
+	defer s2.Close()
 	if w := s2.Witnesses(); len(w) != MaxWitnesses || w[len(w)-1]["x"].Lo != 1 {
 		t.Fatalf("journal replay restored %d witnesses (newest x=%d), want %d ending in x=1",
 			len(w), w[len(w)-1]["x"].Lo, MaxWitnesses)
 	}
-	s2.Reset()
-	if n := len(s2.Witnesses()); n != 0 {
-		t.Fatalf("Reset left %d witnesses", n)
-	}
-	s2.Store("a", refuted(1))
-	if n := len(s2.Witnesses()); n != 1 {
-		t.Fatalf("Reset left a stale dedupe entry: %d witnesses after one store, want 1", n)
-	}
 }
 
 // TestWitnessesConcurrent hammers one store from every CPU with Store,
-// Lookup, Witnesses and a periodic Reset — a race-detector target for
-// the copy-on-write witness snapshot and its dedupe bookkeeping.
+// Lookup and Witnesses — a race-detector target for the copy-on-write
+// witness snapshot, its dedupe bookkeeping and the tier rotation.
 func TestWitnessesConcurrent(t *testing.T) {
 	s := New(64)
 	workers := runtime.NumCPU() + 2
@@ -284,18 +251,14 @@ func TestWitnessesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				x := uint64(g*iters + i)
-				switch i % 4 {
+				switch i % 3 {
 				case 0:
 					s.Store(fmt.Sprintf("k%d", x), refuted(x))
 				case 1:
 					s.Lookup(fmt.Sprintf("k%d", x-1))
-				case 2:
+				default:
 					for _, w := range s.Witnesses() {
 						_ = w["x"]
-					}
-				default:
-					if g == 0 && i%100 == 3 {
-						s.Reset()
 					}
 				}
 			}
