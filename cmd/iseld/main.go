@@ -67,9 +67,9 @@
 // circuit breakers isolate dead replicas, and everything degrades to
 // local-only service when the fleet is unreachable. Peers exchange only
 // persisted library artifacts and trace spans. A spec edit is
-// resynthesized from the artifact of its lineage's previous revision. On SIGTERM the
-// daemon stops accepting, drains in-flight work under -drain-timeout,
-// and flushes the disk cache before exiting.
+// resynthesized from its lineage's cached revision, and replaces it in
+// the cache. On SIGTERM the daemon stops accepting, drains in-flight
+// work under -drain-timeout, and flushes the disk cache before exiting.
 package main
 
 import (
@@ -93,7 +93,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8791", "listen address")
 	cacheDir := flag.String("cache-dir", "", "disk cache directory for artifacts and the solver journal (empty = memory only)")
-	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries, and on the lineage artifacts spec edits resynthesize from (0 = unbounded)")
+	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries, which keep one revision per edited spec (0 = unbounded)")
 	workers := flag.Int("workers", 2, "synthesis jobs running at once")
 	synthWorkers := flag.Int("synth-workers", 0, "matcher threads per synthesis job (0 = NumCPU)")
 	queue := flag.Int("queue", 8, "waiting-job queue depth (full queue answers 429)")

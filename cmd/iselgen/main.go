@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -138,10 +139,7 @@ func runIncremental(target, specFile, fromPath string, cfg core.Config, maxPatte
 	if err != nil {
 		fatal(err)
 	}
-	lib, rep, err := incr.Resynthesize(b, tgt, art, incr.Options{Config: cfg, Patterns: pats})
-	if err != nil {
-		fatal(err)
-	}
+	lib, rep := incr.Resynthesize(context.Background(), b, tgt, art, incr.Options{Config: cfg, Patterns: pats})
 	d := rep.Delta
 	report := fmt.Sprintf(
 		"delta: %d changed, %d added, %d removed, %d unchanged instructions\n"+

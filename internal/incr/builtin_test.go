@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -38,11 +39,8 @@ func TestBuiltinNoOpResynthesis(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.ExtraSequences = harness.ExtraSequences(name)
-			lib2, rep, err := Resynthesize(s2.B, s2.ISA, art,
+			lib2, rep := Resynthesize(context.Background(), s2.B, s2.ISA, art,
 				Options{Config: cfg, Patterns: harness.CorpusPatterns(name, 0)})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if rep.Reused != lib.Len() || rep.Resynthesized != 0 || rep.SMTQueries != 0 || rep.FullPool {
 				t.Errorf("no-op resynthesis of %d rules did work: reused %d, resynthesized %d, %d SMT queries, full pool %v",
 					lib.Len(), rep.Reused, rep.Resynthesized, rep.SMTQueries, rep.FullPool)

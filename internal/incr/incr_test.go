@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -120,10 +121,7 @@ func TestIncrementalOneInstructionEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib3, rep, err := Resynthesize(b3, tgt3, art, Options{Config: bigCfg, Patterns: bigPatterns()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib3, rep := Resynthesize(context.Background(), b3, tgt3, art, Options{Config: bigCfg, Patterns: bigPatterns()})
 
 	if got := rep.Delta.Changed; len(got) != 1 || got[0] != "XOR64rr" {
 		t.Errorf("delta changed = %v, want [XOR64rr]", got)
@@ -173,10 +171,7 @@ func TestIncrementalAddInstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib3, rep, err := Resynthesize(b3, tgt3, art, Options{Config: bigCfg, Patterns: bigPatterns()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib3, rep := Resynthesize(context.Background(), b3, tgt3, art, Options{Config: bigCfg, Patterns: bigPatterns()})
 	if rep.Reused != lib1.Len() || rep.Stale != 0 {
 		t.Errorf("reused %d stale %d, want %d/0", rep.Reused, rep.Stale, lib1.Len())
 	}
@@ -222,10 +217,7 @@ func TestIncrementalNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, rep, err := Resynthesize(b, tgt, art, Options{Config: bigCfg, Patterns: bigPatterns()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib, rep := Resynthesize(context.Background(), b, tgt, art, Options{Config: bigCfg, Patterns: bigPatterns()})
 	if len(rep.Delta.Changed)+len(rep.Delta.Added)+len(rep.Delta.Removed) != 0 {
 		t.Errorf("no-op edit produced a delta: %+v", rep.Delta)
 	}
@@ -306,10 +298,7 @@ func TestPreProvenanceArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, rep, err := Resynthesize(b, tgt, art, Options{Config: bigCfg, Patterns: bigPatterns()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib, rep := Resynthesize(context.Background(), b, tgt, art, Options{Config: bigCfg, Patterns: bigPatterns()})
 	if rep.Reused != 0 || rep.Stale != lib1.Len() || !rep.FullPool {
 		t.Errorf("pre-provenance artifact: %+v, want all stale + full pool", rep)
 	}
@@ -338,10 +327,7 @@ func TestReverifyFailedRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lib, rep, err := Resynthesize(b, tgt, art, Options{Config: bigCfg, Patterns: bigPatterns()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lib, rep := Resynthesize(context.Background(), b, tgt, art, Options{Config: bigCfg, Patterns: bigPatterns()})
 	if rep.ReverifyFailed != 1 {
 		t.Errorf("reverify failed = %d, want 1", rep.ReverifyFailed)
 	}

@@ -17,16 +17,13 @@ type Options struct {
 	// Config must match the configuration of the run that produced the
 	// artifact (same CacheKey modulo Workers): the reuse argument assumes
 	// the old library is what this configuration produces from the old
-	// spec. The service enforces this by keying artifact lineages on the
+	// spec. The service enforces this by keying lineages on the
 	// config; CLI users are on their honor.
 	Config core.Config
 	// Patterns must be the same corpus the artifact was synthesized from.
 	// A pattern the old run never attempted would only be searched against
 	// the reduced pool, missing rules from unchanged instructions.
 	Patterns []*pattern.Pattern
-	// Context, when non-nil, curtails SMT fallbacks past its deadline
-	// (core.SynthesizeCtx semantics); the result is then partial.
-	Context context.Context
 }
 
 // Report accounts for one incremental resynthesis — the reuse counters
@@ -74,8 +71,10 @@ func (r *Report) ReusedFraction() float64 {
 //     new rule displaces the reused one only when strictly cheaper (ties
 //     keep the reused rule, and its proof origin).
 //
-// The target must have been loaded into b.
-func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) (*rules.Library, *Report, error) {
+// The target must have been loaded into b. ctx curtails SMT fallbacks
+// past its deadline (core.SynthesizeCtx semantics); the result is then
+// partial, and the report says so.
+func Resynthesize(ctx context.Context, b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) (*rules.Library, *Report) {
 	t0 := time.Now()
 	rep := &Report{ArtifactRules: len(art.Rules)}
 	newFPs := InstFingerprints(tgt)
@@ -156,7 +155,7 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 				seeded[r] = true
 			}
 		}
-		rep.Curtailed = runSynth(syn, opt.Context, reducedPats, rlib) || rep.Curtailed
+		rep.Curtailed = syn.SynthesizeCtx(ctx, reducedPats, rlib) || rep.Curtailed
 		accumulate(rep, syn)
 		for _, p := range reducedPats {
 			k := p.Key()
@@ -212,7 +211,7 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 		syn := core.New(b, tgt, opt.Config)
 		syn.BuildPool()
 		before := lib.Len()
-		rep.Curtailed = runSynth(syn, opt.Context, fullPats, lib) || rep.Curtailed
+		rep.Curtailed = syn.SynthesizeCtx(ctx, fullPats, lib) || rep.Curtailed
 		rep.Resynthesized += lib.Len() - before
 		rep.FullPool = true
 		accumulate(rep, syn)
@@ -220,15 +219,7 @@ func Resynthesize(b *term.Builder, tgt *isa.Target, art *Artifact, opt Options) 
 
 	rep.SMTQueries = rep.Stats.SMTQueries
 	rep.ElapsedMS = float64(time.Since(t0).Nanoseconds()) / 1e6
-	return lib, rep, nil
-}
-
-func runSynth(syn *core.Synthesizer, ctx context.Context, pats []*pattern.Pattern, lib *rules.Library) bool {
-	if ctx != nil {
-		return syn.SynthesizeCtx(ctx, pats, lib)
-	}
-	syn.Synthesize(pats, lib)
-	return false
+	return lib, rep
 }
 
 func accumulate(rep *Report, syn *core.Synthesizer) {

@@ -20,7 +20,7 @@ type Metrics struct {
 	SynthRuns  atomic.Uint64 // full synthesis executions
 	PartialRes atomic.Uint64 // deadline-curtailed (partial) results
 
-	IncrRuns     atomic.Uint64 // incremental resyntheses from a lineage's artifact
+	IncrRuns     atomic.Uint64 // incremental resyntheses from a lineage's resident entry
 	RulesReused  atomic.Uint64 // rules carried over re-verified (zero solver queries)
 	RulesResynth atomic.Uint64 // rules synthesized by incremental runs
 	Errors       atomic.Uint64 // requests answered with an error status
@@ -72,7 +72,6 @@ type MetricsSnapshot struct {
 	JobsActive     int             `json:"jobs_active"`
 	CachedEntries  int             `json:"cached_entries"`
 	Evictions      uint64          `json:"evictions"`
-	ShardLineages  int             `json:"shard_lineages"` // lineages holding an artifact
 	QueueDepth     int             `json:"queue_depth"`
 	QueueCapacity  int             `json:"queue_capacity"`
 	InFlight       int64           `json:"in_flight"`

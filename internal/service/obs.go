@@ -317,7 +317,7 @@ func (sv *Server) registerGauges() {
 		func() int64 { return int64(sv.metrics.Joins.Load()) })
 	mirror("synth_runs", "full synthesis executions",
 		func() int64 { return int64(sv.metrics.SynthRuns.Load()) })
-	mirror("incr_runs", "incremental resyntheses from a lineage's artifact",
+	mirror("incr_runs", "incremental resyntheses from a lineage's resident entry",
 		func() int64 { return int64(sv.metrics.IncrRuns.Load()) })
 	mirror("partial_results", "deadline-curtailed synthesis results",
 		func() int64 { return int64(sv.metrics.PartialRes.Load()) })

@@ -42,10 +42,10 @@ type Config struct {
 	QueueDepth int
 	// CacheDir, when non-empty, enables the disk artifact layer.
 	CacheDir string
-	// CacheEntries, when positive, caps the in-memory library cache and,
-	// separately, the lineage artifacts kept for incremental resynthesis;
-	// past either cap the least-recently-used one is evicted (0 =
-	// unbounded).
+	// CacheEntries, when positive, caps the in-memory library cache;
+	// past the cap the least-recently-used entry is evicted (0 =
+	// unbounded). Whatever the cap, the cache keeps at most one entry
+	// per lineage: an edit's library replaces its base.
 	CacheEntries int
 	// Synth is the server-wide synthesis configuration; its semantic
 	// knobs are part of every fingerprint.
@@ -88,15 +88,6 @@ type Server struct {
 	collector TraceCollector
 	sample    float64
 	builtins  map[string]*builtinSlot
-
-	// lineages maps a lineage key to the persisted artifact
-	// (isel.SaveLibraryFor) of its latest full-quality entry: what the
-	// lineage's next spec edit resynthesizes from. With CacheEntries set
-	// it holds at most that many, evicting the one least recently
-	// recorded or read.
-	lineageMu    sync.Mutex
-	lineages     map[string]*lineageArt
-	lineageClock uint64
 
 	obsv    *obs.Obs
 	logger  *slog.Logger
@@ -151,17 +142,16 @@ func New(cfg Config) (*Server, error) {
 		sample = 1
 	}
 	sv := &Server{
-		cfg:      cfg,
-		store:    store,
-		sched:    NewScheduler(cfg.Workers, cfg.QueueDepth),
-		mux:      http.NewServeMux(),
-		jobs:     newJobTable(cfg.MaxJobs),
-		sample:   sample,
-		lineages: map[string]*lineageArt{},
-		obsv:     cfg.Obs,
-		logger:   cfg.Logger,
-		start:    time.Now(),
-		build:    readBuildInfo(),
+		cfg:    cfg,
+		store:  store,
+		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
+		mux:    http.NewServeMux(),
+		jobs:   newJobTable(cfg.MaxJobs),
+		sample: sample,
+		obsv:   cfg.Obs,
+		logger: cfg.Logger,
+		start:  time.Now(),
+		build:  readBuildInfo(),
 	}
 	sv.attachJournal()
 	sv.builtins = map[string]*builtinSlot{}
@@ -321,10 +311,10 @@ func (sv *Server) resolveBuiltin(bt *targets.Builtin) *targetDef {
 // wiring in its special sequences (§VII-A) unless the server config sets
 // its own — and derives the keys the result yields. The deadline is
 // deliberately not part of the key: partial results are never cached,
-// and a full result is identical whatever budget it ran under. The lineage key is the fingerprint *minus the
-// spec text*: two revisions of a spec share a lineage, which is exactly
-// what lets the second revision resynthesize from the first one's
-// artifact.
+// and a full result is identical whatever budget it ran under. The
+// lineage key is the fingerprint *minus the spec text*: two revisions of
+// a spec share a lineage, which is exactly what lets the second revision
+// resynthesize from the first one's cached entry, and then replace it.
 func (sv *Server) define(def *targetDef, extra func(*term.Builder, *isa.Target) []*isa.Sequence) *targetDef {
 	cfg := sv.cfg.Synth
 	if cfg.ExtraSequences == nil {
@@ -351,7 +341,7 @@ func (sv *Server) timeout(ms int64) time.Duration {
 // hit, or join an in-flight job, or own a new job (disk layer, then —
 // with allowPeer — a peer fill from the fingerprint's ring owner, then
 // synthesis under the deadline). The returned cache string is the path
-// taken: "hit", "disk", "peer", "miss", or "join". On error, the
+// taken: "hit", "disk", "peer", "incr", "miss", or "join". On error, the
 // returned status is the HTTP code to answer with. allowPeer is false
 // exactly when the request *is* a peer fill, so replicas can never fill
 // from each other in a cycle.
@@ -382,10 +372,10 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 			if err == nil {
 				origin = ent.Origin
 			}
-			// The flight span ends, and fill has recorded the lineage's
-			// artifact, before Complete wakes the waiters: a sampled
-			// request's trace is whole once it answers, and the client's
-			// next edit of this lineage finds the artifact.
+			// The flight span ends before Complete wakes the waiters, so a
+			// sampled request's trace is whole once it answers. Complete
+			// also caches the entry before it wakes them, so the client's
+			// next edit of this lineage finds it as its base.
 			fsp.SetStr("origin", origin).End()
 			sv.store.Complete(fp, ent, err)
 		}
@@ -424,11 +414,11 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 }
 
 // fill produces the entry for an owned flight: the disk layer, then —
-// with allowPeer — a peer fill, then an incremental or from-scratch
-// synthesis. A full-quality entry is recorded as its lineage's artifact
-// before fill returns. A panic on the way becomes the flight's error, so
-// one bad job answers 500 instead of ending the daemon. fsp is the
-// flight span (nil when unsampled).
+// with allowPeer — a peer fill, then a local synthesis. Every entry
+// carries its lineage, so the store keeps at most one of each. A panic
+// on the way becomes the flight's error, so one bad job answers 500
+// instead of ending the daemon. fsp is the flight span (nil when
+// unsampled).
 func (sv *Server) fill(def *targetDef, rid string, timeout time.Duration, allowPeer bool, fsp *obs.Span) (ent *Entry, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -458,19 +448,11 @@ func (sv *Server) fill(def *targetDef, rid string, timeout time.Duration, allowP
 		}
 	}
 	if !ok {
-		// Local fill: if this lineage has completed before (same target
-		// name and config, different spec text), resynthesize from its
-		// artifact instead of from scratch.
-		ent, ok = sv.runIncremental(def, timeout, fsp)
-	}
-	if !ok {
-		if ent, err = sv.runSynthesis(def, timeout, fsp); err != nil {
+		if ent, err = sv.synthesize(def, timeout, fsp); err != nil {
 			return nil, err
 		}
 	}
-	if !ent.Partial {
-		sv.recordLineage(def.lineage, ent)
-	}
+	ent.Lineage = def.lineage
 	return ent, nil
 }
 
@@ -489,107 +471,17 @@ func (sv *Server) loadTarget(def *targetDef, parent *obs.Span) (*term.Builder, *
 	return b, tgt, err
 }
 
-// lineageArt is a lineage's artifact text and the clock tick of its
-// last record or read.
-type lineageArt struct {
-	text string
-	used uint64
-}
-
-// recordLineage keeps ent's persisted artifact as lineage lk's latest
-// full-quality result.
-func (sv *Server) recordLineage(lk string, ent *Entry) {
-	text := isel.SaveLibraryFor(ent.Lib, ent.Target)
-	sv.lineageMu.Lock()
-	defer sv.lineageMu.Unlock()
-	sv.lineageClock++
-	sv.lineages[lk] = &lineageArt{text: text, used: sv.lineageClock}
-	if limit := sv.cfg.CacheEntries; limit > 0 {
-		for len(sv.lineages) > limit {
-			victim, oldest := "", uint64(0)
-			for k, a := range sv.lineages {
-				if victim == "" || a.used < oldest {
-					victim, oldest = k, a.used
-				}
-			}
-			delete(sv.lineages, victim)
-		}
-	}
-}
-
-// runIncremental attempts to answer a full-cache miss from the
-// lineage's artifact: load the new spec, diff its instruction
-// fingerprints against the artifact's provenance, re-verify the rules
-// whose support is unchanged (randomized evaluation, zero solver
-// queries), and synthesize only the remainder. Returns ok=false when
-// the lineage has no prior result or the resynthesis fails — the
-// caller then falls back to a from-scratch run. parent is the flight
-// span (nil when unsampled).
-func (sv *Server) runIncremental(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, bool) {
-	sv.lineageMu.Lock()
-	var text string
-	la := sv.lineages[def.lineage]
-	if la != nil {
-		sv.lineageClock++
-		la.used, text = sv.lineageClock, la.text
-	}
-	sv.lineageMu.Unlock()
-	if la == nil {
-		return nil, false
-	}
-	art, err := incr.ParseArtifact(text)
-	if err != nil {
-		return nil, false
-	}
-	t0 := time.Now()
-	ctx := context.Background()
-	cancel := context.CancelFunc(func() {})
-	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-	}
-	defer cancel()
-	b, tgt, err := sv.loadTarget(def, parent)
-	if err != nil {
-		return nil, false
-	}
-	// The corpus is derived the same way runSynthesis derives it, which
-	// is the consistency the incremental planner requires.
-	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
-	lib, rep, err := incr.Resynthesize(b, tgt, art, incr.Options{
-		Config: def.cfg, Patterns: pats, Context: ctx,
-	})
-	if err != nil {
-		return nil, false
-	}
-	lib.Freeze()
-	sv.metrics.IncrRuns.Add(1)
-	sv.metrics.RulesReused.Add(uint64(rep.Reused))
-	sv.metrics.RulesResynth.Add(uint64(rep.Resynthesized))
-	if rep.Curtailed {
-		sv.metrics.PartialRes.Add(1)
-	}
-	sv.metrics.AddStages(rep.Stats)
-	return &Entry{
-		Fingerprint: def.fp,
-		TargetName:  def.name,
-		B:           b,
-		Target:      tgt,
-		Lib:         lib,
-		Partial:     rep.Curtailed,
-		Stats:       rep.Stats,
-		Elapsed:     time.Since(t0),
-		Origin:      "incremental",
-		Reused:      rep.Reused,
-		Resynth:     rep.Resynthesized,
-	}, true
-}
-
-// runSynthesis executes one full pipeline run — load target, build the
-// sequence pool, synthesize the corpus patterns — under the job's own
-// deadline (detached from any HTTP request context, so a disconnecting
-// client cannot degrade a shared flight to a partial result). parent is
-// the flight span (nil when unsampled).
-func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, error) {
+// synthesize runs one local synthesis under the job's own deadline
+// (detached from any HTTP request context, so a disconnecting client
+// cannot degrade a shared flight to a partial result). When the store
+// holds an entry of def's lineage — the same target name and config,
+// another spec text — the run is incremental: incr.Resynthesize over
+// that entry's persisted artifact diffs instruction fingerprints,
+// re-verifies the rules whose support is unchanged (randomized
+// evaluation, zero solver queries), and synthesizes only the remainder.
+// Otherwise it builds the sequence pool and synthesizes the corpus from
+// scratch. parent is the flight span (nil when unsampled).
+func (sv *Server) synthesize(def *targetDef, timeout time.Duration, parent *obs.Span) (*Entry, error) {
 	t0 := time.Now()
 	// The deadline clock starts before pool construction: the budget is
 	// for the whole job, and an exhausted budget degrades the matching pass
@@ -604,28 +496,36 @@ func (sv *Server) runSynthesis(def *targetDef, timeout time.Duration, parent *ob
 	if err != nil {
 		return nil, err
 	}
-	syn := core.New(b, tgt, def.cfg)
-	syn.BuildPool()
-	lib := rules.NewLibrary(def.name)
+	// Both paths derive the corpus the same way, which is the consistency
+	// the incremental planner requires.
 	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
-	partial := syn.SynthesizeCtx(ctx, pats, lib)
-	lib.Freeze()
-	sv.metrics.SynthRuns.Add(1)
-	if partial {
+	ent := &Entry{Fingerprint: def.fp, TargetName: def.name, B: b, Target: tgt, Origin: "synthesized"}
+	var art *incr.Artifact
+	if base := sv.store.Lineage(def.lineage); base != nil {
+		art, _ = incr.ParseArtifact(isel.SaveLibraryFor(base.Lib, base.Target))
+	}
+	if art != nil {
+		lib, rep := incr.Resynthesize(ctx, b, tgt, art, incr.Options{Config: def.cfg, Patterns: pats})
+		ent.Lib, ent.Partial, ent.Stats, ent.Origin = lib, rep.Curtailed, rep.Stats, "incremental"
+		ent.Reused, ent.Resynth = rep.Reused, rep.Resynthesized
+		sv.metrics.IncrRuns.Add(1)
+		sv.metrics.RulesReused.Add(uint64(rep.Reused))
+		sv.metrics.RulesResynth.Add(uint64(rep.Resynthesized))
+	} else {
+		syn := core.New(b, tgt, def.cfg)
+		syn.BuildPool()
+		ent.Lib = rules.NewLibrary(def.name)
+		ent.Partial = syn.SynthesizeCtx(ctx, pats, ent.Lib)
+		ent.Stats = syn.Stats.Snapshot()
+		sv.metrics.SynthRuns.Add(1)
+	}
+	ent.Lib.Freeze()
+	if ent.Partial {
 		sv.metrics.PartialRes.Add(1)
 	}
-	sv.metrics.AddStages(syn.Stats.Snapshot())
-	return &Entry{
-		Fingerprint: def.fp,
-		TargetName:  def.name,
-		B:           b,
-		Target:      tgt,
-		Lib:         lib,
-		Partial:     partial,
-		Stats:       syn.Stats.Snapshot(),
-		Elapsed:     time.Since(t0),
-		Origin:      "synthesized",
-	}, nil
+	sv.metrics.AddStages(ent.Stats)
+	ent.Elapsed = time.Since(t0)
+	return ent, nil
 }
 
 // SynthesizeRequest is the body of POST /v1/synthesize.
@@ -877,9 +777,6 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sv.lineageMu.Lock()
-	lineages := len(sv.lineages)
-	sv.lineageMu.Unlock()
 	memoHits, memoMisses, memoStores := sv.cfg.Synth.Verdicts.Counters()
 	var exemplars []obs.HistExemplar
 	if m := sv.obsv.MetricsOrNil(); m != nil {
@@ -905,7 +802,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		JobsActive:     sv.jobs.activeCount(),
 		CachedEntries:  sv.store.MemLen(),
 		Evictions:      sv.store.Evictions(),
-		ShardLineages:  lineages,
 		QueueDepth:     sv.sched.QueueDepth(),
 		QueueCapacity:  sv.sched.QueueCapacity(),
 		InFlight:       sv.sched.InFlight(),

@@ -40,9 +40,14 @@ type Entry struct {
 	Stats   core.StageStats
 	Elapsed time.Duration
 	// Origin records how the entry came to exist: "synthesized",
-	// "incremental" (resynthesized from a lineage's artifact), "peer",
-	// or "disk".
+	// "incremental" (resynthesized from the entry of its lineage that was
+	// resident when it ran), "peer", or "disk".
 	Origin string
+	// Lineage is the cache key minus the spec text: (target name,
+	// config). The memory layer holds at most one entry per lineage, so
+	// a spec edit's entry replaces its previous revision's. Empty means
+	// no lineage: such an entry never replaces another.
+	Lineage string
 	// Reused and Resynth count, for incremental entries, how many rules
 	// were carried over re-verified versus produced by synthesis.
 	Reused  int
@@ -172,6 +177,20 @@ func (s *Store) Peek(fp string) *Entry {
 	return nil
 }
 
+// Lineage returns the resident entry of a lineage, or nil: the base a
+// spec edit of that lineage resynthesizes from. Like Peek it never
+// creates work, and it does not count as a use.
+func (s *Store) Lineage(lineage string) *Entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.mem {
+		if lineage != "" && e.Lineage == lineage {
+			return e
+		}
+	}
+	return nil
+}
+
 // Flush blocks until every queued disk persist has been written (or ctx
 // expires). New writes enqueued while flushing extend the wait.
 func (s *Store) Flush(ctx context.Context) error {
@@ -218,13 +237,25 @@ func (s *Store) Acquire(fp string) (e *Entry, fl *Flight, owner bool) {
 
 // Complete resolves the owner's flight, publishing the entry to every
 // waiter. Complete (not the synthesis job) decides cacheability: full
-// results enter the memory layer and, when a disk layer exists, are
-// persisted; partial results and errors are broadcast but not cached.
+// results enter the memory layer, replacing any other entry of their
+// lineage, and, when a disk layer exists, are persisted; partial results
+// and errors are broadcast but not cached. The entry is resident before
+// the waiters wake.
 func (s *Store) Complete(fp string, e *Entry, err error) {
 	s.mu.Lock()
 	fl := s.flights[fp]
 	delete(s.flights, fp)
 	if e != nil && err == nil && !e.Partial {
+		if e.Lineage != "" {
+			// A replaced revision is not an eviction: the lineage still
+			// has its one resident entry.
+			for ofp, o := range s.mem {
+				if o.Lineage == e.Lineage && ofp != fp {
+					delete(s.mem, ofp)
+					delete(s.used, ofp)
+				}
+			}
+		}
 		s.mem[fp] = e
 		s.clock++
 		s.used[fp] = s.clock
