@@ -58,14 +58,13 @@
 //
 //	[-workers N] [-synth-workers N] [-queue N] [-patterns N] [-timeout D]
 //	[-inputs N] [-trace-spans N] [-trace-sample F] [-no-obs] [-max-jobs N]
-//	[-peers URL,URL,...] [-self URL] [-hedge D] [-breaker-failures N]
-//	[-breaker-cooldown D] [-drain-timeout D]
+//	[-peers URL,URL,...] [-self URL] [-drain-timeout D]
 //
 // With -peers set, replicas form a consistent-hash ring over cache
 // fingerprints: a miss is filled from its ring owner over HTTP (so a
-// cold key is synthesized once fleet-wide), reads are hedged, per-peer
-// circuit breakers isolate dead replicas, and everything degrades to
-// local-only service when the fleet is unreachable. Peers exchange only
+// cold key is synthesized once fleet-wide), per-peer circuit breakers
+// isolate dead replicas, and everything degrades to local-only service
+// when the fleet is unreachable. Peers exchange only
 // persisted library artifacts and trace spans. A spec edit is
 // resynthesized from its lineage's cached revision, and replaces it in
 // the cache. On SIGTERM the daemon stops accepting, drains in-flight
@@ -106,9 +105,6 @@ func main() {
 	maxJobs := flag.Int("max-jobs", 0, "cap on async jobs queued+running via POST /v1/jobs (0 = default)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (empty = standalone)")
 	self := flag.String("self", "", "this replica's base URL as it appears in -peers")
-	hedge := flag.Duration("hedge", 150*time.Millisecond, "delay before hedging a cache-only probe to the next replica (<0 = off)")
-	breakerFailures := flag.Int("breaker-failures", 3, "consecutive peer failures that open its circuit")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open probe")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: drain in-flight work and flush the disk cache")
 	flag.Parse()
 
@@ -159,13 +155,10 @@ func main() {
 			os.Exit(1)
 		}
 		if _, err := cluster.New(sv, cluster.Config{
-			Self:             strings.TrimRight(*self, "/"),
-			Peers:            peerList,
-			HedgeDelay:       *hedge,
-			BreakerThreshold: *breakerFailures,
-			BreakerCooldown:  *breakerCooldown,
-			Obs:              o,
-			Logger:           logger,
+			Self:   strings.TrimRight(*self, "/"),
+			Peers:  peerList,
+			Obs:    o,
+			Logger: logger,
 		}); err != nil {
 			fmt.Fprintln(os.Stderr, "iseld:", err)
 			os.Exit(1)

@@ -29,12 +29,6 @@ type breaker struct {
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	if threshold < 1 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 

@@ -41,7 +41,7 @@ const clProg = "v0 = param 64\nv1 = param 64\nv2 = add 64 v0 v1\nv3 = mul 64 v2 
 // synthesis configuration. The term index is off, so clSpec's patterns
 // take the SMT fallback and a synthesis fills its replica's verdict
 // store.
-func bootTest(t *testing.T, n int, tmpl Config) *Local {
+func bootTest(t *testing.T, n int) *Local {
 	t.Helper()
 	mk := func(i int) (*service.Server, *obs.Obs, error) {
 		o := obs.New()
@@ -54,7 +54,7 @@ func bootTest(t *testing.T, n int, tmpl Config) *Local {
 		})
 		return sv, o, err
 	}
-	lc, err := StartLocal(n, mk, tmpl)
+	lc, err := StartLocal(n, mk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func inlineNameOwnedBy(t *testing.T, lc *Local, replica int, exclude ...string) 
 // exactly once fleet-wide — the two non-owners fill from the owner, and
 // the owner's singleflight collapses the concurrent fills.
 func TestClusterColdKeySynthesizedOnce(t *testing.T) {
-	lc := bootTest(t, 3, Config{})
+	lc := bootTest(t, 3)
 	name := inlineNameOwnedBy(t, lc, 2) // any replica; 2 keeps it interesting
 	req := service.SynthesizeRequest{Target: name, Spec: clSpec}
 
@@ -186,7 +186,7 @@ func TestClusterColdKeySynthesizedOnce(t *testing.T) {
 // TestClusterByteIdenticalResponses is acceptance: once warm, the same
 // select request answered by any replica is byte-for-byte identical.
 func TestClusterByteIdenticalResponses(t *testing.T) {
-	lc := bootTest(t, 3, Config{})
+	lc := bootTest(t, 3)
 	name := inlineNameOwnedBy(t, lc, 1)
 
 	// Round 1 warms every replica (owner synthesizes, others peer-fill).
@@ -249,7 +249,7 @@ func TestClusterSelectProgramIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("riscv synthesis in -short mode")
 	}
-	lc := bootTest(t, 3, Config{})
+	lc := bootTest(t, 3)
 	req := service.SelectRequest{Target: "riscv", Program: clProg, VectorSeed: 7}
 	var first []byte
 	for round := 0; round < 2; round++ {
@@ -287,7 +287,10 @@ func TestClusterSelectProgramIdentical(t *testing.T) {
 // degrades the fleet to local fills with zero failed requests, and the
 // dead peer's circuit opens.
 func TestClusterKillDegradesToLocal(t *testing.T) {
-	lc := bootTest(t, 3, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour, HedgeDelay: -1})
+	lc := bootTest(t, 3)
+	for i := 0; i < lc.Len(); i++ {
+		tuneBreakers(lc.Replica(i).Node, 1, time.Hour)
+	}
 	victim := 2
 	name := inlineNameOwnedBy(t, lc, victim)
 	lc.Kill(victim)
@@ -348,9 +351,17 @@ func TestClusterKillDegradesToLocal(t *testing.T) {
 	}
 }
 
-// fakePeer is an httptest replica answering /v1/artifact for the hedge
+// tuneBreakers sets the threshold and cooldown of every peer breaker of
+// a node. Call it before the node serves traffic.
+func tuneBreakers(n *Node, threshold int, cooldown time.Duration) {
+	for _, ps := range n.peer {
+		ps.breaker.threshold, ps.breaker.cooldown = threshold, cooldown
+	}
+}
+
+// fakePeer is an httptest replica answering /v1/artifact for the fetch
 // and breaker unit tests (no real synthesis behind it).
-func fakePeer(t *testing.T, delay time.Duration, status int, answer func(req service.FillRequest) service.ArtifactResponse) *httptest.Server {
+func fakePeer(t *testing.T, status int, answer func(req service.FillRequest) service.ArtifactResponse) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/artifact" {
@@ -359,7 +370,6 @@ func fakePeer(t *testing.T, delay time.Duration, status int, answer func(req ser
 		}
 		var req service.FillRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		time.Sleep(delay)
 		if status != http.StatusOK {
 			w.WriteHeader(status)
 			return
@@ -371,76 +381,43 @@ func fakePeer(t *testing.T, delay time.Duration, status int, answer func(req ser
 	return ts
 }
 
-// hedgeNode builds a Node over [self, two fakes] and returns it plus a
-// key whose primary owner is slowURL and whose hedge target is fastURL.
-func hedgeNode(t *testing.T, cfg Config, slowURL, fastURL string) (*Node, string) {
+// ownerNode builds a Node over [self, ownerURL] and returns it plus a
+// key that ownerURL owns.
+func ownerNode(t *testing.T, ownerURL string) (*Node, string) {
 	t.Helper()
 	sv, err := service.New(service.Config{Workers: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sv.Close)
-	cfg.Self = "http://self.invalid"
-	cfg.Peers = []string{cfg.Self, slowURL, fastURL}
-	node, err := New(sv, cfg)
+	self := "http://self.invalid"
+	node, err := New(sv, Config{Self: self, Peers: []string{self, ownerURL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4096; i++ {
 		key := fmt.Sprintf("sha256:%08d", i)
-		owners := node.ring.Owners(key, 2)
-		if len(owners) == 2 && owners[0] == slowURL && owners[1] == fastURL {
+		if node.ring.Owner(key) == ownerURL {
 			return node, key
 		}
 	}
-	t.Fatal("no key with the wanted (slow, fast) preference order")
+	t.Fatal("no key owned by the peer")
 	return nil, ""
 }
 
-// TestHedgeWinsOnSlowOwner: a slow owner loses the race to the hedged
-// cache-only probe on the next replica.
-func TestHedgeWinsOnSlowOwner(t *testing.T) {
-	echo := func(req service.FillRequest) service.ArtifactResponse {
-		return service.ArtifactResponse{Fingerprint: req.Fingerprint, Library: "lib-text"}
-	}
-	slow := fakePeer(t, 400*time.Millisecond, http.StatusOK, echo)
-	fast := fakePeer(t, 0, http.StatusOK, echo)
-	node, key := hedgeNode(t, Config{HedgeDelay: 20 * time.Millisecond}, slow.URL, fast.URL)
-
-	t0 := time.Now()
-	fill, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fill.Peer != fast.URL {
-		t.Fatalf("answer came from %s, want hedge %s", fill.Peer, fast.URL)
-	}
-	if d := time.Since(t0); d > 300*time.Millisecond {
-		t.Fatalf("hedged fetch took %v — raced the slow owner instead of winning", d)
-	}
-}
-
-// TestHedgeMissFallsBackToOwner: a hedge probe that misses (404) does
-// not fail the fetch — the owner's answer is still awaited.
-func TestHedgeMissFallsBackToOwner(t *testing.T) {
-	echo := func(req service.FillRequest) service.ArtifactResponse {
+// TestFetchArtifactFromOwner: a fetch returns the owner's artifact and
+// names the owner as the peer that answered.
+func TestFetchArtifactFromOwner(t *testing.T) {
+	owner := fakePeer(t, http.StatusOK, func(req service.FillRequest) service.ArtifactResponse {
 		return service.ArtifactResponse{Fingerprint: req.Fingerprint, Library: "owner-lib"}
-	}
-	slow := fakePeer(t, 150*time.Millisecond, http.StatusOK, echo)
-	miss := fakePeer(t, 0, http.StatusNotFound, nil)
-	node, key := hedgeNode(t, Config{HedgeDelay: 10 * time.Millisecond}, slow.URL, miss.URL)
-
-	fill, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
+	})
+	node, key := ownerNode(t, owner.URL)
+	art, peer, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fill.Peer != slow.URL || fill.Text != "owner-lib" {
-		t.Fatalf("fill = %+v, want the owner's artifact", fill)
-	}
-	// A 404 is a healthy "not cached" — the miss peer's breaker stays
-	// closed.
-	if st := node.peer[miss.URL].breaker.State(); st != BreakerClosed {
-		t.Fatalf("hedge miss tripped the breaker (state %d)", st)
+	if peer != owner.URL || art.Library != "owner-lib" {
+		t.Fatalf("fetch answered %q from %s, want the owner's artifact", art.Library, peer)
 	}
 }
 
@@ -456,7 +433,7 @@ func TestFetchArtifactSelfOwnerIsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: "k"})
+	_, _, err = node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: "k"})
 	if err != service.ErrLocalFill {
 		t.Fatalf("single-member fetch returned %v, want ErrLocalFill", err)
 	}
@@ -465,12 +442,11 @@ func TestFetchArtifactSelfOwnerIsLocal(t *testing.T) {
 // TestFingerprintMismatchRejected: an artifact answering the wrong
 // fingerprint is refused.
 func TestFingerprintMismatchRejected(t *testing.T) {
-	bad := fakePeer(t, 0, http.StatusOK, func(req service.FillRequest) service.ArtifactResponse {
+	bad := fakePeer(t, http.StatusOK, func(req service.FillRequest) service.ArtifactResponse {
 		return service.ArtifactResponse{Fingerprint: "sha256:not-what-you-asked-for"}
 	})
-	other := fakePeer(t, 0, http.StatusNotFound, nil)
-	node, key := hedgeNode(t, Config{HedgeDelay: -1}, bad.URL, other.URL)
-	_, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
+	node, key := ownerNode(t, bad.URL)
+	_, _, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
 	if err == nil || !strings.Contains(err.Error(), "answered fingerprint") {
 		t.Fatalf("mismatched artifact accepted (err=%v)", err)
 	}
@@ -481,7 +457,7 @@ func TestFingerprintMismatchRejected(t *testing.T) {
 }
 
 // TestMalformedArtifactOpensCircuit: a peer answering 200 with a body
-// that is not an artifact fails like a 5xx, so BreakerThreshold such
+// that is not an artifact fails like a 5xx, so breakerThreshold such
 // answers open its circuit and the next fetch is refused without a call.
 func TestMalformedArtifactOpensCircuit(t *testing.T) {
 	var calls atomic.Int64
@@ -491,18 +467,17 @@ func TestMalformedArtifactOpensCircuit(t *testing.T) {
 		io.WriteString(w, "{not json")
 	}))
 	t.Cleanup(bad.Close)
-	other := fakePeer(t, 0, http.StatusNotFound, nil)
-	node, key := hedgeNode(t, Config{BreakerThreshold: 2, HedgeDelay: -1}, bad.URL, other.URL)
-	for i := 0; i < 2; i++ {
-		if _, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key}); err == nil {
+	node, key := ownerNode(t, bad.URL)
+	for i := 0; i < breakerThreshold; i++ {
+		if _, _, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key}); err == nil {
 			t.Fatalf("fetch %d accepted a malformed artifact", i+1)
 		}
 	}
-	_, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
+	_, _, err := node.FetchArtifact(context.Background(), service.FillRequest{Fingerprint: key})
 	if err == nil || !strings.Contains(err.Error(), "circuit open") {
-		t.Fatalf("third fetch returned %v, want the open circuit's rejection", err)
+		t.Fatalf("fetch %d returned %v, want the open circuit's rejection", breakerThreshold+1, err)
 	}
-	if n := calls.Load(); n != 2 {
-		t.Fatalf("malformed peer was called %d times, want 2", n)
+	if n := calls.Load(); n != breakerThreshold {
+		t.Fatalf("malformed peer was called %d times, want %d", n, breakerThreshold)
 	}
 }

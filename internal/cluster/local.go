@@ -37,10 +37,8 @@ type Local struct {
 }
 
 // StartLocal boots n replicas. Listeners are bound first so every
-// replica's ring can be built over the full set of final URLs; tmpl
-// supplies the cluster knobs (HedgeDelay, breaker settings) while
-// Self, Peers, and Obs are filled in per replica.
-func StartLocal(n int, mk ReplicaFactory, tmpl Config) (*Local, error) {
+// replica's ring can be built over the full set of final URLs.
+func StartLocal(n int, mk ReplicaFactory) (*Local, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 replica, got %d", n)
 	}
@@ -72,11 +70,7 @@ func StartLocal(n int, mk ReplicaFactory, tmpl Config) (*Local, error) {
 		if err != nil {
 			return fail(fmt.Errorf("cluster: build replica %d: %w", i, err))
 		}
-		cfg := tmpl
-		cfg.Self = urls[i]
-		cfg.Peers = urls
-		cfg.Obs = ob
-		node, err := New(sv, cfg)
+		node, err := New(sv, Config{Self: urls[i], Peers: urls, Obs: ob})
 		if err != nil {
 			sv.Close()
 			return fail(fmt.Errorf("cluster: replica %d: %w", i, err))

@@ -25,30 +25,23 @@ type Config struct {
 	Self string
 	// Peers are the base URLs of every replica, self included.
 	Peers []string
-	// VNodes is the virtual-node count per member (0 = default 64).
-	VNodes int
-	// HedgeDelay is how long the primary artifact fetch runs alone
-	// before a cache-only probe is hedged to the next replica in ring
-	// order (0 = default 150ms; negative disables hedging).
-	HedgeDelay time.Duration
-	// FetchTimeout bounds one artifact fetch attempt, synthesis at the
-	// owner included (0 = default 120s).
-	FetchTimeout time.Duration
-	// BreakerThreshold is the consecutive-failure count that opens a
-	// peer's circuit (0 = default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit rejects before
-	// admitting a half-open probe (0 = default 5s).
-	BreakerCooldown time.Duration
 	// Obs receives cluster metrics and spans; share it with the wrapped
 	// service so /metrics exposes both.
 	Obs *obs.Obs
 	// Logger, when set, receives peer-failure and degradation events.
 	Logger *slog.Logger
-	// Client is the HTTP client for peer calls (nil = a default client;
-	// timeouts come from per-request contexts).
-	Client *http.Client
 }
+
+// fetchTimeout bounds one artifact fetch, synthesis at the owner
+// included.
+const fetchTimeout = 120 * time.Second
+
+// A peer's circuit opens after breakerThreshold consecutive failures and
+// admits a half-open probe after breakerCooldown.
+const (
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
+)
 
 // Node is one replica's cluster layer: the ring and the peer set with
 // breakers. It implements service.RemoteFiller, and serves
@@ -72,35 +65,17 @@ func New(sv *service.Server, cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: config needs Self")
 	}
-	if cfg.HedgeDelay == 0 {
-		cfg.HedgeDelay = 150 * time.Millisecond
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 120 * time.Second
-	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
-	members := append([]string(nil), cfg.Peers...)
-	selfListed := false
-	for _, m := range members {
-		if m == cfg.Self {
-			selfListed = true
-		}
-	}
-	if !selfListed {
-		members = append(members, cfg.Self)
-	}
 	n := &Node{
-		cfg:  cfg,
-		ring: NewRing(members, cfg.VNodes),
+		cfg: cfg,
+		// NewRing drops duplicates, so Self may or may not be in Peers.
+		ring: NewRing(append([]string{cfg.Self}, cfg.Peers...)),
 		peer: map[string]*peerState{},
 	}
 	for _, m := range n.ring.Members() {
 		if m == cfg.Self {
 			continue
 		}
-		ps := &peerState{url: m, breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)}
+		ps := &peerState{url: m, breaker: newBreaker(breakerThreshold, breakerCooldown)}
 		n.peer[m] = ps
 		if reg := cfg.Obs.MetricsOrNil(); reg != nil {
 			b := ps.breaker
@@ -135,98 +110,31 @@ func (n *Node) OwnerOf(fp string) string { return n.ring.Owner(fp) }
 // Self returns this replica's base URL.
 func (n *Node) Self() string { return n.cfg.Self }
 
-// fetchResult is one peer fetch outcome on the hedge race.
-type fetchResult struct {
-	fill *service.RemoteFill
-	err  error
-	peer string
-}
-
-// FetchArtifact implements service.RemoteFiller: resolve the
-// fingerprint's ring owner, fetch the artifact from it, and hedge a
-// cache-only probe to the next replica if the owner is slow. Only the
-// owner's fetch may trigger synthesis — the hedge can answer from its
-// cache but never start work, which is what keeps a cold key's
-// synthesis at exactly one fleet-wide.
-func (n *Node) FetchArtifact(ctx context.Context, req service.FillRequest) (*service.RemoteFill, error) {
-	owners := n.ring.Owners(req.Fingerprint, 2)
-	if len(owners) == 0 || owners[0] == n.cfg.Self {
+// FetchArtifact implements service.RemoteFiller: fetch the artifact
+// from the fingerprint's ring owner, behind the owner's breaker. The
+// owner's local singleflight collapses every replica's concurrent fill,
+// which is what keeps a cold key's synthesis at exactly one fleet-wide.
+func (n *Node) FetchArtifact(ctx context.Context, req service.FillRequest) (*service.ArtifactResponse, string, error) {
+	owner := n.peer[n.ring.Owner(req.Fingerprint)]
+	if owner == nil {
 		// We own the key (or there is no fleet): synthesize locally.
-		return nil, service.ErrLocalFill
+		return nil, "", service.ErrLocalFill
 	}
-	primary := n.peer[owners[0]]
-	if primary == nil {
-		return nil, service.ErrLocalFill
+	if !owner.breaker.Allow() {
+		n.count("cluster_breaker_rejects", "peer calls rejected by an open circuit", "peer", owner.url)
+		n.logf("peer circuit open, filling locally", "peer", owner.url, "fingerprint", req.Fingerprint)
+		return nil, "", fmt.Errorf("cluster: circuit open for owner %s", owner.url)
 	}
-	if !primary.breaker.Allow() {
-		n.count("cluster_breaker_rejects", "peer calls rejected by an open circuit", "peer", primary.url)
-		n.logf("peer circuit open, filling locally", "peer", primary.url, "fingerprint", req.Fingerprint)
-		return nil, fmt.Errorf("cluster: circuit open for owner %s", primary.url)
-	}
-
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
-	results := make(chan fetchResult, 2)
 	n.count("cluster_fills_remote", "artifact fills requested from remote owners")
-	go func() {
-		fill, err := n.fetchFrom(ctx, primary, req, false)
-		results <- fetchResult{fill, err, primary.url}
-	}()
-
-	// Hedge: after the delay, probe the next distinct replica's cache.
-	// A miss there is a clean "no", never a second synthesis.
-	var hedgeTimer *time.Timer
-	inflight := 1
-	if n.cfg.HedgeDelay > 0 && len(owners) > 1 && owners[1] != n.cfg.Self {
-		if hedge := n.peer[owners[1]]; hedge != nil {
-			hedgeTimer = time.AfterFunc(n.cfg.HedgeDelay, func() {
-				if !hedge.breaker.Allow() {
-					results <- fetchResult{nil, fmt.Errorf("cluster: circuit open for hedge %s", hedge.url), hedge.url}
-					return
-				}
-				n.count("cluster_hedges", "hedged cache-only probes issued")
-				hreq := req
-				hreq.CacheOnly = true
-				fill, err := n.fetchFrom(ctx, hedge, hreq, true)
-				results <- fetchResult{fill, err, hedge.url}
-			})
-			inflight = 2
-		}
-	}
-	defer func() {
-		if hedgeTimer != nil && hedgeTimer.Stop() {
-			inflight-- // the probe never launched; don't wait for it
-		}
-	}()
-
-	var firstErr error
-	for i := 0; i < inflight; i++ {
-		select {
-		case res := <-results:
-			if res.err == nil {
-				if res.peer != primary.url {
-					n.count("cluster_hedge_wins", "hedged probes that answered first")
-				}
-				return res.fill, nil
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			if hedgeTimer != nil && res.peer == primary.url && hedgeTimer.Stop() {
-				inflight-- // primary already failed; no point launching the probe late
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return nil, firstErr
+	art, err := n.fetchFrom(ctx, owner, req)
+	return art, owner.url, err
 }
 
 // fetchFrom performs one POST /v1/artifact exchange with a peer,
-// recording the outcome on its breaker. cacheOnly misses (404) are a
-// healthy "not cached", not a peer failure.
-func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillRequest, cacheOnly bool) (*service.RemoteFill, error) {
-	req.CacheOnly = cacheOnly
+// recording the outcome on its breaker.
+func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillRequest) (*service.ArtifactResponse, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -240,11 +148,11 @@ func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillReq
 		hr.Header.Set("X-Request-Id", req.RequestID)
 	}
 	if req.TraceParent != "" {
-		// Both legs of the hedge carry the fill span's context: whichever
-		// peer answers, its request span lands in the same fleet trace.
+		// The fill span's context: the owner's request span lands in the
+		// same fleet trace.
 		hr.Header.Set(obs.TraceHeader, req.TraceParent)
 	}
-	resp, err := n.cfg.Client.Do(hr)
+	resp, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		n.peerFailed(ps)
 		n.logf("peer fetch failed", "peer", ps.url, "err", err.Error())
@@ -271,20 +179,13 @@ func (n *Node) fetchFrom(ctx context.Context, ps *peerState, req service.FillReq
 		}
 		ps.breaker.Success()
 		n.count("cluster_peer_hits", "cache misses answered by a peer artifact")
-		return &service.RemoteFill{
-			Text:          art.Library,
-			Partial:       art.Partial,
-			Stats:         art.Stats,
-			Reused:        art.Reused,
-			Resynthesized: art.Resynthesized,
-			Peer:          ps.url,
-		}, nil
+		return &art, nil
 	case resp.StatusCode >= 500:
 		n.peerFailed(ps)
 		return nil, fmt.Errorf("cluster: %s answered %d", ps.url, resp.StatusCode)
 	default:
-		// 4xx: the peer is healthy but cannot help (cache-only miss,
-		// config-skew conflict). Not a breaker event.
+		// 4xx: the peer is healthy but cannot help (a config-skew
+		// conflict). Not a breaker event.
 		ps.breaker.Success()
 		return nil, fmt.Errorf("cluster: %s answered %d: %s", ps.url, resp.StatusCode, bytes.TrimSpace(out))
 	}
@@ -353,7 +254,7 @@ func (n *Node) collectFrom(ctx context.Context, ps *peerState, traceID string) (
 		return nil, err
 	}
 	hr.Header.Set(service.ForwardedHeader, n.cfg.Self)
-	resp, err := n.cfg.Client.Do(hr)
+	resp, err := http.DefaultClient.Do(hr)
 	if err != nil {
 		n.peerFailed(ps)
 		return nil, err
@@ -405,7 +306,7 @@ type PeerStatus struct {
 }
 
 func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st := ClusterStatus{Self: n.cfg.Self, VNodes: n.ring.vnodes}
+	st := ClusterStatus{Self: n.cfg.Self, VNodes: vnodes}
 	for _, m := range n.ring.Members() {
 		ps := PeerStatus{URL: m, Self: m == n.cfg.Self}
 		if p := n.peer[m]; p != nil {

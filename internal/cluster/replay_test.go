@@ -104,7 +104,7 @@ func TestClusterReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("riscv synthesis in -short mode")
 	}
-	lc := bootTest(t, 3, Config{})
+	lc := bootTest(t, 3)
 	client := &http.Client{Timeout: time.Minute}
 	base0 := lc.Replica(0).URL
 

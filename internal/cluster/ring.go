@@ -3,9 +3,8 @@
 // fingerprints across iseld replicas, cache misses are filled from the
 // fingerprint's owner over HTTP (so a cold key is synthesized exactly
 // once fleet-wide — the owner's local singleflight collapses every
-// replica's concurrent fill), reads are hedged against a second replica
-// after a short delay, per-peer circuit breakers stop hammering dead
-// peers, and everything degrades to local-only operation when the fleet
+// replica's concurrent fill), per-peer circuit breakers stop hammering
+// dead peers, and everything degrades to local-only operation when the fleet
 // is unreachable: a cluster of one is just iseld.
 package cluster
 
@@ -14,10 +13,10 @@ import (
 	"sort"
 )
 
-// defaultVNodes is the virtual-node count per member: enough that the
+// vnodes is the virtual-node count per member: enough that the
 // keyspace split between a handful of replicas stays within a few
 // percent of even.
-const defaultVNodes = 64
+const vnodes = 64
 
 // Ring is an immutable consistent-hash ring over replica base URLs.
 // Every member is hashed onto the ring at vnodes points; a key is owned
@@ -26,7 +25,6 @@ const defaultVNodes = 64
 // keeps a rolling restart from stampeding the whole fleet into
 // resynthesis.
 type Ring struct {
-	vnodes  int
 	members []string
 	points  []ringPoint // sorted by hash
 }
@@ -38,13 +36,9 @@ type ringPoint struct {
 
 // NewRing builds a ring over members (deduplicated; order-insensitive
 // by construction, since placement depends only on member identity).
-// vnodes <= 0 picks the default.
-func NewRing(members []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
+func NewRing(members []string) *Ring {
 	seen := map[string]bool{}
-	r := &Ring{vnodes: vnodes}
+	r := &Ring{}
 	for _, m := range members {
 		if m == "" || seen[m] {
 			continue
@@ -73,37 +67,15 @@ func NewRing(members []string, vnodes int) *Ring {
 // Members returns the distinct members, sorted.
 func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 
-// Owners returns up to n distinct members in preference order for a
-// key: the owner first, then the members next clockwise — the hedge
-// targets. n larger than the membership returns every member.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n < 1 {
-		return nil
-	}
-	if n > len(r.members) {
-		n = len(r.members)
+// Owner returns the member owning a key: the first one clockwise of
+// the key's hash ("" on an empty ring).
+func (r *Ring) Owner(key string) string {
+	if len(r.points) == 0 {
+		return ""
 	}
 	h := fnv64a(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	for k := 0; k < len(r.points) && len(out) < n; k++ {
-		p := r.points[(i+k)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
-			out = append(out, p.member)
-		}
-	}
-	return out
-}
-
-// Owner returns the single owning member for a key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	o := r.Owners(key, 1)
-	if len(o) == 0 {
-		return ""
-	}
-	return o[0]
+	return r.points[i%len(r.points)].member
 }
 
 // fnv64a is the FNV-1a 64-bit hash with a splitmix64 finalizer. Bare

@@ -6,8 +6,8 @@ import (
 )
 
 func TestRingDeterministicAcrossOrder(t *testing.T) {
-	a := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	b := NewRing([]string{"http://c", "http://a", "http://b"}, 0)
+	a := NewRing([]string{"http://a", "http://b", "http://c"})
+	b := NewRing([]string{"http://c", "http://a", "http://b"})
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("fp-%d", i)
 		if a.Owner(key) != b.Owner(key) {
@@ -17,33 +17,29 @@ func TestRingDeterministicAcrossOrder(t *testing.T) {
 	}
 }
 
-func TestRingOwnersDistinctAndStable(t *testing.T) {
-	r := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	for i := 0; i < 200; i++ {
+// TestRingOwnerWrapsAround: a key hashing past the last ring point is
+// owned by the member of the first point.
+func TestRingOwnerWrapsAround(t *testing.T) {
+	r := NewRing([]string{"http://a", "http://b", "http://c"})
+	last, first := r.points[len(r.points)-1].hash, r.points[0].member
+	wrapped := 0
+	for i := 0; i < 20000; i++ {
 		key := fmt.Sprintf("fp-%d", i)
-		owners := r.Owners(key, 3)
-		if len(owners) != 3 {
-			t.Fatalf("key %s: got %d owners, want 3", key, len(owners))
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("key %s: duplicate owner %s in %v", key, o, owners)
+		if fnv64a(key) > last {
+			wrapped++
+			if got := r.Owner(key); got != first {
+				t.Fatalf("key %s hashes past the last point but is owned by %s, want %s", key, got, first)
 			}
-			seen[o] = true
-		}
-		if owners[0] != r.Owner(key) {
-			t.Fatalf("key %s: Owners[0]=%s but Owner=%s", key, owners[0], r.Owner(key))
 		}
 	}
-	if got := r.Owners("k", 10); len(got) != 3 {
-		t.Fatalf("Owners capped at membership: got %d, want 3", len(got))
+	if wrapped == 0 {
+		t.Fatal("no key hashed past the last ring point")
 	}
 }
 
 func TestRingBalance(t *testing.T) {
 	members := []string{"http://a", "http://b", "http://c", "http://d"}
-	r := NewRing(members, 0)
+	r := NewRing(members)
 	counts := map[string]int{}
 	const n = 10000
 	for i := 0; i < n; i++ {
@@ -60,8 +56,8 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingRemovalRemapsOnlyVictimKeys(t *testing.T) {
-	full := NewRing([]string{"http://a", "http://b", "http://c"}, 0)
-	reduced := NewRing([]string{"http://a", "http://b"}, 0)
+	full := NewRing([]string{"http://a", "http://b", "http://c"})
+	reduced := NewRing([]string{"http://a", "http://b"})
 	moved := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -80,10 +76,10 @@ func TestRingRemovalRemapsOnlyVictimKeys(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if got := NewRing(nil, 0).Owner("k"); got != "" {
+	if got := NewRing(nil).Owner("k"); got != "" {
 		t.Fatalf("empty ring owner = %q, want empty", got)
 	}
-	one := NewRing([]string{"http://only"}, 0)
+	one := NewRing([]string{"http://only"})
 	if got := one.Owner("k"); got != "http://only" {
 		t.Fatalf("single-member owner = %q", got)
 	}

@@ -70,25 +70,16 @@ func awaitTrace(t *testing.T, base, traceID string, wantNodes int) service.Trace
 // parented under the fill across the node boundary. No orphans, a
 // single root, and assembly reachable from any replica.
 func TestClusterFleetTrace(t *testing.T) {
-	lc := bootTest(t, 3, Config{HedgeDelay: time.Millisecond})
+	lc := bootTest(t, 3)
 	fp, err := lc.Replica(0).SV.FingerprintRequest("mini", clSpec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	owners := lc.Replica(0).Node.ring.Owners(fp, 2)
-	if len(owners) < 2 {
-		t.Fatalf("ring returned %d owners", len(owners))
+	owner := lc.Replica(0).Node.OwnerOf(fp)
+	caller := lc.Replica(0).URL
+	if caller == owner {
+		caller = lc.Replica(1).URL
 	}
-	callerIdx := -1
-	for i := 0; i < lc.Len(); i++ {
-		if lc.Replica(i).URL != owners[0] && lc.Replica(i).URL != owners[1] {
-			callerIdx = i
-		}
-	}
-	if callerIdx == -1 {
-		t.Fatalf("no non-owner replica (owners %v)", owners)
-	}
-	caller := lc.Replica(callerIdx).URL
 
 	client := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: 0xc11e47, Sampled: true}
 	body, _ := json.Marshal(service.SynthesizeRequest{Target: "mini", Spec: clSpec})
@@ -109,12 +100,12 @@ func TestClusterFleetTrace(t *testing.T) {
 		t.Fatalf("caller did not adopt the client trace: %v err=%v", echo, err)
 	}
 
-	// The cache miss crossed the fleet (caller is not an owner), so the
+	// The cache miss crossed the fleet (caller is not the owner), so the
 	// assembled trace must span the caller and the artifact-serving owner.
 	sr := awaitTrace(t, caller, client.TraceID.String(), 2)
 	nodes := nodesOf(sr.Spans)
-	if !nodes[caller] || !nodes[owners[0]] {
-		t.Errorf("trace nodes %v, want caller %s and owner %s", nodes, caller, owners[0])
+	if !nodes[caller] || !nodes[owner] {
+		t.Errorf("trace nodes %v, want caller %s and owner %s", nodes, caller, owner)
 	}
 	byName := map[string][]obs.TraceSpan{}
 	for _, s := range sr.Spans {
@@ -148,7 +139,7 @@ func TestClusterFleetTrace(t *testing.T) {
 	// Assembly must work from ANY replica — the owner collects the
 	// caller's spans over the loop-guarded peer path — and the assembled
 	// file must satisfy the strict Chrome-trace parser.
-	for _, base := range []string{caller, owners[0]} {
+	for _, base := range []string{caller, owner} {
 		r2, err := http.Get(base + "/v1/trace/" + client.TraceID.String())
 		if err != nil {
 			t.Fatal(err)

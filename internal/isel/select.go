@@ -835,10 +835,21 @@ func hasRegEffect(inst *isa.Instruction) bool {
 // has no instruction for (remainder on AArch64, abs on RISC-V).
 func Prepare(f *gmir.Function, target string) {
 	gmir.CSEConstants(f)
-	switch target {
+	switch PrepareVariant(target) {
 	case "aarch64":
 		gmir.LowerRem(f)
 	case "riscv":
 		gmir.LowerAbs(f)
 	}
+}
+
+// PrepareVariant names the passes Prepare runs for a target: "aarch64"
+// and "riscv" have their own, and every other target shares "". Two
+// targets with one variant prepare every function alike.
+func PrepareVariant(target string) string {
+	switch target {
+	case "aarch64", "riscv":
+		return target
+	}
+	return ""
 }

@@ -35,8 +35,7 @@ type FillRequest struct {
 	// TimeoutMS bounds the synthesis the fill may trigger on the peer.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// CacheOnly asks the peer to answer only from its in-memory cache
-	// (404 on a miss) — the hedged-probe form that can never trigger a
-	// second fleet-wide synthesis.
+	// (404 on a miss): a probe that can never trigger a synthesis.
 	CacheOnly bool `json:"cache_only,omitempty"`
 	// RequestID is the originating request's ID, propagated into the
 	// peer call's X-Request-Id header so one user request is traceable
@@ -50,33 +49,15 @@ type FillRequest struct {
 	TraceParent string `json:"-"`
 }
 
-// RemoteFill is a peer's answer to a FillRequest: the serialized
-// library artifact plus where it came from.
-type RemoteFill struct {
-	// Text is the artifact in the Emit/parse round-trip format —
-	// re-verified locally before it is trusted (same contract as the
-	// disk layer).
-	Text string
-	// Partial marks a deadline-curtailed artifact (returned to waiters,
-	// never cached).
-	Partial bool
-	// Stats, Reused, and Resynthesized are the producing run's provenance,
-	// echoed into the local entry so responses stay byte-identical across
-	// replicas.
-	Stats         core.StageStats
-	Reused        int
-	Resynthesized int
-	// Peer is the base URL of the peer that answered.
-	Peer string
-}
-
 // RemoteFiller fetches artifacts from elsewhere — the cluster layer's
-// hook into the cache-miss path. FetchArtifact returns ErrLocalFill
-// when the caller should synthesize locally (it owns the key, or no
-// peer can help); any other error also degrades to a local fill, but is
-// counted as one.
+// hook into the cache-miss path. FetchArtifact returns the peer's
+// artifact and the base URL of the peer that answered. The artifact is
+// re-verified locally before it is trusted, like a disk artifact. It
+// returns ErrLocalFill when the caller should synthesize locally (it
+// owns the key, or no peer can help); any other error also degrades to
+// a local fill, but is counted as one.
 type RemoteFiller interface {
-	FetchArtifact(ctx context.Context, req FillRequest) (*RemoteFill, error)
+	FetchArtifact(ctx context.Context, req FillRequest) (*ArtifactResponse, string, error)
 }
 
 // SetFiller attaches the remote-fill hook. Call it after New and before
@@ -144,7 +125,7 @@ func (sv *Server) fillFromPeer(def *targetDef, rid string, timeout time.Duration
 	if fc := sp.Context(); fc.Valid() {
 		req.TraceParent = fc.Header()
 	}
-	rf, err := sv.filler.FetchArtifact(ctx, req)
+	art, peer, err := sv.filler.FetchArtifact(ctx, req)
 	if err != nil {
 		sp.SetStr("outcome", "local").End()
 		return nil, false
@@ -154,7 +135,7 @@ func (sv *Server) fillFromPeer(def *targetDef, rid string, timeout time.Duration
 		sp.SetStr("outcome", "load-error").End()
 		return nil, false
 	}
-	lib, err := isel.LoadLibrary(b, tgt, rf.Text)
+	lib, err := isel.LoadLibrary(b, tgt, art.Library)
 	if err != nil {
 		// A peer artifact that does not verify is poison, exactly like a
 		// stale disk artifact: ignore it and synthesize cleanly.
@@ -162,19 +143,19 @@ func (sv *Server) fillFromPeer(def *targetDef, rid string, timeout time.Duration
 		return nil, false
 	}
 	lib.Freeze()
-	sp.SetStr("outcome", "peer").SetStr("peer", rf.Peer).End()
+	sp.SetStr("outcome", "peer").SetStr("peer", peer).End()
 	return &Entry{
 		Fingerprint: fp,
 		TargetName:  def.name,
 		B:           b,
 		Target:      tgt,
 		Lib:         lib,
-		Partial:     rf.Partial,
-		Stats:       rf.Stats,
+		Partial:     art.Partial,
+		Stats:       art.Stats,
 		Elapsed:     time.Since(t0),
 		Origin:      "peer",
-		Reused:      rf.Reused,
-		Resynth:     rf.Resynthesized,
+		Reused:      art.Reused,
+		Resynth:     art.Resynthesized,
 	}, true
 }
 
@@ -197,8 +178,8 @@ type ArtifactResponse struct {
 }
 
 // handleArtifact is the peer-fill endpoint. A cache_only request
-// answers exclusively from the in-memory layer (404 on a miss) — the
-// hedged-probe path. A full request runs the whole local cache protocol
+// answers exclusively from the in-memory layer (404 on a miss) and never
+// starts work. A full request runs the whole local cache protocol
 // (memory, disk, incremental, synthesis) with peer-filling disabled, so
 // two replicas can never fill from each other in a cycle; cross-node
 // singleflight falls out of the local store's flight, because every

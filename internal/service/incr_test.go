@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"iselgen/internal/harness"
 	"iselgen/internal/incr"
 	"iselgen/internal/isel"
+	"iselgen/internal/pattern"
 	"iselgen/internal/term"
 )
 
@@ -95,16 +97,17 @@ func TestIncrementalSpecEdit(t *testing.T) {
 }
 
 // TestSupersededRevision: an edit replaces its base in the memory
-// layer, so asking for the seed revision again is no hit. With a disk
-// layer the seed comes back from disk, byte for byte the artifact it
-// first answered with; without one it is resynthesized from the edit.
+// layer, and on disk, so asking for the seed revision again is neither a
+// hit nor a disk load: it is resynthesized from the edit, byte for byte
+// the artifact it first answered with. With a disk layer the seed is
+// then the lineage's one file.
 func TestSupersededRevision(t *testing.T) {
 	for _, tc := range []struct {
-		name, want string
-		disk       bool
+		name string
+		disk bool
 	}{
-		{"disk", "disk", true},
-		{"memory", "incr", false},
+		{"disk", true},
+		{"memory", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -134,18 +137,121 @@ func TestSupersededRevision(t *testing.T) {
 				t.Fatalf("seed again: status %d: %s", status, body)
 			}
 			again := decodeSynth(t, body)
-			if again.Cache != tc.want {
-				t.Fatalf("seed again cache = %q, want %s", again.Cache, tc.want)
+			if again.Cache != "incr" {
+				t.Fatalf("seed again cache = %q, want incr", again.Cache)
 			}
-			if tc.disk {
-				if art := fetchArtifact(t, ts.URL, again.Fingerprint); art != seedArt {
-					t.Errorf("seed from disk differs from its first answer:\n--- first\n%s--- disk\n%s", seedArt, art)
-				}
+			if art := fetchArtifact(t, ts.URL, again.Fingerprint); art != seedArt {
+				t.Errorf("seed resynthesized from its edit differs from its first answer:\n--- first\n%s--- again\n%s", seedArt, art)
 			}
 			if n := getMetrics(t, ts.URL).CachedEntries; n != 1 {
 				t.Errorf("cached_entries = %d, want 1", n)
 			}
+			if tc.disk {
+				if err := sv.store.Flush(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				files, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.rules"))
+				if want := filepath.Join(cfg.CacheDir, seed.Fingerprint+".rules"); len(files) != 1 || files[0] != want {
+					t.Errorf("disk holds %v, want only the seed's %s", files, want)
+				}
+			}
 		})
+	}
+}
+
+// TestDiskLineage: the disk layer keeps one artifact per lineage. After
+// a seed and five edits, semantic and whitespace-only, only the last
+// revision's file is left, a write of a revision that was replaced
+// before the writer reached it is skipped, and a restarted server loads
+// the last revision from disk. Each edit's write lands before its base's
+// file is removed, so a crash in between leaves two files, never none.
+func TestDiskLineage(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheDir = t.TempDir()
+	sv, ts := newTestServer(t, cfg)
+	var seed *Entry
+	var last SynthesizeResponse
+	var spec string
+	for i := 0; i <= 5; i++ {
+		spec = svcSpec
+		if i%2 == 1 {
+			spec = svcSpecEdited
+		}
+		spec += strings.Repeat("\n", i)
+		status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: spec})
+		if status != http.StatusOK {
+			t.Fatalf("revision %d: status %d: %s", i, status, body)
+		}
+		last = decodeSynth(t, body)
+		if want := map[bool]string{true: "miss", false: "incr"}[i == 0]; last.Cache != want {
+			t.Fatalf("revision %d cache = %q, want %s", i, last.Cache, want)
+		}
+		if i == 0 {
+			seed = sv.store.Peek(last.Fingerprint)
+		}
+	}
+	if err := sv.store.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The seed's write arriving last, as when an inline write overtook
+	// the queue, must not bring its file back.
+	sv.store.persist(persistReq{fp: seed.Fingerprint, e: seed})
+	files, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.rules"))
+	if want := filepath.Join(cfg.CacheDir, last.Fingerprint+".rules"); len(files) != 1 || files[0] != want {
+		t.Fatalf("disk holds %v after a seed and five edits, want only %s", files, want)
+	}
+
+	_, ts2 := newTestServer(t, cfg)
+	status, body := postJSON(t, ts2.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: spec})
+	if status != http.StatusOK {
+		t.Fatalf("restart: status %d: %s", status, body)
+	}
+	if got := decodeSynth(t, body); got.Cache != "disk" || got.Fingerprint != last.Fingerprint {
+		t.Fatalf("restart answered cache=%q fp=%s, want disk for %s", got.Cache, got.Fingerprint, last.Fingerprint)
+	}
+}
+
+// TestCorpusShared: a server builds the corpus once per
+// isel.PrepareVariant, so concurrent syntheses of different inline
+// target names share one pattern slice, and they and an edit leave it
+// exactly as it was: the same patterns in the same order, every tree
+// intact.
+func TestCorpusShared(t *testing.T) {
+	sv, ts := newTestServer(t, testConfig())
+	pats := sv.corpus("mini")
+	keys := make([]string, len(pats))
+	for i, p := range pats {
+		keys[i] = pattern.New(p.Root).Key()
+	}
+	var wg sync.WaitGroup
+	for _, req := range []SynthesizeRequest{
+		{Target: "mini", Spec: svcSpec},
+		{Target: "other", Spec: svcSpec},
+		{Target: "third", Spec: svcSpecEdited},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, body := postJSON(t, ts.URL+"/v1/synthesize", req); status != http.StatusOK {
+				t.Errorf("%s: status %d: %s", req.Target, status, body)
+			}
+		}()
+	}
+	wg.Wait()
+	status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpecEdited})
+	if status != http.StatusOK || decodeSynth(t, body).Cache != "incr" {
+		t.Fatalf("edit: status %d: %s", status, body)
+	}
+	if got := sv.corpus("other"); len(got) != len(pats) || &got[0] != &pats[0] {
+		t.Fatal("a second inline target name got a corpus of its own")
+	}
+	if n := len(sv.corpora); n != 1 {
+		t.Fatalf("server memoized %d corpora for one prepare variant", n)
+	}
+	for i, p := range sv.corpus("mini") {
+		if p != pats[i] || pattern.New(p.Root).Key() != keys[i] {
+			t.Fatalf("corpus pattern %d changed during synthesis: %s, was %s", i, pattern.New(p.Root).Key(), keys[i])
+		}
 	}
 }
 

@@ -422,11 +422,11 @@ type recordingFiller struct {
 	reqs []FillRequest
 }
 
-func (f *recordingFiller) FetchArtifact(ctx context.Context, req FillRequest) (*RemoteFill, error) {
+func (f *recordingFiller) FetchArtifact(ctx context.Context, req FillRequest) (*ArtifactResponse, string, error) {
 	f.mu.Lock()
 	f.reqs = append(f.reqs, req)
 	f.mu.Unlock()
-	return nil, ErrLocalFill
+	return nil, "", ErrLocalFill
 }
 
 // TestRequestIDPropagatedToPeerFill: the caller's X-Request-Id reaches

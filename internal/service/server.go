@@ -20,6 +20,7 @@ import (
 	"iselgen/internal/isa"
 	"iselgen/internal/isel"
 	"iselgen/internal/obs"
+	"iselgen/internal/pattern"
 	"iselgen/internal/rules"
 	"iselgen/internal/solver"
 	"iselgen/internal/spec"
@@ -89,6 +90,11 @@ type Server struct {
 	sample    float64
 	builtins  map[string]*builtinSlot
 
+	// corpora memoizes the corpus patterns by isel.PrepareVariant of the
+	// target name (see corpus), so it holds at most three slices.
+	corpusMu sync.Mutex
+	corpora  map[string][]*pattern.Pattern
+
 	obsv    *obs.Obs
 	logger  *slog.Logger
 	start   time.Time
@@ -155,6 +161,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	sv.attachJournal()
 	sv.builtins = map[string]*builtinSlot{}
+	sv.corpora = map[string][]*pattern.Pattern{}
 	for _, bt := range targets.All() {
 		sv.builtins[bt.Name] = &builtinSlot{bt: bt}
 	}
@@ -498,7 +505,7 @@ func (sv *Server) synthesize(def *targetDef, timeout time.Duration, parent *obs.
 	}
 	// Both paths derive the corpus the same way, which is the consistency
 	// the incremental planner requires.
-	pats := harness.CorpusPatterns(def.name, sv.cfg.MaxPatterns)
+	pats := sv.corpus(def.name)
 	ent := &Entry{Fingerprint: def.fp, TargetName: def.name, B: b, Target: tgt, Origin: "synthesized"}
 	var art *incr.Artifact
 	if base := sv.store.Lineage(def.lineage); base != nil {
@@ -526,6 +533,24 @@ func (sv *Server) synthesize(def *targetDef, timeout time.Duration, parent *obs.
 	sv.metrics.AddStages(ent.Stats)
 	ent.Elapsed = time.Since(t0)
 	return ent, nil
+}
+
+// corpus returns the corpus patterns a synthesis of the named target
+// runs over. They depend only on the target's isel.PrepareVariant and on
+// MaxPatterns, which is fixed per server, so each variant's corpus is
+// built once and shared by every job, whatever target names clients
+// choose. Synthesis only reads the patterns, and CorpusPatterns has
+// already cached each one's key, so sharing them is race-free.
+func (sv *Server) corpus(name string) []*pattern.Pattern {
+	variant := isel.PrepareVariant(name)
+	sv.corpusMu.Lock()
+	defer sv.corpusMu.Unlock()
+	pats, ok := sv.corpora[variant]
+	if !ok {
+		pats = harness.CorpusPatterns(name, sv.cfg.MaxPatterns)
+		sv.corpora[variant] = pats
+	}
+	return pats
 }
 
 // SynthesizeRequest is the body of POST /v1/synthesize.

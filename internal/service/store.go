@@ -99,17 +99,22 @@ type Store struct {
 	// Disk persists ride an asynchronous writer so Complete never holds
 	// waiters behind filesystem latency; Flush drains the queue (the
 	// shutdown "flush the disk cache" step). A full queue degrades to a
-	// synchronous write in the caller — writes are never dropped.
+	// synchronous write in the caller — writes are never dropped. diskMu
+	// serializes the writer and those inline writes.
 	persistCh chan persistReq
 	pending   atomic.Int64
 	writerWG  sync.WaitGroup
 	closeOnce sync.Once
+	diskMu    sync.Mutex
 }
 
-// persistReq is one queued disk write.
+// persistReq is one queued disk write: the entry to write (nil when
+// there is none) and the fingerprints of the lineage revisions it
+// replaced in the memory layer, whose files go once it is in place.
 type persistReq struct {
-	fp string
-	e  *Entry
+	fp       string
+	e        *Entry
+	replaced []string
 }
 
 // NewStore creates a store; dir, when non-empty, is created and used as
@@ -131,7 +136,7 @@ func NewStore(dir string, maxMem int) (*Store, error) {
 		go func() {
 			defer s.writerWG.Done()
 			for req := range s.persistCh {
-				s.persist(req.fp, req.e)
+				s.persist(req)
 				s.pending.Add(-1)
 			}
 		}()
@@ -140,7 +145,8 @@ func NewStore(dir string, maxMem int) (*Store, error) {
 }
 
 // SetLogger redirects the store's warnings — quarantined disk artifacts
-// — away from the standard logger (nil silences them).
+// and failed disk writes — away from the standard logger (nil silences
+// them).
 func (s *Store) SetLogger(logf func(format string, args ...any)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,6 +154,14 @@ func (s *Store) SetLogger(logf func(format string, args ...any)) {
 		logf = func(string, ...any) {}
 	}
 	s.logf = logf
+}
+
+// warnf logs a warning through the store's logger.
+func (s *Store) warnf(format string, args ...any) {
+	s.mu.Lock()
+	logf := s.logf
+	s.mu.Unlock()
+	logf(format, args...)
 }
 
 // Entries snapshots the in-memory layer. Entries are immutable once
@@ -164,8 +178,8 @@ func (s *Store) Entries() []*Entry {
 }
 
 // Peek returns the in-memory entry for a fingerprint without joining or
-// creating a flight — the cache-only probe peers use for hedged reads
-// (a probe must never trigger work).
+// creating a flight: the lookup behind POST /v1/artifact's cache_only
+// form, which must never trigger work.
 func (s *Store) Peek(fp string) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -240,8 +254,11 @@ func (s *Store) Acquire(fp string) (e *Entry, fl *Flight, owner bool) {
 // results enter the memory layer, replacing any other entry of their
 // lineage, and, when a disk layer exists, are persisted; partial results
 // and errors are broadcast but not cached. The entry is resident before
-// the waiters wake.
+// the waiters wake. The disk layer follows the memory layer's lineage
+// rule: the files of the replaced revisions are removed once the new
+// revision's file is in place.
 func (s *Store) Complete(fp string, e *Entry, err error) {
+	req := persistReq{fp: fp}
 	s.mu.Lock()
 	fl := s.flights[fp]
 	delete(s.flights, fp)
@@ -253,6 +270,7 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 				if o.Lineage == e.Lineage && ofp != fp {
 					delete(s.mem, ofp)
 					delete(s.used, ofp)
+					req.replaced = append(req.replaced, ofp)
 				}
 			}
 		}
@@ -260,10 +278,12 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 		s.clock++
 		s.used[fp] = s.clock
 		s.evictLocked()
+		if e.Origin == "synthesized" || e.Origin == "incremental" || e.Origin == "peer" {
+			req.e = e
+		}
 	}
 	s.mu.Unlock()
-	persist := s.dir != "" && e != nil && err == nil && !e.Partial &&
-		(e.Origin == "synthesized" || e.Origin == "incremental" || e.Origin == "peer")
+	persist := s.dir != "" && (req.e != nil || len(req.replaced) > 0)
 	if persist {
 		// Counted before the waiters wake, so a Flush that follows their
 		// answer waits for this write.
@@ -277,9 +297,9 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 		// Best-effort and asynchronous; the memory layer already has it.
 		// A full queue falls back to writing inline rather than dropping.
 		select {
-		case s.persistCh <- persistReq{fp, e}:
+		case s.persistCh <- req:
 		default:
-			s.persist(fp, e)
+			s.persist(req)
 			s.pending.Add(-1)
 		}
 	}
@@ -322,14 +342,38 @@ func (s *Store) path(fp string) string {
 	return filepath.Join(s.dir, fp+".rules")
 }
 
-// persist writes the library through the textual Emit/parse round-trip
+// persist writes a request's entry and then removes the files of the
+// revisions it replaced; a failed write keeps them, so the lineage
+// still has a file. An inline write can overtake a queued one, so the
+// queue may hold a revision that a newer one has already replaced: it
+// is skipped, and a replaced revision that is resident again (a revert)
+// keeps its file.
+func (s *Store) persist(req persistReq) {
+	s.diskMu.Lock()
+	defer s.diskMu.Unlock()
+	if e := req.e; e != nil {
+		if cur := s.Lineage(e.Lineage); cur == nil || cur == e {
+			if err := s.write(req.fp, e); err != nil {
+				s.warnf("service: persisting artifact %s: %v", req.fp, err)
+				return
+			}
+		}
+	}
+	for _, ofp := range req.replaced {
+		s.mu.Lock()
+		resident := s.mem[ofp] != nil
+		s.mu.Unlock()
+		if !resident {
+			os.Remove(s.path(ofp))
+		}
+	}
+}
+
+// write persists the library through the textual Emit/parse round-trip
 // format atomically (tmp + fsync + rename), so neither a crashed daemon
 // nor a lost machine leaves a half-written artifact for the next one to
 // trust.
-func (s *Store) persist(fp string, e *Entry) error {
-	if s.dir == "" {
-		return nil
-	}
+func (s *Store) write(fp string, e *Entry) error {
 	// SaveLibraryFor records the fingerprint of every instruction of the
 	// target — not just the ones rules use — so a future daemon can run
 	// the incremental planner against the persisted artifact too.
@@ -381,10 +425,7 @@ func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 			os.Remove(s.path(fp)) // quarantine failed; fall back to dropping
 			q = "(unlink)"
 		}
-		s.mu.Lock()
-		logf := s.logf
-		s.mu.Unlock()
-		logf("service: disk artifact %s failed verification (%v); quarantined to %s", fp, err, q)
+		s.warnf("service: disk artifact %s failed verification (%v); quarantined to %s", fp, err, q)
 		return nil, false
 	}
 	lib.Freeze()
