@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"iselgen/internal/bv"
 	"iselgen/internal/pattern"
-	"iselgen/internal/term"
 )
 
 // PrecheckCounts tallies a CheckPrecheck run: the (pattern, entry,
-// assignment) triples visited and how many of them precheck rejected.
-type PrecheckCounts struct{ Visited, Rejected int }
+// assignment) triples visited, how many of them precheck rejected, and
+// how many of those rejections came after the first usable vector
+// compared equal.
+type PrecheckCounts struct{ Visited, Rejected, RejectedLater int }
 
 // CheckPrecheck visits every (pattern, entry, assignment) the SMT
 // fallback can reach for pats — each pattern's whole filter bucket, not
@@ -39,6 +39,10 @@ func (s *Synthesizer) CheckPrecheck(pats []*pattern.Pattern) (PrecheckCounts, er
 					return false
 				}
 				n.Rejected++
+				lv := pp.lead[inputKeyOf(entry, asg)]
+				if lv.n > 1 && entry.evals[lv.j[0]] == lv.d[0] {
+					n.RejectedLater++
+				}
 				if w.probeRun(pp, entry, asg, &d) {
 					err = fmt.Errorf("pattern %s, entry %s, assignment %v: precheck rejects what the probe accepts",
 						p.Key(), entry.Seq, asg)
@@ -54,25 +58,30 @@ func (s *Synthesizer) CheckPrecheck(pats []*pattern.Pattern) (PrecheckCounts, er
 	return n, nil
 }
 
-// CheckVector0 compares, for every pool entry, the digest the shared
-// vector-0 evaluator gives with the one the entry's compiled program
-// gives on the same vector, and reports how many entries it compared.
-func (s *Synthesizer) CheckVector0() (int, error) {
-	ic, v0 := newInputCache(s.Cfg.TestInputs), newVector0()
+// VectorMemoCounts tallies a CheckVectorMemos run: the (entry, vector)
+// digests compared, and the entries that compiled a program instead of
+// evaluating under the vector memos.
+type VectorMemoCounts struct{ Compared, Compiled int }
+
+// CheckVectorMemos asks every pool entry, in pool order and under one
+// worker's vector memos, for its digests on the memoized vectors, and
+// compares each with the digest the entry's compiled program gives on
+// the same vector.
+func (s *Synthesizer) CheckVectorMemos() (VectorMemoCounts, error) {
+	var n VectorMemoCounts
+	ic, vm := newInputCache(s.Cfg.TestInputs), newVectorMemos()
+	var d time.Duration
 	for _, e := range s.Pool {
-		got, ok := v0.digest(e.Effect.T, ic)
-		if !ok {
-			return 0, fmt.Errorf("entry %s: a variable name is bound at two widths", e.Seq)
+		got := e.digestsUpTo(memoVectors, ic, vm, &d)
+		if e.prog != nil {
+			n.Compiled++
 		}
-		p := term.Compile(e.Effect.T)
-		vals := make([]bv.BV, len(p.Vars()))
-		for i, v := range p.Vars() {
-			r := ic.vecs(nameHash(v.Name))[0]
-			vals[i] = bv.New128(v.Width, r.Hi, r.Lo)
-		}
-		if want := digest(p.Run(vals)); got != want {
-			return 0, fmt.Errorf("entry %s: vector-0 digest %x, compiled program gives %x", e.Seq, got, want)
+		for j, want := range programDigests(e.Effect.T, ic, min(memoVectors, e.evalN)) {
+			if got[j] != want {
+				return n, fmt.Errorf("entry %s: vector-%d digest %x, compiled program gives %x", e.Seq, j, got[j], want)
+			}
+			n.Compared++
 		}
 	}
-	return len(s.Pool), nil
+	return n, nil
 }

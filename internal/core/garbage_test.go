@@ -10,11 +10,12 @@ import (
 	"iselgen/internal/solver"
 )
 
-// riscvPoolAllocMB bounds the bytes a riscv BuildPool allocates: 13.0
-// MB once stage 1 allocated only on a miss (19.6 MB before), plus 15%.
-// A term, canonical form or trie map built again per lookup shows up
-// here first.
-const riscvPoolAllocMB = 13.0 * 1.15
+// riscvPoolAllocMB bounds the bytes a riscv BuildPool allocates: 12.5
+// MB once isa.AppendCache.Append sized each sequence's inputs exactly
+// (13.0 MB before, 19.6 MB before stage 1 allocated only on a miss),
+// plus 15%. A term, canonical form or trie map built again per lookup
+// shows up here first.
+const riscvPoolAllocMB = 12.5 * 1.15
 
 // TestBuildPoolAllocations pins stage 1's garbage on riscv.
 func TestBuildPoolAllocations(t *testing.T) {

@@ -176,30 +176,38 @@ type PoolEntry struct {
 	evals        []uint64 // per-test-vector digests, extended block-wise
 }
 
-// digestBlock is the granularity of lazy digest evaluation. Most probe
-// calls reject a candidate within the first few vectors (or accept
-// after probeCap), so evaluating an entry on all configured vectors up
-// front wastes the bulk of the work.
+// digestBlock is the granularity of lazy digest evaluation past the
+// memoized vectors. Most probe calls reject a candidate within the first
+// few vectors (or accept after probeCap), so evaluating an entry on all
+// configured vectors up front wastes the bulk of the work.
 const digestBlock = 32
 
+// memoVectors is how many leading test vectors an entry is evaluated on
+// without compiling its program: with one, 5,720 of riscv's 37,226
+// fallback candidates passed the precheck and 2,612 entries compiled per
+// synthesis; with four, 242 passed and 461 compiled; eight compiled 251
+// but spent no less time evaluating, with twice the memos per worker.
+const memoVectors = 4
+
 // digestsUpTo returns the entry's evaluation digests for at least the
-// first min(k, evalN) test vectors, extending the cache block-wise on
-// demand. Stage 1 used to evaluate every pool entry eagerly on every
-// vector, which dominated full synthesis — most entries are never
-// probed, and most probes touch only a handful of vectors. The digests
-// depend only on the effect term and the vector index, never on timing
-// or which goroutine asks first, so laziness cannot change any probe
+// first min(k, evalN) test vectors, extending the cache on demand.
+// Stage 1 used to evaluate every pool entry eagerly on every vector,
+// which dominated full synthesis: most entries are never probed, and
+// most probes reject within the first few vectors. The digests depend
+// only on the effect term and the vector index, never on timing or
+// which goroutine asks first, so laziness cannot change any probe
 // verdict. Time spent extending is added to *dur.
 //
-// The first extension evaluates just what is asked: the probe's
-// precheck asks for one vector, and most entries are never asked for a
-// second. Vector 0 goes through the caller's v0, which evaluates without
-// compiling the entry's program; later extensions compile it and go
-// block-wise.
+// The precheck compares up to memoVectors vectors, and on riscv only
+// one candidate in 150 survives it. So vectors below memoVectors go
+// through the caller's memos, which evaluate without compiling the
+// entry's program. A request at or past memoVectors compiles the
+// program; the first such extension evaluates just what is asked, and
+// later ones go block-wise.
 //
 // Concurrent readers are safe: elements below a returned slice's length
 // are never rewritten, and extension happens under the entry's mutex.
-func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, v0 *vector0, dur *time.Duration) []uint64 {
+func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, vm *vectorMemos, dur *time.Duration) []uint64 {
 	if k > e.evalN {
 		k = e.evalN
 	}
@@ -209,12 +217,12 @@ func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, v0 *vector0, dur *time.Du
 		return e.evals
 	}
 	t0 := time.Now()
-	if k == 1 {
-		if d, ok := v0.digest(e.Effect.T, ic); ok {
-			e.evals = append(e.evals, d)
-			*dur += time.Since(t0)
-			return e.evals
+	defer func() { *dur += time.Since(t0) }()
+	if k <= memoVectors && vm.bind(e.Effect.T, ic) {
+		for j := len(e.evals); j < k; j++ {
+			e.evals = append(e.evals, vm.digest(j, e.Effect.T))
 		}
+		return e.evals
 	}
 	if e.prog == nil {
 		e.prog = term.Compile(e.Effect.T)
@@ -237,39 +245,53 @@ func (e *PoolEntry) digestsUpTo(k int, ic *inputCache, v0 *vector0, dur *time.Du
 		}
 		e.evals = append(e.evals, digest(p.Run(vals)))
 	}
-	*dur += time.Since(t0)
 	return e.evals
 }
 
-// vector0 evaluates terms on test vector 0 under one memo, owned by one
-// worker. Entries composed from a common base share its effect subterm,
-// so most of an entry's vector-0 value is already in the memo, where a
-// program compiled per entry would recompute it. A value depends only
-// on the subterm and the vector, so sharing cannot change a digest.
-type vector0 struct {
-	env  *term.Env
-	memo map[*term.Term]bv.BV
+// vectorMemos evaluates terms on the first memoVectors test vectors,
+// one memo per vector, owned by one worker. Entries composed from a
+// common base share its effect subterm, so most of an entry's value on
+// a vector is already in that vector's memo, where a program compiled
+// per entry would recompute it. A value depends only on the subterm and
+// the vector, so sharing cannot change a digest.
+type vectorMemos struct {
+	env  [memoVectors]*term.Env
+	memo [memoVectors]map[*term.Term]bv.BV
 }
 
-func newVector0() *vector0 {
-	return &vector0{env: term.NewEnv(), memo: make(map[*term.Term]bv.BV)}
+func newVectorMemos() *vectorMemos {
+	vm := &vectorMemos{}
+	for j := range vm.env {
+		vm.env[j] = term.NewEnv()
+		vm.memo[j] = make(map[*term.Term]bv.BV)
+	}
+	return vm
 }
 
-// digest returns t's digest on vector 0. It reports false, leaving t to
-// a compiled program, when a variable of t shares its name with one
-// already bound at another width.
-func (v *vector0) digest(t *term.Term, ic *inputCache) (uint64, bool) {
+// bind binds every variable of t on every memoized vector. It reports
+// false, leaving t to a compiled program, when a variable of t shares
+// its name with one already bound at another width. A name is bound on
+// all vectors at once, so that answer is the same for every vector.
+func (vm *vectorMemos) bind(t *term.Term, ic *inputCache) bool {
 	for _, x := range t.Vars() {
-		if b, ok := v.env.Vals[x.Name]; ok {
+		if b, ok := vm.env[0].Vals[x.Name]; ok {
 			if b.W() != x.W() {
-				return 0, false
+				return false
 			}
 			continue
 		}
-		r := ic.vecs(nameHash(x.Name))[0]
-		v.env.Bind(x.Name, bv.New128(x.W(), r.Hi, r.Lo))
+		raw := ic.vecs(nameHash(x.Name))
+		for j := range min(memoVectors, len(raw)) {
+			vm.env[j].Bind(x.Name, bv.New128(x.W(), raw[j].Hi, raw[j].Lo))
+		}
 	}
-	return digest(t.EvalMemo(v.env, v.memo)), true
+	return true
+}
+
+// digest returns t's digest on vector j, below memoVectors; bind must
+// have accepted t.
+func (vm *vectorMemos) digest(j int, t *term.Term) uint64 {
+	return digest(t.EvalMemo(vm.env[j], vm.memo[j]))
 }
 
 // inputCache memoizes the raw 128-bit test vectors per variable-name

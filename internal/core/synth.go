@@ -28,7 +28,7 @@ type worker struct {
 	wcx     *canon.Ctx
 	checker *smt.Checker
 	ic      *inputCache
-	v0      *vector0
+	vm      *vectorMemos
 
 	lookupT time.Duration
 	probeT  time.Duration
@@ -64,7 +64,7 @@ func (s *Synthesizer) newWorker() *worker {
 		wb:  term.NewBuilder(),
 		wcx: canon.NewCtx(),
 		ic:  newInputCache(s.Cfg.TestInputs),
-		v0:  newVector0(),
+		vm:  newVectorMemos(),
 		checker: &smt.Checker{
 			MaxConflicts: s.Cfg.SMTMaxConflicts,
 			Obs:          s.Cfg.Obs,
@@ -680,14 +680,14 @@ const probeCap = 32
 // patternProbe is one pattern's side of the probe: its term compiled
 // once, so each evaluation runs with no allocation, each leaf's slot in
 // the program (-1 when the leaf's variable does not occur in the term),
-// and the first-vector memo of precheck.
+// and the leading-vector memo of precheck.
 type patternProbe struct {
 	prog     *term.Program
 	leaves   []*pattern.Node
 	leafSlot []int
-	// first is nil for a pattern with more than maxKeyLeaves leaves,
+	// lead is nil for a pattern with more than maxKeyLeaves leaves,
 	// which skips the precheck.
-	first map[inputKey]firstVec
+	lead map[inputKey]leadVecs
 }
 
 // maxKeyLeaves is how many leaves an inputKey records: the largest
@@ -703,19 +703,32 @@ type inputKey struct {
 	width [maxKeyLeaves]uint8
 }
 
-// firstVec is the index of the first usable test vector under an
-// inputKey and the pattern's digest there; j is -1 when no vector is
-// usable.
-type firstVec struct {
-	j int
-	d uint64
+// inputKeyOf is the inputKey of entry under asg.
+func inputKeyOf(entry *PoolEntry, asg []int) inputKey {
+	var k inputKey
+	for li, ki := range asg {
+		if ki >= 0 {
+			in := entry.Seq.Inputs[ki]
+			k.hash[li], k.width[li] = nameHash(in.Var.Name), uint8(in.Op.Width)
+		}
+	}
+	return k
+}
+
+// leadVecs is the pattern side of precheck under one inputKey: the
+// indices j of the first n usable test vectors, at most memoVectors of
+// them, and the pattern's digest d on each.
+type leadVecs struct {
+	n int
+	j [memoVectors]int
+	d [memoVectors]uint64
 }
 
 func newPatternProbe(tp *term.Term, leaves []*pattern.Node) *patternProbe {
 	pp := &patternProbe{prog: term.Compile(tp), leaves: leaves}
 	pp.leafSlot = resolveLeafSlots(pp.prog, leaves)
 	if len(leaves) <= maxKeyLeaves {
-		pp.first = make(map[inputKey]firstVec)
+		pp.lead = make(map[inputKey]leadVecs)
 	}
 	return pp
 }
@@ -724,9 +737,9 @@ func newPatternProbe(tp *term.Term, leaves []*pattern.Node) *patternProbe {
 // the entry's cached evaluations (§V-C). Vectors whose input value is
 // not representable in the bound immediate are skipped. The pattern side
 // runs as a compiled program; the entry side comes from the lazily
-// computed digest cache, so a probe that rejects on the first vector
-// never pays for the remaining ones. Most candidates fail on the first
-// usable vector, so precheck decides that one from a memo first.
+// computed digest cache, so a probe that rejects on an early vector
+// never pays for the remaining ones. Most candidates fail within the
+// first few usable vectors, so precheck decides those from a memo first.
 func (w *worker) probe(pp *patternProbe, entry *PoolEntry, asg []int) bool {
 	if w.s.Cfg.DisableProbe {
 		return true
@@ -734,36 +747,36 @@ func (w *worker) probe(pp *patternProbe, entry *PoolEntry, asg []int) bool {
 	return w.precheck(pp, entry, asg, &w.evalT) && w.probeRun(pp, entry, asg, &w.evalT)
 }
 
-// precheck is probeRun's verdict on the first usable vector alone: false
-// when no vector is usable or the entry's digest there differs from the
-// pattern's, which are exactly the ways probeRun fails before comparing a
-// second vector. The pattern side of that comparison is memoized per
-// inputKey, so most candidates cost one map lookup and the entry's first
-// digest.
+// precheck is probeRun's verdict on the first memoVectors usable vectors
+// alone: false when no vector is usable or the entry's digest on one of
+// them differs from the pattern's, which are exactly the ways probeRun
+// fails before comparing a vector past them (memoVectors <= probeCap).
+// The pattern side of that comparison is memoized per inputKey, so most
+// candidates cost one map lookup and the entry's first digests, which
+// come from the worker's vector memos when they lie below memoVectors.
 func (w *worker) precheck(pp *patternProbe, entry *PoolEntry, asg []int, evalDur *time.Duration) bool {
-	if pp.first == nil {
+	if pp.lead == nil {
 		return true
 	}
-	var k inputKey
-	for li, ki := range asg {
-		if ki >= 0 {
-			in := entry.Seq.Inputs[ki]
-			k.hash[li], k.width[li] = nameHash(in.Var.Name), uint8(in.Op.Width)
-		}
-	}
-	fv, ok := pp.first[k]
+	k := inputKeyOf(entry, asg)
+	lv, ok := pp.lead[k]
 	if !ok {
-		fv = firstVec{j: -1}
 		binds, vals := w.bindInputs(pp, entry, asg)
-		for j := 0; j < entry.evalN; j++ {
+		for j := 0; j < entry.evalN && lv.n < memoVectors; j++ {
 			if loadVector(binds, vals, j) {
-				fv = firstVec{j: j, d: digest(pp.prog.Run(vals))}
-				break
+				lv.j[lv.n], lv.d[lv.n] = j, digest(pp.prog.Run(vals))
+				lv.n++
 			}
 		}
-		pp.first[k] = fv
+		pp.lead[k] = lv
 	}
-	return fv.j >= 0 && entry.digestsUpTo(fv.j+1, w.ic, w.v0, evalDur)[fv.j] == fv.d
+	for i := range lv.n {
+		j := lv.j[i]
+		if entry.digestsUpTo(j+1, w.ic, w.vm, evalDur)[j] != lv.d[i] {
+			return false
+		}
+	}
+	return lv.n > 0
 }
 
 // bindInputs pairs every assigned leaf with the test vectors of its
@@ -825,11 +838,11 @@ func loadVector(binds []probeBinding, vals []bv.BV, j int) bool {
 // least one was usable and all compared equal.
 func (w *worker) probeRun(pp *patternProbe, entry *PoolEntry, asg []int, evalDur *time.Duration) bool {
 	binds, vals := w.bindInputs(pp, entry, asg)
-	evals := entry.digestsUpTo(1, w.ic, w.v0, evalDur)
+	evals := entry.digestsUpTo(1, w.ic, w.vm, evalDur)
 	checked := 0
 	for j := 0; j < entry.evalN; j++ {
 		if j >= len(evals) {
-			evals = entry.digestsUpTo(j+1, w.ic, w.v0, evalDur)
+			evals = entry.digestsUpTo(j+1, w.ic, w.vm, evalDur)
 		}
 		if !loadVector(binds, vals, j) {
 			continue

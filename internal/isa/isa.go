@@ -451,12 +451,15 @@ func (c *AppendCache) Append(b *term.Builder, s *Sequence, inst *Instruction, wi
 	// building the per-call name maps the Sequence methods use. Results
 	// are identical: keep inputs some effect still references, then
 	// surface flag variables the effects read that are not inputs yet.
-	ns.Inputs = make([]SeqOperand, 0, len(s.Inputs)+len(tpl.inputs)+2)
+	// They are gathered on the stack and copied into an exactly sized
+	// slice, since the sequence may stay in the pool for its lifetime.
+	var buf [16]SeqOperand
+	ins := buf[:0]
 	keepLive := func(in SeqOperand) {
 		for _, e := range ns.Effects {
 			for _, v := range e.T.Vars() {
 				if v.Name == in.Var.Name {
-					ns.Inputs = append(ns.Inputs, in)
+					ins = append(ins, in)
 					return
 				}
 			}
@@ -474,17 +477,19 @@ func (c *AppendCache) Append(b *term.Builder, s *Sequence, inst *Instruction, wi
 				continue
 			}
 			dup := false
-			for _, in := range ns.Inputs {
+			for _, in := range ins {
 				if in.Var.Name == v.Name {
 					dup = true
 					break
 				}
 			}
 			if !dup {
-				ns.Inputs = append(ns.Inputs, SeqOperand{Var: v, Flags: true})
+				ins = append(ins, SeqOperand{Var: v, Flags: true})
 			}
 		}
 	}
+	ns.Inputs = make([]SeqOperand, len(ins))
+	copy(ns.Inputs, ins)
 	return ns, nil
 }
 

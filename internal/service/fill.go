@@ -147,7 +147,6 @@ func (sv *Server) fillFromPeer(def *targetDef, rid string, timeout time.Duration
 	return &Entry{
 		Fingerprint: fp,
 		TargetName:  def.name,
-		B:           b,
 		Target:      tgt,
 		Lib:         lib,
 		Partial:     art.Partial,

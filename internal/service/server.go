@@ -506,7 +506,7 @@ func (sv *Server) synthesize(def *targetDef, timeout time.Duration, parent *obs.
 	// Both paths derive the corpus the same way, which is the consistency
 	// the incremental planner requires.
 	pats := sv.corpus(def.name)
-	ent := &Entry{Fingerprint: def.fp, TargetName: def.name, B: b, Target: tgt, Origin: "synthesized"}
+	ent := &Entry{Fingerprint: def.fp, TargetName: def.name, Target: tgt, Origin: "synthesized"}
 	var art *incr.Artifact
 	if base := sv.store.Lineage(def.lineage); base != nil {
 		art, _ = incr.ParseArtifact(isel.SaveLibraryFor(base.Lib, base.Target))

@@ -30,7 +30,6 @@ import (
 type Entry struct {
 	Fingerprint string
 	TargetName  string
-	B           *term.Builder
 	Target      *isa.Target
 	Lib         *rules.Library
 	// Partial marks a deadline-curtailed synthesis: only index-proven
@@ -432,7 +431,6 @@ func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 	return &Entry{
 		Fingerprint: fp,
 		TargetName:  tgt.Name,
-		B:           b,
 		Target:      tgt,
 		Lib:         lib,
 		Elapsed:     time.Since(t0),
