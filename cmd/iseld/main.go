@@ -91,8 +91,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8791", "listen address")
-	cacheDir := flag.String("cache-dir", "", "disk cache directory for artifacts and the solver journal (empty = memory only)")
-	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries, which keep one revision per edited spec (0 = unbounded)")
+	cacheDir := flag.String("cache-dir", "", "disk cache directory: one <lineage>.rules artifact per lineage, plus the solver journal (empty = memory only)")
+	cacheEntries := flag.Int("cache-entries", 0, "LRU cap on in-memory cached libraries, one revision per lineage (0 = unbounded)")
 	workers := flag.Int("workers", 2, "synthesis jobs running at once")
 	synthWorkers := flag.Int("synth-workers", 0, "matcher threads per synthesis job (0 = NumCPU)")
 	queue := flag.Int("queue", 8, "waiting-job queue depth (full queue answers 429)")

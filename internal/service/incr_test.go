@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -100,7 +102,7 @@ func TestIncrementalSpecEdit(t *testing.T) {
 // layer, and on disk, so asking for the seed revision again is neither a
 // hit nor a disk load: it is resynthesized from the edit, byte for byte
 // the artifact it first answered with. With a disk layer the seed is
-// then the lineage's one file.
+// then the revision in the lineage's one file.
 func TestSupersededRevision(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -150,9 +152,9 @@ func TestSupersededRevision(t *testing.T) {
 				if err := sv.store.Flush(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				files, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.rules"))
-				if want := filepath.Join(cfg.CacheDir, seed.Fingerprint+".rules"); len(files) != 1 || files[0] != want {
-					t.Errorf("disk holds %v, want only the seed's %s", files, want)
+				lineage := sv.store.Peek(again.Fingerprint).Lineage
+				if got := diskRevisions(t, cfg.CacheDir); len(got) != 1 || got[lineage] != seed.Fingerprint {
+					t.Errorf("disk holds %v, want only lineage %s at the seed's %s", got, lineage, seed.Fingerprint)
 				}
 			}
 		})
@@ -160,11 +162,11 @@ func TestSupersededRevision(t *testing.T) {
 }
 
 // TestDiskLineage: the disk layer keeps one artifact per lineage. After
-// a seed and five edits, semantic and whitespace-only, only the last
-// revision's file is left, a write of a revision that was replaced
+// a seed and five edits, semantic and whitespace-only, the lineage's one
+// file holds the last revision, a write of a revision that was replaced
 // before the writer reached it is skipped, and a restarted server loads
-// the last revision from disk. Each edit's write lands before its base's
-// file is removed, so a crash in between leaves two files, never none.
+// the last revision from disk. Each edit replaces the file in one
+// rename, so a crash leaves one revision or the other, never two files.
 func TestDiskLineage(t *testing.T) {
 	cfg := testConfig()
 	cfg.CacheDir = t.TempDir()
@@ -194,11 +196,10 @@ func TestDiskLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The seed's write arriving last, as when an inline write overtook
-	// the queue, must not bring its file back.
-	sv.store.persist(persistReq{fp: seed.Fingerprint, e: seed})
-	files, _ := filepath.Glob(filepath.Join(cfg.CacheDir, "*.rules"))
-	if want := filepath.Join(cfg.CacheDir, last.Fingerprint+".rules"); len(files) != 1 || files[0] != want {
-		t.Fatalf("disk holds %v after a seed and five edits, want only %s", files, want)
+	// the queue, must not replace the last revision's file.
+	sv.store.persist(seed)
+	if got := diskRevisions(t, cfg.CacheDir); len(got) != 1 || got[seed.Lineage] != last.Fingerprint {
+		t.Fatalf("disk holds %v after a seed and five edits, want only lineage %s at %s", got, seed.Lineage, last.Fingerprint)
 	}
 
 	_, ts2 := newTestServer(t, cfg)
@@ -208,6 +209,110 @@ func TestDiskLineage(t *testing.T) {
 	}
 	if got := decodeSynth(t, body); got.Cache != "disk" || got.Fingerprint != last.Fingerprint {
 		t.Fatalf("restart answered cache=%q fp=%s, want disk for %s", got.Cache, got.Fingerprint, last.Fingerprint)
+	}
+}
+
+// TestEvictedLineageDisk: a lineage that the cache cap evicted before
+// its next edit still has one file. The edit has no resident base, so it
+// is synthesized from scratch, and its write replaces the evicted
+// revision's file, since both share the lineage's slot.
+func TestEvictedLineageDisk(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheEntries = 1
+	cfg.CacheDir = t.TempDir()
+	sv, ts := newTestServer(t, cfg)
+	want := map[string]string{}
+	for _, req := range []SynthesizeRequest{
+		{Target: "mini", Spec: svcSpec},
+		{Target: "other", Spec: svcSpec},      // evicts mini
+		{Target: "mini", Spec: svcSpecEdited}, // no resident base
+	} {
+		status, body := postJSON(t, ts.URL+"/v1/synthesize", req)
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req.Target, status, body)
+		}
+		got := decodeSynth(t, body)
+		if got.Cache != "miss" {
+			t.Fatalf("%s cache = %q, want miss", req.Target, got.Cache)
+		}
+		def, err := sv.resolveTarget(req.Target, req.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[def.lineage] = got.Fingerprint
+	}
+	if err := sv.store.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := diskRevisions(t, cfg.CacheDir); !maps.Equal(got, want) {
+		t.Fatalf("disk holds %v, want one file per lineage: %v", got, want)
+	}
+}
+
+// diskRevisions maps each lineage file of a disk layer to the
+// fingerprint its first line names.
+func diskRevisions(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.rules"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	revs := map[string]string{}
+	for _, f := range files {
+		text, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(string(text), "\n")
+		revs[strings.TrimSuffix(filepath.Base(f), ".rules")] = strings.TrimPrefix(first, fpHeader)
+	}
+	return revs
+}
+
+// TestDiskSlotIsArtifact: a disk slot is a valid artifact for both
+// readers, so `iselgen -incremental -from <cache-dir>/<lineage>.rules`
+// can start from it. The fingerprint line is a comment to each:
+// incr.ParseArtifact reads every instruction header and every rule, and
+// isel.LoadLibrary verifies the whole library.
+func TestDiskSlotIsArtifact(t *testing.T) {
+	cfg := testConfig()
+	cfg.CacheDir = t.TempDir()
+	sv, ts := newTestServer(t, cfg)
+	status, body := postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec})
+	if status != http.StatusOK {
+		t.Fatalf("synthesis: status %d: %s", status, body)
+	}
+	e := sv.store.Peek(decodeSynth(t, body).Fingerprint)
+	if err := sv.store.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	text, err := os.ReadFile(filepath.Join(cfg.CacheDir, e.Lineage+".rules"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := incr.ParseArtifact(string(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.InstFPs) != len(e.Target.Insts) || len(art.Rules) != e.Lib.Len() {
+		t.Errorf("artifact reader saw %d headers and %d rules, want %d and %d",
+			len(art.InstFPs), len(art.Rules), len(e.Target.Insts), e.Lib.Len())
+	}
+	def, err := sv.resolveTarget("mini", svcSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := term.NewBuilder()
+	tgt, err := def.load(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := isel.LoadLibrary(b, tgt, string(text))
+	if err != nil {
+		t.Fatalf("library loader rejected the slot: %v", err)
+	}
+	if lib.Len() != e.Lib.Len() {
+		t.Errorf("library loader verified %d rules, want %d", lib.Len(), e.Lib.Len())
 	}
 }
 
@@ -331,14 +436,14 @@ func TestStoreLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	add := func(fp string) {
-		if _, _, owner := s.Acquire(fp); !owner {
+		if _, _, owner := s.Acquire(fp, fp); !owner {
 			t.Fatalf("expected to own flight for %s", fp)
 		}
-		s.Complete(fp, &Entry{Fingerprint: fp}, nil)
+		s.Complete(fp, &Entry{Fingerprint: fp, Lineage: fp}, nil)
 	}
 	add("a")
 	add("b")
-	if e, _, _ := s.Acquire("a"); e == nil { // touch "a": now "b" is LRU
+	if e, _, _ := s.Acquire("a", "a"); e == nil { // touch "a": now "b" is LRU
 		t.Fatal("entry a missing before eviction")
 	}
 	add("c")
@@ -348,30 +453,34 @@ func TestStoreLRU(t *testing.T) {
 	if s.Evictions() != 1 {
 		t.Errorf("evictions = %d, want 1", s.Evictions())
 	}
-	if e, _, _ := s.Acquire("b"); e != nil {
+	if e, _, _ := s.Acquire("b", "b"); e != nil {
 		t.Error("LRU entry b survived eviction")
 	}
 	s.Complete("b", nil, fmt.Errorf("test: abandon flight"))
-	if e, _, _ := s.Acquire("a"); e == nil {
+	if e, _, _ := s.Acquire("a", "a"); e == nil {
 		t.Error("recently used entry a was evicted")
 	}
-	if e, _, _ := s.Acquire("c"); e == nil {
+	if e, _, _ := s.Acquire("c", "c"); e == nil {
 		t.Error("newest entry c was evicted")
 	}
 }
 
 // TestStoreLineage: two entries of one lineage leave one resident
-// entry, the newer, and the replacement is not an eviction.
+// entry, the newer, the replacement is not an eviction, and the
+// replaced revision no longer hits.
 func TestStoreLineage(t *testing.T) {
 	s, err := NewStore("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fp := range []string{"rev1", "rev2"} {
-		if _, _, owner := s.Acquire(fp); !owner {
+		if _, _, owner := s.Acquire("mini", fp); !owner {
 			t.Fatalf("expected to own flight for %s", fp)
 		}
 		s.Complete(fp, &Entry{Fingerprint: fp, Lineage: "mini"}, nil)
+	}
+	if e, _, _ := s.Acquire("mini", "rev1"); e != nil {
+		t.Errorf("replaced revision rev1 still hits: %+v", e)
 	}
 	if n := s.MemLen(); n != 1 {
 		t.Errorf("mem len = %d, want 1", n)

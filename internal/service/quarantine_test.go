@@ -15,7 +15,8 @@ import (
 // an artifact that no longer parses or verifies is never served — it is
 // moved aside to a .quarantine file (evidence for post-mortems), a
 // warning is logged, and the load reports a miss so the slot
-// re-synthesizes cleanly.
+// re-synthesizes cleanly. A slot that holds another revision is a plain
+// miss: it is neither verified nor moved.
 func TestDiskArtifactQuarantine(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStore(dir, 0)
@@ -29,9 +30,9 @@ func TestDiskArtifactQuarantine(t *testing.T) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	})
 
-	const fp = "deadbeef"
-	artifact := filepath.Join(dir, fp+".rules")
-	if err := os.WriteFile(artifact, []byte("rule ADDrr <- garbage that does not parse\n"), 0o644); err != nil {
+	const fp, lineage = "deadbeef", "mini"
+	artifact := filepath.Join(dir, lineage+".rules")
+	if err := os.WriteFile(artifact, []byte(fpHeader+fp+"\nrule ADDrr <- garbage that does not parse\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,7 +41,10 @@ func TestDiskArtifactQuarantine(t *testing.T) {
 		tgt, err := isa.LoadTarget(b, "mini", svcSpec, nil, 4)
 		return b, tgt, err
 	}
-	if e, ok := s.LoadDisk(fp, mat); ok {
+	if _, ok := s.LoadDisk("cafef00d", lineage, mat); ok || len(warnings) != 0 {
+		t.Fatalf("a slot holding another revision hit or warned: %v", warnings)
+	}
+	if e, ok := s.LoadDisk(fp, lineage, mat); ok {
 		t.Fatalf("corrupt artifact served: %+v", e)
 	}
 	if _, err := os.Stat(artifact); !os.IsNotExist(err) {
@@ -54,7 +58,7 @@ func TestDiskArtifactQuarantine(t *testing.T) {
 	}
 
 	// The quarantined slot behaves as a plain miss from here on.
-	if _, ok := s.LoadDisk(fp, mat); ok {
+	if _, ok := s.LoadDisk(fp, lineage, mat); ok {
 		t.Fatal("second load of a quarantined fingerprint still hit")
 	}
 	if len(warnings) != 1 {

@@ -393,9 +393,9 @@ func TestStoreLRUConcurrentEviction(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				fp := fmt.Sprintf("fp-%d", (g*7+i)%32)
-				if e, fl, owner := s.Acquire(fp); e == nil {
+				if e, fl, owner := s.Acquire(fp, fp); e == nil {
 					if owner {
-						s.Complete(fp, &Entry{Fingerprint: fp, Origin: "synthesized"}, nil)
+						s.Complete(fp, &Entry{Fingerprint: fp, Lineage: fp, Origin: "synthesized"}, nil)
 					} else {
 						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 						fl.Wait(ctx)

@@ -354,7 +354,7 @@ func (sv *Server) timeout(ms int64) time.Duration {
 // from each other in a cycle.
 func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
 	fp := def.fp
-	e, fl, owner := sv.store.Acquire(fp)
+	e, fl, owner := sv.store.Acquire(def.lineage, fp)
 	if e != nil {
 		sv.metrics.CacheHits.Add(1)
 		return e, "hit", http.StatusOK, nil
@@ -439,7 +439,7 @@ func (sv *Server) fill(def *targetDef, rid string, timeout time.Duration, allowP
 	if sv.testJobGate != nil {
 		sv.testJobGate()
 	}
-	ent, ok := sv.store.LoadDisk(def.fp, func() (*term.Builder, *isa.Target, error) {
+	ent, ok := sv.store.LoadDisk(def.fp, def.lineage, func() (*term.Builder, *isa.Target, error) {
 		return sv.loadTarget(def, fsp)
 	})
 	if ok {

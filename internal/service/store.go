@@ -8,6 +8,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"log"
 	"os"
@@ -43,9 +44,9 @@ type Entry struct {
 	// resident when it ran), "peer", or "disk".
 	Origin string
 	// Lineage is the cache key minus the spec text: (target name,
-	// config). The memory layer holds at most one entry per lineage, so
-	// a spec edit's entry replaces its previous revision's. Empty means
-	// no lineage: such an entry never replaces another.
+	// config). It names the entry's slot in the store: memory and disk
+	// hold one revision per lineage, so a spec edit's entry replaces its
+	// previous revision's.
 	Lineage string
 	// Reused and Resynth count, for incremental entries, how many rules
 	// were carried over re-verified versus produced by synthesis.
@@ -82,45 +83,38 @@ func (f *Flight) Wait(ctx context.Context) (*Entry, error) {
 // Store is the content-addressed rule-library cache: an in-memory layer,
 // an optional disk layer persisted via the Emit/parse round-trip
 // (re-verified on load, DESIGN invariant 8), and singleflight
-// deduplication of concurrent misses.
+// deduplication of concurrent misses. Both layers have one slot per
+// lineage, holding the revision that lineage last cached; a slot
+// answers only for the fingerprint it holds.
 type Store struct {
 	dir    string // "" = memory only
 	maxMem int    // LRU cap on in-memory entries; 0 = unbounded
 	logf   func(format string, args ...any)
 
 	mu        sync.Mutex
-	mem       map[string]*Entry
-	used      map[string]uint64 // fingerprint -> last-touch tick
+	mem       map[string]*Entry // lineage -> its resident revision
+	used      map[string]uint64 // lineage -> last-touch tick
 	clock     uint64
 	evictions uint64
-	flights   map[string]*Flight
+	flights   map[string]*Flight // fingerprint -> its synthesis
 
 	// Disk persists ride an asynchronous writer so Complete never holds
 	// waiters behind filesystem latency; Flush drains the queue (the
 	// shutdown "flush the disk cache" step). A full queue degrades to a
 	// synchronous write in the caller — writes are never dropped. diskMu
 	// serializes the writer and those inline writes.
-	persistCh chan persistReq
+	persistCh chan *Entry
 	pending   atomic.Int64
 	writerWG  sync.WaitGroup
 	closeOnce sync.Once
 	diskMu    sync.Mutex
 }
 
-// persistReq is one queued disk write: the entry to write (nil when
-// there is none) and the fingerprints of the lineage revisions it
-// replaced in the memory layer, whose files go once it is in place.
-type persistReq struct {
-	fp       string
-	e        *Entry
-	replaced []string
-}
-
 // NewStore creates a store; dir, when non-empty, is created and used as
 // the disk layer. maxMem, when positive, caps the in-memory layer: the
 // least-recently-used entry is evicted on insertion past the cap (the
 // disk layer, when present, still holds the artifact, so an evicted
-// fingerprint re-verifies from disk rather than re-synthesizing).
+// lineage's revision re-verifies from disk rather than re-synthesizing).
 func NewStore(dir string, maxMem int) (*Store, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -130,12 +124,12 @@ func NewStore(dir string, maxMem int) (*Store, error) {
 	s := &Store{dir: dir, maxMem: maxMem, logf: log.Printf,
 		mem: map[string]*Entry{}, used: map[string]uint64{}, flights: map[string]*Flight{}}
 	if dir != "" {
-		s.persistCh = make(chan persistReq, 64)
+		s.persistCh = make(chan *Entry, 64)
 		s.writerWG.Add(1)
 		go func() {
 			defer s.writerWG.Done()
-			for req := range s.persistCh {
-				s.persist(req)
+			for e := range s.persistCh {
+				s.persist(e)
 				s.pending.Add(-1)
 			}
 		}()
@@ -182,10 +176,12 @@ func (s *Store) Entries() []*Entry {
 func (s *Store) Peek(fp string) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.mem[fp]; e != nil {
-		s.clock++
-		s.used[fp] = s.clock
-		return e
+	for lineage, e := range s.mem {
+		if e.Fingerprint == fp {
+			s.clock++
+			s.used[lineage] = s.clock
+			return e
+		}
 	}
 	return nil
 }
@@ -196,12 +192,7 @@ func (s *Store) Peek(fp string) *Entry {
 func (s *Store) Lineage(lineage string) *Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.mem {
-		if lineage != "" && e.Lineage == lineage {
-			return e
-		}
-	}
-	return nil
+	return s.mem[lineage]
 }
 
 // Flush blocks until every queued disk persist has been written (or ctx
@@ -228,16 +219,17 @@ func (s *Store) Close() {
 	s.writerWG.Wait()
 }
 
-// Acquire is the atomic admission step for a fingerprint: a memory hit
-// returns the entry directly; otherwise the caller either joins an
-// existing flight (owner=false) or is appointed owner of a new one
-// (owner=true) and must eventually call Complete.
-func (s *Store) Acquire(fp string) (e *Entry, fl *Flight, owner bool) {
+// Acquire is the atomic admission step for a fingerprint of a lineage:
+// a memory hit (the lineage's slot holds fp) returns the entry directly;
+// otherwise the caller either joins an existing flight (owner=false) or
+// is appointed owner of a new one (owner=true) and must eventually call
+// Complete.
+func (s *Store) Acquire(lineage, fp string) (e *Entry, fl *Flight, owner bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.mem[fp]; e != nil {
+	if e := s.mem[lineage]; e != nil && e.Fingerprint == fp {
 		s.clock++
-		s.used[fp] = s.clock
+		s.used[lineage] = s.clock
 		return e, nil, false
 	}
 	if fl := s.flights[fp]; fl != nil {
@@ -250,39 +242,25 @@ func (s *Store) Acquire(fp string) (e *Entry, fl *Flight, owner bool) {
 
 // Complete resolves the owner's flight, publishing the entry to every
 // waiter. Complete (not the synthesis job) decides cacheability: full
-// results enter the memory layer, replacing any other entry of their
-// lineage, and, when a disk layer exists, are persisted; partial results
-// and errors are broadcast but not cached. The entry is resident before
-// the waiters wake. The disk layer follows the memory layer's lineage
-// rule: the files of the replaced revisions are removed once the new
-// revision's file is in place.
+// results take their lineage's slot, replacing its previous revision,
+// and, when a disk layer exists and they did not come from it, are
+// persisted; partial results and errors are broadcast but not cached.
+// The entry is resident before the waiters wake.
 func (s *Store) Complete(fp string, e *Entry, err error) {
-	req := persistReq{fp: fp}
 	s.mu.Lock()
 	fl := s.flights[fp]
 	delete(s.flights, fp)
+	persist := false
 	if e != nil && err == nil && !e.Partial {
-		if e.Lineage != "" {
-			// A replaced revision is not an eviction: the lineage still
-			// has its one resident entry.
-			for ofp, o := range s.mem {
-				if o.Lineage == e.Lineage && ofp != fp {
-					delete(s.mem, ofp)
-					delete(s.used, ofp)
-					req.replaced = append(req.replaced, ofp)
-				}
-			}
-		}
-		s.mem[fp] = e
+		// A replaced revision is not an eviction: the lineage still has
+		// its one resident entry.
+		s.mem[e.Lineage] = e
 		s.clock++
-		s.used[fp] = s.clock
+		s.used[e.Lineage] = s.clock
 		s.evictLocked()
-		if e.Origin == "synthesized" || e.Origin == "incremental" || e.Origin == "peer" {
-			req.e = e
-		}
+		persist = s.dir != "" && e.Origin != "disk"
 	}
 	s.mu.Unlock()
-	persist := s.dir != "" && (req.e != nil || len(req.replaced) > 0)
 	if persist {
 		// Counted before the waiters wake, so a Flush that follows their
 		// answer waits for this write.
@@ -296,9 +274,9 @@ func (s *Store) Complete(fp string, e *Entry, err error) {
 		// Best-effort and asynchronous; the memory layer already has it.
 		// A full queue falls back to writing inline rather than dropping.
 		select {
-		case s.persistCh <- req:
+		case s.persistCh <- e:
 		default:
-			s.persist(req)
+			s.persist(e)
 			s.pending.Add(-1)
 		}
 	}
@@ -312,9 +290,9 @@ func (s *Store) evictLocked() {
 	}
 	for len(s.mem) > s.maxMem {
 		victim, oldest := "", uint64(0)
-		for fp, tick := range s.used {
+		for lineage, tick := range s.used {
 			if victim == "" || tick < oldest {
-				victim, oldest = fp, tick
+				victim, oldest = lineage, tick
 			}
 		}
 		delete(s.mem, victim)
@@ -337,47 +315,40 @@ func (s *Store) Evictions() uint64 {
 	return s.evictions
 }
 
-func (s *Store) path(fp string) string {
-	return filepath.Join(s.dir, fp+".rules")
+// path is the disk slot of a lineage.
+func (s *Store) path(lineage string) string {
+	return filepath.Join(s.dir, lineage+".rules")
 }
 
-// persist writes a request's entry and then removes the files of the
-// revisions it replaced; a failed write keeps them, so the lineage
-// still has a file. An inline write can overtake a queued one, so the
-// queue may hold a revision that a newer one has already replaced: it
-// is skipped, and a replaced revision that is resident again (a revert)
-// keeps its file.
-func (s *Store) persist(req persistReq) {
+// fpHeader starts a disk slot's first line, which names the revision
+// the slot holds. Both artifact readers take it for a comment, so the
+// file stays a valid `iselgen -incremental -from` artifact.
+const fpHeader = "#%fingerprint "
+
+// persist writes an entry to its lineage's slot. An inline write can
+// overtake a queued one, so the queue may hold a revision that a newer
+// one has already replaced in memory: it is skipped.
+func (s *Store) persist(e *Entry) {
 	s.diskMu.Lock()
 	defer s.diskMu.Unlock()
-	if e := req.e; e != nil {
-		if cur := s.Lineage(e.Lineage); cur == nil || cur == e {
-			if err := s.write(req.fp, e); err != nil {
-				s.warnf("service: persisting artifact %s: %v", req.fp, err)
-				return
-			}
-		}
+	if cur := s.Lineage(e.Lineage); cur != nil && cur != e {
+		return
 	}
-	for _, ofp := range req.replaced {
-		s.mu.Lock()
-		resident := s.mem[ofp] != nil
-		s.mu.Unlock()
-		if !resident {
-			os.Remove(s.path(ofp))
-		}
+	if err := s.write(e); err != nil {
+		s.warnf("service: persisting artifact %s: %v", e.Fingerprint, err)
 	}
 }
 
 // write persists the library through the textual Emit/parse round-trip
 // format atomically (tmp + fsync + rename), so neither a crashed daemon
 // nor a lost machine leaves a half-written artifact for the next one to
-// trust.
-func (s *Store) write(fp string, e *Entry) error {
+// trust, and the rename replaces the lineage's previous revision.
+func (s *Store) write(e *Entry) error {
 	// SaveLibraryFor records the fingerprint of every instruction of the
 	// target — not just the ones rules use — so a future daemon can run
 	// the incremental planner against the persisted artifact too.
-	text := isel.SaveLibraryFor(e.Lib, e.Target)
-	tmp, err := os.CreateTemp(s.dir, "."+fp+".tmp*")
+	text := fpHeader + e.Fingerprint + "\n" + isel.SaveLibraryFor(e.Lib, e.Target)
+	tmp, err := os.CreateTemp(s.dir, "."+e.Lineage+".tmp*")
 	if err != nil {
 		return err
 	}
@@ -393,19 +364,22 @@ func (s *Store) write(fp string, e *Entry) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), s.path(fp))
+	return os.Rename(tmp.Name(), s.path(e.Lineage))
 }
 
-// LoadDisk attempts the disk layer for a fingerprint: the persisted text
-// is parsed against a freshly materialized target and every rule is
-// re-verified (corrupt or stale artifacts are treated as misses, never
-// served). Called by the flight owner before falling back to synthesis.
-func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
+// LoadDisk attempts the disk layer for a fingerprint of a lineage: a
+// slot holding another revision is a plain miss; otherwise the
+// persisted text is parsed against a freshly materialized target and
+// every rule is re-verified (corrupt or stale artifacts are treated as
+// misses, never served). Called by the flight owner before falling back
+// to synthesis.
+func (s *Store) LoadDisk(fp, lineage string, mat Materializer) (*Entry, bool) {
 	if s.dir == "" {
 		return nil, false
 	}
-	text, err := os.ReadFile(s.path(fp))
-	if err != nil {
+	path := s.path(lineage)
+	text, err := os.ReadFile(path)
+	if err != nil || !bytes.HasPrefix(text, []byte(fpHeader+fp+"\n")) {
 		return nil, false
 	}
 	t0 := time.Now()
@@ -419,9 +393,9 @@ func (s *Store) LoadDisk(fp string, mat Materializer) (*Entry, bool) {
 		// evidence for debugging: quarantine it aside (never fail the
 		// load) so the slot re-synthesizes cleanly while the artifact
 		// survives for post-mortems.
-		q := s.path(fp) + ".quarantine"
-		if rerr := os.Rename(s.path(fp), q); rerr != nil {
-			os.Remove(s.path(fp)) // quarantine failed; fall back to dropping
+		q := path + ".quarantine"
+		if rerr := os.Rename(path, q); rerr != nil {
+			os.Remove(path) // quarantine failed; fall back to dropping
 			q = "(unlink)"
 		}
 		s.warnf("service: disk artifact %s failed verification (%v); quarantined to %s", fp, err, q)
