@@ -16,16 +16,12 @@
 //	                      per-instruction metadata
 //	POST /v1/select/batch lower many inline programs in one request
 //	                      against one library acquisition
-//	POST /v1/jobs         submit a synthesis asynchronously: answers 202
-//	                      with a job ID to poll
-//	GET  /v1/jobs/{id}    job progress and, when done, the result
 //	POST /v1/artifact     serve (or produce) a serialized library for a
 //	                      peer replica's cache fill
 //	GET  /v1/solver/query look up one memoized SMT verdict in this
 //	                      replica's memo by its content-addressed key
 //	                      (?key=...); misses answer 404 — the endpoint
 //	                      never solves and never asks a peer
-//	POST /v1/solver/query the same lookup with the key in a JSON body
 //	GET  /v1/rules/{fingerprint}/why
 //	                      a rule's provenance joined with the memoized
 //	                      solver queries its synthesis ran
@@ -57,7 +53,7 @@
 // Usage: iseld [-addr :8791] [-cache-dir DIR] [-cache-entries N]
 //
 //	[-workers N] [-synth-workers N] [-queue N] [-patterns N] [-timeout D]
-//	[-inputs N] [-trace-spans N] [-trace-sample F] [-no-obs] [-max-jobs N]
+//	[-inputs N] [-trace-spans N] [-trace-sample F] [-no-obs]
 //	[-peers URL,URL,...] [-self URL] [-drain-timeout D]
 //
 // With -peers set, replicas form a consistent-hash ring over cache
@@ -102,7 +98,6 @@ func main() {
 	traceSpans := flag.Int("trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests starting a distributed trace (0 = all, <0 = none; valid incoming X-Iseld-Trace contexts are always honored)")
 	noObs := flag.Bool("no-obs", false, "disable tracing, histograms, and decision provenance")
-	maxJobs := flag.Int("max-jobs", 0, "cap on async jobs queued+running via POST /v1/jobs (0 = default)")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (empty = standalone)")
 	self := flag.String("self", "", "this replica's base URL as it appears in -peers")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: drain in-flight work and flush the disk cache")
@@ -131,7 +126,6 @@ func main() {
 		Synth:          cfg,
 		MaxPatterns:    *patterns,
 		DefaultTimeout: *timeout,
-		MaxJobs:        *maxJobs,
 		Obs:            o,
 		TraceSample:    *traceSample,
 		Logger:         logger,
@@ -185,9 +179,9 @@ func main() {
 	}
 
 	// Graceful drain under one budget: stop accepting connections, let
-	// in-flight requests (async jobs included) finish, then flush the
-	// disk-cache persist queue — so a SIGTERM'd replica leaves nothing
-	// half-answered and nothing uncached.
+	// in-flight requests and the synthesis flights they started finish,
+	// then flush the disk-cache persist queue — so a SIGTERM'd replica
+	// leaves nothing half-answered and nothing uncached.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {

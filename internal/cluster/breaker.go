@@ -53,7 +53,7 @@ func (b *breaker) Allow() bool {
 	}
 }
 
-// Success records a successful exchange with the peer, closing the
+// Success records a successful exchange with the peer; it closes the
 // circuit from any state.
 func (b *breaker) Success() {
 	b.mu.Lock()

@@ -53,45 +53,19 @@ func postJSON(t *testing.T, client *http.Client, url string, body any, traced bo
 	return resp.StatusCode, out, traceID
 }
 
-// warmReplica synthesizes the riscv library on one replica through the
-// async job API under a sampled trace, polls the job to done, and
-// returns the trace ID.
+// warmReplica synthesizes the riscv library on one replica through
+// POST /v1/synthesize under a sampled trace and returns the trace ID.
 func warmReplica(t *testing.T, client *http.Client, base string) string {
 	t.Helper()
-	status, body, traceID := postJSON(t, client, base+"/v1/jobs", service.SynthesizeRequest{Target: "riscv"}, true)
-	if status != http.StatusAccepted {
-		t.Fatalf("warm %s: submit answered %d: %s", base, status, body)
+	status, body, traceID := postJSON(t, client, base+"/v1/synthesize", service.SynthesizeRequest{Target: "riscv"}, true)
+	if status != http.StatusOK {
+		t.Fatalf("warm %s: synthesize answered %d: %s", base, status, body)
 	}
-	var sub service.JobSubmitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := client.Get(base + sub.Poll)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st service.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		switch {
-		case st.Status == service.JobDone:
-			return traceID
-		case st.Status == service.JobFailed:
-			t.Fatalf("warm %s: job failed: %s", base, st.Error)
-		case time.Now().After(deadline):
-			t.Fatalf("warm %s: job still %q at the deadline", base, st.Status)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	return traceID
 }
 
 // TestClusterReplay drives a 3-replica fleet the way a load run does:
-// warm every replica through the job API, replay a fuzz-generated
+// warm every replica through /v1/synthesize, replay a fuzz-generated
 // program stream through the batch endpoint from concurrent clients,
 // then check what the fleet reports. Every batch must select or fall
 // back cleanly; the fleet must have synthesized the library once and
@@ -118,14 +92,14 @@ func TestClusterReplay(t *testing.T) {
 		sr := awaitTrace(t, base0, id, 1)
 		synth := false
 		for _, s := range sr.Spans {
-			synth = synth || s.Name == "job synthesize"
+			synth = synth || s.Name == "synth flight"
 		}
 		if synth && len(nodesOf(sr.Spans)) >= 2 {
 			crossed = true
 		}
 	}
 	if !crossed {
-		t.Errorf("no warm trace both spans two replicas and holds a job synthesize span")
+		t.Errorf("no warm trace both spans two replicas and holds a synth flight span")
 	}
 
 	gcfg := fuzz.DefaultGenConfig()

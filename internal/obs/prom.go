@@ -428,9 +428,9 @@ func parsePromValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-// labelSetEnd returns the index of the '}' closing the label set that
-// opens at s[open], skipping braces inside quoted label values (a route
-// label such as "/v1/jobs/{id}" carries them), or -1.
+// labelSetEnd returns the index of the '}' that ends the label set
+// opening at s[open], skipping braces inside quoted label values (a
+// route label such as "/v1/trace/{traceId}" carries them), or -1.
 func labelSetEnd(s string, open int) int {
 	quoted := false
 	for i := open + 1; i < len(s); i++ {

@@ -14,7 +14,6 @@ var requestBodies = map[string]func() any{
 	"select":     func() any { return new(SelectRequest) },
 	"batch":      func() any { return new(BatchSelectRequest) },
 	"artifact":   func() any { return new(FillRequest) },
-	"solver":     func() any { return new(SolverQueryRequest) },
 }
 
 var decodeSeeds = []string{

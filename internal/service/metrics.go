@@ -24,12 +24,11 @@ type Metrics struct {
 	RulesReused  atomic.Uint64 // rules carried over re-verified (zero solver queries)
 	RulesResynth atomic.Uint64 // rules synthesized by incremental runs
 	Errors       atomic.Uint64 // requests answered with an error status
-	Selections   atomic.Uint64 // programs lowered by /v1/select and /v1/select/batch
+	Selections   atomic.Uint64 // programs selected with no fallback and no error, by any select form
 
 	PeerFills      atomic.Uint64 // cache misses filled from a peer replica's artifact
 	ArtifactServed atomic.Uint64 // /v1/artifact fills served to peers
 	BatchPrograms  atomic.Uint64 // programs received through /v1/select/batch
-	JobsSubmitted  atomic.Uint64 // async jobs admitted through /v1/jobs
 
 	MemoServed atomic.Uint64 // /v1/solver/query answers from the local verdict memo
 
@@ -68,8 +67,6 @@ type MetricsSnapshot struct {
 	PeerFills      uint64          `json:"peer_fills"`
 	ArtifactServed uint64          `json:"artifacts_served"`
 	BatchPrograms  uint64          `json:"batch_programs"`
-	JobsSubmitted  uint64          `json:"jobs_submitted"`
-	JobsActive     int             `json:"jobs_active"`
 	CachedEntries  int             `json:"cached_entries"`
 	Evictions      uint64          `json:"evictions"`
 	QueueDepth     int             `json:"queue_depth"`

@@ -217,11 +217,11 @@ func (sv *Server) withObs(w http.ResponseWriter, r *http.Request) {
 }
 
 // routeLabel is the path label of r's request metrics: the path of the
-// route the mux matches (GET /v1/jobs/{id} → /v1/jobs/{id}), or
-// "unmatched". The raw path would mint a counter and a histogram series
-// per job poll, trace ID and made-up 404 path, never to be freed. The
-// route comes from ServeMux.Handler rather than Request.Pattern, which
-// Go 1.22 does not set.
+// route the mux matches (GET /v1/trace/{traceId} → /v1/trace/{traceId}),
+// or "unmatched". The raw path would mint a counter and a histogram
+// series per trace ID, rule fingerprint and made-up 404 path, never to be
+// freed. The route comes from ServeMux.Handler rather than
+// Request.Pattern, which Go 1.22 does not set.
 func (sv *Server) routeLabel(r *http.Request) string {
 	_, route := sv.mux.Handler(r)
 	if route == "" {
@@ -323,7 +323,7 @@ func (sv *Server) registerGauges() {
 		func() int64 { return int64(sv.metrics.PartialRes.Load()) })
 	mirror("errors", "requests answered with an error status",
 		func() int64 { return int64(sv.metrics.Errors.Load()) })
-	mirror("selections", "programs lowered by /v1/select",
+	mirror("selections", "programs selected with no fallback and no error",
 		func() int64 { return int64(sv.metrics.Selections.Load()) })
 	mirror("peer_fills", "cache misses filled from a peer replica",
 		func() int64 { return int64(sv.metrics.PeerFills.Load()) })
@@ -331,10 +331,6 @@ func (sv *Server) registerGauges() {
 		func() int64 { return int64(sv.metrics.ArtifactServed.Load()) })
 	mirror("batch_programs", "programs received through /v1/select/batch",
 		func() int64 { return int64(sv.metrics.BatchPrograms.Load()) })
-	mirror("jobs_submitted", "async jobs admitted through /v1/jobs",
-		func() int64 { return int64(sv.metrics.JobsSubmitted.Load()) })
-	mirror("jobs_active", "async jobs queued or running now",
-		func() int64 { return int64(sv.jobs.activeCount()) })
 	mirror("cached_entries", "libraries resident in the memory cache",
 		func() int64 { return int64(sv.store.MemLen()) })
 	mirror("queue_depth", "synthesis jobs waiting in the queue",

@@ -262,23 +262,15 @@ func requestSeries(t *testing.T, base string) []obs.PromSample {
 }
 
 // TestRequestMetricsBoundedByRoute: request metrics are labelled by the
-// matched route, not the raw path, so job polls, unknown job IDs and
-// made-up 404 paths add no series once each route and status has been
-// seen.
+// matched route, not the raw path, so made-up trace IDs, rule
+// fingerprints and 404 paths add no series once each route and status
+// has been seen.
 func TestRequestMetricsBoundedByRoute(t *testing.T) {
 	_, ts := newTestServer(t, obsTestConfig())
-	status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", status, body)
-	}
-	var sub JobSubmitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
-		t.Fatal(err)
-	}
 	round := func(i int) {
 		for _, path := range []string{
-			sub.Poll,
-			fmt.Sprintf("/v1/jobs/job-%06d", 900000+i),
+			fmt.Sprintf("/v1/trace/%032x", 900000+i),
+			fmt.Sprintf("/v1/rules/%016x/why", 900000+i),
 			fmt.Sprintf("/no/such/path/%d", i),
 		} {
 			doReq(t, http.MethodGet, ts.URL+path, nil, nil)
@@ -297,7 +289,7 @@ func TestRequestMetricsBoundedByRoute(t *testing.T) {
 	for _, s := range after {
 		paths[s.Labels["path"]] = true
 	}
-	for _, want := range []string{"/v1/jobs", "/v1/jobs/{id}", "unmatched"} {
+	for _, want := range []string{"/v1/trace/{traceId}", "/v1/rules/{fingerprint}/why", "unmatched"} {
 		if !paths[want] {
 			t.Errorf("no request series labelled path=%q; have %v", want, paths)
 		}

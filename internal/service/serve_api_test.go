@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -182,159 +181,96 @@ func TestBatchSelectRejects(t *testing.T) {
 	}
 }
 
-// TestJobsLifecycle walks the async API: submit, poll to completion,
-// verify the result matches the synchronous endpoint, and check the
-// list and unknown-ID surfaces.
-func TestJobsLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, testConfig())
-	status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", status, body)
+// TestFlightOutlivesClient: a synthesis flight is detached from the
+// request that opened it. A client that disconnects while the flight is
+// held does not cancel it; the flight completes and caches its entry,
+// so the retry is a hit and synthesis ran once.
+func TestFlightOutlivesClient(t *testing.T) {
+	sv, ts := newTestServer(t, testConfig())
+	started := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	sv.testJobGate = func() {
+		started <- struct{}{}
+		<-gate
 	}
-	var sub JobSubmitResponse
-	if err := json.Unmarshal(body, &sub); err != nil {
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release() // a failing path must not leave Close waiting on the gate
+	req := SynthesizeRequest{Target: "mini", Spec: svcSpec}
+	buf, err := json.Marshal(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sub.ID == "" || sub.Poll != "/v1/jobs/"+sub.ID {
-		t.Fatalf("bad submit response: %+v", sub)
+	ctx, cancel := context.WithCancel(context.Background())
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/synthesize", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var st JobStatus
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(ts.URL + sub.Poll)
-		if err != nil {
-			t.Fatal(err)
+	clientDone := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hreq)
+		if err == nil {
+			resp.Body.Close()
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
+		clientDone <- err
+	}()
+	<-started // the client's flight holds the gate
+	cancel()
+	if err := <-clientDone; err == nil {
+		t.Fatal("the cancelled client got an answer from a held flight")
+	}
+	release()
+
+	deadline := time.Now().Add(30 * time.Second)
+	for getMetrics(t, ts.URL).CachedEntries != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the abandoned flight never cached its entry")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	status, body := postJSON(t, ts.URL+"/v1/synthesize", req)
+	if status != http.StatusOK {
+		t.Fatalf("retry: %d %s", status, body)
+	}
+	if sr := decodeSynth(t, body); sr.Cache != "hit" || sr.Rules == 0 {
+		t.Errorf("retry: cache=%q rules=%d, want a hit on the abandoned flight's library", sr.Cache, sr.Rules)
+	}
+	if m := getMetrics(t, ts.URL); m.SynthRuns != 1 {
+		t.Errorf("synth_runs = %d, want 1", m.SynthRuns)
+	}
+}
+
+// TestShutdownDrainsFlights: Shutdown does not return while a synthesis
+// flight is held, the flight's request is answered, and a synthesis of
+// a new spec afterwards answers 503 with Retry-After.
+func TestShutdownDrainsFlights(t *testing.T) {
+	sv, ts := newTestServer(t, testConfig())
+	started := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	sv.testJobGate = func() {
+		started <- struct{}{}
+		<-gate
+	}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+
+	buf, err := json.Marshal(SynthesizeRequest{Target: "mini", Spec: svcSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Error(err)
+			held <- 0
+			return
 		}
 		resp.Body.Close()
-		if st.Status == JobDone || st.Status == JobFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", st.Status)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.Status != JobDone || st.Result == nil || st.Result.Rules == 0 {
-		t.Fatalf("job finished badly: %+v", st)
-	}
-
-	// The synchronous endpoint answers from the cache the job filled.
-	status, body = postJSON(t, ts.URL+"/v1/synthesize", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusOK {
-		t.Fatalf("synth after job: %d", status)
-	}
-	sr := decodeSynth(t, body)
-	if sr.Cache != "hit" || sr.Rules != st.Result.Rules {
-		t.Fatalf("sync answer cache=%q rules=%d, want hit with %d rules", sr.Cache, sr.Rules, st.Result.Rules)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var list struct {
-		Jobs []JobStatus `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(list.Jobs) != 1 || list.Jobs[0].ID != sub.ID {
-		t.Fatalf("job list: %+v", list.Jobs)
-	}
-
-	resp, err = http.Get(ts.URL + "/v1/jobs/job-999999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job answered %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestJobsSaturation: past MaxJobs the submit endpoint answers 429
-// instead of queueing unboundedly.
-func TestJobsSaturation(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxJobs = 1
-	sv, ts := newTestServer(t, cfg)
-	gate := make(chan struct{})
-	sv.testJobGate = func() { <-gate }
-	defer close(gate)
-
-	status, _ := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusAccepted {
-		t.Fatalf("first submit: %d", status)
-	}
-	status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("saturated submit answered %d (%s), want 429", status, body)
-	}
-}
-
-// TestJobListSubmissionOrder: GET /v1/jobs lists jobs in submission
-// order, also across the job-999999 → job-1000000 boundary where the
-// IDs' string order breaks.
-func TestJobListSubmissionOrder(t *testing.T) {
-	sv, ts := newTestServer(t, testConfig())
-	sv.jobs.mu.Lock()
-	sv.jobs.seq = 999998
-	sv.jobs.mu.Unlock()
-	var want []string
-	for i := 0; i < 3; i++ {
-		status, body := postJSON(t, ts.URL+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-		if status != http.StatusAccepted {
-			t.Fatalf("submit %d: %d %s", i, status, body)
-		}
-		var sub JobSubmitResponse
-		if err := json.Unmarshal(body, &sub); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, sub.ID)
-	}
-	if want[0] != "job-999999" || want[1] != "job-1000000" {
-		t.Fatalf("submitted IDs %v do not cross the boundary", want)
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var list struct {
-		Jobs []JobStatus `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, js := range list.Jobs {
-		got = append(got, js.ID)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("job list order %v, want submission order %v", got, want)
-	}
-}
-
-// TestShutdownDrainsJobs: Shutdown blocks until in-flight async work
-// finishes, then refuses new submissions.
-func TestShutdownDrainsJobs(t *testing.T) {
-	sv, err := New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := newLocalTS(t, sv)
-	gate := make(chan struct{})
-	sv.testJobGate = func() { <-gate }
-
-	status, _ := postJSON(t, ts+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusAccepted {
-		t.Fatalf("submit: %d", status)
-	}
+		held <- resp.StatusCode
+	}()
+	<-started
 
 	done := make(chan error, 1)
 	go func() {
@@ -344,37 +280,178 @@ func TestShutdownDrainsJobs(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		t.Fatalf("Shutdown returned %v before the job drained", err)
+		t.Fatalf("Shutdown returned %v before the held flight drained", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(gate)
+	release()
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if n := sv.jobs.activeCount(); n != 0 {
-		t.Fatalf("%d jobs still active after Shutdown", n)
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("the drained flight's request answered %d, want 200", status)
 	}
 
-	// A shutting-down server refuses new async work.
-	status, _ = postJSON(t, ts+"/v1/jobs", SynthesizeRequest{Target: "mini", Spec: svcSpec})
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown submit answered %d, want 503", status)
+	buf, _ = json.Marshal(SynthesizeRequest{Target: "after", Spec: svcSpec})
+	resp := doReq(t, http.MethodPost, ts.URL+"/v1/synthesize", buf, nil)
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("post-shutdown synthesis answered %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	sv.Close()
 }
 
-// newLocalTS serves a Server without the newTestServer cleanup (for
-// tests that manage the server's lifecycle themselves).
-func newLocalTS(t *testing.T, sv *Server) string {
-	t.Helper()
-	hs := &http.Server{Handler: sv.Handler()}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+// TestJobsSaturation: with one worker and one queue slot, four distinct
+// specs submitted while the first is held split at submit time. The two
+// the scheduler admits both answer 200. The two it refuses answer 429
+// with Retry-After then and there, so no admitted synthesis can end
+// later in "queue full". Once the queue drains, a refused spec
+// synthesizes on retry.
+func TestJobsSaturation(t *testing.T) {
+	cfg := testConfig()
+	cfg.Workers = 1
+	cfg.QueueDepth = 1
+	sv, ts := newTestServer(t, cfg)
+
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	var once sync.Once
+	releaseAll := func() { once.Do(func() { close(release) }) }
+	sv.testJobGate = func() {
+		started <- struct{}{}
+		<-release
+	}
+	defer releaseAll() // Cleanup drains the scheduler and would hang on a held job
+
+	specFor := func(i int) SynthesizeRequest {
+		return SynthesizeRequest{Target: fmt.Sprintf("s%d", i), Spec: svcSpec}
+	}
+	admitted := make(chan int, 2)
+	go func() {
+		status, _ := postJSON(t, ts.URL+"/v1/synthesize", specFor(1))
+		admitted <- status
+	}()
+	<-started // spec 1 holds the only worker
+	go func() {
+		status, _ := postJSON(t, ts.URL+"/v1/synthesize", specFor(2))
+		admitted <- status
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for getMetrics(t, ts.URL).QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("spec 2 never queued")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	for _, i := range []int{3, 4} {
+		buf, err := json.Marshal(specFor(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := doReq(t, http.MethodPost, ts.URL+"/v1/synthesize", buf, nil)
+		if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("spec %d on a saturated scheduler answered %d (Retry-After %q), want 429 with Retry-After",
+				i, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	if m := getMetrics(t, ts.URL); m.JobsRejected != 2 {
+		t.Errorf("jobs_rejected = %d, want 2", m.JobsRejected)
+	}
+
+	releaseAll()
+	for i := 0; i < 2; i++ {
+		if status := <-admitted; status != http.StatusOK {
+			t.Fatalf("an admitted synthesis answered %d, want 200", status)
+		}
+	}
+	status, body := postJSON(t, ts.URL+"/v1/synthesize", specFor(3))
+	if status != http.StatusOK {
+		t.Fatalf("retry of a refused spec after the drain: %d %s", status, body)
+	}
+	if m := getMetrics(t, ts.URL); m.SynthRuns != 3 {
+		t.Errorf("synth_runs = %d, want 3 (two admitted, one retry)", m.SynthRuns)
+	}
+}
+
+// TestRemovedRoutes pins the retired twins of the synthesis and solver
+// endpoints: the async job routes and the body form of the solver
+// query answer 404 or 405.
+func TestRemovedRoutes(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs/job-000001"},
+		{http.MethodPost, "/v1/solver/query"},
+	} {
+		resp := doReq(t, tc.method, ts.URL+tc.path, []byte(`{"target":"riscv"}`), nil)
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s answered %d, want 404 or 405", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+}
+
+// udivProg falls back on the 10-pattern test library: no synthesized
+// rule covers riscv udiv.
+const udivProg = "v0 = param 64\nv1 = param 64\nv2 = udiv 64 v0 v1\nret v2\n"
+
+// TestSelectionsCountSelectedOnly: the selections counter means one
+// thing in every select form, a program selected with no fallback and
+// no error. A fallen-back program adds nothing, through /v1/select
+// (program and workload mode) and /v1/select/batch alike; with the
+// 10-pattern test library every suite workload falls back.
+// TestSelectEndpoint counts selected workloads on the full library.
+func TestSelectionsCountSelectedOnly(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for _, tc := range []struct {
+		prog     string
+		fallback bool
+	}{{apiProg, false}, {udivProg, true}} {
+		status, body := postJSON(t, ts.URL+"/v1/select", SelectRequest{Target: "riscv", Program: tc.prog})
+		if status != http.StatusOK {
+			t.Fatalf("select: %d %s", status, body)
+		}
+		var sr SelectResponse
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if sr.Fallback != tc.fallback {
+			t.Fatalf("select %q: fallback=%v, want %v", tc.prog, sr.Fallback, tc.fallback)
+		}
+	}
+	if m := getMetrics(t, ts.URL); m.Selections != 1 {
+		t.Fatalf("after one selected and one fallen-back /v1/select: selections=%d, want 1", m.Selections)
+	}
+
+	status, body := postJSON(t, ts.URL+"/v1/select/batch",
+		BatchSelectRequest{Target: "riscv", Programs: []string{apiProg, udivProg}})
+	if status != http.StatusOK {
+		t.Fatalf("batch: %d %s", status, body)
+	}
+	var br BatchSelectResponse
+	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
-	go hs.Serve(ln)
-	t.Cleanup(func() { hs.Close() })
-	return "http://" + ln.Addr().String()
+	if br.Selected != 1 || br.Fallbacks != 1 {
+		t.Fatalf("batch: selected=%d fallbacks=%d, want 1 and 1", br.Selected, br.Fallbacks)
+	}
+	if m := getMetrics(t, ts.URL); m.Selections != 2 {
+		t.Fatalf("after the batch: selections=%d, want 2", m.Selections)
+	}
+
+	status, body = postJSON(t, ts.URL+"/v1/select", SelectRequest{Target: "riscv", Workload: "x264_sad"})
+	if status != http.StatusOK {
+		t.Fatalf("workload select: %d %s", status, body)
+	}
+	var wr SelectResponse
+	if err := json.Unmarshal(body, &wr); err != nil {
+		t.Fatal(err)
+	}
+	if !wr.Fallback {
+		t.Fatal("workload x264_sad selected on the 10-pattern library; the test needs a fallback")
+	}
+	if m := getMetrics(t, ts.URL); m.Selections != 2 {
+		t.Fatalf("after a fallen-back workload select: selections=%d, want 2", m.Selections)
+	}
 }
 
 // TestStoreLRUConcurrentEviction hammers a small-capacity store with

@@ -56,9 +56,6 @@ type Config struct {
 	// DefaultTimeout is the per-job synthesis deadline applied when a
 	// request does not set timeout_ms (0 = no deadline).
 	DefaultTimeout time.Duration
-	// MaxJobs caps the async jobs (queued + running) admitted through
-	// POST /v1/jobs; past the cap submissions answer 429 (0 = default 64).
-	MaxJobs int
 	// Obs, when set, enables the observability surface: per-request
 	// spans (GET /v1/trace), the Prometheus registry (GET /metrics), and
 	// decision provenance. It is threaded into every synthesis job and
@@ -84,7 +81,6 @@ type Server struct {
 	sched     *Scheduler
 	metrics   Metrics
 	mux       *http.ServeMux
-	jobs      *jobTable
 	filler    RemoteFiller
 	collector TraceCollector
 	sample    float64
@@ -95,12 +91,11 @@ type Server struct {
 	corpusMu sync.Mutex
 	corpora  map[string][]*pattern.Pattern
 
-	obsv    *obs.Obs
-	logger  *slog.Logger
-	start   time.Time
-	build   BuildInfo
-	reqID   atomic.Uint64
-	closing atomic.Bool
+	obsv   *obs.Obs
+	logger *slog.Logger
+	start  time.Time
+	build  BuildInfo
+	reqID  atomic.Uint64
 
 	// testJobGate, when set, is invoked at the start of every scheduled
 	// job — the in-package tests use it to hold jobs in a deterministic
@@ -152,7 +147,6 @@ func New(cfg Config) (*Server, error) {
 		store:  store,
 		sched:  NewScheduler(cfg.Workers, cfg.QueueDepth),
 		mux:    http.NewServeMux(),
-		jobs:   newJobTable(cfg.MaxJobs),
 		sample: sample,
 		obsv:   cfg.Obs,
 		logger: cfg.Logger,
@@ -168,12 +162,8 @@ func New(cfg Config) (*Server, error) {
 	sv.mux.HandleFunc("POST /v1/synthesize", sv.handleSynthesize)
 	sv.mux.HandleFunc("POST /v1/select", sv.handleSelect)
 	sv.mux.HandleFunc("POST /v1/select/batch", sv.handleSelectBatch)
-	sv.mux.HandleFunc("POST /v1/jobs", sv.handleJobSubmit)
-	sv.mux.HandleFunc("GET /v1/jobs", sv.handleJobList)
-	sv.mux.HandleFunc("GET /v1/jobs/{id}", sv.handleJobGet)
 	sv.mux.HandleFunc("POST /v1/artifact", sv.handleArtifact)
-	sv.mux.HandleFunc("GET /v1/solver/query", sv.handleSolverQueryGet)
-	sv.mux.HandleFunc("POST /v1/solver/query", sv.handleSolverQueryPost)
+	sv.mux.HandleFunc("GET /v1/solver/query", sv.handleSolverQuery)
 	sv.mux.HandleFunc("GET /v1/rules", sv.handleRuleList)
 	sv.mux.HandleFunc("GET /v1/rules/{fingerprint}/why", sv.handleRuleWhy)
 	sv.mux.HandleFunc("GET /v1/metrics", sv.handleMetrics)
@@ -198,23 +188,20 @@ func (sv *Server) HandleFunc(pattern string, h http.HandlerFunc) { sv.mux.Handle
 // persist queue is flushed and its writer stopped, and the verdict
 // journal is closed.
 func (sv *Server) Close() {
-	sv.closing.Store(true)
-	sv.jobs.wait(context.Background())
 	sv.sched.Close()
 	sv.store.Close()
 	sv.cfg.Synth.Verdicts.Close()
 }
 
-// Shutdown is the graceful half of Close: it stops admitting async
-// jobs, drains queued and in-flight work (async jobs included) under
-// the context's deadline, and flushes the disk-cache persist queue. On
+// Shutdown is the graceful half of Close: it drains queued and
+// in-flight synthesis flights under the context's deadline, then
+// flushes the disk-cache persist queue. Afterwards a request that would
+// open a new flight answers 503, since the scheduler is closed. On
 // deadline expiry it returns the context error with whatever drained;
 // the store writer keeps running so a follow-up Close stays safe.
 func (sv *Server) Shutdown(ctx context.Context) error {
-	sv.closing.Store(true)
 	done := make(chan struct{})
 	go func() {
-		sv.jobs.wait(ctx)
 		sv.sched.Close()
 		close(done)
 	}()
@@ -344,7 +331,7 @@ func (sv *Server) timeout(ms int64) time.Duration {
 }
 
 // entryFor implements the cache protocol shared by /v1/synthesize,
-// /v1/select (single and batch), /v1/jobs, and /v1/artifact: memory
+// /v1/select (single and batch), and /v1/artifact: memory
 // hit, or join an in-flight job, or own a new job (disk layer, then —
 // with allowPeer — a peer fill from the fingerprint's ring owner, then
 // synthesis under the deadline). The returned cache string is the path
@@ -603,9 +590,8 @@ func (sv *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, synthesizeResponse(e, cache, req.Emit))
 }
 
-// synthesizeResponse builds the answer to a synthesis request — POST
-// /v1/synthesize and the result of an async job alike — from the entry
-// it acquired along the given cache path.
+// synthesizeResponse builds the answer to POST /v1/synthesize from the
+// entry it acquired along the given cache path.
 func synthesizeResponse(e *Entry, cache string, emit bool) *SynthesizeResponse {
 	resp := &SynthesizeResponse{
 		Target:        e.TargetName,
@@ -766,7 +752,9 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			sv.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("program: %s", res.Error))
 			return
 		}
-		sv.metrics.Selections.Add(1)
+		if !res.Fallback {
+			sv.metrics.Selections.Add(1)
+		}
 		resp.Workload = "program"
 		resp.Fallback, resp.FallbackReason = res.Fallback, res.FallbackReason
 		resp.RuleInsts, resp.HookInsts = res.RuleInsts, res.HookInsts
@@ -780,7 +768,6 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lw, err := env.lower(work.Build(), []simRun{{args: work.Args, initMem: work.InitMem}})
-	sv.metrics.Selections.Add(1)
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errEmitBytes) {
@@ -788,6 +775,9 @@ func (sv *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 		sv.fail(w, status, err)
 		return
+	}
+	if !lw.rep.Fallback {
+		sv.metrics.Selections.Add(1)
 	}
 	resp.Workload = work.Name
 	resp.Fallback, resp.FallbackReason = lw.rep.Fallback, lw.rep.FallbackReason
@@ -823,8 +813,6 @@ func (sv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		PeerFills:      sv.metrics.PeerFills.Load(),
 		ArtifactServed: sv.metrics.ArtifactServed.Load(),
 		BatchPrograms:  sv.metrics.BatchPrograms.Load(),
-		JobsSubmitted:  sv.metrics.JobsSubmitted.Load(),
-		JobsActive:     sv.jobs.activeCount(),
 		CachedEntries:  sv.store.MemLen(),
 		Evictions:      sv.store.Evictions(),
 		QueueDepth:     sv.sched.QueueDepth(),

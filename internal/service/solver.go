@@ -13,14 +13,7 @@ import (
 	"iselgen/internal/solver"
 )
 
-// SolverQueryRequest is the body of POST /v1/solver/query.
-type SolverQueryRequest struct {
-	// Key is the content-addressed memo key (the checker's canonical
-	// term-pair hash, as appended to the solver journal).
-	Key string `json:"key"`
-}
-
-// SolverQueryResponse answers GET and POST /v1/solver/query.
+// SolverQueryResponse answers GET /v1/solver/query.
 type SolverQueryResponse struct {
 	Key   string `json:"key"`
 	Found bool   `json:"found"`
@@ -58,21 +51,11 @@ func (sv *Server) attachJournal() {
 	}
 }
 
-func (sv *Server) handleSolverQueryGet(w http.ResponseWriter, r *http.Request) {
-	sv.answerSolverQuery(w, r.URL.Query().Get("key"))
-}
-
-func (sv *Server) handleSolverQueryPost(w http.ResponseWriter, r *http.Request) {
-	var req SolverQueryRequest
-	if !sv.decode(w, r, maxBodyBytes, &req) {
-		return
-	}
-	sv.answerSolverQuery(w, req.Key)
-}
-
-// answerSolverQuery resolves one memo key against the local store. A
-// miss is a 404 with found=false; no path here ever starts a solve.
-func (sv *Server) answerSolverQuery(w http.ResponseWriter, key string) {
+// handleSolverQuery resolves one memo key (?key=, the checker's
+// content-addressed term-pair hash) against the local store. A miss is a
+// 404 with found=false; no path here ever starts a solve.
+func (sv *Server) handleSolverQuery(w http.ResponseWriter, r *http.Request) {
+	key := r.URL.Query().Get("key")
 	if key == "" {
 		sv.fail(w, http.StatusBadRequest, errors.New(`solver query needs a "key"`))
 		return
