@@ -97,7 +97,7 @@ func main() {
 	inputs := flag.Int("inputs", 0, "test inputs per sequence (0 = default)")
 	traceSpans := flag.Int("trace-spans", 0, "span ring capacity for /v1/trace (0 = default)")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of requests starting a distributed trace (0 = all, <0 = none; valid incoming X-Iseld-Trace contexts are always honored)")
-	noObs := flag.Bool("no-obs", false, "disable tracing, histograms, and decision provenance")
+	noObs := flag.Bool("no-obs", false, "disable tracing, histograms, and SMT query provenance")
 	peers := flag.String("peers", "", "comma-separated base URLs of every replica, self included (empty = standalone)")
 	self := flag.String("self", "", "this replica's base URL as it appears in -peers")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget: drain in-flight work and flush the disk cache")

@@ -70,7 +70,7 @@ func TestDisabledObsOverhead(t *testing.T) {
 			if traced != base {
 				t.Fatal("traced library differs from the untraced one")
 			}
-			smtEvents, _ := o.Prov.Totals()
+			smtEvents := o.Prov.Totals()
 			if smtEvents == 0 {
 				t.Fatal("cold traced synthesis recorded no SMT provenance events")
 			}

@@ -17,9 +17,35 @@ func withObs(t *testing.T, bk *Backend) *obs.Obs {
 	return o
 }
 
-// TestSelectionProvenance: rule-based selection records one decision
-// per chosen root with Via "rule" and the winning sequence, plus a span
-// and a latency observation for the function.
+// selectSpan returns the one isel/select span o recorded, with its
+// attributes by key.
+func selectSpan(t *testing.T, o *obs.Obs) map[string]obs.Attr {
+	t.Helper()
+	var attrs map[string]obs.Attr
+	for _, s := range o.Trace.Snapshot() {
+		if s.Name != "isel/select" {
+			continue
+		}
+		if attrs != nil {
+			t.Fatalf("more than one isel/select span")
+		}
+		attrs = map[string]obs.Attr{}
+		for _, a := range s.Attrs {
+			attrs[a.Key] = a
+		}
+	}
+	if attrs == nil {
+		t.Fatalf("no isel/select span recorded")
+	}
+	if h := o.Metrics.Histogram("isel_select_ns", ""); h.Count() != 1 {
+		t.Errorf("isel_select_ns count = %d, want 1", h.Count())
+	}
+	return attrs
+}
+
+// TestSelectionProvenance: a rule-lowered function records one
+// isel/select span whose rule_insts and hook_insts are the Report's,
+// with no fallback attribute, and one isel_select_ns observation.
 func TestSelectionProvenance(t *testing.T) {
 	o := withObs(t, a64Set.Handwritten)
 
@@ -32,52 +58,28 @@ func TestSelectionProvenance(t *testing.T) {
 	if rep.Fallback {
 		t.Fatalf("unexpected fallback: %s", rep.FallbackReason)
 	}
-
-	sels := o.Prov.Selections()
-	if len(sels) == 0 {
-		t.Fatalf("no selection decisions recorded")
-	}
-	var viaRule int
-	for _, d := range sels {
-		if d.Fn != "prov" {
-			t.Errorf("decision fn = %q, want prov", d.Fn)
-		}
-		switch d.Via {
-		case "rule":
-			viaRule++
-			if d.Chosen == "" {
-				t.Errorf("Via=rule decision without a chosen sequence: %+v", d)
-			}
-			if d.Root == "" {
-				t.Errorf("decision without root identification: %+v", d)
-			}
-		case "hook", "none", "fallback":
-		default:
-			t.Errorf("unknown Via %q", d.Via)
-		}
-	}
-	if viaRule == 0 {
-		t.Errorf("no Via=rule decisions for a rule-lowered function: %+v", sels)
+	if rep.RuleInsts == 0 {
+		t.Fatalf("no instruction lowered by a rule: %+v", rep)
 	}
 
-	spans := o.Trace.Snapshot()
-	var found bool
-	for _, s := range spans {
-		if s.Name == "isel/select" {
-			found = true
-		}
+	attrs := selectSpan(t, o)
+	if got := attrs["fn"].Str; got != "prov" {
+		t.Errorf("span fn = %q, want prov", got)
 	}
-	if !found {
-		t.Errorf("no isel/select span recorded; spans: %+v", spans)
+	if got := attrs["rule_insts"].Int; got != int64(rep.RuleInsts) {
+		t.Errorf("span rule_insts = %d, report %d", got, rep.RuleInsts)
 	}
-	if h := o.Metrics.Histogram("isel_select_ns", ""); h.Count() != 1 {
-		t.Errorf("isel_select_ns count = %d, want 1", h.Count())
+	if got := attrs["hook_insts"].Int; got != int64(rep.HookInsts) {
+		t.Errorf("span hook_insts = %d, report %d", got, rep.HookInsts)
+	}
+	if fa, ok := attrs["fallback"]; ok {
+		t.Errorf("span of a selected function carries fallback %q", fa.Str)
 	}
 }
 
-// TestFallbackProvenance: a function no rule or hook can lower records a
-// Via "none" decision for the failing root and a Via "fallback" decision
-// for the function, carrying the reason the Report also gives.
+// TestFallbackProvenance: a function no rule or hook can lower records
+// its span with the fallback reason the Report gives, and still one
+// isel_select_ns observation.
 func TestFallbackProvenance(t *testing.T) {
 	o := withObs(t, a64Set.Handwritten)
 
@@ -90,26 +92,20 @@ func TestFallbackProvenance(t *testing.T) {
 		t.Fatalf("expected fallback")
 	}
 
-	var sawNone, sawFallback bool
-	for _, d := range o.Prov.Selections() {
-		switch d.Via {
-		case "none":
-			sawNone = true
-		case "fallback":
-			sawFallback = true
-			if d.Fallback != rep.FallbackReason {
-				t.Errorf("fallback reason %q != report %q", d.Fallback, rep.FallbackReason)
-			}
-		}
+	attrs := selectSpan(t, o)
+	if got := attrs["fallback"].Str; got == "" || got != rep.FallbackReason {
+		t.Errorf("span fallback = %q, report %q", got, rep.FallbackReason)
 	}
-	if !sawNone || !sawFallback {
-		t.Errorf("want both Via=none and Via=fallback decisions, got none=%v fallback=%v",
-			sawNone, sawFallback)
+	if got := attrs["rule_insts"].Int; got != int64(rep.RuleInsts) {
+		t.Errorf("span rule_insts = %d, report %d", got, rep.RuleInsts)
+	}
+	if got := attrs["hook_insts"].Int; got != int64(rep.HookInsts) {
+		t.Errorf("span hook_insts = %d, report %d", got, rep.HookInsts)
 	}
 }
 
 // TestNoObsNoProvenance: with no Obs attached, selection runs
-// identically and assembles nothing.
+// identically and records nothing.
 func TestNoObsNoProvenance(t *testing.T) {
 	fb := gmir.NewFunc("plain")
 	a := fb.Param(gmir.S64)

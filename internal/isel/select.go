@@ -45,9 +45,9 @@ type Backend struct {
 	ISA   *isa.Target
 	Lib   *rules.Library
 	Hooks Hooks
-	// Obs, when set, receives per-function selection spans, latency
-	// histograms, and per-root decision provenance (rule chosen,
-	// candidates rejected and why, hook and fallback outcomes).
+	// Obs, when set, receives one isel/select span per function, with
+	// its rule_insts, hook_insts and fallback outcome, and its latency in
+	// the isel_select_ns histogram.
 	Obs *obs.Obs
 }
 
@@ -77,11 +77,6 @@ type Ctx struct {
 	report  *Report
 	err     error
 
-	// lastRejected holds the candidates tryRules rejected at the current
-	// root when decision provenance is enabled, so a subsequent hook
-	// lowering (or terminal failure) can attach them to its event.
-	lastRejected []obs.RejectedCand
-
 	// bind is the one binding every candidate match fills; a match
 	// result is consumed by emitRule before the next match starts.
 	// inVals is emitRule's scratch for the resolved sequence inputs.
@@ -108,11 +103,6 @@ func (b *Backend) Select(f *gmir.Function) (*mir.Func, *Report) {
 		if m := b.Obs.MetricsOrNil(); m != nil {
 			m.Histogram("isel_select_ns", "per-function selection latency").
 				Observe(d.Nanoseconds())
-		}
-		if report.Fallback {
-			b.Obs.ProvOrNil().AddSel(obs.SelDecision{
-				Fn: f.Name, Via: "fallback", Fallback: report.FallbackReason,
-			})
 		}
 	}()
 	gmir.SplitCriticalEdges(f)
@@ -395,21 +385,7 @@ func (c *Ctx) selectRoot(blk *gmir.Block, in *gmir.Inst) {
 	}
 	if c.B.Hooks.LowerInst != nil && c.B.Hooks.LowerInst(c, in) {
 		c.report.HookInsts++
-		if prov := c.B.Obs.ProvOrNil(); prov.Enabled() {
-			prov.AddSel(obs.SelDecision{
-				Fn: c.F.Name, Root: in.String(),
-				Via: "hook", Rejected: c.lastRejected,
-			})
-			c.lastRejected = nil
-		}
 		return
-	}
-	if prov := c.B.Obs.ProvOrNil(); prov.Enabled() {
-		prov.AddSel(obs.SelDecision{
-			Fn: c.F.Name, Root: in.String(),
-			Via: "none", Rejected: c.lastRejected,
-		})
-		c.lastRejected = nil
 	}
 	c.failf("no rule for %s", in)
 }
@@ -483,44 +459,20 @@ func (c *Ctx) materializeConst(in *gmir.Inst) {
 
 // tryRules attempts rule-based selection at root `in`, largest pattern
 // first (greedy), falling through rule chains on failed immediate
-// constraints. When decision provenance is enabled the rejected
-// candidates (and why each lost) are recorded alongside the winner;
-// with it disabled, no per-candidate bookkeeping is assembled at all.
+// constraints.
 func (c *Ctx) tryRules(in *gmir.Inst) bool {
 	key := rules.RootKey{Op: int(in.Op), Bits: in.Ty.Bits, Pred: int(in.Pred), MemBits: in.MemBits}
 	if in.Op == gmir.GStore {
 		key.Bits = 0
 	}
-	prov := c.B.Obs.ProvOrNil()
-	var rejected []obs.RejectedCand
 	for _, r := range c.B.Lib.Candidates(key) {
-		why := failEmit
-		if binding, okm := c.matchPattern(r, in); okm != matchOK {
-			why = okm
-		} else if c.emitRule(r, in, binding) {
-			if prov.Enabled() {
-				prov.AddSel(obs.SelDecision{
-					Fn: c.F.Name, Root: in.String(),
-					Chosen: r.SeqName(), Via: "rule", Rejected: rejected,
-				})
-			}
+		if b := c.matchPattern(r, in); b != nil && c.emitRule(r, in, b) {
 			return true
-		}
-		if prov.Enabled() {
-			rejected = append(rejected, obs.RejectedCand{Rule: r.SeqName(), Reason: why.String()})
 		}
 	}
 	// Bool-valued roots (s1) have no direct rules (ISA registers are
 	// 32/64-bit): match as zext-to-32/64 and keep the 0/1 value.
-	if in.Ty == gmir.S1 && in.Op != gmir.GStore {
-		if c.tryBoolRoot(in) {
-			return true
-		}
-	}
-	// No rule applied; remember why so the hook/failure path that follows
-	// can attach the rejections to its own event.
-	c.lastRejected = rejected
-	return false
+	return in.Ty == gmir.S1 && in.Op != gmir.GStore && c.tryBoolRoot(in)
 }
 
 // tryBoolRoot wraps an s1 root in a synthetic zext pattern root: the
@@ -536,7 +488,7 @@ func (c *Ctx) tryBoolRoot(in *gmir.Inst) bool {
 			}
 			// Match the zext's operand subtree directly at the root (no
 			// single-use requirement: `in` IS the root being selected).
-			if b, okm := c.matchAt(r, root.Args[0], in); okm == matchOK && c.emitRule(r, in, b) {
+			if b := c.matchAt(r, root.Args[0], in); b != nil && c.emitRule(r, in, b) {
 				return true
 			}
 		}
@@ -563,47 +515,17 @@ type matchBinding struct {
 	interior []*gmir.Inst
 }
 
-// matchFail classifies why a candidate rule did not match — a compact
-// enum so the hot path stays allocation-free; the string form is only
-// materialized when decision provenance is enabled.
-type matchFail int8
-
-const (
-	matchOK       matchFail = iota
-	failShape               // tree structure / op / type / predicate mismatch
-	failLeafConst           // exact-constant leaf constraint not satisfied
-	failImmDecode           // immediate leaf not constant or not encodable
-)
-
-func (m matchFail) String() string {
-	switch m {
-	case matchOK:
-		return "ok"
-	case failShape:
-		return "shape-mismatch"
-	case failLeafConst:
-		return "leaf-const-mismatch"
-	case failImmDecode:
-		return "imm-not-encodable"
-	default:
-		return "emit-failed"
-	}
-}
-
-// failEmit marks a rule that matched but whose emission bailed out.
-const failEmit matchFail = -1
-
 // matchPattern matches a rule's full pattern at root `in`.
-func (c *Ctx) matchPattern(r *rules.Rule, in *gmir.Inst) (*matchBinding, matchFail) {
+func (c *Ctx) matchPattern(r *rules.Rule, in *gmir.Inst) *matchBinding {
 	return c.matchAt(r, r.Pattern.Root, in)
 }
 
 // matchAt matches the subtree n of r's pattern, whose leaves are all of
 // the pattern's leaves, at instruction `in`, then checks r's constant
-// and immediate constraints. The binding it returns is c.bind: valid
-// until the next match, and allocation-free once c.bind has grown to
-// the largest pattern.
-func (c *Ctx) matchAt(r *rules.Rule, n *pattern.Node, in *gmir.Inst) (*matchBinding, matchFail) {
+// and immediate constraints, returning nil on a miss. The binding it
+// returns is c.bind: valid until the next match, and allocation-free
+// once c.bind has grown to the largest pattern.
+func (c *Ctx) matchAt(r *rules.Rule, n *pattern.Node, in *gmir.Inst) *matchBinding {
 	b := &c.bind
 	leaves := countLeaves(n)
 	if cap(b.leafVals) < leaves {
@@ -614,13 +536,13 @@ func (c *Ctx) matchAt(r *rules.Rule, n *pattern.Node, in *gmir.Inst) (*matchBind
 	b.interior = b.interior[:0]
 	leafIdx := 0
 	if !c.matchTree(n, in, b, &leafIdx) {
-		return nil, failShape
+		return nil
 	}
 	// Exact-constant leaf constraints (manual rules like BIC's xor -1).
 	for leaf, want := range r.LeafConsts {
 		cv, ok := c.ConstOf(b.leafVals[leaf].val)
 		if !ok || cv != want {
-			return nil, failLeafConst
+			return nil
 		}
 	}
 	// Immediate constraints: every imm leaf must decode.
@@ -630,13 +552,13 @@ func (c *Ctx) matchAt(r *rules.Rule, n *pattern.Node, in *gmir.Inst) (*matchBind
 		}
 		cv, ok := c.ConstOf(b.leafVals[src.Leaf].val)
 		if !ok {
-			return nil, failImmDecode
+			return nil
 		}
 		if _, ok := src.Embed.Decode(cv); !ok {
-			return nil, failImmDecode
+			return nil
 		}
 	}
-	return b, matchOK
+	return b
 }
 
 func countLeaves(n *pattern.Node) int {

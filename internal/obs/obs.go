@@ -2,9 +2,9 @@
 // synthesis/selection pipeline: a hierarchical span tracer with
 // Chrome/Perfetto trace-event export (trace.go), a metrics registry with
 // counters, gauges, and log-bucketed latency histograms exposed in
-// Prometheus text format (metrics.go, prom.go), and decision-provenance
-// event logs recording *why* the pipeline did what it did — per-SMT-query
-// solver statistics and per-instruction selection decisions
+// Prometheus text format (metrics.go, prom.go), and a decision-provenance
+// ring recording per-SMT-query solver statistics, which the rule
+// provenance endpoint joins to the rules each query proved
 // (provenance.go).
 //
 // Everything is nil-safe: a nil *Obs, *Tracer, *Registry, *ProvLog, or
@@ -30,7 +30,7 @@ func New() *Obs {
 	return &Obs{
 		Trace:   NewTracer(0),
 		Metrics: NewRegistry(),
-		Prov:    NewProvLog(0, 0),
+		Prov:    NewProvLog(0),
 	}
 }
 

@@ -23,67 +23,26 @@ type SMTQuery struct {
 	Restarts     int64 `json:"restarts"`
 }
 
-// RejectedCand is one selection candidate that matched dispatch but was
-// not chosen, with the reason.
-type RejectedCand struct {
-	Rule   string `json:"rule"`
-	Reason string `json:"reason"`
-}
-
-// SelDecision is the decision-provenance record of one selection root:
-// which rule won, which candidates were rejected and why, or why the
-// selector fell back.
-type SelDecision struct {
-	// Fn and Root identify the instruction ("fn" and the gMIR text).
-	Fn   string `json:"fn"`
-	Root string `json:"root"`
-	// Chosen is the winning rule's sequence (empty on hook lowering or
-	// fallback); Via distinguishes "rule", "hook", "none" (a root no
-	// rule or hook could lower), and "fallback" (the function-level
-	// consequence of a "none" root).
-	Chosen   string         `json:"chosen,omitempty"`
-	Via      string         `json:"via"`
-	Rejected []RejectedCand `json:"rejected,omitempty"`
-	// Fallback is the function-level fallback reason when Via=="fallback".
-	Fallback string `json:"fallback,omitempty"`
-}
-
-// ProvLog is a pair of bounded rings of provenance events. A nil
-// *ProvLog disables recording; Enabled lets instrumented code skip
-// event assembly entirely when off.
+// ProvLog is a bounded ring of SMT query provenance records. A nil
+// *ProvLog disables recording.
 type ProvLog struct {
-	mu      sync.Mutex
-	smt     []SMTQuery
-	smtHead int
-	smtN    int
-	sel     []SelDecision
-	selHead int
-	selN    int
-
-	smtTotal int64
-	selTotal int64
+	mu    sync.Mutex
+	smt   []SMTQuery
+	head  int
+	total int64
 }
 
-// DefaultProvCap bounds each provenance ring when NewProvLog is given 0.
+// DefaultProvCap bounds the ring when NewProvLog is given 0.
 const DefaultProvCap = 4096
 
-// NewProvLog returns an enabled provenance log holding up to smtCap SMT
-// query records and selCap selection decisions (0 = DefaultProvCap).
-func NewProvLog(smtCap, selCap int) *ProvLog {
-	if smtCap <= 0 {
-		smtCap = DefaultProvCap
+// NewProvLog returns an enabled provenance log holding up to n SMT
+// query records (0 = DefaultProvCap).
+func NewProvLog(n int) *ProvLog {
+	if n <= 0 {
+		n = DefaultProvCap
 	}
-	if selCap <= 0 {
-		selCap = DefaultProvCap
-	}
-	return &ProvLog{
-		smt: make([]SMTQuery, 0, smtCap),
-		sel: make([]SelDecision, 0, selCap),
-	}
+	return &ProvLog{smt: make([]SMTQuery, 0, n)}
 }
-
-// Enabled reports whether events should be assembled at all.
-func (p *ProvLog) Enabled() bool { return p != nil }
 
 // AddSMT records one solver query (nil-safe).
 func (p *ProvLog) AddSMT(q SMTQuery) {
@@ -93,29 +52,11 @@ func (p *ProvLog) AddSMT(q SMTQuery) {
 	p.mu.Lock()
 	if len(p.smt) < cap(p.smt) {
 		p.smt = append(p.smt, q)
-		p.smtN++
 	} else {
-		p.smt[p.smtHead] = q
-		p.smtHead = (p.smtHead + 1) % cap(p.smt)
+		p.smt[p.head] = q
+		p.head = (p.head + 1) % cap(p.smt)
 	}
-	p.smtTotal++
-	p.mu.Unlock()
-}
-
-// AddSel records one selection decision (nil-safe).
-func (p *ProvLog) AddSel(d SelDecision) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	if len(p.sel) < cap(p.sel) {
-		p.sel = append(p.sel, d)
-		p.selN++
-	} else {
-		p.sel[p.selHead] = d
-		p.selHead = (p.selHead + 1) % cap(p.sel)
-	}
-	p.selTotal++
+	p.total++
 	p.mu.Unlock()
 }
 
@@ -126,37 +67,20 @@ func (p *ProvLog) SMTQueries() []SMTQuery {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]SMTQuery, 0, p.smtN)
-	out = append(out, p.smt[p.smtHead:]...)
-	if p.smtHead > 0 {
-		out = append(out, p.smt[:p.smtHead]...)
-	}
+	out := make([]SMTQuery, 0, len(p.smt))
+	out = append(out, p.smt[p.head:]...)
+	out = append(out, p.smt[:p.head]...)
 	return out
 }
 
-// Selections returns the recorded selection decisions, oldest first.
-func (p *ProvLog) Selections() []SelDecision {
+// Totals returns the lifetime query count (including overwritten ones).
+func (p *ProvLog) Totals() int64 {
 	if p == nil {
-		return nil
+		return 0
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]SelDecision, 0, p.selN)
-	out = append(out, p.sel[p.selHead:]...)
-	if p.selHead > 0 {
-		out = append(out, p.sel[:p.selHead]...)
-	}
-	return out
-}
-
-// Totals returns lifetime event counts (including overwritten ones).
-func (p *ProvLog) Totals() (smt, sel int64) {
-	if p == nil {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.smtTotal, p.selTotal
+	return p.total
 }
 
 // ObserveDur is a convenience for recording a duration into a histogram

@@ -1,21 +1,15 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestProvLogRecordsAndOrders(t *testing.T) {
-	p := NewProvLog(8, 8)
-	if !p.Enabled() {
-		t.Fatalf("non-nil ProvLog must report Enabled")
-	}
+	p := NewProvLog(8)
 	p.AddSMT(SMTQuery{Context: "synthesis", Result: "equal", DurNS: 100, Decisions: 5})
 	p.AddSMT(SMTQuery{Context: "synthesis", Result: "not-equal", DurNS: 200, Conflicts: 2})
-	p.AddSel(SelDecision{Fn: "f", Via: "rule", Chosen: "add x,y",
-		Rejected: []RejectedCand{{Rule: "addi", Reason: "imm-decode"}}})
 
 	qs := p.SMTQueries()
 	if len(qs) != 2 || qs[0].Result != "equal" || qs[1].Result != "not-equal" {
@@ -24,22 +18,17 @@ func TestProvLogRecordsAndOrders(t *testing.T) {
 	if qs[0].Decisions != 5 || qs[1].Conflicts != 2 {
 		t.Errorf("SAT counters lost: %+v", qs)
 	}
-	sels := p.Selections()
-	if len(sels) != 1 || sels[0].Via != "rule" || len(sels[0].Rejected) != 1 {
-		t.Fatalf("selection decision wrong: %+v", sels)
-	}
-	if smt, sel := p.Totals(); smt != 2 || sel != 1 {
-		t.Errorf("Totals = %d,%d, want 2,1", smt, sel)
+	if n := p.Totals(); n != 2 {
+		t.Errorf("Totals = %d, want 2", n)
 	}
 }
 
-// TestProvLogRingWrap: both rings overwrite oldest-first and Totals
+// TestProvLogRingWrap: the ring overwrites oldest-first and Totals
 // keeps counting past the cap.
 func TestProvLogRingWrap(t *testing.T) {
-	p := NewProvLog(4, 4)
+	p := NewProvLog(4)
 	for i := 0; i < 10; i++ {
 		p.AddSMT(SMTQuery{DurNS: int64(i)})
-		p.AddSel(SelDecision{Fn: fmt.Sprintf("f%d", i)})
 	}
 	qs := p.SMTQueries()
 	if len(qs) != 4 {
@@ -50,26 +39,18 @@ func TestProvLogRingWrap(t *testing.T) {
 			t.Errorf("qs[%d].DurNS = %d, want %d (oldest-first, newest kept)", i, qs[i].DurNS, want)
 		}
 	}
-	sels := p.Selections()
-	if len(sels) != 4 || sels[0].Fn != "f6" || sels[3].Fn != "f9" {
-		t.Errorf("selection ring wrong: %+v", sels)
-	}
-	if smt, sel := p.Totals(); smt != 10 || sel != 10 {
-		t.Errorf("Totals = %d,%d, want 10,10", smt, sel)
+	if n := p.Totals(); n != 10 {
+		t.Errorf("Totals = %d, want 10", n)
 	}
 }
 
 func TestNilProvLogSafe(t *testing.T) {
 	var p *ProvLog
-	if p.Enabled() {
-		t.Fatalf("nil ProvLog must report disabled")
-	}
 	p.AddSMT(SMTQuery{})
-	p.AddSel(SelDecision{})
-	if p.SMTQueries() != nil || p.Selections() != nil {
+	if p.SMTQueries() != nil {
 		t.Errorf("nil ProvLog queries must be nil")
 	}
-	if smt, sel := p.Totals(); smt != 0 || sel != 0 {
+	if p.Totals() != 0 {
 		t.Errorf("nil ProvLog totals must be 0")
 	}
 	ObserveDur(nil, time.Second) // must not panic
@@ -83,10 +64,10 @@ func TestObserveDur(t *testing.T) {
 	}
 }
 
-// TestProvLogConcurrent exercises both rings from many goroutines under
+// TestProvLogConcurrent exercises the ring from many goroutines under
 // -race (synthesis workers record SMT provenance concurrently).
 func TestProvLogConcurrent(t *testing.T) {
-	p := NewProvLog(32, 32)
+	p := NewProvLog(32)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -94,19 +75,17 @@ func TestProvLogConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				p.AddSMT(SMTQuery{DurNS: int64(i)})
-				p.AddSel(SelDecision{Fn: "f"})
 				if i%100 == 0 {
 					p.SMTQueries()
-					p.Selections()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if smt, sel := p.Totals(); smt != 4000 || sel != 4000 {
-		t.Fatalf("Totals = %d,%d, want 4000,4000", smt, sel)
+	if n := p.Totals(); n != 4000 {
+		t.Fatalf("Totals = %d, want 4000", n)
 	}
-	if len(p.SMTQueries()) != 32 || len(p.Selections()) != 32 {
-		t.Fatalf("rings should be full at cap 32")
+	if len(p.SMTQueries()) != 32 {
+		t.Fatalf("ring should be full at cap 32")
 	}
 }

@@ -119,7 +119,7 @@ type Rule struct {
 
 // SeqName is the rule's sequence rendered as Seq.String() ("INST1 ;
 // INST2"). Library.Add computes it once (a rule is immutable after Add),
-// so the selector's provenance reuses one string per rule.
+// so the selector's Report.RulesUsed reuses one string per rule.
 func (r *Rule) SeqName() string {
 	if r.seqName != "" {
 		return r.seqName

@@ -23,7 +23,7 @@ type Metrics struct {
 	IncrRuns     atomic.Uint64 // incremental resyntheses from a lineage's resident entry
 	RulesReused  atomic.Uint64 // rules carried over re-verified (zero solver queries)
 	RulesResynth atomic.Uint64 // rules synthesized by incremental runs
-	Errors       atomic.Uint64 // requests answered with an error status
+	Errors       atomic.Uint64 // requests answered with an error status, a client's own cancellation aside
 	Selections   atomic.Uint64 // programs selected with no fallback and no error, by any select form
 
 	PeerFills      atomic.Uint64 // cache misses filled from a peer replica's artifact

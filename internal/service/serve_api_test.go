@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -184,7 +185,8 @@ func TestBatchSelectRejects(t *testing.T) {
 // TestFlightOutlivesClient: a synthesis flight is detached from the
 // request that opened it. A client that disconnects while the flight is
 // held does not cancel it; the flight completes and caches its entry,
-// so the retry is a hit and synthesis ran once.
+// so the retry is a hit, synthesis ran once, and the cancelled request
+// counts as no error.
 func TestFlightOutlivesClient(t *testing.T) {
 	sv, ts := newTestServer(t, testConfig())
 	started := make(chan struct{}, 1)
@@ -235,8 +237,71 @@ func TestFlightOutlivesClient(t *testing.T) {
 	if sr := decodeSynth(t, body); sr.Cache != "hit" || sr.Rules == 0 {
 		t.Errorf("retry: cache=%q rules=%d, want a hit on the abandoned flight's library", sr.Cache, sr.Rules)
 	}
-	if m := getMetrics(t, ts.URL); m.SynthRuns != 1 {
+	m := getMetrics(t, ts.URL)
+	if m.SynthRuns != 1 {
 		t.Errorf("synth_runs = %d, want 1", m.SynthRuns)
+	}
+	if m.Errors != 0 {
+		t.Errorf("errors = %d, want 0: a client's own cancellation is no server error", m.Errors)
+	}
+}
+
+// TestWaiterCancelAndDeadline: a request waiting on a held flight whose
+// own client cancelled it answers 499 and counts no error, while one
+// whose deadline passed answers a counted 504.
+func TestWaiterCancelAndDeadline(t *testing.T) {
+	sv, ts := newTestServer(t, testConfig())
+	started := make(chan struct{}, 1)
+	gate := make(chan struct{})
+	sv.testJobGate = func() {
+		started <- struct{}{}
+		<-gate
+	}
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	defer release()
+	buf, err := json.Marshal(SynthesizeRequest{Target: "mini", Spec: svcSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/synthesize", "application/json", bytes.NewReader(buf))
+		if err != nil {
+			t.Error(err)
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-started
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	for _, tc := range []struct {
+		ctx    context.Context
+		status int
+		errors uint64
+	}{
+		{cancelled, statusClientClosed, 0},
+		{expired, http.StatusGatewayTimeout, 1},
+	} {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/synthesize", bytes.NewReader(buf)).WithContext(tc.ctx)
+		sv.Handler().ServeHTTP(w, r)
+		if w.Code != tc.status {
+			t.Errorf("%v waiter answered %d, want %d", tc.ctx.Err(), w.Code, tc.status)
+		}
+		if m := getMetrics(t, ts.URL); m.Errors != tc.errors {
+			t.Errorf("after the %v waiter: errors = %d, want %d", tc.ctx.Err(), m.Errors, tc.errors)
+		}
+	}
+	release()
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("the flight's own request answered %d, want 200", status)
 	}
 }
 

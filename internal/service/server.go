@@ -58,8 +58,9 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// Obs, when set, enables the observability surface: per-request
 	// spans (GET /v1/trace), the Prometheus registry (GET /metrics), and
-	// decision provenance. It is threaded into every synthesis job and
-	// selection backend. Purely observational — never fingerprinted.
+	// SMT query provenance (GET /v1/rules/{fp}/why). It is threaded into
+	// every synthesis job and selection backend. Purely observational —
+	// never fingerprinted.
 	Obs *obs.Obs
 	// TraceSample is the fraction of trace-context-less requests that
 	// start a new sampled distributed trace (0 = default 1.0: sample
@@ -336,9 +337,10 @@ func (sv *Server) timeout(ms int64) time.Duration {
 // with allowPeer — a peer fill from the fingerprint's ring owner, then
 // synthesis under the deadline). The returned cache string is the path
 // taken: "hit", "disk", "peer", "incr", "miss", or "join". On error, the
-// returned status is the HTTP code to answer with. allowPeer is false
-// exactly when the request *is* a peer fill, so replicas can never fill
-// from each other in a cycle.
+// returned status is the HTTP code to answer with: statusClientClosed
+// when the client cancelled its own request while it waited, 504 when
+// its deadline passed. allowPeer is false exactly when the request *is*
+// a peer fill, so replicas can never fill from each other in a cycle.
 func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Duration, allowPeer bool) (e *Entry, cache string, status int, err error) {
 	fp := def.fp
 	e, fl, owner := sv.store.Acquire(def.lineage, fp)
@@ -387,7 +389,10 @@ func (sv *Server) entryFor(ctx context.Context, def *targetDef, timeout time.Dur
 	}
 	ent, err := fl.Wait(ctx)
 	if err != nil {
-		if ctx.Err() != nil {
+		switch {
+		case errors.Is(ctx.Err(), context.Canceled):
+			return nil, "", statusClientClosed, err
+		case ctx.Err() != nil:
 			return nil, "", http.StatusGatewayTimeout, err
 		}
 		return nil, "", http.StatusInternalServerError, err
@@ -860,8 +865,15 @@ func decodeJSON(body io.Reader, into any) error {
 	return nil
 }
 
+// statusClientClosed answers a request its own client cancelled (the
+// status nginx logs for it). Nobody reads the answer, and it is no
+// server error: fail does not count it.
+const statusClientClosed = 499
+
 func (sv *Server) fail(w http.ResponseWriter, status int, err error) {
-	sv.metrics.Errors.Add(1)
+	if status != statusClientClosed {
+		sv.metrics.Errors.Add(1)
+	}
 	// Backpressure rejections are retryable by construction — the queue
 	// drains at synthesis speed — so tell well-behaved clients when to
 	// come back instead of letting them hammer the queue.
