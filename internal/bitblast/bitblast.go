@@ -646,29 +646,6 @@ func (b *Blaster) countZeros(x []sat.Lit, msbFirst bool) []sat.Lit {
 	return acc
 }
 
-// AssertEqual adds clauses requiring x == y bitwise.
-func (b *Blaster) AssertEqual(x, y []sat.Lit) {
-	if len(x) != len(y) {
-		panic("bitblast: AssertEqual width mismatch")
-	}
-	for i := range x {
-		b.S.AddClause(x[i].Flip(), y[i])
-		b.S.AddClause(x[i], y[i].Flip())
-	}
-}
-
-// AssertDistinct adds clauses requiring x != y (some bit differs).
-func (b *Blaster) AssertDistinct(x, y []sat.Lit) {
-	if len(x) != len(y) {
-		panic("bitblast: AssertDistinct width mismatch")
-	}
-	diff := make([]sat.Lit, len(x))
-	for i := range x {
-		diff[i] = b.xor2(x[i], y[i])
-	}
-	b.S.AddClause(diff...)
-}
-
 // DistinctLit returns a literal that is true iff x != y, without
 // asserting it.
 func (b *Blaster) DistinctLit(x, y []sat.Lit) sat.Lit {

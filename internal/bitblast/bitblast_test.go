@@ -138,7 +138,7 @@ func TestEquivalenceProof(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.AssertDistinct(lb, rb)
-	if st := s.Solve(); st != sat.Unsat {
+	if st, _ := s.SolveModel(); st != sat.Unsat {
 		t.Errorf("x-y vs x+~y+1: %v, want unsat", st)
 	}
 }
@@ -176,7 +176,7 @@ func TestShiftEquivalenceMulPow2(t *testing.T) {
 	lb, _ := b.Blast(lhs)
 	rb, _ := b.Blast(rhs)
 	b.AssertDistinct(lb, rb)
-	if st := s.Solve(); st != sat.Unsat {
+	if st, _ := s.SolveModel(); st != sat.Unsat {
 		t.Errorf("shl3 vs mul8: %v, want unsat", st)
 	}
 }
@@ -214,7 +214,7 @@ func TestLoadFreshBitsShared(t *testing.T) {
 		s2 := sat.New()
 		_ = s2
 		b.AssertDistinct(db, b.constBits(32, func(int) bool { return false }))
-		if st := b.S.Solve(); st != sat.Unsat {
+		if st, _ := b.S.SolveModel(); st != sat.Unsat {
 			t.Errorf("load(a)-load(a) != 0 is %v, want unsat", st)
 		}
 	}
@@ -243,12 +243,14 @@ func TestGateCacheSharing(t *testing.T) {
 	if _, err := b.Blast(sum); err != nil {
 		t.Fatal(err)
 	}
-	before := s.NumVars()
+	// NewVar returns the next free index, so two calls one apart show
+	// whether the re-blast allocated any variable in between.
+	before := s.NewVar()
 	if _, err := b.Blast(sum); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumVars() != before {
-		t.Errorf("re-blasting grew solver: %d -> %d", before, s.NumVars())
+	if after := s.NewVar(); after != before+1 {
+		t.Errorf("re-blasting grew solver: %d -> %d variables", before, after-1)
 	}
 }
 
@@ -263,4 +265,16 @@ func TestWideWidth128(t *testing.T) {
 	if got, want := evalViaSAT(t, tt, env), tt.Eval(env); got != want {
 		t.Errorf("128-bit add: sat=%v eval=%v", got, want)
 	}
+}
+
+// AssertDistinct adds clauses requiring x != y (some bit differs).
+func (b *Blaster) AssertDistinct(x, y []sat.Lit) {
+	if len(x) != len(y) {
+		panic("bitblast: AssertDistinct width mismatch")
+	}
+	diff := make([]sat.Lit, len(x))
+	for i := range x {
+		diff[i] = b.xor2(x[i], y[i])
+	}
+	b.S.AddClause(diff...)
 }

@@ -137,12 +137,6 @@ func NewCtx() *Ctx {
 		memo: make(map[*term.Term]*CTerm)}
 }
 
-// NumTerms returns the number of distinct canonical terms interned.
-func (cx *Ctx) NumTerms() int { return len(cx.terms) }
-
-// ByID returns the canonical term with the given ID.
-func (cx *Ctx) ByID(id int) *CTerm { return cx.terms[id] }
-
 // intern returns the interned term with the content of template p, an
 // operation node or linear combination whose Args or Addends may be
 // caller scratch. Only a miss allocates: the interned copy gets Args and

@@ -298,7 +298,7 @@ func TestPropertyCanonPreservesEval(t *testing.T) {
 		b := term.NewBuilder()
 		cx := NewCtx()
 		w := []int{8, 16, 32, 64}[rng.Intn(4)]
-		vars := []*term.Term{b.Reg("x", w), b.Reg("y", w), b.Imm("i", w)}
+		vars := []*term.Term{b.Reg("x", w), b.Reg("y", w), b.VarT("i", term.KindImm, w)}
 		tt := randomTerm(b, rng, vars, 4)
 		ct := cx.Canon(tt)
 		for k := 0; k < 5; k++ {
@@ -369,7 +369,7 @@ func TestEvalOfOpaqueOps(t *testing.T) {
 
 func TestAtomDomainInfoPreserved(t *testing.T) {
 	b, cx := setup()
-	imm := b.Imm("imm", 12)
+	imm := b.VarT("imm", term.KindImm, 12)
 	reg := b.Reg("r", 12)
 	ci := cx.Canon(imm)
 	cr := cx.Canon(reg)

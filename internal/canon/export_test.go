@@ -103,3 +103,9 @@ func SameTerms(a, b *Ctx) error {
 	}
 	return nil
 }
+
+// NumTerms returns the number of distinct canonical terms interned.
+func (cx *Ctx) NumTerms() int { return len(cx.terms) }
+
+// ByID returns the canonical term with the given ID.
+func (cx *Ctx) ByID(id int) *CTerm { return cx.terms[id] }

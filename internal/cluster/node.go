@@ -104,9 +104,6 @@ func (n *Node) peerFailed(ps *peerState) {
 	n.count("cluster_peer_errors", "failed peer exchanges", "peer", ps.url)
 }
 
-// OwnerOf returns the replica URL owning a fingerprint.
-func (n *Node) OwnerOf(fp string) string { return n.ring.Owner(fp) }
-
 // Self returns this replica's base URL.
 func (n *Node) Self() string { return n.cfg.Self }
 

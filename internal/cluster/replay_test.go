@@ -12,6 +12,7 @@ import (
 	"iselgen/internal/bv"
 	"iselgen/internal/fuzz"
 	"iselgen/internal/obs"
+	"iselgen/internal/obs/obstest"
 	"iselgen/internal/service"
 )
 
@@ -182,7 +183,7 @@ func TestClusterReplay(t *testing.T) {
 			t.Errorf("replica %d exposes %d cluster_breaker_state series, want one per peer", i, breakers)
 		}
 		ex := scrapeProm(t, base+"/metrics?exemplars=1")
-		withEx, populated := obs.ExemplarCoverage(ex["http_request_duration_ns"])
+		withEx, populated := obstest.ExemplarCoverage(ex["http_request_duration_ns"])
 		if populated == 0 || withEx != populated {
 			t.Errorf("replica %d: exemplars on %d of %d populated latency buckets", i, withEx, populated)
 		}
@@ -204,7 +205,7 @@ func TestClusterReplay(t *testing.T) {
 }
 
 // scrapeProm fetches and strictly parses one Prometheus exposition.
-func scrapeProm(t *testing.T, url string) map[string]*obs.PromFamily {
+func scrapeProm(t *testing.T, url string) map[string]*obstest.PromFamily {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -215,7 +216,7 @@ func scrapeProm(t *testing.T, url string) map[string]*obs.PromFamily {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("%s answered %d", url, resp.StatusCode)
 	}
-	fams, err := obs.ParseProm(string(text))
+	fams, err := obstest.ParseProm(string(text))
 	if err != nil {
 		t.Fatalf("%s fails strict parse: %v", url, err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"iselgen/internal/obs"
+	"iselgen/internal/obs/obstest"
 	"iselgen/internal/service"
 )
 
@@ -51,14 +52,14 @@ func awaitTrace(t *testing.T, base, traceID string, wantNodes int) service.Trace
 		sr, status := fetchTraceSpans(t, base, traceID)
 		if status == http.StatusOK {
 			last = sr
-			if obs.ValidateTraceSpans(sr.Spans) == nil && len(nodesOf(sr.Spans)) >= wantNodes {
+			if obstest.ValidateTraceSpans(sr.Spans) == nil && len(nodesOf(sr.Spans)) >= wantNodes {
 				return sr
 			}
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("trace %s never stabilized at %d nodes; last view: %+v (validate: %v)",
-		traceID, wantNodes, last.Spans, obs.ValidateTraceSpans(last.Spans))
+		traceID, wantNodes, last.Spans, obstest.ValidateTraceSpans(last.Spans))
 	return last
 }
 
@@ -146,7 +147,7 @@ func TestClusterFleetTrace(t *testing.T) {
 		}
 		data, _ := io.ReadAll(r2.Body)
 		r2.Body.Close()
-		pt, err := obs.ParseTraceFile(data)
+		pt, err := obstest.ParseTraceFile(data)
 		if err != nil {
 			t.Fatalf("assembled trace from %s fails strict parse: %v", base, err)
 		}

@@ -20,9 +20,9 @@ import (
 // against (and can feed) the shared memo's counterexamples.
 func fallbackPats() []*pattern.Pattern {
 	return []*pattern.Pattern{
-		pattern.New(pattern.Op(gmir.GZExt, gmir.S64, pattern.Cmp(gmir.PredEQ, r64(), r64()))),
-		pattern.New(pattern.Op(gmir.GZExt, gmir.S64, pattern.Cmp(gmir.PredULT, r64(), r64()))),
-		pattern.New(pattern.Op(gmir.GSelect, gmir.S64, pattern.Cmp(gmir.PredSLT, r64(), r64()), r64(), r64())),
+		pattern.New(pattern.Op(gmir.GZExt, gmir.S64, icmp(gmir.PredEQ, r64(), r64()))),
+		pattern.New(pattern.Op(gmir.GZExt, gmir.S64, icmp(gmir.PredULT, r64(), r64()))),
+		pattern.New(pattern.Op(gmir.GSelect, gmir.S64, icmp(gmir.PredSLT, r64(), r64()), r64(), r64())),
 		pattern.New(pattern.Op(gmir.GOr, gmir.S64, r64(),
 			pattern.Op(gmir.GXor, gmir.S64, r64(), i64()))),
 	}
@@ -55,7 +55,7 @@ func TestConcurrentSynthesesShareWitnesses(t *testing.T) {
 			s.BuildPool()
 			lib := rules.NewLibrary("mini")
 			s.Synthesize(fallbackPats(), lib)
-			arts[g] = isel.SaveLibrary(lib)
+			arts[g] = isel.SaveLibraryFor(lib, tgt)
 			screens[g] = s.Stats.CexScreens
 		}(g)
 	}

@@ -81,6 +81,11 @@ func TestBuildPool(t *testing.T) {
 }
 
 func r64() *pattern.Node { return pattern.Leaf(gmir.S64) }
+
+// icmp builds a comparison node.
+func icmp(pred gmir.Pred, args ...*pattern.Node) *pattern.Node {
+	return &pattern.Node{Op: gmir.GICmp, Ty: gmir.S1, Pred: pred, Args: args}
+}
 func i64() *pattern.Node { return pattern.ImmLeaf(gmir.S64) }
 
 func TestIndexHitShiftAdd(t *testing.T) {
@@ -195,7 +200,7 @@ func TestFlagChainCmpCset(t *testing.T) {
 	// zext(icmp eq x y) must match the SUBSrr;CSETeq chain.
 	s, _ := miniSynth(t, Config{TestInputs: 32})
 	p := pattern.New(pattern.Op(gmir.GZExt, gmir.S64,
-		pattern.Cmp(gmir.PredEQ, r64(), r64())))
+		icmp(gmir.PredEQ, r64(), r64())))
 	r := s.SynthesizeOne(p)
 	if r == nil {
 		t.Fatal("no rule for zext(icmp)")
@@ -205,7 +210,7 @@ func TestFlagChainCmpCset(t *testing.T) {
 	}
 	// Unsigned-less-than via CSETlo.
 	p2 := pattern.New(pattern.Op(gmir.GZExt, gmir.S64,
-		pattern.Cmp(gmir.PredULT, r64(), r64())))
+		icmp(gmir.PredULT, r64(), r64())))
 	r2 := s.SynthesizeOne(p2)
 	if r2 == nil || r2.Seq.String() != "SUBSrr ; CSETlo" {
 		t.Fatalf("ult rule = %v", r2)
@@ -216,7 +221,7 @@ func TestSelectCmpChain(t *testing.T) {
 	// select(icmp slt a b, x, y) -> SUBSrr ; CSELlt.
 	s, _ := miniSynth(t, Config{TestInputs: 32})
 	p := pattern.New(pattern.Op(gmir.GSelect, gmir.S64,
-		pattern.Cmp(gmir.PredSLT, r64(), r64()), r64(), r64()))
+		icmp(gmir.PredSLT, r64(), r64()), r64(), r64()))
 	r := s.SynthesizeOne(p)
 	if r == nil {
 		t.Fatal("no rule for select(icmp)")
@@ -305,7 +310,7 @@ func TestRulesSemanticallySound(t *testing.T) {
 				pattern.Op(gmir.GShl, gmir.S64, r64(), i64())))
 		},
 		func() *pattern.Pattern {
-			return pattern.New(pattern.Op(gmir.GZExt, gmir.S64, pattern.Cmp(gmir.PredEQ, r64(), r64())))
+			return pattern.New(pattern.Op(gmir.GZExt, gmir.S64, icmp(gmir.PredEQ, r64(), r64())))
 		},
 		func() *pattern.Pattern {
 			return pattern.New(pattern.Op(gmir.GAdd, gmir.S64, r64(),

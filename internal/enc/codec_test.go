@@ -317,24 +317,3 @@ func TestRiscvGoldenBytes(t *testing.T) {
 		}
 	}
 }
-
-// TestTrieStats sanity-checks the dispatch structure: tries exist for
-// every size class and leaves stay narrow (decode is near-constant).
-func TestTrieStats(t *testing.T) {
-	for name, tgt := range loadTargets(t) {
-		c, err := enc.NewCodec(tgt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, st := range c.Stats() {
-			total += st.Insts
-			if st.MaxLeaf > 4 {
-				t.Errorf("%s: %d-byte trie has a %d-wide leaf", name, st.Size, st.MaxLeaf)
-			}
-		}
-		if total != len(tgt.Insts) {
-			t.Errorf("%s: tries cover %d of %d instructions", name, total, len(tgt.Insts))
-		}
-	}
-}

@@ -246,12 +246,6 @@ func (ic *InstCodec) operand(name string) *spec.Operand {
 	return &spec.Operand{}
 }
 
-// HasRd reports whether the encoding carries a destination-register field.
-func (ic *InstCodec) HasRd() bool { return ic.hasRd }
-
-// HasRd2 reports whether the encoding carries a second destination field.
-func (ic *InstCodec) HasRd2() bool { return ic.hasRd2 }
-
 // DecodeAt decodes the instruction starting at code[off:]. Sizes are
 // tried ascending; the pairwise fixed-bit conflict guarantee from spec
 // checking makes the first match the only match. Returns the matched
@@ -274,22 +268,4 @@ func (c *Codec) DecodeAt(code []byte, off int) (*InstCodec, Operands, int, error
 		}
 	}
 	return nil, Operands{}, 0, fmt.Errorf("%w at offset %d", ErrUnknown, off)
-}
-
-// decodeLinear is the trie-free reference decoder used to cross-check
-// the trie (exported to tests via export_test.go).
-func (c *Codec) decodeLinear(code []byte, off int) (*InstCodec, int) {
-	avail := len(code) - off
-	for _, s := range c.Sizes {
-		if s > avail {
-			break
-		}
-		p := wordPair(code[off : off+s])
-		for _, ic := range c.Insts {
-			if ic.Size == s && matches(p, ic.Mask, ic.Val) {
-				return ic, s
-			}
-		}
-	}
-	return nil, 0
 }

@@ -1,12 +1,8 @@
 package enc
 
 // Test-only windows into unexported machinery: the trie-free reference
-// decoder and the full match set (for uniqueness sweeps).
-
-// DecodeLinear exposes the linear reference decoder.
-func (c *Codec) DecodeLinear(code []byte, off int) (*InstCodec, int) {
-	return c.decodeLinear(code, off)
-}
+// decoder, the destination-field flags and the full match set (for
+// uniqueness sweeps).
 
 // AllMatches returns every instruction whose fixed bits match a prefix
 // of code — more than one element means an ambiguous opcode space.
@@ -28,4 +24,28 @@ func (c *Codec) MatchesReserved(code []byte) bool {
 		}
 	}
 	return false
+}
+
+// HasRd reports whether the encoding carries a destination-register field.
+func (ic *InstCodec) HasRd() bool { return ic.hasRd }
+
+// HasRd2 reports whether the encoding carries a second destination field.
+func (ic *InstCodec) HasRd2() bool { return ic.hasRd2 }
+
+// DecodeLinear is the trie-free reference decoder the tests cross-check
+// the trie against.
+func (c *Codec) DecodeLinear(code []byte, off int) (*InstCodec, int) {
+	avail := len(code) - off
+	for _, s := range c.Sizes {
+		if s > avail {
+			break
+		}
+		p := wordPair(code[off : off+s])
+		for _, ic := range c.Insts {
+			if ic.Size == s && matches(p, ic.Mask, ic.Val) {
+				return ic, s
+			}
+		}
+	}
+	return nil, 0
 }

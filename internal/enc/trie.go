@@ -100,48 +100,3 @@ func (n *trieNode) lookup(p [2]uint64) *InstCodec {
 	}
 	return nil
 }
-
-// stats accumulates trie shape numbers for observability and tests.
-type trieStats struct {
-	Interior, Leaves, MaxDepth, MaxLeafWidth int
-}
-
-func (n *trieNode) stats(depth int, st *trieStats) {
-	if depth > st.MaxDepth {
-		st.MaxDepth = depth
-	}
-	if n.bit < 0 {
-		st.Leaves++
-		if len(n.leaves) > st.MaxLeafWidth {
-			st.MaxLeafWidth = len(n.leaves)
-		}
-		return
-	}
-	st.Interior++
-	n.zero.stats(depth+1, st)
-	n.one.stats(depth+1, st)
-}
-
-// TrieStats describes the decode tries' shape, keyed by size in bytes.
-type TrieStats struct {
-	Size                                    int
-	Insts, Interior, Leaves, Depth, MaxLeaf int
-}
-
-// Stats reports per-size decode-trie shape (for iseldump and tests).
-func (c *Codec) Stats() []TrieStats {
-	var out []TrieStats
-	for _, s := range c.Sizes {
-		st := trieStats{}
-		c.tries[s].stats(0, &st)
-		n := 0
-		for _, ic := range c.Insts {
-			if ic.Size == s {
-				n++
-			}
-		}
-		out = append(out, TrieStats{Size: s, Insts: n, Interior: st.Interior,
-			Leaves: st.Leaves, Depth: st.MaxDepth, MaxLeaf: st.MaxLeafWidth})
-	}
-	return out
-}

@@ -242,38 +242,3 @@ func runSMT(opts *Options, sum *Summary, over func() bool) error {
 func firstLine(s string) string {
 	return strings.SplitN(s, "\n", 2)[0]
 }
-
-// ReplayRepro re-runs one corpus entry against its oracle. The pipelines
-// map provides a select-diff pipeline per target name; missing targets
-// are an error. ErrSkip outcomes count as passing (a skip is a healthy
-// verdict, and a rejected spec mutant is the contract working).
-func ReplayRepro(r *Repro, pipelines map[string]*Pipeline) error {
-	switch r.Oracle {
-	case "select-diff", "encode":
-		p, err := ParseProg(r.Prog)
-		if err != nil {
-			return err
-		}
-		pl := pipelines[r.Target]
-		if pl == nil {
-			return fmt.Errorf("fuzz: no pipeline for target %q", r.Target)
-		}
-		check := CheckProg
-		if r.Oracle == "encode" {
-			check = CheckEncode
-		}
-		if cerr := check(pl, p, VectorsFor(r.Seed, p, 5)); IsFailure(cerr) {
-			return cerr
-		}
-		return nil
-	case "spec":
-		if cerr := checkSpecSrc(r.Spec, r.Seed, SpecOptions{Synth: true}); IsFailure(cerr) {
-			return cerr
-		}
-		return nil
-	case "smt":
-		return CheckSMT(solver.New(0), r.Seed, r.Iter, 0)
-	default:
-		return fmt.Errorf("fuzz: unknown oracle %q", r.Oracle)
-	}
-}

@@ -95,11 +95,6 @@ func (fb *FuncBuilder) Const(ty Type, v uint64) Value {
 	return fb.ConstBV(bv.New(ty.Bits, v))
 }
 
-// ConstInt materializes a signed constant.
-func (fb *FuncBuilder) ConstInt(ty Type, v int64) Value {
-	return fb.ConstBV(bv.NewInt(ty.Bits, v))
-}
-
 // ConstBV materializes a constant from a bitvector value.
 func (fb *FuncBuilder) ConstBV(v bv.BV) Value {
 	dst := fb.newValue(Type{v.W()})
@@ -112,15 +107,11 @@ func (fb *FuncBuilder) Add(x, y Value) Value  { return fb.Binary(GAdd, x, y) }
 func (fb *FuncBuilder) Sub(x, y Value) Value  { return fb.Binary(GSub, x, y) }
 func (fb *FuncBuilder) Mul(x, y Value) Value  { return fb.Binary(GMul, x, y) }
 func (fb *FuncBuilder) UDiv(x, y Value) Value { return fb.Binary(GUDiv, x, y) }
-func (fb *FuncBuilder) SDiv(x, y Value) Value { return fb.Binary(GSDiv, x, y) }
-func (fb *FuncBuilder) URem(x, y Value) Value { return fb.Binary(GURem, x, y) }
-func (fb *FuncBuilder) SRem(x, y Value) Value { return fb.Binary(GSRem, x, y) }
 func (fb *FuncBuilder) And(x, y Value) Value  { return fb.Binary(GAnd, x, y) }
 func (fb *FuncBuilder) Or(x, y Value) Value   { return fb.Binary(GOr, x, y) }
 func (fb *FuncBuilder) Xor(x, y Value) Value  { return fb.Binary(GXor, x, y) }
 func (fb *FuncBuilder) Shl(x, y Value) Value  { return fb.Binary(GShl, x, y) }
 func (fb *FuncBuilder) LShr(x, y Value) Value { return fb.Binary(GLShr, x, y) }
-func (fb *FuncBuilder) AShr(x, y Value) Value { return fb.Binary(GAShr, x, y) }
 func (fb *FuncBuilder) UMin(x, y Value) Value { return fb.Binary(GUMin, x, y) }
 
 // PtrAdd offsets a pointer by an s64 index.

@@ -177,9 +177,6 @@ type Function struct {
 // TypeOf returns the type of a value.
 func (f *Function) TypeOf(v Value) Type { return f.types[v] }
 
-// Entry returns the entry block.
-func (f *Function) Entry() *Block { return f.Blocks[0] }
-
 // BlockByID returns the block with the given ID.
 func (f *Function) BlockByID(id int) *Block {
 	for _, b := range f.Blocks {
@@ -188,15 +185,6 @@ func (f *Function) BlockByID(id int) *Block {
 		}
 	}
 	return nil
-}
-
-// NumInsts counts all instructions.
-func (f *Function) NumInsts() int {
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Insts)
-	}
-	return n
 }
 
 // String renders the function in a gMIR-like textual form.

@@ -293,3 +293,12 @@ func TestLegalizeNarrowLoadsAndConstants(t *testing.T) {
 		t.Errorf("legalized = %v, want %v", got, want)
 	}
 }
+
+// NumInsts counts all instructions.
+func (f *Function) NumInsts() int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Insts)
+	}
+	return n
+}

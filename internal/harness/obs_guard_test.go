@@ -15,6 +15,10 @@ import (
 // attached, as a share of untraced synthesis time.
 const disabledGuardPct = 2.0
 
+// guardRingCap sizes the traced run's span and provenance rings above
+// what one synthesis of a builtin target records.
+const guardRingCap = 1 << 14
+
 // nilOpNS measures one fully disabled instrumentation site, the
 // distributed-tracing calls included: a span start on a nil tracer, an
 // attribute set, an end, a remote span start from a trace context, its
@@ -42,8 +46,8 @@ func nilOpNS() float64 {
 // TestDisabledObsOverhead synthesizes each builtin target twice from a
 // cold verdict memo, once untraced and once with tracing, metrics and
 // provenance attached. The traced library must be byte-identical to the
-// untraced one, and the sites the traced run passed through (span
-// starts plus SMT provenance events, ×3 for headroom) must cost, at the
+// untraced one, and the sites the traced run passed through (completed
+// spans plus SMT provenance events, ×3 for headroom) must cost, at the
 // nil-op price, under disabledGuardPct of untraced synthesis time.
 func TestDisabledObsOverhead(t *testing.T) {
 	names := []string{"riscv", "aarch64"}
@@ -65,16 +69,25 @@ func TestDisabledObsOverhead(t *testing.T) {
 				return isel.SaveLibraryFor(lib, s.ISA), time.Since(t0)
 			}
 			base, baseDur := synth(nil)
-			o := obs.New()
+			// Rings large enough that nothing is overwritten, so their
+			// lengths count every span and every SMT query.
+			o := &obs.Obs{
+				Trace:   obs.NewTracer(guardRingCap),
+				Metrics: obs.NewRegistry(),
+				Prov:    obs.NewProvLog(guardRingCap),
+			}
 			traced, _ := synth(o)
 			if traced != base {
 				t.Fatal("traced library differs from the untraced one")
 			}
-			smtEvents := o.Prov.Totals()
+			spans, smtEvents := len(o.Trace.Snapshot()), len(o.Prov.SMTQueries())
+			if spans == guardRingCap || smtEvents == guardRingCap {
+				t.Fatalf("a ring filled (%d spans, %d SMT queries, cap %d): events were overwritten", spans, smtEvents, guardRingCap)
+			}
 			if smtEvents == 0 {
 				t.Fatal("cold traced synthesis recorded no SMT provenance events")
 			}
-			events := float64(o.Trace.Started()) + float64(smtEvents)
+			events := float64(spans + smtEvents)
 			pct := 100 * events * 3 * nilNS / float64(baseDur.Nanoseconds())
 			t.Logf("%s: %.0f events × 3 × %.1f ns = %.4f%% of %v", name, events, nilNS, pct, baseDur)
 			if pct >= disabledGuardPct {

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Artifact is a parsed persisted rule library (the isel.SaveLibrary
+// Artifact is a parsed persisted rule library (the isel.SaveLibraryFor
 // format) viewed through its provenance: the instruction fingerprints
 // recorded at synthesis time plus, per rule, the supporting instruction
 // names the planner needs for reuse classification. Rules are kept as raw

@@ -9,7 +9,7 @@
 //     whitespace, comments, and reordering edits are free;
 //   - every rule carries provenance — the fingerprints of its supporting
 //     instructions plus its proof origin (index vs smt) — persisted in
-//     the library artifact (isel.SaveLibrary);
+//     the library artifact (isel.SaveLibraryFor);
 //   - given an old artifact and a new spec, the delta planner classifies
 //     each rule as reusable (all supporting instructions unchanged —
 //     re-verified by randomized evaluation, zero solver queries), stale

@@ -456,17 +456,3 @@ func latencies() map[string]int {
 func Load(b *term.Builder) (*isa.Target, error) {
 	return isa.LoadTarget(b, "aarch64", Spec(), latencies(), 0)
 }
-
-// AuxImmediates lists instructions whose immediate uses the §V-D1
-// auxiliary encoding (bitmask immediates, inverted MOVN payloads): the
-// assembler re-encodes the value, and the rule emitter marks the
-// constraint.
-func AuxImmediates() map[string]bool {
-	aux := map[string]bool{}
-	for _, v := range widths {
-		for _, op := range []string{"AND", "ORR", "EOR"} {
-			aux[op+v.suffix+"ri"] = true
-		}
-	}
-	return aux
-}

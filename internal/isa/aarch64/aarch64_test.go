@@ -268,13 +268,3 @@ func TestLatencies(t *testing.T) {
 		t.Error("default latency wrong")
 	}
 }
-
-func TestAuxImmediates(t *testing.T) {
-	aux := AuxImmediates()
-	if !aux["ANDXri"] || !aux["ORRWri"] {
-		t.Error("bitmask-immediate instructions not marked auxiliary")
-	}
-	if aux["ADDXri"] {
-		t.Error("ADDXri wrongly marked auxiliary")
-	}
-}

@@ -37,8 +37,8 @@ func selectSpan(t *testing.T, o *obs.Obs) map[string]obs.Attr {
 	if attrs == nil {
 		t.Fatalf("no isel/select span recorded")
 	}
-	if h := o.Metrics.Histogram("isel_select_ns", ""); h.Count() != 1 {
-		t.Errorf("isel_select_ns count = %d, want 1", h.Count())
+	if _, n, _ := o.Metrics.Histogram("isel_select_ns", "").Snapshot(); n != 1 {
+		t.Errorf("isel_select_ns count = %d, want 1", n)
 	}
 	return attrs
 }

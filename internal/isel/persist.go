@@ -38,21 +38,6 @@ import (
 // checked before the '='-means-leaf-consts test, since the cost field
 // itself contains no '='. Every rule is re-verified on load.
 
-// SaveLibrary serializes a library. The provenance header covers the
-// instructions the rules depend on; use SaveLibraryFor when the loaded
-// target is at hand, so the header covers the *whole* spec and an
-// incremental resynthesis can also tell unchanged-but-unused
-// instructions from new ones.
-func SaveLibrary(lib *rules.Library) string {
-	fps := map[string]string{}
-	for _, r := range lib.Rules {
-		for _, p := range r.Prov {
-			fps[p.Name] = p.FP
-		}
-	}
-	return saveLibrary(lib, fps)
-}
-
 // SaveLibraryFor serializes a library with a provenance header recording
 // the content fingerprint of every instruction of the target it was
 // synthesized against — the artifact format the incremental planner

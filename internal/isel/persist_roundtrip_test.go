@@ -26,7 +26,7 @@ func checkRoundTrip(t *testing.T, b *term.Builder, tgt *isa.Target, lib *rules.L
 	if lib.Len() == 0 {
 		t.Fatal("empty library, nothing round-trips")
 	}
-	text := SaveLibrary(lib)
+	text := SaveLibraryFor(lib, tgt)
 	loaded, err := LoadLibrary(b, tgt, text)
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -34,7 +34,7 @@ func checkRoundTrip(t *testing.T, b *term.Builder, tgt *isa.Target, lib *rules.L
 	if loaded.Len() != lib.Len() {
 		t.Fatalf("loaded %d rules, saved %d", loaded.Len(), lib.Len())
 	}
-	again := SaveLibrary(loaded)
+	again := SaveLibraryFor(loaded, tgt)
 	if again != text {
 		t.Errorf("re-emit not byte-identical:\n--- first ---\n%s\n--- second ---\n%s", text, again)
 	}
@@ -103,7 +103,7 @@ func TestRoundTripCostAnnotated(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := buildA64Handwritten(b, tgt, true)
-	plain := SaveLibrary(lib)
+	plain := SaveLibraryFor(lib, tgt)
 	lines := strings.Split(plain, "\n")
 	for i, l := range lines {
 		if l != "" && !strings.HasPrefix(l, "#") {
@@ -122,7 +122,7 @@ func TestRoundTripCostAnnotated(t *testing.T) {
 	if loaded.Len() != lib.Len() {
 		t.Fatalf("loaded %d rules, saved %d", loaded.Len(), lib.Len())
 	}
-	if got := SaveLibrary(loaded); got != plain {
+	if got := SaveLibraryFor(loaded, tgt); got != plain {
 		t.Errorf("re-saving a cost-annotated artifact kept the field or changed it:\n%s", got)
 	}
 }
@@ -135,7 +135,7 @@ func TestLegacyLinesLoadWithoutCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := buildA64Handwritten(b, tgt, true)
-	text := SaveLibrary(lib)
+	text := SaveLibraryFor(lib, tgt)
 	if strings.Contains(text, "cost:") {
 		t.Fatal("a saved library must not emit cost fields")
 	}

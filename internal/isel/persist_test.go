@@ -18,7 +18,8 @@ func TestPatternKeyRoundTrip(t *testing.T) {
 		pattern.New(pattern.Op(gmir.GAdd, gmir.S64,
 			pattern.Leaf(gmir.S64),
 			pattern.Op(gmir.GShl, gmir.S64, pattern.Leaf(gmir.S64), pattern.ImmLeaf(gmir.S64)))),
-		pattern.New(pattern.Cmp(gmir.PredSLT, pattern.Leaf(gmir.S32), pattern.ImmLeaf(gmir.S32))),
+		pattern.New(&pattern.Node{Op: gmir.GICmp, Ty: gmir.S1, Pred: gmir.PredSLT,
+			Args: []*pattern.Node{pattern.Leaf(gmir.S32), pattern.ImmLeaf(gmir.S32)}}),
 		pattern.New(pattern.LoadOp(gmir.GSLoad, gmir.S64, 16,
 			pattern.Op(gmir.GPtrAdd, gmir.P0, pattern.Leaf(gmir.S64), pattern.ImmLeaf(gmir.S64)))),
 		pattern.New(pattern.StoreOp(8, pattern.Leaf(gmir.S32), pattern.Leaf(gmir.P0))),
@@ -47,7 +48,7 @@ func TestLibrarySaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	lib := buildA64Handwritten(b, tgt, true)
-	text := SaveLibrary(lib)
+	text := SaveLibraryFor(lib, tgt)
 	if !strings.Contains(text, "ADDXrs_lsl") {
 		t.Fatal("save output incomplete")
 	}

@@ -128,25 +128,6 @@ func (f *Func) NewReg() Reg {
 	return r
 }
 
-// BlockByID finds a block.
-func (f *Func) BlockByID(id int) *Block {
-	for _, b := range f.Blocks {
-		if b.ID == id {
-			return b
-		}
-	}
-	return nil
-}
-
-// NumInsts counts instructions (pseudos included).
-func (f *Func) NumInsts() int {
-	n := 0
-	for _, b := range f.Blocks {
-		n += len(b.Insts)
-	}
-	return n
-}
-
 // BinarySize returns the total encoded size in bytes — the §VIII-C
 // binary-size metric.
 func (f *Func) BinarySize() int {

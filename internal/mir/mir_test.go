@@ -71,3 +71,22 @@ func TestString(t *testing.T) {
 		}
 	}
 }
+
+// BlockByID finds a block.
+func (f *Func) BlockByID(id int) *Block {
+	for _, b := range f.Blocks {
+		if b.ID == id {
+			return b
+		}
+	}
+	return nil
+}
+
+// NumInsts counts instructions (pseudos included).
+func (f *Func) NumInsts() int {
+	n := 0
+	for _, b := range f.Blocks {
+		n += len(b.Insts)
+	}
+	return n
+}

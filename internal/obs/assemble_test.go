@@ -1,27 +1,30 @@
-package obs
+package obs_test
 
 import (
 	"encoding/json"
 	"strings"
 	"testing"
 	"time"
+
+	"iselgen/internal/obs"
+	"iselgen/internal/obs/obstest"
 )
 
 // twoNodeTrace builds the canonical cross-node shape: a client-minted
 // root context, a caller node with a request span and a fill span, and
 // an owner node whose spans parent under the fill span — with the owner
 // clock skewed into the past to exercise normalization.
-func twoNodeTrace(t *testing.T) (TraceID, []TraceSpan) {
+func twoNodeTrace(t *testing.T) (obs.TraceID, []obs.TraceSpan) {
 	t.Helper()
-	tid := NewTraceID()
-	client := TraceContext{TraceID: tid, SpanID: randUint64() | 1, Sampled: true}
+	tid := obs.NewTraceID()
+	client := obs.TraceContext{TraceID: tid, SpanID: 0x5eed, Sampled: true}
 
-	caller := NewTracer(64)
+	caller := obs.NewTracer(64)
 	root := caller.StartRemote("http POST /v1/select", client)
 	fill := root.Child("cluster fill")
 	time.Sleep(time.Millisecond)
 
-	owner := NewTracer(64)
+	owner := obs.NewTracer(64)
 	remote := owner.StartRemote("http POST /v1/artifact", fill.Context())
 	synth := remote.Child("synth")
 	synth.End()
@@ -41,39 +44,39 @@ func twoNodeTrace(t *testing.T) (TraceID, []TraceSpan) {
 
 func TestValidateTraceSpans(t *testing.T) {
 	_, spans := twoNodeTrace(t)
-	if err := ValidateTraceSpans(spans); err != nil {
+	if err := obstest.ValidateTraceSpans(spans); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
-	if err := ValidateTraceSpans(nil); err == nil {
+	if err := obstest.ValidateTraceSpans(nil); err == nil {
 		t.Error("empty trace accepted")
 	}
 
 	// Orphan: a span whose parent chain never reaches the root.
-	orphaned := append([]TraceSpan(nil), spans...)
-	orphaned = append(orphaned, TraceSpan{
+	orphaned := append([]obs.TraceSpan(nil), spans...)
+	orphaned = append(orphaned, obs.TraceSpan{
 		TraceID: spans[0].TraceID, SpanID: 0xdead, Parent: 0xbeef, Name: "lost", Node: "x"},
-		TraceSpan{TraceID: spans[0].TraceID, SpanID: 0xbeef, Parent: 0xdead, Name: "cycle", Node: "x"})
-	if err := ValidateTraceSpans(orphaned); err == nil {
+		obs.TraceSpan{TraceID: spans[0].TraceID, SpanID: 0xbeef, Parent: 0xdead, Name: "cycle", Node: "x"})
+	if err := obstest.ValidateTraceSpans(orphaned); err == nil {
 		t.Error("orphan cycle accepted")
 	}
 
 	// Duplicate span IDs.
-	dup := append(append([]TraceSpan(nil), spans...), spans[0])
-	if err := ValidateTraceSpans(dup); err == nil {
+	dup := append(append([]obs.TraceSpan(nil), spans...), spans[0])
+	if err := obstest.ValidateTraceSpans(dup); err == nil {
 		t.Error("duplicate span ID accepted")
 	}
 
 	// Mixed traces.
-	mixed := append([]TraceSpan(nil), spans...)
-	mixed[len(mixed)-1].TraceID = NewTraceID().String()
-	if err := ValidateTraceSpans(mixed); err == nil {
+	mixed := append([]obs.TraceSpan(nil), spans...)
+	mixed[len(mixed)-1].TraceID = obs.NewTraceID().String()
+	if err := obstest.ValidateTraceSpans(mixed); err == nil {
 		t.Error("mixed trace IDs accepted")
 	}
 }
 
 func TestAssembleTraceNormalizesClocks(t *testing.T) {
 	tid, spans := twoNodeTrace(t)
-	f, rep := AssembleTrace(spans)
+	f, rep := obs.AssembleTrace(spans)
 	if rep.Spans != len(spans) || rep.Nodes != 2 || rep.Roots != 1 || rep.Orphans != 0 {
 		t.Fatalf("report %+v, want %d spans over 2 nodes, 1 root, 0 orphans", rep, len(spans))
 	}
@@ -126,7 +129,7 @@ func TestAssembleTraceNormalizesClocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ParseTraceFile(data)
+	pt, err := obstest.ParseTraceFile(data)
 	if err != nil {
 		t.Fatalf("assembled trace fails strict parse: %v", err)
 	}
@@ -139,15 +142,15 @@ func TestAssembleTraceNormalizesClocks(t *testing.T) {
 // form a cycle, leaving no root at all. Assembly must stay best-effort —
 // anchor on the earliest span, report Roots=0 — not panic.
 func TestAssembleTraceParentCycle(t *testing.T) {
-	tid := NewTraceID().String()
-	spans := []TraceSpan{
+	tid := obs.NewTraceID().String()
+	spans := []obs.TraceSpan{
 		{TraceID: tid, SpanID: 1, Parent: 2, Name: "a", Node: "n1", StartUnixNS: 200},
 		{TraceID: tid, SpanID: 2, Parent: 1, Name: "b", Node: "n1", StartUnixNS: 100},
 	}
-	if err := ValidateTraceSpans(spans); err == nil {
+	if err := obstest.ValidateTraceSpans(spans); err == nil {
 		t.Error("validator accepted a parent cycle")
 	}
-	f, rep := AssembleTrace(spans)
+	f, rep := obs.AssembleTrace(spans)
 	if rep.Spans != 2 || rep.Roots != 0 || rep.Orphans != 0 {
 		t.Errorf("report %+v, want 2 spans, 0 roots, 0 orphans", rep)
 	}
@@ -167,7 +170,7 @@ func TestAssembleTraceParentCycle(t *testing.T) {
 // integer precision or it reports a spurious duplicate span ID.
 func TestParseTraceFileHugeSpanIDs(t *testing.T) {
 	const a, b = uint64(1) << 53, uint64(1)<<53 + 1
-	f := &TraceFile{DisplayTimeUnit: "ms", TraceEvents: []TraceEvent{
+	f := &obs.TraceFile{DisplayTimeUnit: "ms", TraceEvents: []obs.TraceEvent{
 		{Name: "root", Ph: "X", Pid: 1, Args: map[string]any{"span_id": a}},
 		{Name: "child", Ph: "X", Pid: 1, Args: map[string]any{"span_id": b, "parent": a}},
 		{Name: "leaf", Ph: "X", Pid: 1, Args: map[string]any{"span_id": ^uint64(0), "parent": b}},
@@ -176,7 +179,7 @@ func TestParseTraceFileHugeSpanIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := ParseTraceFile(data)
+	pt, err := obstest.ParseTraceFile(data)
 	if err != nil {
 		t.Fatalf("huge span IDs rejected: %v", err)
 	}
@@ -199,7 +202,7 @@ func toF(t *testing.T, v any) float64 {
 
 func TestParseTraceFileRejects(t *testing.T) {
 	_, spans := twoNodeTrace(t)
-	f, _ := AssembleTrace(spans)
+	f, _ := obs.AssembleTrace(spans)
 	good, _ := json.Marshal(f)
 
 	cases := []struct {
@@ -216,12 +219,12 @@ func TestParseTraceFileRejects(t *testing.T) {
 		{"missing span_id", func() []byte { return []byte(strings.ReplaceAll(string(good), `"span_id"`, `"span_idx"`)) }},
 	}
 	for _, c := range cases {
-		if _, err := ParseTraceFile(c.mutate()); err == nil {
+		if _, err := obstest.ParseTraceFile(c.mutate()); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
 	// Two roots: break one parent link.
-	var tf TraceFile
+	var tf obs.TraceFile
 	if err := json.Unmarshal(good, &tf); err != nil {
 		t.Fatal(err)
 	}
@@ -236,28 +239,28 @@ func TestParseTraceFileRejects(t *testing.T) {
 		t.Fatal("no parent to break")
 	}
 	data, _ := json.Marshal(tf)
-	if _, err := ParseTraceFile(data); err == nil {
+	if _, err := obstest.ParseTraceFile(data); err == nil {
 		t.Error("broken span link accepted")
 	}
 }
 
 func TestHistogramExemplars(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	h := r.Histogram("req_ns", "latency", "path", "/x")
 	h.Observe(100) // unsampled: no exemplar
-	tidA, tidB := NewTraceID().String(), NewTraceID().String()
+	tidA, tidB := obs.NewTraceID().String(), obs.NewTraceID().String()
 	h.ObserveExemplar(100, tidA)
 	h.ObserveExemplar(1<<20, tidB)
 	h.ObserveExemplar(5000, "") // sampled-off path: counts, no exemplar
 
-	if ex := h.Exemplar(bucketOf(100)); ex == nil || ex.TraceID != tidA {
+	if ex := h.Exemplar(obs.BucketOf(100)); ex == nil || ex.TraceID != tidA {
 		t.Fatalf("bucket exemplar = %+v, want trace %s", ex, tidA)
 	}
-	if ex := h.Exemplar(bucketOf(5000)); ex != nil {
+	if ex := h.Exemplar(obs.BucketOf(5000)); ex != nil {
 		t.Errorf("empty-trace observation stored exemplar %+v", ex)
 	}
-	if h.Count() != 4 {
-		t.Errorf("count %d, want 4", h.Count())
+	if _, n, _ := h.Snapshot(); n != 4 {
+		t.Errorf("count %d, want 4", n)
 	}
 
 	exs := r.TraceExemplars()
@@ -292,7 +295,7 @@ func TestHistogramExemplars(t *testing.T) {
 	if !strings.Contains(text, `# {trace_id="`+tidA+`"} 100`) {
 		t.Errorf("exposition missing exemplar annotation:\n%s", text)
 	}
-	fams, err := ParseProm(text)
+	fams, err := obstest.ParseProm(text)
 	if err != nil {
 		t.Fatalf("exposition with exemplars fails strict parse: %v\n%s", err, text)
 	}
@@ -308,18 +311,18 @@ func TestHistogramExemplars(t *testing.T) {
 	if found != 2 {
 		t.Errorf("parsed %d exemplars, want 2", found)
 	}
-	withEx, populated := ExemplarCoverage(fams["req_ns"])
+	withEx, populated := obstest.ExemplarCoverage(fams["req_ns"])
 	if populated < 3 || withEx != 2 {
 		t.Errorf("ExemplarCoverage = %d/%d, want 2 of >=3", withEx, populated)
 	}
 
 	// Nil-safety.
-	var nilH *Histogram
+	var nilH *obs.Histogram
 	nilH.ObserveExemplar(1, "x")
 	if nilH.Exemplar(0) != nil {
 		t.Error("nil histogram returned exemplar")
 	}
-	var nilR *Registry
+	var nilR *obs.Registry
 	if nilR.TraceExemplars() != nil {
 		t.Error("nil registry returned exemplars")
 	}

@@ -87,46 +87,17 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return v.(*Counter)
 }
 
-// Gauge is a value that can go up and down. Nil-safe.
+// Gauge is a callback-backed value read at exposition time. Nil-safe.
 type Gauge struct {
-	v  atomic.Int64
-	fn func() int64 // callback gauge; nil for settable gauges
+	fn func() int64
 }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
-	}
-}
-
-// Add adjusts the gauge value.
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value (invoking the callback for GaugeFunc
-// gauges).
+// Value returns the callback's current value.
 func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	if g.fn != nil {
-		return g.fn()
-	}
-	return g.v.Load()
-}
-
-// Gauge returns (creating if needed) the settable gauge with the given
-// name and label pairs.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	v := r.get(name, help, "gauge", labels, func() any { return &Gauge{} })
-	if v == nil {
-		return nil
-	}
-	return v.(*Gauge)
+	return g.fn()
 }
 
 // GaugeFunc registers a callback-backed gauge: its value is read at
@@ -219,22 +190,6 @@ func (h *Histogram) Exemplar(i int) *Exemplar {
 		return nil
 	}
 	return h.exemplars[i].Load()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by locating the

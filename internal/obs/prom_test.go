@@ -1,20 +1,23 @@
-package obs
+package obs_test
 
 import (
 	"bytes"
 	"math"
 	"strings"
 	"testing"
+
+	"iselgen/internal/obs"
+	"iselgen/internal/obs/obstest"
 )
 
 // TestWritePromRoundTrip is the exposition-format contract test: write a
 // registry with all three metric kinds, then run the output through the
-// strict parser (the same one the service tests and the CI guard use).
+// strict parser (the same one the service and cluster tests use).
 func TestWritePromRoundTrip(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("iseld_requests_total", "requests served", "path", "/v1/select", "status", "200").Add(17)
 	r.Counter("iseld_requests_total", "requests served", "path", "/v1/metrics", "status", "200").Add(3)
-	r.Gauge("iseld_queue_depth", "jobs waiting").Set(2)
+	r.GaugeFunc("iseld_queue_depth", "jobs waiting", func() int64 { return 2 })
 	h := r.Histogram("smt_query_duration_ns", "per-query solver latency", "result", "equal")
 	for _, v := range []int64{3, 5, 900, 70_000, 70_000, 2_000_000} {
 		h.Observe(v)
@@ -29,7 +32,7 @@ func TestWritePromRoundTrip(t *testing.T) {
 	}
 	text := buf.String()
 
-	fams, err := ParseProm(text)
+	fams, err := obstest.ParseProm(text)
 	if err != nil {
 		t.Fatalf("exposition failed strict parse: %v\n%s", err, text)
 	}
@@ -60,7 +63,7 @@ func TestWritePromRoundTrip(t *testing.T) {
 	if hf == nil || hf.Type != "histogram" {
 		t.Fatalf("histogram family missing or mistyped: %+v", hf)
 	}
-	// ParseProm already validated cumulativity and +Inf == _count; spot
+	// obstest.ParseProm already validated cumulativity and +Inf == _count; spot
 	// check count and sum values survive the text round trip.
 	var cnt, sum float64
 	for _, s := range hf.Samples {
@@ -98,13 +101,13 @@ func TestWritePromRoundTrip(t *testing.T) {
 // TestWritePromEscaping checks label-value and help escaping survives a
 // round trip through the parser.
 func TestWritePromEscaping(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Counter("weird_total", `help with \ backslash`, "spec", "a\"b\\c\nd", "route", "/v1/trace/{traceId}").Add(1)
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatalf("WriteProm: %v", err)
 	}
-	fams, err := ParseProm(buf.String())
+	fams, err := obstest.ParseProm(buf.String())
 	if err != nil {
 		t.Fatalf("escaped exposition failed parse: %v\n%s", err, buf.String())
 	}
@@ -121,8 +124,8 @@ func TestWritePromEscaping(t *testing.T) {
 }
 
 // TestParsePromRejectsMalformed ensures the validator actually rejects
-// the failure modes it exists to catch — otherwise the CI guard is
-// theater.
+// the failure modes it exists to catch, so the tests that pass /metrics
+// output through it prove something.
 func TestParsePromRejectsMalformed(t *testing.T) {
 	cases := []struct {
 		name, text string
@@ -143,8 +146,8 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 			"h_bucket{le=\"4\"} 1\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 2\nh_sum 3\nh_count 2\n"},
 	}
 	for _, c := range cases {
-		if _, err := ParseProm(c.text); err == nil {
-			t.Errorf("%s: ParseProm accepted malformed input:\n%s", c.name, c.text)
+		if _, err := obstest.ParseProm(c.text); err == nil {
+			t.Errorf("%s: obstest.ParseProm accepted malformed input:\n%s", c.name, c.text)
 		}
 	}
 }
@@ -153,7 +156,7 @@ func TestParsePromRejectsMalformed(t *testing.T) {
 // allows.
 func TestParsePromValues(t *testing.T) {
 	text := "# HELP v x\n# TYPE v gauge\nv{k=\"inf\"} +Inf\nv{k=\"nan\"} NaN\nv{k=\"neg\"} -3.5\n"
-	fams, err := ParseProm(text)
+	fams, err := obstest.ParseProm(text)
 	if err != nil {
 		t.Fatalf("ParseProm: %v", err)
 	}
@@ -178,13 +181,13 @@ func TestParsePromValues(t *testing.T) {
 // TestWritePromEmptyHistogram: a histogram with zero observations must
 // still satisfy the validator (it emits only +Inf, _sum, _count).
 func TestWritePromEmptyHistogram(t *testing.T) {
-	r := NewRegistry()
+	r := obs.NewRegistry()
 	r.Histogram("quiet_ns", "never observed")
 	var buf bytes.Buffer
 	if err := r.WriteProm(&buf); err != nil {
 		t.Fatalf("WriteProm: %v", err)
 	}
-	if _, err := ParseProm(buf.String()); err != nil {
+	if _, err := obstest.ParseProm(buf.String()); err != nil {
 		t.Fatalf("empty histogram exposition invalid: %v\n%s", err, buf.String())
 	}
 }

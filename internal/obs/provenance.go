@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // SMTQuery is the decision-provenance record of one solver query: what
 // was asked, what came back, how long it took, and how hard the SAT
@@ -26,10 +23,9 @@ type SMTQuery struct {
 // ProvLog is a bounded ring of SMT query provenance records. A nil
 // *ProvLog disables recording.
 type ProvLog struct {
-	mu    sync.Mutex
-	smt   []SMTQuery
-	head  int
-	total int64
+	mu   sync.Mutex
+	smt  []SMTQuery
+	head int
 }
 
 // DefaultProvCap bounds the ring when NewProvLog is given 0.
@@ -56,7 +52,6 @@ func (p *ProvLog) AddSMT(q SMTQuery) {
 		p.smt[p.head] = q
 		p.head = (p.head + 1) % cap(p.smt)
 	}
-	p.total++
 	p.mu.Unlock()
 }
 
@@ -71,20 +66,4 @@ func (p *ProvLog) SMTQueries() []SMTQuery {
 	out = append(out, p.smt[p.head:]...)
 	out = append(out, p.smt[:p.head]...)
 	return out
-}
-
-// Totals returns the lifetime query count (including overwritten ones).
-func (p *ProvLog) Totals() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total
-}
-
-// ObserveDur is a convenience for recording a duration into a histogram
-// (nil-safe on both sides).
-func ObserveDur(h *Histogram, d time.Duration) {
-	h.Observe(d.Nanoseconds())
 }

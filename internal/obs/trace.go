@@ -32,12 +32,10 @@ type SpanRecord struct {
 // monotonic clock. The zero value is not usable; a nil *Tracer disables
 // tracing (Start returns a nil *Span whose methods no-op).
 type Tracer struct {
-	base    time.Time // monotonic reference; span offsets are Since(base)
-	wall    time.Time // wall-clock at base, for absolute-time export
-	idBase  uint64    // random per-tracer base mixed into span IDs
-	nextID  atomic.Uint64
-	dropped atomic.Uint64
-	started atomic.Uint64
+	base   time.Time // monotonic reference; span offsets are Since(base)
+	wall   time.Time // wall-clock at base, for absolute-time export
+	idBase uint64    // random per-tracer base mixed into span IDs
+	nextID atomic.Uint64
 
 	mu   sync.Mutex
 	ring []SpanRecord
@@ -108,7 +106,6 @@ func (t *Tracer) startAt(name string, parent, lane uint64, trace TraceID, off ti
 	if id == 0 {
 		id = 1
 	}
-	t.started.Add(1)
 	if lane == 0 {
 		lane = id
 	}
@@ -180,7 +177,6 @@ func (t *Tracer) commit(rec SpanRecord) {
 	} else {
 		t.ring[t.head] = rec
 		t.head = (t.head + 1) % cap(t.ring)
-		t.dropped.Add(1)
 	}
 	t.mu.Unlock()
 }
@@ -200,24 +196,6 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	out = append(out, t.ring[t.head:]...)
 	out = append(out, t.ring[:t.head]...)
 	return out
-}
-
-// Started returns the number of spans started (including dropped and
-// in-progress ones) — the instrumentation-event count the overhead
-// estimator scales by.
-func (t *Tracer) Started() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.started.Load()
-}
-
-// Dropped returns how many completed spans the ring overwrote.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
 }
 
 // Reset discards all recorded spans (capacity and clock base are kept).

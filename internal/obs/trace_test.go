@@ -39,14 +39,10 @@ func TestSpanHierarchy(t *testing.T) {
 	if len(c.Attrs) != 1 || !c.Attrs[0].IsInt || c.Attrs[0].Int != 7 {
 		t.Errorf("child attrs = %+v", c.Attrs)
 	}
-	if tr.Started() != 2 {
-		t.Errorf("Started() = %d, want 2", tr.Started())
-	}
 }
 
 // TestTracerRingWrap fills a small ring past capacity and checks that
-// Snapshot returns exactly the newest cap spans, oldest first, and that
-// Dropped accounts for the overwritten ones.
+// Snapshot returns exactly the newest cap spans, oldest first.
 func TestTracerRingWrap(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
@@ -60,12 +56,6 @@ func TestTracerRingWrap(t *testing.T) {
 		if recs[i].Name != want {
 			t.Errorf("recs[%d].Name = %q, want %q (oldest-first, newest kept)", i, recs[i].Name, want)
 		}
-	}
-	if tr.Dropped() != 6 {
-		t.Errorf("Dropped() = %d, want 6", tr.Dropped())
-	}
-	if tr.Started() != 10 {
-		t.Errorf("Started() = %d, want 10", tr.Started())
 	}
 	tr.Reset()
 	if len(tr.Snapshot()) != 0 {
@@ -85,7 +75,7 @@ func TestNilTracerSafe(t *testing.T) {
 	sp.Child("y").End()
 	sp.End()
 	sp.EndWith(time.Second)
-	if tr.Snapshot() != nil || tr.Started() != 0 || tr.Dropped() != 0 {
+	if tr.Snapshot() != nil {
 		t.Errorf("nil tracer accessors must be empty")
 	}
 	tr.Reset()
@@ -214,9 +204,6 @@ func TestTracerConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tr.Started() != 8000 {
-		t.Fatalf("Started() = %d, want 8000", tr.Started())
-	}
 	if len(tr.Snapshot()) != 64 {
 		t.Fatalf("ring should be full at cap 64, got %d", len(tr.Snapshot()))
 	}

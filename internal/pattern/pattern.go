@@ -307,14 +307,6 @@ func (e *Extractor) Ranked() []*Pattern {
 	return out
 }
 
-// Count returns the occurrence count of a pattern.
-func (e *Extractor) Count(p *Pattern) int {
-	if ent, ok := e.counts[p.Key()]; ok {
-		return ent.count
-	}
-	return 0
-}
-
 // --- convenience constructors for tests and manual rules ---
 
 // Leaf builds a register leaf.
@@ -326,11 +318,6 @@ func ImmLeaf(ty gmir.Type) *Node { return &Node{Ty: ty, LeafReg: false} }
 // Op builds an operation node.
 func Op(op gmir.Opcode, ty gmir.Type, args ...*Node) *Node {
 	return &Node{Op: op, Ty: ty, Args: args}
-}
-
-// Cmp builds a comparison node.
-func Cmp(pred gmir.Pred, args ...*Node) *Node {
-	return &Node{Op: gmir.GICmp, Ty: gmir.S1, Pred: pred, Args: args}
 }
 
 // LoadOp builds a load node.

@@ -169,3 +169,16 @@ func TestExtractorSizeLimit(t *testing.T) {
 		}
 	}
 }
+
+// Count returns the occurrence count of a pattern.
+func (e *Extractor) Count(p *Pattern) int {
+	if ent, ok := e.counts[p.Key()]; ok {
+		return ent.count
+	}
+	return 0
+}
+
+// Cmp builds a comparison node.
+func Cmp(pred gmir.Pred, args ...*Node) *Node {
+	return &Node{Op: gmir.GICmp, Ty: gmir.S1, Pred: pred, Args: args}
+}

@@ -80,7 +80,7 @@ func TestEmbedDecodeQuick(t *testing.T) {
 
 func TestEmbedTerm(t *testing.T) {
 	b := term.NewBuilder()
-	e := b.Imm("e", 12)
+	e := b.VarT("e", term.KindImm, 12)
 	em := Embed{Width: 12, Shift: 3}
 	tt := em.Term(b, e, 64)
 	env := term.NewEnv()

@@ -53,17 +53,6 @@ const (
 	Unsat
 )
 
-func (s Status) String() string {
-	switch s {
-	case Sat:
-		return "sat"
-	case Unsat:
-		return "unsat"
-	default:
-		return "unknown"
-	}
-}
-
 type lbool int8
 
 const (
@@ -134,9 +123,6 @@ func New() *Solver {
 	s.assign = make([]lbool, 2)
 	return s
 }
-
-// NumVars returns the number of variables allocated.
-func (s *Solver) NumVars() int { return len(s.vars) - 1 }
 
 // NewVar allocates a fresh variable and returns its 1-based index.
 func (s *Solver) NewVar() int {
@@ -591,20 +577,11 @@ func luby(i int64) int64 {
 	}
 }
 
-// Solve runs the CDCL loop and returns the verdict.
-func (s *Solver) Solve() Status {
-	if s.unsat {
-		return Unsat
-	}
-	defer s.backtrack(0)
-	return s.run()
-}
-
 // valueOf reads the model value of variable v before backtracking.
 func (s *Solver) valueOf(v int) bool { return s.assign[Lit(v)<<1] == lTrue }
 
-// SolveModel runs Solve and, on Sat, returns the satisfying assignment
-// (index 0 unused).
+// SolveModel runs the CDCL loop and returns the verdict and, on Sat, the
+// satisfying assignment (index 0 unused).
 func (s *Solver) SolveModel() (Status, []bool) {
 	if s.unsat {
 		return Unsat, nil

@@ -28,7 +28,7 @@ func TestContradiction(t *testing.T) {
 	if s.AddClause(LitOf(a, true)) {
 		t.Error("contradictory units not detected")
 	}
-	if st := s.Solve(); st != Unsat {
+	if st, _ := s.SolveModel(); st != Unsat {
 		t.Errorf("status = %v", st)
 	}
 }
@@ -56,7 +56,7 @@ func TestImplicationChain(t *testing.T) {
 	}
 	// Now force the last one false: unsat.
 	s.AddClause(LitOf(vs[n-1], true))
-	if st := s.Solve(); st != Unsat {
+	if st, _ := s.SolveModel(); st != Unsat {
 		t.Errorf("status after contradiction = %v", st)
 	}
 }
@@ -91,7 +91,7 @@ func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		s := New()
 		pigeonhole(s, n+1, n)
-		if st := s.Solve(); st != Unsat {
+		if st, _ := s.SolveModel(); st != Unsat {
 			t.Errorf("PHP(%d,%d) = %v, want unsat", n+1, n, st)
 		}
 	}
@@ -113,7 +113,7 @@ func TestBudgetUnknown(t *testing.T) {
 	s := New()
 	pigeonhole(s, 9, 8) // hard enough to exceed a tiny budget
 	s.MaxConflicts = 10
-	if st := s.Solve(); st != Unknown {
+	if st, _ := s.SolveModel(); st != Unknown {
 		t.Errorf("status = %v, want unknown under budget", st)
 	}
 }
@@ -214,13 +214,13 @@ func TestIncrementalReuse(t *testing.T) {
 	}
 	for i := 0; i < len(vs)-1; i++ {
 		s.AddClause(LitOf(vs[i], true), LitOf(vs[i+1], false))
-		if st := s.Solve(); st != Sat {
+		if st, _ := s.SolveModel(); st != Sat {
 			t.Fatalf("iteration %d unsat", i)
 		}
 	}
 	s.AddClause(LitOf(vs[0], false))
 	s.AddClause(LitOf(vs[len(vs)-1], true))
-	if st := s.Solve(); st != Unsat {
+	if st, _ := s.SolveModel(); st != Unsat {
 		t.Errorf("final = %v, want unsat", st)
 	}
 }
@@ -252,10 +252,22 @@ func TestClauseDBReduction(t *testing.T) {
 	// the result is still correct afterwards.
 	s := New()
 	pigeonhole(s, 8, 7)
-	if st := s.Solve(); st != Unsat {
+	if st, _ := s.SolveModel(); st != Unsat {
 		t.Errorf("PHP(8,7) = %v, want unsat", st)
 	}
 	if s.Conflicts == 0 {
 		t.Error("expected conflicts")
+	}
+}
+
+// String names a verdict in test failure messages.
+func (s Status) String() string {
+	switch s {
+	case Sat:
+		return "sat"
+	case Unsat:
+		return "unsat"
+	default:
+		return "unknown"
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"iselgen/internal/obs"
+	"iselgen/internal/obs/obstest"
 )
 
 func obsTestConfig() Config {
@@ -44,7 +45,7 @@ func TestPromEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fams, err := obs.ParseProm(string(body))
+	fams, err := obstest.ParseProm(string(body))
 	if err != nil {
 		t.Fatalf("/metrics failed Prometheus text parse: %v\n%s", err, body)
 	}
@@ -95,7 +96,7 @@ func TestPromEndpoint(t *testing.T) {
 	if !bytes.HasSuffix(bytes.TrimSpace(body2), []byte("# EOF")) {
 		t.Errorf("?exemplars=1 output missing # EOF terminator")
 	}
-	if _, err := obs.ParseProm(string(body2)); err != nil {
+	if _, err := obstest.ParseProm(string(body2)); err != nil {
 		t.Fatalf("?exemplars=1 output failed strict parse: %v\n%s", err, body2)
 	}
 }
@@ -235,7 +236,7 @@ func TestPprofMounted(t *testing.T) {
 // http_request_duration_ns histogram (by its _count line, since bucket
 // lines come and go with the slowest observation). The scrapes' own
 // path="/metrics" series are left out.
-func requestSeries(t *testing.T, base string) []obs.PromSample {
+func requestSeries(t *testing.T, base string) []obstest.PromSample {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -243,11 +244,11 @@ func requestSeries(t *testing.T, base string) []obs.PromSample {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	fams, err := obs.ParseProm(string(body))
+	fams, err := obstest.ParseProm(string(body))
 	if err != nil {
 		t.Fatalf("/metrics failed strict parse: %v", err)
 	}
-	var out []obs.PromSample
+	var out []obstest.PromSample
 	for _, name := range []string{"http_requests_total", "http_request_duration_ns"} {
 		if fams[name] == nil {
 			continue

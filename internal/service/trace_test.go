@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"iselgen/internal/obs"
+	"iselgen/internal/obs/obstest"
 )
 
 // doReq issues one request with optional extra headers and returns the
@@ -174,7 +175,7 @@ func TestTraceByID(t *testing.T) {
 	if err := json.NewDecoder(r.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateTraceSpans(sr.Spans); err != nil {
+	if err := obstest.ValidateTraceSpans(sr.Spans); err != nil {
 		t.Fatalf("trace spans fail validation: %v\n%+v", err, sr.Spans)
 	}
 	names := map[string]uint64{}
@@ -202,7 +203,7 @@ func TestTraceByID(t *testing.T) {
 	}
 	defer r2.Body.Close()
 	data, _ := io.ReadAll(r2.Body)
-	pt, err := obs.ParseTraceFile(data)
+	pt, err := obstest.ParseTraceFile(data)
 	if err != nil {
 		t.Fatalf("assembled trace fails strict parse: %v\n%s", err, data)
 	}

@@ -65,7 +65,7 @@ func TestEquivPointerEqualFastPath(t *testing.T) {
 func TestEquivLoadsPaired(t *testing.T) {
 	b := term.NewBuilder()
 	base := b.Reg("base", 64)
-	off := b.Imm("off", 64)
+	off := b.VarT("off", term.KindImm, 64)
 	c := &Checker{}
 
 	// load(base + off) == load(off + base): addresses provably equal.

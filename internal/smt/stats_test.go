@@ -72,9 +72,9 @@ func TestEquivProvenance(t *testing.T) {
 		}
 	}
 	for _, res := range []string{"equal", "not-equal"} {
-		h := o.Metrics.Histogram("smt_query_duration_ns", "", "result", res)
-		if h.Count() != 1 {
-			t.Errorf("histogram[result=%s] count = %d, want 1", res, h.Count())
+		_, n, _ := o.Metrics.Histogram("smt_query_duration_ns", "", "result", res).Snapshot()
+		if n != 1 {
+			t.Errorf("histogram[result=%s] count = %d, want 1", res, n)
 		}
 	}
 }

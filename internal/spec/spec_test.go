@@ -77,7 +77,7 @@ inst ADDWrs(rn: reg32, rm: reg32, shift: imm5) {
 	got := sem.Effects[0].T
 	rn := b.Reg("rn", 32)
 	rm := b.Reg("rm", 32)
-	sh := b.Imm("shift", 5)
+	sh := b.VarT("shift", term.KindImm, 5)
 	want := b.Add(rn, b.Shl(rm, b.ZExt(32, sh)))
 	if got != want {
 		t.Errorf("effect = %s, want %s", got, want)

@@ -40,9 +40,6 @@ func NewBuilder() *Builder {
 	return &Builder{terms: make(map[key]*Term), vars: make(map[string]*Term)}
 }
 
-// NumTerms returns the number of distinct interned terms.
-func (b *Builder) NumTerms() int { return len(b.terms) + len(b.vars) }
-
 // node returns the interned op(args...) term. It looks the hash-cons key
 // up first and allocates the term, with its Args in the same object, only
 // on a miss: stage 1 rebuilds many subterms it already holds, and a
@@ -141,9 +138,6 @@ func (b *Builder) VarT(name string, kind VarKind, width int) *Term {
 
 // Reg returns a register variable.
 func (b *Builder) Reg(name string, width int) *Term { return b.VarT(name, KindReg, width) }
-
-// Imm returns an immediate variable.
-func (b *Builder) Imm(name string, width int) *Term { return b.VarT(name, KindImm, width) }
 
 func checkSameWidth(op Op, x, y *Term) {
 	if x.Width != y.Width {

@@ -237,27 +237,6 @@ func (v visited) add(u *Term) (visited, bool) {
 	return v, true
 }
 
-// CountOp returns the number of distinct nodes with the given op.
-func (t *Term) CountOp(op Op) int {
-	n := 0
-	seen := map[*Term]bool{}
-	var walk func(*Term)
-	walk = func(u *Term) {
-		if seen[u] {
-			return
-		}
-		seen[u] = true
-		if u.Op == op {
-			n++
-		}
-		for _, a := range u.Args {
-			walk(a)
-		}
-	}
-	walk(t)
-	return n
-}
-
 // Loads returns all distinct Load nodes in t.
 func (t *Term) Loads() []*Term {
 	if p := t.loadsCache.Load(); p != nil {

@@ -59,7 +59,7 @@ func TestPropertyAlphaRenamedLookup(t *testing.T) {
 		ix := New()
 
 		regs := []*term.Term{b.Reg("s0.a", 64), b.Reg("s0.b", 64)}
-		imms := []*term.Term{b.Imm("s0.i", 12)}
+		imms := []*term.Term{b.VarT("s0.i", term.KindImm, 12)}
 		isaT := randomISATerm(b, rng, regs, imms, 3)
 		if isaT.IsConst() {
 			continue
@@ -68,7 +68,7 @@ func TestPropertyAlphaRenamedLookup(t *testing.T) {
 
 		// Alpha-rename: IR-side variables (same widths/kinds).
 		qRegs := []*term.Term{b.Reg("p0", 64), b.Reg("p1", 64)}
-		qImms := []*term.Term{b.Imm("pi", 12)}
+		qImms := []*term.Term{b.VarT("pi", term.KindImm, 12)}
 		subst := map[*term.Term]*term.Term{
 			regs[0]: qRegs[0], regs[1]: qRegs[1], imms[0]: qImms[0],
 		}
@@ -171,7 +171,7 @@ func TestPropertyNoFalsePayloads(t *testing.T) {
 		cx := canon.NewCtx()
 		ix := New()
 		regs := []*term.Term{b.Reg("s0.a", 64), b.Reg("s0.b", 64)}
-		imms := []*term.Term{b.Imm("s0.i", 12)}
+		imms := []*term.Term{b.VarT("s0.i", term.KindImm, 12)}
 		// Index several random terms.
 		var indexed []*term.Term
 		for i := 0; i < 5; i++ {
@@ -181,7 +181,7 @@ func TestPropertyNoFalsePayloads(t *testing.T) {
 		}
 		// Random query over IR-style vars.
 		qRegs := []*term.Term{b.Reg("p0", 64), b.Reg("p1", 64)}
-		qImms := []*term.Term{b.Imm("pi", 64)}
+		qImms := []*term.Term{b.VarT("pi", term.KindImm, 64)}
 		q := randomISATerm(b, rng, qRegs, qImms, 2)
 		for _, m := range ix.Lookup(cx.Canon(q)) {
 			idx := m.Payloads[0].(int)
@@ -192,3 +192,6 @@ func TestPropertyNoFalsePayloads(t *testing.T) {
 		}
 	}
 }
+
+// Payloads returns the payloads stored for a canonical term.
+func (ix *Index) Payloads(ct *canon.CTerm) []any { return ix.payloads[ct] }

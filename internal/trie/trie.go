@@ -242,9 +242,6 @@ func (n *node) term(k bv.BV) *canon.CTerm {
 	return nil
 }
 
-// Payloads returns the payloads stored for a canonical term.
-func (ix *Index) Payloads(ct *canon.CTerm) []any { return ix.payloads[ct] }
-
 // ImmBind records how an ISA immediate operand was bound during
 // unification, including the extract windows and coefficients on both
 // sides; rule generation turns these into immediate constraints

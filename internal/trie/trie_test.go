@@ -49,19 +49,19 @@ func TestFigure5AddShifted(t *testing.T) {
 	b, cx, ix := fixture()
 	a := b.Reg("a", 64)
 	a2 := b.Reg("b", 64)
-	shiftImm := b.Imm("sh", 6)
+	shiftImm := b.VarT("sh", term.KindImm, 6)
 	// ISA: a + (b << zext(sh)) — ADDXrs.
 	isa := b.Add(a, b.Shl(a2, b.ZExt(64, shiftImm)))
 	ix.Insert(cx.Canon(isa), "ADDXrs")
 	// ISA: a + imm12 — ADDXri.
-	imm12 := b.Imm("i12", 12)
+	imm12 := b.VarT("i12", term.KindImm, 12)
 	ix.Insert(cx.Canon(b.Add(a, b.ZExt(64, imm12))), "ADDXri")
 
 	// IR query: x + (y << (imm & 63)) with a 64-bit immediate, as gMIR's
 	// G_SHL by a 64-bit constant operand would produce.
 	x := b.Reg("x", 64)
 	y := b.Reg("y", 64)
-	qImm := b.Imm("qi", 64)
+	qImm := b.VarT("qi", term.KindImm, 64)
 	q := b.Add(x, b.Shl(y, b.ZExt(64, b.Extract(5, 0, qImm))))
 	ms := ix.Lookup(cx.Canon(q))
 	var got []string
@@ -94,7 +94,7 @@ func TestExcessImmBindsToZero(t *testing.T) {
 	// the excess imm to zero".
 	b, cx, ix := fixture()
 	a := b.Reg("a", 64)
-	imm := b.Imm("i12", 12)
+	imm := b.VarT("i12", term.KindImm, 12)
 	ix.Insert(cx.Canon(b.Add(a, b.ZExt(64, imm))), "ADDXri")
 
 	x := b.Reg("x", 64)
@@ -113,7 +113,7 @@ func TestQueryConstBindsToImm(t *testing.T) {
 	// matches a+imm with imm := 42.
 	b, cx, ix := fixture()
 	a := b.Reg("a", 64)
-	imm := b.Imm("i12", 12)
+	imm := b.VarT("i12", term.KindImm, 12)
 	ix.Insert(cx.Canon(b.Add(a, b.ZExt(64, imm))), "ADDXri")
 
 	x := b.Reg("x", 64)
@@ -133,7 +133,7 @@ func TestScaledImmediate(t *testing.T) {
 	// base + const 44 must bind imm := 11.
 	b, cx, ix := fixture()
 	base := b.Reg("a", 64)
-	imm := b.Imm("i12", 12)
+	imm := b.VarT("i12", term.KindImm, 12)
 	isa := b.Add(base, b.Mul(b.Const(64, 4), b.ZExt(64, imm)))
 	ix.Insert(cx.Canon(isa), "LDRoff")
 
@@ -152,7 +152,7 @@ func TestScaledImmediate(t *testing.T) {
 	}
 	// Immediate-to-immediate with different coefficients is allowed and
 	// records both coefficients for the constraint.
-	qi := b.Imm("qi", 64)
+	qi := b.VarT("qi", term.KindImm, 64)
 	ms = ix.Lookup(cx.Canon(b.Add(x, b.Mul(b.Const(64, 4), qi))))
 	if len(ms) == 0 {
 		t.Fatal("x+4*qi did not match")
@@ -166,13 +166,13 @@ func TestScaledImmediate(t *testing.T) {
 func TestPCRelative(t *testing.T) {
 	b, cx, ix := fixture()
 	pc := b.VarT("pc", term.KindPC, 64)
-	imm := b.Imm("i21", 21)
+	imm := b.VarT("i21", term.KindImm, 21)
 	// ADR: pc + sext(imm) — linearized sext keeps pc+imm structure plus a
 	// sign-bit term; use zext here for the plain pattern.
 	isa := b.Add(pc, b.ZExt(64, imm))
 	ix.Insert(cx.Canon(isa), "ADR")
 
-	qi := b.Imm("sym", 64)
+	qi := b.VarT("sym", term.KindImm, 64)
 	ms := ix.Lookup(cx.Canon(qi))
 	if len(ms) == 0 {
 		t.Fatal("lone immediate did not match pc+imm")
@@ -301,7 +301,7 @@ func TestNestedLinUnification(t *testing.T) {
 func TestLoadPatternMatch(t *testing.T) {
 	b, cx, ix := fixture()
 	base := b.Reg("a", 64)
-	imm := b.Imm("i12", 12)
+	imm := b.VarT("i12", term.KindImm, 12)
 	isa := b.Load(64, b.Add(base, b.ZExt(64, imm)))
 	ix.Insert(cx.Canon(isa), "LDRXui")
 
@@ -346,8 +346,8 @@ func TestBindingVerification(t *testing.T) {
 	b, cx, ix := fixture()
 	a := b.Reg("a", 64)
 	c := b.Reg("b", 64)
-	sh := b.Imm("sh", 6)
-	i12 := b.Imm("i12", 12)
+	sh := b.VarT("sh", term.KindImm, 6)
+	i12 := b.VarT("i12", term.KindImm, 12)
 	isaTerms := map[string]*term.Term{
 		"ADDXrr": b.Add(a, c),
 		"ADDXrs": b.Add(a, b.Shl(c, b.ZExt(64, sh))),
@@ -430,7 +430,7 @@ func TestSignWindowConstContradictionRejected(t *testing.T) {
 	// produce a constant binding of 0x800 with a zero-extension shape.
 	b, cx, ix := fixture()
 	base := b.Reg("a", 64)
-	imm := b.Imm("i12", 12)
+	imm := b.VarT("i12", term.KindImm, 12)
 	ix.Insert(cx.Canon(b.Add(base, b.SExt(64, imm))), "ADDIsext")
 
 	x := b.Reg("x", 64)
