@@ -170,6 +170,7 @@ type PoolEntry struct {
 	LoadSig      string
 	Width        int
 	cost         int        // Seq.Cost(), the ranking key
+	inHash       []uint64   // nameHash of each Seq input's name, by input index
 	evalN        int        // vector count (Config.TestInputs at build time)
 	evalMu       sync.Mutex // guards prog/evals extension
 	prog         *term.Program
@@ -796,6 +797,7 @@ func (s *Synthesizer) addEntry(seq *isa.Sequence) {
 
 	e := &PoolEntry{Seq: seq, Effect: eff, Class: class, Width: eff.T.W()}
 	e.cost = seq.Cost()
+	e.inHash = inputHashes(seq)
 	for _, in := range seq.Inputs {
 		if in.Op.Kind == spec.OpImm {
 			e.NImms++
@@ -894,6 +896,18 @@ func nameHash(name string) uint64 {
 		h = (h ^ uint64(name[i])) * 1099511628211
 	}
 	return h
+}
+
+// inputHashes is the nameHash of every input of seq, in input order.
+// The probe keys and binds test vectors by these hashes once per
+// candidate assignment, hundreds of thousands of times per synthesis,
+// so an entry computes them once.
+func inputHashes(seq *isa.Sequence) []uint64 {
+	hs := make([]uint64, len(seq.Inputs))
+	for i, in := range seq.Inputs {
+		hs[i] = nameHash(in.Var.Name)
+	}
+	return hs
 }
 
 // rawInputH produces the fixed 128-bit random input for test vector j

@@ -708,8 +708,7 @@ func inputKeyOf(entry *PoolEntry, asg []int) inputKey {
 	var k inputKey
 	for li, ki := range asg {
 		if ki >= 0 {
-			in := entry.Seq.Inputs[ki]
-			k.hash[li], k.width[li] = nameHash(in.Var.Name), uint8(in.Op.Width)
+			k.hash[li], k.width[li] = entry.inHash[ki], uint8(entry.Seq.Inputs[ki].Op.Width)
 		}
 	}
 	return k
@@ -791,11 +790,10 @@ func (w *worker) bindInputs(pp *patternProbe, entry *PoolEntry, asg []int) ([]pr
 		if ki < 0 {
 			continue
 		}
-		in := entry.Seq.Inputs[ki]
 		binds = append(binds, probeBinding{
-			raw:   w.ic.vecs(nameHash(in.Var.Name)),
+			raw:   w.ic.vecs(entry.inHash[ki]),
 			leafW: pp.leaves[li].Ty.Bits,
-			opW:   in.Op.Width,
+			opW:   entry.Seq.Inputs[ki].Op.Width,
 			slot:  pp.leafSlot[li],
 		})
 	}

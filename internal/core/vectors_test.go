@@ -75,12 +75,14 @@ func TestPrecheckPastMemoVectorsCompiles(t *testing.T) {
 	// none of whose memoized vectors fits in 12 bits.
 	for i := range 100 {
 		imm := b.VarT(fmt.Sprintf("imm%d", i), term.KindImm, 12)
+		seq := &isa.Sequence{Inputs: []isa.SeqOperand{
+			{Var: rs, Op: spec.Operand{Name: "rs", Kind: spec.OpReg, Width: 16}},
+			{Var: imm, Op: spec.Operand{Name: "imm", Kind: spec.OpImm, Width: 12}},
+		}}
 		entry := &PoolEntry{
-			evalN: s.Cfg.TestInputs,
-			Seq: &isa.Sequence{Inputs: []isa.SeqOperand{
-				{Var: rs, Op: spec.Operand{Name: "rs", Kind: spec.OpReg, Width: 16}},
-				{Var: imm, Op: spec.Operand{Name: "imm", Kind: spec.OpImm, Width: 12}},
-			}},
+			evalN:  s.Cfg.TestInputs,
+			Seq:    seq,
+			inHash: inputHashes(seq),
 			Effect: spec.Effect{T: b.Add(rs, b.ZExt(16, imm))},
 		}
 		pp := newPatternProbe(tp, leaves)

@@ -9,10 +9,12 @@ import (
 )
 
 // The SMT oracle is metamorphic: the bit-blasted equivalence checker and
-// 64-trial random evaluation must never contradict each other, and
-// equivalence-preserving term rewrites must never be judged NotEqual.
-// Terms are regenerated deterministically from (seed, iter), so an smt
-// corpus entry needs no body.
+// random evaluation must never contradict each other, equivalence-
+// preserving term rewrites must never be judged NotEqual, and every
+// NotEqual's stored witness must separate the pair it refuted. Most
+// iterations also check their pair wrapped in the shapes the checker's
+// miter rewrites apply to. Terms are regenerated deterministically from
+// (seed, iter), so an smt corpus entry needs no body.
 
 // smtWidths are the term widths the generator draws from.
 var smtWidths = []int{8, 16, 32, 64}
@@ -55,41 +57,125 @@ func CheckSMT(memo smt.Memo, seed uint64, iter int, maxConflicts int64) (err err
 	}
 
 	// The oracle consults the run's verdict memo like every other
-	// checker user (memo → screen → bit-blast): a memo-induced verdict
-	// change would surface here as an eval disagreement, so fuzz runs
-	// double as a continuous check that memoization is verdict-
-	// preserving. The fingerprint is a constant — fuzz queries are pure
-	// term-pair truths with no spec behind them.
-	c := &smt.Checker{MaxConflicts: maxConflicts, Memo: memo, SpecFP: "fuzz-v1"}
-	verdict := c.Equiv(b, t1, t2)
+	// checker user (simplify → memo → screen → bit-blast): a
+	// memo-induced verdict change would surface here as an eval
+	// disagreement, so fuzz runs double as a continuous check that
+	// memoization is verdict-preserving. The fingerprint is a constant —
+	// fuzz queries are pure term-pair truths with no spec behind them.
+	wm := &witnessMemo{Memo: memo}
+	c := &smt.Checker{MaxConflicts: maxConflicts, Memo: wm, SpecFP: "fuzz-v1"}
+	if err := checkPair(c, wm, g, t1, t2, metamorphic); err != nil {
+		return err
+	}
 
-	agreeAll := true
+	// Rewrite coverage: wrap the pair the way compare rules are shaped,
+	// so the checker's miter rewrites meet random operands. The shape
+	// comes from an RNG of its own, so t1 and t2 — and every repro of an
+	// earlier (seed, iter) — stay what they were.
+	wg := &termGen{b: b, rng: bv.NewRNG(SubSeed(SubSeed(seed, uint64(iter)), rewriteSalt)), vars: g.vars}
+	l, r, equiv := wg.rewritable(t1, t2)
+	if l == nil {
+		return nil
+	}
+	if err := checkPair(c, wm, wg, l, r, metamorphic || equiv); err != nil {
+		return fmt.Errorf("rewrite pair: %w", err)
+	}
+	return nil
+}
+
+// rewriteSalt separates the rewrite-shape RNG from the term RNG.
+const rewriteSalt = 0x5e1ec7
+
+// checkPair asks c whether t1 = t2 and checks the verdict by evaluation
+// on smtTrials random assignments drawn from g: an Equal must agree on
+// all of them, an equivalent pair (equiv) must not be refuted, and a
+// refutation's stored witness must separate the pair.
+func checkPair(c *smt.Checker, wm *witnessMemo, g *termGen, t1, t2 *term.Term, equiv bool) error {
+	wm.cex = nil
+	verdict := c.Equiv(g.b, t1, t2)
 	for trial := 0; trial < smtTrials; trial++ {
 		env := term.NewEnv()
-		for _, vs := range g.vars {
-			for _, v := range vs {
-				env.Bind(v.Name, rng.BV(v.W()))
+		for _, w := range smtWidths {
+			for _, v := range g.vars[w] {
+				env.Bind(v.Name, g.rng.BV(v.W()))
 			}
 		}
 		r1, r2 := t1.Eval(env), t2.Eval(env)
 		if r1 != r2 {
-			agreeAll = false
 			if verdict == smt.Equal {
 				return fmt.Errorf("smt: checker says Equal but eval disagrees (trial %d: %s vs %s)\nlhs: %s\nrhs: %s",
 					trial, r1, r2, t1, t2)
 			}
-			if metamorphic {
+			if equiv {
 				return fmt.Errorf("smt: metamorphic transform changed semantics (trial %d: %s vs %s)\nlhs: %s\nrhs: %s",
 					trial, r1, r2, t1, t2)
 			}
 			break
 		}
 	}
-	if metamorphic && verdict == smt.NotEqual {
+	if verdict != smt.NotEqual {
+		return nil
+	}
+	if equiv {
 		return fmt.Errorf("smt: checker refutes an equivalence-preserving rewrite\nlhs: %s\nrhs: %s", t1, t2)
 	}
-	_ = agreeAll
+	if !smt.Separates(wm.cex, t1, t2) {
+		return fmt.Errorf("smt: the stored witness %v does not separate the refuted pair\nlhs: %s\nrhs: %s", wm.cex, t1, t2)
+	}
 	return nil
+}
+
+// witnessMemo passes a checker's memo traffic through and keeps the
+// counterexample of the last NotEqual verdict the checker stored or
+// replayed: the witness of the query it just answered.
+type witnessMemo struct {
+	smt.Memo
+	cex map[string]bv.BV
+}
+
+func (m *witnessMemo) Lookup(key string) (smt.MemoEntry, bool) {
+	e, ok := m.Memo.Lookup(key)
+	if ok && e.Verdict == smt.NotEqual {
+		m.cex = e.Cex
+	}
+	return e, ok
+}
+
+func (m *witnessMemo) Store(key string, e smt.MemoEntry) {
+	if e.Verdict == smt.NotEqual {
+		m.cex = e.Cex
+	}
+	m.Memo.Store(key, e)
+}
+
+// rewritable wraps t1 and t2 into a pair the checker's miter rewrites
+// apply to: one shared wrapper (zext, sext or bvnot), or selects over the
+// pair with shared or swapped arms. equiv reports a pair equivalent
+// whatever t1 and t2 are (a select against its mirror image). A quarter
+// of the draws return no pair.
+func (g *termGen) rewritable(t1, t2 *term.Term) (l, r *term.Term, equiv bool) {
+	b := g.b
+	switch g.rng.Intn(4) {
+	case 0: // shared wrapper
+		w := t1.W()
+		ww := g.wider(w)
+		switch {
+		case ww != 0 && g.rng.Intn(2) == 0:
+			return b.ZExt(ww, t1), b.ZExt(ww, t2), false
+		case ww != 0 && g.rng.Intn(2) == 0:
+			return b.SExt(ww, t1), b.SExt(ww, t2), false
+		}
+		return b.Not(t1), b.Not(t2), false
+	case 1: // shared arms
+		return b.Ite(g.cond(2), t1, t2), b.Ite(g.cond(2), t1, t2), false
+	case 2: // swapped arms, a quarter of them mirrored
+		c1 := g.cond(2)
+		if g.rng.Intn(4) == 0 {
+			return b.Ite(c1, t1, t2), b.Ite(b.Not(c1), t2, t1), true
+		}
+		return b.Ite(c1, t1, t2), b.Ite(g.cond(2), t2, t1), false
+	}
+	return nil, nil, false
 }
 
 // termGen builds random terms over the bitblaster's supported operations

@@ -88,3 +88,12 @@ func refuting(witnesses []map[string]bv.BV, goals [][2]*term.Term) (map[string]b
 	}
 	return nil, false
 }
+
+// Separates reports whether the witness cex makes lhs and rhs (load- and
+// store-free terms) evaluate to different values, resolving variables as
+// the screen does: stored values adapted to width, others name-hashed.
+// A NotEqual verdict's stored witness separates the pair it refuted.
+func Separates(cex map[string]bv.BV, lhs, rhs *term.Term) bool {
+	_, ok := refuting([]map[string]bv.BV{cex}, [][2]*term.Term{{lhs, rhs}})
+	return ok
+}

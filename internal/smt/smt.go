@@ -1,7 +1,7 @@
 // Package smt provides the equivalence oracle used as the synthesis
 // fallback (paper §V-C): it decides whether two bitvector terms agree on
-// all inputs, by bit-blasting the inequality and checking unsatisfiability
-// with the CDCL solver.
+// all inputs, by simplifying the inequality (simplify.go), bit-blasting it
+// and checking unsatisfiability with the CDCL solver.
 //
 // Memory effects follow the paper's single-memory-operation discipline
 // (§IV-A rule 3). Loads on the two sides are paired up: equivalence
@@ -77,6 +77,10 @@ type Stats struct {
 	// warm-resynthesis acceptance gate drives to zero.
 	MemoHits  int64
 	BitBlasts int64
+
+	// Rewrites counts how often each miter simplification fired
+	// (simplify.go), indexed by Rewrite.
+	Rewrites [numRewrites]int64
 }
 
 // Checker decides term equivalence. The zero value uses a default budget.
@@ -131,53 +135,21 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 		return Equal
 	}
 
-	// Stores must pair at the root.
-	if (lhs.Op == term.Store) != (rhs.Op == term.Store) {
-		c.Stats.Refuted++
-		return NotEqual
-	}
-
-	var goals [][2]*term.Term
-	if lhs.Op == term.Store {
-		if lhs.Aux0 != rhs.Aux0 {
+	goals, res := miterGoals(b, lhs, rhs)
+	if goals == nil {
+		if res == NotEqual {
 			c.Stats.Refuted++
-			return NotEqual
 		}
-		goals = append(goals,
-			[2]*term.Term{lhs.Args[0], rhs.Args[0]}, // addresses
-			[2]*term.Term{lhs.Args[1], rhs.Args[1]}, // values
-		)
-	} else {
-		goals = append(goals, [2]*term.Term{lhs, rhs})
+		return res
 	}
 
-	// Pair loads across the two sides.
-	lloads := collectLoads(goals, 0)
-	rloads := collectLoads(goals, 1)
-	if len(lloads) != len(rloads) {
-		// The paper's candidate filter requires load counts to match;
-		// a mismatch here cannot be proven equal by our encoding.
-		return Unknown
-	}
-	subst := map[*term.Term]*term.Term{}
-	for i := range lloads {
-		if lloads[i].W() != rloads[i].W() {
-			return Unknown
-		}
-		// The width is part of the name: the caller's builder outlives
-		// this query, and a later query's i-th load may be narrower or
-		// wider.
-		v := b.VarT(fmt.Sprintf("!load%d_%d", i, lloads[i].W()), term.KindReg, lloads[i].W())
-		subst[lloads[i]] = v
-		subst[rloads[i]] = v
-		// Addresses must be provably equal too.
-		goals = append(goals, [2]*term.Term{lloads[i].Args[0], rloads[i].Args[0]})
-	}
-	if len(subst) > 0 {
-		for i := range goals {
-			goals[i][0] = b.Rebuild(goals[i][0], subst)
-			goals[i][1] = b.Rebuild(goals[i][1], subst)
-		}
+	// Simplify each miter (simplify.go). Everything below — memo key,
+	// screen, bit-blast — sees only the rewritten goals, which differ
+	// under exactly the assignments the originals do.
+	goals = c.simplify(b, goals)
+	if len(goals) == 0 {
+		c.Stats.Proved++
+		return Equal
 	}
 
 	budget := c.MaxConflicts
@@ -246,9 +218,6 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 	c.Stats.BitBlasts++
 	var diffs []sat.Lit
 	for _, g := range goals {
-		if g[0] == g[1] {
-			continue
-		}
 		lb, err := bb.Blast(g[0])
 		if err != nil {
 			return c.memoUnsupported(mkey, err)
@@ -258,11 +227,6 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 			return c.memoUnsupported(mkey, err)
 		}
 		diffs = append(diffs, bb.DistinctLit(lb, rb))
-	}
-	if len(diffs) == 0 {
-		c.Stats.Proved++
-		c.memoStore(mkey, MemoEntry{Verdict: Equal, Budget: budget})
-		return Equal
 	}
 	s.AddClause(diffs...)
 	t0 := time.Now()
@@ -275,7 +239,6 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 	c.Stats.Restarts += rest
 	c.Stats.SolveTime += dur
 
-	var res Result
 	switch st {
 	case sat.Unsat:
 		c.Stats.Proved++
@@ -312,6 +275,61 @@ func (c *Checker) Equiv(b *term.Builder, lhs, rhs *term.Term) Result {
 	return res
 }
 
+// miterGoals splits the query lhs = rhs into goal pairs, all of which
+// must hold: the pair itself, or a store's address and value pairs, with
+// paired loads replaced by shared fresh variables and their address
+// pairs appended. Without goals it returns the verdict the shapes alone
+// settle: NotEqual for unpaired stores, Unknown for unpaired loads.
+func miterGoals(b *term.Builder, lhs, rhs *term.Term) ([][2]*term.Term, Result) {
+	// Stores must pair at the root.
+	if (lhs.Op == term.Store) != (rhs.Op == term.Store) {
+		return nil, NotEqual
+	}
+
+	var goals [][2]*term.Term
+	if lhs.Op == term.Store {
+		if lhs.Aux0 != rhs.Aux0 {
+			return nil, NotEqual
+		}
+		goals = append(goals,
+			[2]*term.Term{lhs.Args[0], rhs.Args[0]}, // addresses
+			[2]*term.Term{lhs.Args[1], rhs.Args[1]}, // values
+		)
+	} else {
+		goals = append(goals, [2]*term.Term{lhs, rhs})
+	}
+
+	// Pair loads across the two sides.
+	lloads := collectLoads(goals, 0)
+	rloads := collectLoads(goals, 1)
+	if len(lloads) != len(rloads) {
+		// The paper's candidate filter requires load counts to match;
+		// a mismatch here cannot be proven equal by our encoding.
+		return nil, Unknown
+	}
+	subst := map[*term.Term]*term.Term{}
+	for i := range lloads {
+		if lloads[i].W() != rloads[i].W() {
+			return nil, Unknown
+		}
+		// The width is part of the name: the caller's builder outlives
+		// this query, and a later query's i-th load may be narrower or
+		// wider.
+		v := b.VarT(fmt.Sprintf("!load%d_%d", i, lloads[i].W()), term.KindReg, lloads[i].W())
+		subst[lloads[i]] = v
+		subst[rloads[i]] = v
+		// Addresses must be provably equal too.
+		goals = append(goals, [2]*term.Term{lloads[i].Args[0], rloads[i].Args[0]})
+	}
+	if len(subst) > 0 {
+		for i := range goals {
+			goals[i][0] = b.Rebuild(goals[i][0], subst)
+			goals[i][1] = b.Rebuild(goals[i][1], subst)
+		}
+	}
+	return goals, Unknown
+}
+
 // modelAssignment extracts the satisfying assignment for every variable
 // of the goal terms from a SAT model — the counterexample that refuted
 // the query, in name→value form reusable by later screens.
@@ -321,10 +339,6 @@ func modelAssignment(bb *bitblast.Blaster, model []bool, goals [][2]*term.Term) 
 	}
 	vals := map[string]bv.BV{}
 	for _, g := range goals {
-		if g[0] == g[1] {
-			// Not blasted (skipped above); its vars have no model bits.
-			continue
-		}
 		for _, side := range g {
 			for _, v := range side.Vars() {
 				if _, ok := vals[v.Name]; ok {
